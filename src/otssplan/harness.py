@@ -114,23 +114,6 @@ def _instance_digest(instance: Instance) -> str:
     return hashlib.sha256(doc.encode()).hexdigest()[:16]
 
 
-def _solve_cell(instance: Instance, solver: str, limits: SolveLimits,
-                baseline_schedule: Optional[Schedule]) -> Schedule:
-    if solver == "exact":
-        initial = None
-        if baseline_schedule is not None:
-            # any baseline schedule is feasible on the sliced grid; seeding
-            # the incumbent guarantees sliced >= baseline even when the
-            # node budget runs out
-            initial = solve_mod.lift_to_sliced(baseline_schedule, instance)
-        return solve_mod.solve_exact(instance, limits, initial=initial)
-    if solver == "greedy":
-        return solve_mod.solve_greedy(instance, limits)
-    if solver == "baseline":
-        return solve_mod.solve_baseline_conventional(instance, limits)
-    raise ValueError(f"unknown solver {solver!r}")
-
-
 def run_sweep(instance_template: Instance, loads: Sequence[float],
               solvers: Sequence[str], trials: int, seed: int | str,
               limits: Optional[SolveLimits] = None,
@@ -153,16 +136,16 @@ def run_sweep(instance_template: Instance, loads: Sequence[float],
             else:
                 requests = ()
             instance = instance_template.with_requests(requests)
-            baseline_schedule: Optional[Schedule] = None
-            ordered = sorted(solvers, key=lambda s: 0 if s == "baseline" else 1)
             cell: dict[str, tuple[Schedule, float]] = {}
-            for solver in ordered:
+            for solver in sorted(solvers, key=lambda s: s != "baseline"):
                 start = time.perf_counter()
-                schedule = _solve_cell(instance, solver, limits, baseline_schedule)
-                elapsed_ms = (time.perf_counter() - start) * 1e3
-                if solver == "baseline":
-                    baseline_schedule = schedule
-                cell[solver] = (schedule, elapsed_ms)
+                # any baseline schedule is feasible on the sliced grid;
+                # seeding the exact incumbent with it guarantees sliced >=
+                # baseline even when the node budget runs out
+                initial = (solve_mod.lift_to_sliced(cell["baseline"][0], instance)
+                           if solver == "exact" and "baseline" in cell else None)
+                schedule = solve_mod.solve(instance, solver, limits, initial=initial)
+                cell[solver] = (schedule, (time.perf_counter() - start) * 1e3)
             for solver in solvers:
                 schedule, elapsed_ms = cell[solver]
                 n = len(instance.requests)

@@ -11,6 +11,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, Iterable, Optional
 
 Link = tuple[str, str]
@@ -98,14 +99,24 @@ class Topology:
     def node_ids(self) -> tuple[str, ...]:
         return tuple(n.id for n in self.nodes)
 
+    # lookup tables built once; not fields, so equality and hashing ignore them
+    @cached_property
+    def _tiers(self) -> dict[str, str]:
+        return {n.id: n.tier for n in self.nodes}
+
+    @cached_property
+    def _lengths(self) -> dict[Link, float]:
+        return {l.key: l.length_m for l in self.links}
+
+    @cached_property
+    def _out(self) -> dict[str, tuple[LinkSpec, ...]]:
+        return {n.id: tuple(l for l in self.links if l.src == n.id) for n in self.nodes}
+
     def has_node(self, node_id: str) -> bool:
-        return any(n.id == node_id for n in self.nodes)
+        return node_id in self._tiers
 
     def tier_of(self, node_id: str) -> str:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n.tier
-        raise KeyError(node_id)
+        return self._tiers[node_id]
 
     def edge_nodes(self) -> tuple[str, ...]:
         return tuple(n.id for n in self.nodes if n.tier == "edge")
@@ -114,13 +125,10 @@ class Topology:
         return tuple(l.key for l in self.links)
 
     def length(self, link: Link) -> float:
-        for l in self.links:
-            if l.key == link:
-                return l.length_m
-        raise KeyError(link)
+        return self._lengths[link]
 
     def out_links(self, node_id: str) -> tuple[LinkSpec, ...]:
-        return tuple(l for l in self.links if l.src == node_id)
+        return self._out.get(node_id, ())
 
     def in_links(self, node_id: str) -> tuple[LinkSpec, ...]:
         return tuple(l for l in self.links if l.dst == node_id)
@@ -323,11 +331,12 @@ class Instance:
     def slot_units(self, request: Request) -> int:
         return required_slot_units(request.bandwidth_gbps, self.slot_capacity())
 
+    @cached_property
+    def _requests_by_id(self) -> dict[str, Request]:
+        return {r.id: r for r in self.requests}
+
     def request_by_id(self, request_id: str) -> Request:
-        for r in self.requests:
-            if r.id == request_id:
-                return r
-        raise KeyError(request_id)
+        return self._requests_by_id[request_id]
 
     def with_requests(self, requests: Iterable[Request]) -> "Instance":
         return replace(self, requests=tuple(requests))
@@ -356,6 +365,10 @@ def required_slot_units(bandwidth_gbps: float, slot_capacity: Fraction | float) 
     if not (cap > 0):
         raise ValueError(f"slot capacity must be > 0, got {slot_capacity}")
     ratio = Fraction(str(bandwidth_gbps)) / cap
+    # snap a float that rounds an exact multiple, e.g. float(9/7) against 1/7
+    nearest = round(ratio)
+    if abs(ratio - nearest) <= ratio * Fraction(1, 10**9):
+        return nearest
     return -(-ratio.numerator // ratio.denominator)
 
 

@@ -3,8 +3,10 @@ conventional one-slot baseline.
 
 The search is over per-request atomic candidates (path, mode set,
 contiguous slot interval), so path continuity, contiguity, and cross-mode
-slot equality hold by construction; the search handles slot-exclusivity
-conflicts and crosstalk accumulation.
+slot equality hold by construction. The search tracks slot exclusivity as
+one int bitmask over (link, mode, slot) cells, and adds crosstalk from a
+per-link coefficient table in `xtalk.overlap_terms` order, so totals and
+prune decisions are bit-identical to summing `xtalk.pairwise_contribution`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import itertools
 import json
 import time
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from functools import cached_property
+from typing import Iterable, NamedTuple, Optional
 
 from . import xtalk
 from .model import Instance, Link, Request, Topology, collapse_frame
@@ -22,9 +25,9 @@ from .model import Instance, Link, Request, Topology, collapse_frame
 
 @dataclass(frozen=True)
 class Assignment:
-    """One accepted request's placement: an ordered link path, a mode set,
-    and one contiguous slot interval [slot_start, slot_end), shared by all
-    links and modes."""
+    """One request's placement, accepted or candidate: an ordered link
+    path, a mode set, and one contiguous slot interval [slot_start,
+    slot_end), shared by all links and modes."""
 
     request_id: str
     path: tuple[Link, ...]
@@ -33,12 +36,12 @@ class Assignment:
     slot_end: int
 
     @property
-    def slot_span(self) -> int:
-        return self.slot_end - self.slot_start
+    def supply(self) -> int:
+        return len(self.modes) * (self.slot_end - self.slot_start)
 
     @property
     def lambda_count(self) -> int:
-        return len(self.path) * len(self.modes) * self.slot_span
+        return len(self.path) * self.supply
 
     def cells(self) -> Iterable[tuple[Link, int, int]]:
         for link in self.path:
@@ -55,11 +58,13 @@ class Schedule:
     lambda_count: int
     optimal: bool = True
 
+    @cached_property
+    def _by_request(self) -> dict[str, Assignment]:
+        # reversed, so the first assignment of a request id wins
+        return {a.request_id: a for a in reversed(self.assignments)}
+
     def assignment(self, request_id: str) -> Optional[Assignment]:
-        for a in self.assignments:
-            if a.request_id == request_id:
-                return a
-        return None
+        return self._by_request.get(request_id)
 
     @property
     def accepted_ids(self) -> tuple[str, ...]:
@@ -102,23 +107,6 @@ def schedule_from_document(doc: dict) -> Schedule:
                     throughput_gbps=float(doc["throughput_gbps"]),
                     lambda_count=int(doc["lambda_count"]),
                     optimal=bool(doc.get("optimal", True)))
-
-
-@dataclass(frozen=True)
-class CandidateAssignment:
-    path: tuple[Link, ...]
-    path_length_m: float
-    modes: tuple[int, ...]
-    slot_start: int
-    slot_end: int
-
-    @property
-    def supply(self) -> int:
-        return len(self.modes) * (self.slot_end - self.slot_start)
-
-    def to_assignment(self, request_id: str) -> Assignment:
-        return Assignment(request_id=request_id, path=self.path, modes=self.modes,
-                          slot_start=self.slot_start, slot_end=self.slot_end)
 
 
 @dataclass(frozen=True)
@@ -187,10 +175,6 @@ def k_shortest_paths(topology: Topology, src: str, dst: str, k: int) -> list[tup
     return [p for _, p in found]
 
 
-def _path_links(path: tuple[str, ...]) -> tuple[Link, ...]:
-    return tuple((path[i], path[i + 1]) for i in range(len(path) - 1))
-
-
 # --- candidate enumeration ------------------------------------------------
 
 
@@ -207,7 +191,7 @@ def _mode_subsets(mode_count: int, all_subsets: bool) -> list[tuple[int, ...]]:
 
 
 def enumerate_candidates(request: Request, instance: Instance, k: int,
-                         all_mode_subsets: bool = False) -> list[CandidateAssignment]:
+                         all_mode_subsets: bool = False) -> list[Assignment]:
     """All (path, mode subset, contiguous slot interval) triples that cover
     the request's slot-unit demand without a whole spare mode or slot
     column, ordered deterministically by (supply, path length, path, slot
@@ -215,97 +199,112 @@ def enumerate_candidates(request: Request, instance: Instance, k: int,
     q = instance.slot_units(request)
     slots = instance.slot_count
     paths = k_shortest_paths(instance.topology, request.source, request.destination, k)
-    out: list[CandidateAssignment] = []
+    out: list[Assignment] = []
+    lengths: dict[tuple[Link, ...], float] = {}
     for path in paths:
-        length = sum(instance.topology.length(l) for l in _path_links(path))
+        links = tuple(zip(path, path[1:]))
+        lengths[links] = sum(instance.topology.length(l) for l in links)
         for modes in _mode_subsets(instance.mode_count, all_mode_subsets):
             for span in range(1, slots + 1):
                 supply = len(modes) * span
                 if supply < q or supply - q >= min(len(modes), span):
                     continue
                 for start in range(slots - span + 1):
-                    out.append(CandidateAssignment(
-                        path=_path_links(path), path_length_m=length, modes=modes,
-                        slot_start=start, slot_end=start + span))
-    out.sort(key=lambda c: (c.supply, c.path_length_m, c.path, c.slot_start, c.modes))
+                    out.append(Assignment(request.id, links, modes, start, start + span))
+    out.sort(key=lambda c: (c.supply, lengths[c.path], c.path, c.slot_start, c.modes))
     return out
 
 
 # --- incremental feasibility state ---------------------------------------
 
 
+class _Placement(NamedTuple):
+    links: tuple[int, ...]  # link indices in path order
+    link_mask: int
+    occupancy: int  # one bit per (link, mode, slot) cell
+    candidate: Assignment
+
+
 class _SearchState:
-    """Committed assignments plus incremental slot-occupancy and additive
-    crosstalk totals, with O(1) undo."""
+    """Committed placements plus slot occupancy and each placement's
+    additive crosstalk total, with O(1) undo."""
 
     def __init__(self, instance: Instance):
-        self.instance = instance
-        self.model = instance.planner.accumulation_model
-        self.threshold_db = instance.planner.xt_threshold_db
-        self.committed: list[Assignment] = []
-        self.cells: set[tuple[Link, int, int]] = set()
-        self.totals: dict[str, float] = {}
+        links = instance.topology.links
+        model = instance.planner.accumulation_model
+        modes = range(instance.mode_count)
+        self.link_index = {l.key: i for i, l in enumerate(links)}
+        self.coef = [[[xtalk.pairwise_contribution(instance.crosstalk, m_a, m_v,
+                                                   l.length_m, model) if m_a != m_v else 0.0
+                       for m_v in modes] for m_a in modes] for l in links]
+        self.limit = xtalk.feasibility_limit(instance.planner.xt_threshold_db, model)
+        self.mode_count = instance.mode_count
+        self.slot_count = instance.slot_count
+        self.occupied = 0
+        self.placed: list[_Placement] = []
+        self.totals: list[float] = []
 
-    def _deltas(self, new: Assignment) -> Optional[tuple[float, dict[str, float]]]:
-        """(new request's own total, per-committed-victim increments), or
-        None on a slot conflict."""
-        new_cells = list(new.cells())
-        if any(c in self.cells for c in new_cells):
-            return None
-        own = 0.0
-        increments: dict[str, float] = {}
-        for other in self.committed:
-            for link, m_a, m_v in xtalk.overlap_terms(new, other):
-                own += xtalk.pairwise_contribution(
-                    self.instance.crosstalk, m_a, m_v,
-                    self.instance.topology.length(link), self.model)
-            inc = 0.0
-            for link, m_a, m_v in xtalk.overlap_terms(other, new):
-                inc += xtalk.pairwise_contribution(
-                    self.instance.crosstalk, m_a, m_v,
-                    self.instance.topology.length(link), self.model)
-            if inc:
-                increments[other.request_id] = inc
-        return own, increments
+    @property
+    def committed(self) -> list[Assignment]:
+        return [p.candidate for p in self.placed]
 
-    def feasible(self, new: Assignment) -> bool:
-        deltas = self._deltas(new)
-        if deltas is None:
-            return False
-        own, increments = deltas
-        if own and not xtalk.total_feasible(own, self.threshold_db, self.model):
-            return False
-        for rid, inc in increments.items():
-            if not xtalk.total_feasible(self.totals[rid] + inc, self.threshold_db, self.model):
-                return False
-        return True
+    def place(self, cand: Assignment) -> _Placement:
+        links = tuple(self.link_index[l] for l in cand.path)
+        run = ((1 << (cand.slot_end - cand.slot_start)) - 1) << cand.slot_start
+        occupancy = sum(run << ((li * self.mode_count + m) * self.slot_count)
+                        for li in links for m in cand.modes)
+        return _Placement(links, sum(1 << li for li in links), occupancy, cand)
 
-    def commit(self, new: Assignment) -> Optional[tuple]:
+    def _add_terms(self, total: float, victim_links: tuple[int, ...],
+                   victim_modes: tuple[int, ...], aggressor_mask: int,
+                   aggressor_modes: tuple[int, ...]) -> float:
+        """`total` plus the victim's terms from one aggressor, in
+        xtalk.overlap_terms order: victim link, victim mode, aggressor mode."""
+        for li in victim_links:
+            if aggressor_mask >> li & 1:
+                row = self.coef[li]
+                for m_v in victim_modes:
+                    for m_a in aggressor_modes:
+                        if m_a != m_v:
+                            total += row[m_a][m_v]
+        return total
+
+    def commit(self, new: _Placement) -> Optional[tuple]:
         """Commit if feasible; returns an undo token, or None if infeasible."""
-        deltas = self._deltas(new)
-        if deltas is None:
+        links, link_mask, occupancy, cand = new
+        if occupancy & self.occupied:
             return None
-        own, increments = deltas
-        if own and not xtalk.total_feasible(own, self.threshold_db, self.model):
+        limit, totals = self.limit, self.totals
+        own = 0.0
+        updates = []
+        for k, (o_links, o_mask, _, other) in enumerate(self.placed):
+            if (not link_mask & o_mask or other.slot_start >= cand.slot_end
+                    or cand.slot_start >= other.slot_end):
+                continue
+            own = self._add_terms(own, links, cand.modes, o_mask, other.modes)
+            inc = self._add_terms(0.0, o_links, other.modes, link_mask, cand.modes)
+            if inc:
+                total = totals[k] + inc
+                if not total <= limit:
+                    return None
+                updates.append((k, total))
+        if own and not own <= limit:
             return None
-        for rid, inc in increments.items():
-            if not xtalk.total_feasible(self.totals[rid] + inc, self.threshold_db, self.model):
-                return None
-        new_cells = list(new.cells())
-        self.committed.append(new)
-        self.cells.update(new_cells)
-        prev = {rid: self.totals[rid] for rid in increments}
-        for rid, inc in increments.items():
-            self.totals[rid] += inc
-        self.totals[new.request_id] = own
-        return (new, new_cells, prev)
+        prev = [(k, totals[k]) for k, _ in updates]
+        for k, total in updates:
+            totals[k] = total
+        self.occupied |= occupancy
+        self.placed.append(new)
+        totals.append(own)
+        return occupancy, prev
 
     def undo(self, token: tuple) -> None:
-        new, new_cells, prev = token
-        self.committed.pop()
-        self.cells.difference_update(new_cells)
-        self.totals.update(prev)
-        del self.totals[new.request_id]
+        occupancy, prev = token
+        self.occupied &= ~occupancy
+        self.placed.pop()
+        self.totals.pop()
+        for k, total in prev:
+            self.totals[k] = total
 
 
 # --- solvers --------------------------------------------------------------
@@ -348,8 +347,9 @@ def solve_exact(instance: Instance, limits: Optional[SolveLimits] = None,
     """
     limits = limits or SolveLimits()
     requests = list(instance.requests)
-    candidates = {r.id: enumerate_candidates(r, instance, limits.k_paths,
-                                             limits.all_mode_subsets)
+    state = _SearchState(instance)
+    candidates = {r.id: [state.place(c) for c in enumerate_candidates(
+                      r, instance, limits.k_paths, limits.all_mode_subsets)]
                   for r in requests}
     # optimistic throughput still reachable from request position i onward,
     # and the least extra lambda any throughput-tying completion must pay
@@ -359,10 +359,9 @@ def solve_exact(instance: Instance, limits: Optional[SolveLimits] = None,
         cands = candidates[requests[i].id]
         gain = requests[i].bandwidth_gbps if cands else 0.0
         suffix[i] = suffix[i + 1] + gain
-        min_lam = min((len(c.path) * c.supply for c in cands), default=0)
+        min_lam = min((c.candidate.lambda_count for c in cands), default=0)
         min_lam_suffix[i] = min_lam_suffix[i + 1] + min_lam
 
-    state = _SearchState(instance)
     best: dict = {"assignments": None, "tp": -1.0, "lam": 0, "optimal": True}
     if initial is not None:
         best["assignments"] = list(initial.assignments)
@@ -398,12 +397,14 @@ def solve_exact(instance: Instance, limits: Optional[SolveLimits] = None,
                     and lam + min_lam_suffix[i] >= best["lam"]):
                 return
         r = requests[i]
+        occupied = state.occupied  # restored by every undo below
         for cand in candidates[r.id]:
-            assignment = cand.to_assignment(r.id)
-            token = state.commit(assignment)
+            if cand.occupancy & occupied:
+                continue
+            token = state.commit(cand)
             if token is None:
                 continue
-            dfs(i + 1, tp + r.bandwidth_gbps, lam + assignment.lambda_count)
+            dfs(i + 1, tp + r.bandwidth_gbps, lam + cand.candidate.lambda_count)
             state.undo(token)
             if budget["exhausted"]:
                 return
@@ -411,9 +412,9 @@ def solve_exact(instance: Instance, limits: Optional[SolveLimits] = None,
         dfs(i + 1, tp, lam)
 
     dfs(0, 0.0, 0)
-    if best["assignments"] is None:
-        return _finish(instance, [], optimal=not budget["exhausted"])
-    return _finish(instance, best["assignments"], optimal=not budget["exhausted"])
+    # dfs refers to itself; breaking that cycle frees the search state now
+    del dfs
+    return _finish(instance, best["assignments"] or [], optimal=not budget["exhausted"])
 
 
 def solve_greedy(instance: Instance, limits: Optional[SolveLimits] = None,
@@ -432,7 +433,7 @@ def solve_greedy(instance: Instance, limits: Optional[SolveLimits] = None,
     for r in requests:
         for cand in enumerate_candidates(r, instance, limits.k_paths,
                                          limits.all_mode_subsets):
-            if state.commit(cand.to_assignment(r.id)) is not None:
+            if state.commit(state.place(cand)) is not None:
                 break
     return _finish(instance, state.committed, optimal=False)
 
@@ -465,9 +466,12 @@ def lift_to_sliced(schedule: Schedule, instance: Instance) -> Schedule:
 SOLVERS = ("exact", "greedy", "baseline")
 
 
-def solve(instance: Instance, solver: str, limits: Optional[SolveLimits] = None) -> Schedule:
+def solve(instance: Instance, solver: str, limits: Optional[SolveLimits] = None,
+          initial: Optional[Schedule] = None) -> Schedule:
+    """Run one of SOLVERS; `initial` seeds the exact search's incumbent
+    (see solve_exact) and is not used by the others."""
     if solver == "exact":
-        return solve_exact(instance, limits)
+        return solve_exact(instance, limits, initial=initial)
     if solver == "greedy":
         return solve_greedy(instance, limits)
     if solver == "baseline":

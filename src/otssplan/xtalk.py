@@ -111,11 +111,11 @@ def threshold_in_domain(threshold_db: float, model: AccumulationModel) -> float:
     return 10.0 ** (threshold_db / 10.0)
 
 
-def total_feasible(total_additive: float, threshold_db: float,
-                   model: AccumulationModel) -> bool:
-    """Threshold test in the additive domain, with small relative slack."""
+def feasibility_limit(threshold_db: float, model: AccumulationModel) -> float:
+    """Largest additive-domain total within the threshold: the threshold
+    in the model's domain plus a small relative slack."""
     limit = threshold_in_domain(threshold_db, model)
-    return total_additive <= limit + abs(limit) * _FEAS_RTOL
+    return limit + abs(limit) * _FEAS_RTOL
 
 
 def contribution_db(contribution: float, model: AccumulationModel) -> float:
@@ -135,7 +135,7 @@ def overlap_terms(victim, aggressor) -> list[tuple[Link, int, int]]:
     if not (max(victim.slot_start, aggressor.slot_start)
             < min(victim.slot_end, aggressor.slot_end)):
         return []
-    shared = [l for l in victim.path if l in set(aggressor.path)]
+    shared = [l for l in victim.path if l in aggressor.path]
     out = []
     for link in shared:
         for m_v in victim.modes:
@@ -173,7 +173,7 @@ def accumulate_for_request(victim_request: str, schedule, instance: Instance,
                                        contribution_db=contribution_db(c, model)))
     total_additive = sum(contributions) if contributions else None
     total_db = combine_contributions(contributions, model)
-    feasible = (total_additive is None
-                or total_feasible(total_additive, instance.planner.xt_threshold_db, model))
+    limit = feasibility_limit(instance.planner.xt_threshold_db, model)
+    feasible = total_additive is None or total_additive <= limit
     return CrosstalkReport(request_id=victim_request, total_db=total_db,
                            feasible=feasible, terms=tuple(terms))

@@ -92,8 +92,8 @@ def _joint_feasible(instance: Instance, chosen: list) -> bool:
                 total += xtalk.pairwise_contribution(
                     instance.crosstalk, m_a, m_v,
                     instance.topology.length(link), model)
-        if total and not xtalk.total_feasible(
-                total, instance.planner.xt_threshold_db, model):
+        if total and total > xtalk.feasibility_limit(
+                instance.planner.xt_threshold_db, model):
             return False
     return True
 
@@ -105,7 +105,7 @@ def brute_force_best(instance: Instance, k: int = 8) -> tuple[float, int]:
     options = []
     for r in instance.requests:
         cands = enumerate_candidates(r, instance, k, all_mode_subsets=True)
-        options.append([None] + [c.to_assignment(r.id) for c in cands])
+        options.append([None] + cands)
     best = (0.0, 0)
     found = False
     for combo in itertools.product(*options):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import replace
 
@@ -5,10 +6,10 @@ import pytest
 
 from conftest import brute_force_best, random_micro_instance, two_request_200m_instance
 from otssplan import validate
-from otssplan.model import PlannerConfig
-from otssplan.solve import (SolveLimits, enumerate_candidates, k_shortest_paths,
+from otssplan.model import AccumulationModel, PlannerConfig
+from otssplan.solve import (SolveLimits, enumerate_candidates, k_shortest_paths, solve,
                             solve_baseline_conventional, solve_exact, solve_greedy)
-from otssplan.harness import fig2_fixture
+from otssplan.harness import fig2_fixture, gen_uniform_traffic
 
 
 class TestKShortestPaths:
@@ -175,3 +176,46 @@ class TestOracleEquivalence:
             assert s.optimal
             expected = brute_force_best(inst)
             assert (s.throughput_gbps, s.lambda_count) == pytest.approx(expected)
+
+    @pytest.mark.parametrize("model", [AccumulationModel("paper-literal-db"),
+                                       AccumulationModel("tanh-coupling", h=2e-3)],
+                             ids=lambda m: m.variant)
+    def test_micro_corpus_other_accumulation_models(self, model):
+        rng = random.Random(f"oracle-{model.variant}")
+        limits = SolveLimits(all_mode_subsets=True, k_paths=8)
+        for _ in range(40):
+            # three nodes crowd requests onto shared links, so crosstalk binds
+            inst = random_micro_instance(rng, max_nodes=3)
+            inst = replace(inst, planner=replace(inst.planner, accumulation_model=model))
+            s = solve_exact(inst, limits)
+            assert s.optimal
+            assert (s.throughput_gbps, s.lambda_count) == pytest.approx(brute_force_best(inst))
+
+
+# SHA-256 of Schedule.to_json() at a 2000-node budget on two seeded
+# 240 Gb/s fig2 instances. A speed-up or refactor of the search must keep
+# them; only a change meant to alter schedules may re-record them.
+PINNED_SCHEDULES = {
+    (0, "baseline"):
+        "a045f2bf4712a57c3ae25b4da01a26055dc82b1aee32002babe70b173d70e15a",
+    (0, "exact"):
+        "6d07d08bbe18339dc3a372dfd6f476e84a467e6c34ae3be01c83ebb96cb4e260",
+    (0, "greedy"):
+        "c27af73aed6d05d4be47e481708f363d1799fc209d64f950c1e70f8c40a19550",
+    (1, "baseline"):
+        "34c6086cdad42967b30f70aee694291eff4c5a35313716281f8092c5bbbb028c",
+    (1, "exact"):
+        "c44f08fde6c673a247ab34e36c0d98602fc558f51f33e34f46bdd6f04382b269",
+    (1, "greedy"):
+        "defedffc81fc5bc6a87a625d25c2a44d533c4be65bd8d175b391ca0ccd7fcea9",
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_pinned_heavy_schedules(seed):
+    template = fig2_fixture().with_requests([])
+    inst = template.with_requests(gen_uniform_traffic(template.topology, 240.0, seed=seed))
+    limits = SolveLimits(node_budget=2000, time_budget_s=3600.0)
+    for solver in ("baseline", "exact", "greedy"):
+        digest = hashlib.sha256(solve(inst, solver, limits).to_json().encode()).hexdigest()
+        assert digest == PINNED_SCHEDULES[seed, solver], solver
