@@ -6,17 +6,24 @@ contiguity via transition indicators (eq8), cross-mode slot equality
 (eq9), capacity big-M (eq10), the crosstalk budget (eq11), and the
 overlap-indicator linearizations (eq12-eq15). The model is solver
 agnostic; emit_lp writes standard LP text for any external MILP solver.
+
+Names are assembled from tag tables built once per model: each request
+id, node id and link is sanitized to its LP tag a single time, and two
+ids that sanitize to the same tag raise ValidationError instead of
+silently merging in the LP. emit_lp renders the constraint block once
+and writes it into both phase files.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
 from . import xtalk
-from .model import Instance, Link
+from .model import Instance, Link, ValidationError
 
 Term = tuple[float, str]
 
@@ -66,9 +73,6 @@ class MilpModel:
     def two_phase(self) -> bool:
         return len(self.objectives) == 2
 
-    def variable_names(self) -> set[str]:
-        return {v.name for v in self.variables}
-
     def family_counts(self) -> dict[str, int]:
         out: dict[str, int] = {}
         for c in self.constraints:
@@ -76,12 +80,19 @@ class MilpModel:
         return out
 
 
+_NON_ALNUM = re.compile(r"[^A-Za-z0-9]")
+
+
 def _sanitize(token: str) -> str:
-    return re.sub(r"[^A-Za-z0-9]", "", token) or "x"
+    return _NON_ALNUM.sub("", token) or "x"
+
+
+def _link_tag(link: Link) -> str:
+    return f"e{_sanitize(link[0])}_{_sanitize(link[1])}"
 
 
 def lambda_name(rid: str, link: Link, m: int, t: int) -> str:
-    return f"l_r{_sanitize(rid)}_e{_sanitize(link[0])}_{_sanitize(link[1])}_m{m}_t{t}"
+    return f"l_r{_sanitize(rid)}_{_link_tag(link)}_m{m}_t{t}"
 
 
 def rho_name(rid: str) -> str:
@@ -89,33 +100,49 @@ def rho_name(rid: str) -> str:
 
 
 def beta_name(r1: str, r2: str, link: Link, m1: int, m2: int, t: int) -> str:
-    return (f"b_r{_sanitize(r1)}_r{_sanitize(r2)}_e{_sanitize(link[0])}_"
-            f"{_sanitize(link[1])}_m{m1}_{m2}_t{t}")
+    return f"b_r{_sanitize(r1)}_r{_sanitize(r2)}_{_link_tag(link)}_m{m1}_{m2}_t{t}"
 
 
 def theta_name(r1: str, r2: str, link: Link, m1: int, m2: int) -> str:
-    return (f"th_r{_sanitize(r1)}_r{_sanitize(r2)}_e{_sanitize(link[0])}_"
-            f"{_sanitize(link[1])}_m{m1}_{m2}")
+    return f"th_r{_sanitize(r1)}_r{_sanitize(r2)}_{_link_tag(link)}_m{m1}_{m2}"
 
 
 def _cm_name(rid: str, link: Link, m: int, t: int) -> str:
-    return f"cm_r{_sanitize(rid)}_e{_sanitize(link[0])}_{_sanitize(link[1])}_m{m}_t{t}"
+    return f"cm_r{_sanitize(rid)}_{_link_tag(link)}_m{m}_t{t}"
 
 
 def _ca_name(rid: str, link: Link, t: int) -> str:
-    return f"ca_r{_sanitize(rid)}_e{_sanitize(link[0])}_{_sanitize(link[1])}_t{t}"
+    return f"ca_r{_sanitize(rid)}_{_link_tag(link)}_t{t}"
 
 
 def _u_name(rid: str, link: Link, t: int) -> str:
-    return f"u_r{_sanitize(rid)}_e{_sanitize(link[0])}_{_sanitize(link[1])}_t{t}"
+    return f"u_r{_sanitize(rid)}_{_link_tag(link)}_t{t}"
 
 
 def _w_name(rid: str, link: Link, m: int) -> str:
-    return f"w_r{_sanitize(rid)}_e{_sanitize(link[0])}_{_sanitize(link[1])}_m{m}"
+    return f"w_r{_sanitize(rid)}_{_link_tag(link)}_m{m}"
 
 
 def _v_name(rid: str, link: Link) -> str:
-    return f"v_r{_sanitize(rid)}_e{_sanitize(link[0])}_{_sanitize(link[1])}"
+    return f"v_r{_sanitize(rid)}_{_link_tag(link)}"
+
+
+def _tag_table(ids, where: str, prefix: str) -> dict[str, str]:
+    """`prefix + sanitized id` per id; raises ValidationError naming
+    `where[i].id` when an id sanitizes to the tag of an earlier one."""
+    tags: dict[str, str] = {}
+    owner: dict[str, str] = {}
+    failures = []
+    for i, x in enumerate(ids):
+        tag = _sanitize(x)
+        if tag in owner:
+            failures.append((f"{where}[{i}].id", f"id {x!r} has the same LP name "
+                             f"tag {tag!r} as {owner[tag]!r}"))
+        owner.setdefault(tag, x)
+        tags[x] = prefix + tag
+    if failures:
+        raise ValidationError(failures)
+    return tags
 
 
 FAMILY_NOTES = {
@@ -193,7 +220,8 @@ def build_model(instance: Instance, max_variables: int = 2_000_000) -> MilpModel
 
     An instance with zero requests yields an empty (trivially optimal)
     model; an instance whose variable count exceeds max_variables raises
-    SizeLimitError naming the count.
+    SizeLimitError naming the count, and one whose request or node ids
+    collide once sanitized into LP names raises ValidationError.
     """
     counts = count_formulas(instance)
     if counts["total_variables"] > max_variables:
@@ -206,69 +234,99 @@ def build_model(instance: Instance, max_variables: int = 2_000_000) -> MilpModel
                             Objective("minimize", "resource", ())]
         return model
 
-    links = instance.topology.link_keys()
+    topo = instance.topology
+    links = topo.link_keys()
     modes = range(instance.mode_count)
-    slots = range(instance.slot_count)
-    nodes = instance.topology.node_ids()
+    T = instance.slot_count
+    slots = range(T)
+    nodes = topo.node_ids()
     big_m = instance.big_m
     q = {r.id: instance.slot_units(r) for r in instance.requests}
     # eq10's big-M must dominate the largest slot-unit demand
     big_m_cap = max(big_m, max(q.values()))
 
+    # tags: each id sanitized once; every name below is assembled from them
+    rt = _tag_table(rids, "requests", "r")
+    nt = _tag_table(nodes, "topology.nodes", "n")
+    et = {link: _link_tag(link) for link in links}
+
     add_var = model.variables.append
     add_con = model.constraints.append
 
-    # variables, in a fixed declaration order
+    # variables, in a fixed declaration order; name tables kept for the
+    # constraints: lam[rid, link][m][t], cm[rid, link][m][tb], ...
+    lam = {}
     for rid in rids:
         for link in links:
-            for m in modes:
-                for t in slots:
-                    add_var(Variable(lambda_name(rid, link, m, t)))
+            pre = f"l_{rt[rid]}_{et[link]}_m"
+            lam[rid, link] = [[f"{pre}{m}_t{t}" for t in slots] for m in modes]
+            for row in lam[rid, link]:
+                for name in row:
+                    add_var(Variable(name))
+    rho = {rid: f"rho_{rt[rid]}" for rid in rids}
     for rid in rids:
-        add_var(Variable(rho_name(rid)))
+        add_var(Variable(rho[rid]))
+    # (r1, r2, link, m1, m2, theta, betas) in declaration order
+    overlaps = []
     for r1 in rids:
         for r2 in rids:
             if r1 == r2:
                 continue
             for link in links:
+                pre = f"_{rt[r1]}_{rt[r2]}_{et[link]}_m"
                 for m1 in modes:
                     for m2 in modes:
                         if m1 == m2:
                             continue
-                        for t in slots:
-                            add_var(Variable(beta_name(r1, r2, link, m1, m2, t)))
-                        add_var(Variable(theta_name(r1, r2, link, m1, m2)))
+                        betas = [f"b{pre}{m1}_{m2}_t{t}" for t in slots]
+                        th = f"th{pre}{m1}_{m2}"
+                        for b in betas:
+                            add_var(Variable(b))
+                        add_var(Variable(th))
+                        overlaps.append((r1, r2, link, m1, m2, th, betas))
+    cm, ca, u, w, v = {}, {}, {}, {}, {}
     for rid in rids:
         for link in links:
-            for m in modes:
-                for t in range(instance.slot_count + 1):
-                    add_var(Variable(_cm_name(rid, link, m, t)))
-            for t in range(instance.slot_count + 1):
-                add_var(Variable(_ca_name(rid, link, t)))
-            for t in slots:
-                add_var(Variable(_u_name(rid, link, t)))
-            for m in modes:
-                add_var(Variable(_w_name(rid, link, m)))
-            add_var(Variable(_v_name(rid, link)))
+            key = rid, link
+            tag = f"{rt[rid]}_{et[link]}"
+            cm[key] = [[f"cm_{tag}_m{m}_t{tb}" for tb in range(T + 1)] for m in modes]
+            ca[key] = [f"ca_{tag}_t{tb}" for tb in range(T + 1)]
+            u[key] = [f"u_{tag}_t{t}" for t in slots]
+            w[key] = [f"w_{tag}_m{m}" for m in modes]
+            v[key] = f"v_{tag}"
+            for name in (*(n for row in cm[key] for n in row), *ca[key], *u[key],
+                         *w[key], v[key]):
+                add_var(Variable(name))
+
+    def flow(rid, out_node, in_node, ms, ts):
+        """Out-link lambdas of out_node at +1, in-link ones of in_node at -1."""
+        return ([(1.0, lam[rid, l.key][m][t]) for l in topo.out_links(out_node)
+                 for m in ms for t in ts]
+                + [(-1.0, lam[rid, l.key][m][t]) for l in topo.in_links(in_node)
+                   for m in ms for t in ts])
+
+    def transitions(family, ind, seq):
+        """ind[tb] >= |seq[tb] - seq[tb-1]| with virtual zeros at both ends."""
+        for tb in range(T + 1):
+            cur = [seq[tb]] if tb < T else []
+            prev = [seq[tb - 1]] if tb >= 1 else []
+            add_con(Constraint(f"{family}_up_{ind[tb]}",
+                               ((1.0, ind[tb]), *((-1.0, n) for n in cur),
+                                *((1.0, n) for n in prev)), ">=", 0.0, family))
+            add_con(Constraint(f"{family}_dn_{ind[tb]}",
+                               ((1.0, ind[tb]), *((1.0, n) for n in cur),
+                                *((-1.0, n) for n in prev)), ">=", 0.0, family))
 
     # eq2: flow conservation in slot units, plus lambda <= rho coupling
     for r in instance.requests:
         for node in nodes:
-            terms: list[Term] = []
-            for link in instance.topology.out_links(node):
-                for m in modes:
-                    for t in slots:
-                        terms.append((1.0, lambda_name(r.id, link.key, m, t)))
-            for link in instance.topology.in_links(node):
-                for m in modes:
-                    for t in slots:
-                        terms.append((-1.0, lambda_name(r.id, link.key, m, t)))
-            name = f"eq2_r{_sanitize(r.id)}_n{_sanitize(node)}"
+            terms = flow(r.id, node, node, modes, slots)
+            name = f"eq2_{rt[r.id]}_{nt[node]}"
             if node == r.source:
-                add_con(Constraint(name, tuple(terms + [(-float(q[r.id]), rho_name(r.id))]),
+                add_con(Constraint(name, tuple(terms + [(-float(q[r.id]), rho[r.id])]),
                                    ">=", 0.0, "eq2"))
             elif node == r.destination:
-                add_con(Constraint(name, tuple(terms + [(float(q[r.id]), rho_name(r.id))]),
+                add_con(Constraint(name, tuple(terms + [(float(q[r.id]), rho[r.id])]),
                                    "<=", 0.0, "eq2"))
             else:
                 add_con(Constraint(name, tuple(terms), "=", 0.0, "eq2"))
@@ -276,202 +334,126 @@ def build_model(instance: Instance, max_variables: int = 2_000_000) -> MilpModel
         for link in links:
             for m in modes:
                 for t in slots:
-                    add_con(Constraint(
-                        f"eq2_acc_r{_sanitize(rid)}_e{_sanitize(link[0])}_{_sanitize(link[1])}_m{m}_t{t}",
-                        ((1.0, lambda_name(rid, link, m, t)), (-1.0, rho_name(rid))),
-                        "<=", 0.0, "eq2"))
+                    add_con(Constraint(f"eq2_acc_{rt[rid]}_{et[link]}_m{m}_t{t}",
+                                       ((1.0, lam[rid, link][m][t]), (-1.0, rho[rid])),
+                                       "<=", 0.0, "eq2"))
 
     # eq3/eq4: per-slot aggregate continuity; eq5/eq6: per-mode continuity
     for r in instance.requests:
+        transit = [n for n in nodes if n not in (r.source, r.destination)]
         for t in slots:
-            terms = []
-            for link in instance.topology.out_links(r.source):
-                for m in modes:
-                    terms.append((1.0, lambda_name(r.id, link.key, m, t)))
-            for link in instance.topology.in_links(r.destination):
-                for m in modes:
-                    terms.append((-1.0, lambda_name(r.id, link.key, m, t)))
-            add_con(Constraint(f"eq3_r{_sanitize(r.id)}_t{t}", tuple(terms), "=", 0.0, "eq3"))
+            add_con(Constraint(f"eq3_{rt[r.id]}_t{t}",
+                               tuple(flow(r.id, r.source, r.destination, modes, (t,))),
+                               "=", 0.0, "eq3"))
         for t in slots:
-            for node in nodes:
-                if node in (r.source, r.destination):
-                    continue
-                terms = []
-                for link in instance.topology.out_links(node):
-                    for m in modes:
-                        terms.append((1.0, lambda_name(r.id, link.key, m, t)))
-                for link in instance.topology.in_links(node):
-                    for m in modes:
-                        terms.append((-1.0, lambda_name(r.id, link.key, m, t)))
-                add_con(Constraint(f"eq4_r{_sanitize(r.id)}_t{t}_n{_sanitize(node)}",
-                                   tuple(terms), "=", 0.0, "eq4"))
+            for node in transit:
+                add_con(Constraint(f"eq4_{rt[r.id]}_t{t}_{nt[node]}",
+                                   tuple(flow(r.id, node, node, modes, (t,))),
+                                   "=", 0.0, "eq4"))
         for m in modes:
             for t in slots:
-                terms = []
-                for link in instance.topology.out_links(r.source):
-                    terms.append((1.0, lambda_name(r.id, link.key, m, t)))
-                for link in instance.topology.in_links(r.destination):
-                    terms.append((-1.0, lambda_name(r.id, link.key, m, t)))
-                add_con(Constraint(f"eq5_r{_sanitize(r.id)}_m{m}_t{t}",
-                                   tuple(terms), "=", 0.0, "eq5"))
+                add_con(Constraint(f"eq5_{rt[r.id]}_m{m}_t{t}",
+                                   tuple(flow(r.id, r.source, r.destination, (m,), (t,))),
+                                   "=", 0.0, "eq5"))
         for m in modes:
             for t in slots:
-                for node in nodes:
-                    if node in (r.source, r.destination):
-                        continue
-                    terms = []
-                    for link in instance.topology.out_links(node):
-                        terms.append((1.0, lambda_name(r.id, link.key, m, t)))
-                    for link in instance.topology.in_links(node):
-                        terms.append((-1.0, lambda_name(r.id, link.key, m, t)))
-                    add_con(Constraint(
-                        f"eq6_r{_sanitize(r.id)}_m{m}_t{t}_n{_sanitize(node)}",
-                        tuple(terms), "=", 0.0, "eq6"))
+                for node in transit:
+                    add_con(Constraint(f"eq6_{rt[r.id]}_m{m}_t{t}_{nt[node]}",
+                                       tuple(flow(r.id, node, node, (m,), (t,))),
+                                       "=", 0.0, "eq6"))
 
     # eq7: each (link, mode, slot) cell used at most once
     for link in links:
         for m in modes:
             for t in slots:
-                add_con(Constraint(
-                    f"eq7_e{_sanitize(link[0])}_{_sanitize(link[1])}_m{m}_t{t}",
-                    tuple((1.0, lambda_name(rid, link, m, t)) for rid in rids),
-                    "<=", 1.0, "eq7"))
+                add_con(Constraint(f"eq7_{et[link]}_m{m}_t{t}",
+                                   tuple((1.0, lam[rid, link][m][t]) for rid in rids),
+                                   "<=", 1.0, "eq7"))
 
     # eq8: contiguity via transition indicators with virtual zero slots at
     # both frame boundaries; at most 2 transitions = one contiguous block
-    T = instance.slot_count
     for rid in rids:
         for link in links:
             for m in modes:
-                for tb in range(T + 1):
-                    prev = [(1.0, lambda_name(rid, link, m, tb - 1))] if tb - 1 >= 0 else []
-                    cur = [(1.0, lambda_name(rid, link, m, tb))] if tb < T else []
-                    cm = _cm_name(rid, link, m, tb)
-                    neg = lambda ts: [(-c, n) for c, n in ts]
-                    add_con(Constraint(f"eq8_up_{cm}",
-                                       tuple([(1.0, cm)] + neg(cur) + prev), ">=", 0.0, "eq8"))
-                    add_con(Constraint(f"eq8_dn_{cm}",
-                                       tuple([(1.0, cm)] + cur + neg(prev)), ">=", 0.0, "eq8"))
-                add_con(Constraint(
-                    f"eq8_sum_r{_sanitize(rid)}_e{_sanitize(link[0])}_{_sanitize(link[1])}_m{m}",
-                    tuple((1.0, _cm_name(rid, link, m, tb)) for tb in range(T + 1)),
-                    "<=", 2.0, "eq8"))
+                transitions("eq8", cm[rid, link][m], lam[rid, link][m])
+                add_con(Constraint(f"eq8_sum_{rt[rid]}_{et[link]}_m{m}",
+                                   tuple((1.0, n) for n in cm[rid, link][m]),
+                                   "<=", 2.0, "eq8"))
 
     # eq9: aggregate occupancy indicator u, its contiguity, and mode-pattern
     # equality for modes the request uses
     for rid in rids:
         for link in links:
+            ls, us, ws = lam[rid, link], u[rid, link], w[rid, link]
             for t in slots:
                 for m in modes:
-                    add_con(Constraint(f"eq9_uup_{_u_name(rid, link, t)}_m{m}",
-                                       ((1.0, lambda_name(rid, link, m, t)),
-                                        (-1.0, _u_name(rid, link, t))), "<=", 0.0, "eq9"))
-                add_con(Constraint(
-                    f"eq9_udn_{_u_name(rid, link, t)}",
-                    tuple([(1.0, _u_name(rid, link, t))]
-                          + [(-1.0, lambda_name(rid, link, m, t)) for m in modes]),
-                    "<=", 0.0, "eq9"))
-            for tb in range(T + 1):
-                prev = [(1.0, _u_name(rid, link, tb - 1))] if tb - 1 >= 0 else []
-                cur = [(1.0, _u_name(rid, link, tb))] if tb < T else []
-                ca = _ca_name(rid, link, tb)
-                neg = lambda ts: [(-c, n) for c, n in ts]
-                add_con(Constraint(f"eq9_up_{ca}",
-                                   tuple([(1.0, ca)] + neg(cur) + prev), ">=", 0.0, "eq9"))
-                add_con(Constraint(f"eq9_dn_{ca}",
-                                   tuple([(1.0, ca)] + cur + neg(prev)), ">=", 0.0, "eq9"))
-            add_con(Constraint(
-                f"eq9_sum_r{_sanitize(rid)}_e{_sanitize(link[0])}_{_sanitize(link[1])}",
-                tuple((1.0, _ca_name(rid, link, tb)) for tb in range(T + 1)),
-                "<=", 2.0, "eq9"))
+                    add_con(Constraint(f"eq9_uup_{us[t]}_m{m}",
+                                       ((1.0, ls[m][t]), (-1.0, us[t])), "<=", 0.0, "eq9"))
+                add_con(Constraint(f"eq9_udn_{us[t]}",
+                                   tuple([(1.0, us[t])] + [(-1.0, ls[m][t]) for m in modes]),
+                                   "<=", 0.0, "eq9"))
+            transitions("eq9", ca[rid, link], us)
+            add_con(Constraint(f"eq9_sum_{rt[rid]}_{et[link]}",
+                               tuple((1.0, n) for n in ca[rid, link]), "<=", 2.0, "eq9"))
             for m in modes:
                 for t in slots:
-                    add_con(Constraint(f"eq9_wub_{_w_name(rid, link, m)}_t{t}",
-                                       ((1.0, lambda_name(rid, link, m, t)),
-                                        (-1.0, _w_name(rid, link, m))), "<=", 0.0, "eq9"))
+                    add_con(Constraint(f"eq9_wub_{ws[m]}_t{t}",
+                                       ((1.0, ls[m][t]), (-1.0, ws[m])), "<=", 0.0, "eq9"))
                     # lambda >= u - (1 - w): a used mode follows the
                     # aggregate slot pattern exactly
-                    add_con(Constraint(f"eq9_wlb_{_w_name(rid, link, m)}_t{t}",
-                                       ((1.0, lambda_name(rid, link, m, t)),
-                                        (-1.0, _u_name(rid, link, t)),
-                                        (-1.0, _w_name(rid, link, m))), ">=", -1.0, "eq9"))
+                    add_con(Constraint(f"eq9_wlb_{ws[m]}_t{t}",
+                                       ((1.0, ls[m][t]), (-1.0, us[t]), (-1.0, ws[m])),
+                                       ">=", -1.0, "eq9"))
 
     # eq10: if a request uses a link, the supplied cells cover its demand
     for r in instance.requests:
         for link in links:
-            v = _v_name(r.id, link)
+            vn = v[r.id, link]
+            cells = [n for row in lam[r.id, link] for n in row]
             for m in modes:
                 for t in slots:
-                    add_con(Constraint(f"eq10_vup_{v}_m{m}_t{t}",
-                                       ((1.0, lambda_name(r.id, link, m, t)), (-1.0, v)),
+                    add_con(Constraint(f"eq10_vup_{vn}_m{m}_t{t}",
+                                       ((1.0, lam[r.id, link][m][t]), (-1.0, vn)),
                                        "<=", 0.0, "eq10"))
-            add_con(Constraint(
-                f"eq10_vdn_{v}",
-                tuple([(1.0, v)] + [(-1.0, lambda_name(r.id, link, m, t))
-                                    for m in modes for t in slots]),
-                "<=", 0.0, "eq10"))
-            add_con(Constraint(
-                f"eq10_cap_{v}",
-                tuple([(1.0, lambda_name(r.id, link, m, t)) for m in modes for t in slots]
-                      + [(-float(big_m_cap), v)]),
-                ">=", float(q[r.id]) - big_m_cap, "eq10"))
+            add_con(Constraint(f"eq10_vdn_{vn}",
+                               tuple([(1.0, vn)] + [(-1.0, n) for n in cells]),
+                               "<=", 0.0, "eq10"))
+            add_con(Constraint(f"eq10_cap_{vn}",
+                               tuple([(1.0, n) for n in cells] + [(-float(big_m_cap), vn)]),
+                               ">=", float(q[r.id]) - big_m_cap, "eq10"))
 
     # eq11: accumulated crosstalk budget per protected request, with
     # coefficients and threshold in the configured accumulation model's
     # additive domain
     acc = instance.planner.accumulation_model
     threshold = xtalk.threshold_in_domain(instance.planner.xt_threshold_db, acc)
-    for r1 in rids:
-        terms = []
-        for r2 in rids:
-            if r1 == r2:
-                continue
-            for link_spec in instance.topology.links:
-                for m1 in modes:
-                    for m2 in modes:
-                        if m1 == m2:
-                            continue
-                        coef = xtalk.pairwise_contribution(
-                            instance.crosstalk, m2, m1, link_spec.length_m, acc)
-                        terms.append((coef, theta_name(r1, r2, link_spec.key, m1, m2)))
-        add_con(Constraint(f"eq11_r{_sanitize(r1)}", tuple(terms), "<=", threshold, "eq11"))
+    coef = {(l.key, m1, m2): xtalk.pairwise_contribution(
+                instance.crosstalk, m2, m1, l.length_m, acc)
+            for l in topo.links for m1 in modes for m2 in modes if m1 != m2}
+    budget = {rid: [] for rid in rids}
+    for r1, _, link, m1, m2, th, _ in overlaps:
+        budget[r1].append((coef[link, m1, m2], th))
+    for rid in rids:
+        add_con(Constraint(f"eq11_{rt[rid]}", tuple(budget[rid]), "<=", threshold, "eq11"))
 
     # eq12-eq15: beta = AND of the two occupancies; theta = OR over slots
-    for r1 in rids:
-        for r2 in rids:
-            if r1 == r2:
-                continue
-            for link in links:
-                for m1 in modes:
-                    for m2 in modes:
-                        if m1 == m2:
-                            continue
-                        th = theta_name(r1, r2, link, m1, m2)
-                        betas = [beta_name(r1, r2, link, m1, m2, t) for t in slots]
-                        add_con(Constraint(
-                            f"eq12_lo_{th}",
-                            tuple([(1.0 / big_m, b) for b in betas] + [(-1.0, th)]),
-                            "<=", 0.0, "eq12"))
-                        add_con(Constraint(
-                            f"eq12_hi_{th}",
-                            tuple([(1.0, th)] + [(-1.0, b) for b in betas]),
-                            "<=", 0.0, "eq12"))
-                        for t in slots:
-                            b = beta_name(r1, r2, link, m1, m2, t)
-                            l1 = lambda_name(r1, link, m1, t)
-                            l2 = lambda_name(r2, link, m2, t)
-                            add_con(Constraint(f"eq13_{b}",
-                                               ((1.0, l1), (1.0, l2), (-1.0, b)),
-                                               "<=", 1.0, "eq13"))
-                            add_con(Constraint(f"eq14_{b}", ((1.0, b), (-1.0, l1)),
-                                               "<=", 0.0, "eq14"))
-                            add_con(Constraint(f"eq15_{b}", ((1.0, b), (-1.0, l2)),
-                                               "<=", 0.0, "eq15"))
+    for r1, r2, link, m1, m2, th, betas in overlaps:
+        add_con(Constraint(f"eq12_lo_{th}",
+                           tuple([(1.0 / big_m, b) for b in betas] + [(-1.0, th)]),
+                           "<=", 0.0, "eq12"))
+        add_con(Constraint(f"eq12_hi_{th}",
+                           tuple([(1.0, th)] + [(-1.0, b) for b in betas]),
+                           "<=", 0.0, "eq12"))
+        for b, l1, l2 in zip(betas, lam[r1, link][m1], lam[r2, link][m2]):
+            add_con(Constraint(f"eq13_{b}", ((1.0, l1), (1.0, l2), (-1.0, b)),
+                               "<=", 1.0, "eq13"))
+            add_con(Constraint(f"eq14_{b}", ((1.0, b), (-1.0, l1)), "<=", 0.0, "eq14"))
+            add_con(Constraint(f"eq15_{b}", ((1.0, b), (-1.0, l2)), "<=", 0.0, "eq15"))
 
     # objective(s)
-    throughput_terms = tuple((r.bandwidth_gbps, rho_name(r.id)) for r in instance.requests)
-    lambda_terms = tuple((1.0, lambda_name(rid, link, m, t))
-                         for rid in rids for link in links for m in modes for t in slots)
+    throughput_terms = tuple((r.bandwidth_gbps, rho[r.id]) for r in instance.requests)
+    lambda_terms = tuple((1.0, n) for rid in rids for link in links
+                         for row in lam[rid, link] for n in row)
     model.throughput_terms = throughput_terms
     obj_mode = instance.planner.objective_mode
     if obj_mode.kind == "lexicographic":
@@ -499,6 +481,7 @@ def build_model(instance: Instance, max_variables: int = 2_000_000) -> MilpModel
 # --- LP text emission -----------------------------------------------------
 
 
+@lru_cache(maxsize=4096)
 def _fmt_num(x: float) -> str:
     if x == int(x) and abs(x) < 1e15:
         return str(int(x))
@@ -508,24 +491,17 @@ def _fmt_num(x: float) -> str:
 def _fmt_terms(terms: tuple[Term, ...]) -> str:
     if not terms:
         return "0 dummy_zero"
-    parts = []
-    for i, (coef, name) in enumerate(terms):
-        if i == 0:
-            if coef < 0:
-                parts.append(f"- {_fmt_num(-coef)} {name}")
-            else:
-                parts.append(f"{_fmt_num(coef)} {name}")
-        else:
-            if coef < 0:
-                parts.append(f"- {_fmt_num(-coef)} {name}")
-            else:
-                parts.append(f"+ {_fmt_num(coef)} {name}")
-    return " ".join(parts)
+    body = " ".join(f"- {_fmt_num(-coef)} {name}" if coef < 0
+                    else f"+ {_fmt_num(coef)} {name}" for coef, name in terms)
+    # the first term carries no explicit plus sign
+    return body[2:] if body[0] == "+" else body
 
 
 def _wrap(body: str, width: int = 250) -> list[str]:
     """Split a constraint/objective body into LP lines: one leading space on
     the first line, three on continuations, within the LP line limit."""
+    if len(body) < width:
+        return [" " + body]
     words = body.split(" ")
     lines: list[str] = []
     cur = " " + words[0]
@@ -539,39 +515,17 @@ def _wrap(body: str, width: int = 250) -> list[str]:
     return lines
 
 
-_SENSE = {"<=": "<=", ">=": ">=", "=": "="}
-
-
-def _render_lp(objective: Objective, constraints: list[Constraint],
-               variables: list[Variable], extra: Optional[Constraint] = None) -> str:
-    lines = ["\\ LP model written by otssplan"]
-    lines.append("Maximize" if objective.sense == "maximize" else "Minimize")
-    lines.extend(_wrap(f"obj: {_fmt_terms(objective.terms)}" if objective.terms
-                       else "obj: 0 dummy_zero"))
-    lines.append("Subject To")
+def _render_constraints(constraints: list[Constraint]) -> str:
+    """The rows of a Subject To section, each family run under its header."""
+    lines = []
     last_family = None
-    todo = list(constraints)
-    if extra is not None:
-        todo = [extra] + todo
-    for c in todo:
+    for c in constraints:
         if c.family != last_family:
             note = FAMILY_NOTES.get(c.family, "")
             lines.append(f"\\ {c.family}: {note}" if note else f"\\ {c.family}")
             last_family = c.family
-        lines.extend(_wrap(f"{c.name}: {_fmt_terms(c.terms)} {_SENSE[c.sense]} {_fmt_num(c.rhs)}"))
-    lines.append("Bounds")
-    need_dummy = not objective.terms or any(not c.terms for c in todo)
-    if need_dummy:
-        lines.append(" dummy_zero = 0")
-    for v in variables:
-        if v.kind == "continuous":
-            lines.append(f" {_fmt_num(v.lb)} <= {v.name} <= {_fmt_num(v.ub)}")
-    binaries = [v.name for v in variables if v.kind == "binary"]
-    lines.append("Binary")
-    for name in binaries:
-        lines.append(f" {name}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+        lines.extend(_wrap(f"{c.name}: {_fmt_terms(c.terms)} {c.sense} {_fmt_num(c.rhs)}"))
+    return "".join(line + "\n" for line in lines)
 
 
 def emit_lp(model: MilpModel, destination: str | Path,
@@ -581,25 +535,42 @@ def emit_lp(model: MilpModel, destination: str | Path,
     A single-objective model writes one file at `destination`. A two-phase
     model writes `<stem>.phase1.lp` and `<stem>.phase2.lp`; phase 2 pins
     the throughput to `phase1_value` (0 when not supplied) and minimizes
-    resource usage.
+    resource usage. Both files share one rendering of the constraints.
     """
     destination = Path(destination)
+    block = _render_constraints(model.constraints)
+    block_needs_dummy = any(not c.terms for c in model.constraints)
+    bounds = "".join(f" {_fmt_num(v.lb)} <= {v.name} <= {_fmt_num(v.ub)}\n"
+                     for v in model.variables if v.kind == "continuous")
+    binaries = "".join(f" {v.name}\n" for v in model.variables if v.kind == "binary")
+
+    def write(path: Path, objective: Objective, lead: list[Constraint]) -> Path:
+        head = ["\\ LP model written by otssplan",
+                "Maximize" if objective.sense == "maximize" else "Minimize",
+                *_wrap(f"obj: {_fmt_terms(objective.terms)}"), "Subject To"]
+        need_dummy = (not objective.terms or block_needs_dummy
+                      or any(not c.terms for c in lead))
+        with path.open("w") as f:
+            f.write("".join(line + "\n" for line in head))
+            f.write(_render_constraints(lead))
+            f.write(block)
+            f.write("Bounds\n dummy_zero = 0\n" if need_dummy else "Bounds\n")
+            f.write(bounds)
+            f.write("Binary\n")
+            f.write(binaries)
+            f.write("End\n")
+        return path
+
     if not model.two_phase:
-        text = _render_lp(model.objectives[0], model.constraints, model.variables)
-        destination.write_text(text)
-        return [destination]
+        return [write(destination, model.objectives[0], [])]
     stem = destination
     if stem.suffix == ".lp":
         stem = stem.with_suffix("")
-    p1 = stem.with_name(stem.name + ".phase1.lp")
-    p2 = stem.with_name(stem.name + ".phase2.lp")
-    p1.write_text(_render_lp(model.objectives[0], model.constraints, model.variables))
     fix = Constraint("fix_throughput", model.throughput_terms, ">=",
                      0.0 if phase1_value is None else float(phase1_value),
                      "fix")
-    p2.write_text(_render_lp(model.objectives[1], model.constraints, model.variables,
-                             extra=fix))
-    return [p1, p2]
+    return [write(stem.with_name(stem.name + ".phase1.lp"), model.objectives[0], []),
+            write(stem.with_name(stem.name + ".phase2.lp"), model.objectives[1], [fix])]
 
 
 # --- assignment translation and evaluation --------------------------------

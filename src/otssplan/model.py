@@ -112,6 +112,10 @@ class Topology:
     def _out(self) -> dict[str, tuple[LinkSpec, ...]]:
         return {n.id: tuple(l for l in self.links if l.src == n.id) for n in self.nodes}
 
+    @cached_property
+    def _in(self) -> dict[str, tuple[LinkSpec, ...]]:
+        return {n.id: tuple(l for l in self.links if l.dst == n.id) for n in self.nodes}
+
     def has_node(self, node_id: str) -> bool:
         return node_id in self._tiers
 
@@ -131,7 +135,7 @@ class Topology:
         return self._out.get(node_id, ())
 
     def in_links(self, node_id: str) -> tuple[LinkSpec, ...]:
-        return tuple(l for l in self.links if l.dst == node_id)
+        return self._in.get(node_id, ())
 
 
 @dataclass(frozen=True)

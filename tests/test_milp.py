@@ -1,13 +1,31 @@
+import hashlib
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from conftest import random_micro_instance, tiny_instance, two_request_200m_instance
 from otssplan import milp
+from otssplan.harness import fixture_instance
+from otssplan.model import (LinkSpec, NodeSpec, ObjectiveMode, Request, Topology,
+                            ValidationError)
 from otssplan.solve import SolveLimits, solve_exact, solve_greedy
 
 GOLDEN = Path(__file__).parent / "golden"
+
+# SHA-256 of the fig2 fixture's LP files: both phase files with
+# phase1_value=23.0 (the fixture's proven optimum), and the single file of
+# the weighted objective
+FIG2_LP_SHA256 = {
+    "model.phase1.lp": "e7c4bf93c26d96cbab84ee27fef1014475995d5191afa7b0e04ef76b290b4743",
+    "model.phase2.lp": "69a16d8db664a6c09a77c8e640134fe99f45e976bfed7e8c02159d53d51cef05",
+}
+FIG2_WEIGHTED_LP_SHA256 = "7488bf9d0c92cecb2ac3556f830d313ac3c50597c3ed17d003482c4206df756f"
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestCountFormulas:
@@ -79,6 +97,24 @@ class TestBuildModel:
             cnames = [c.name for c in model.constraints]
             assert len(cnames) == len(set(cnames))
 
+    def test_request_ids_sanitizing_alike_rejected(self, tiny):
+        inst = tiny.with_requests([Request("r-1", "n1", "n2", 5.0),
+                                   Request("r1", "n1", "n2", 5.0)])
+        with pytest.raises(ValidationError) as err:
+            milp.build_model(inst)
+        assert [path for path, _ in err.value.failures] == ["requests[1].id"]
+
+    def test_node_ids_sanitizing_alike_rejected(self, tiny):
+        topo = Topology((NodeSpec("n1", "edge"), NodeSpec("n_1", "edge"),
+                         NodeSpec("n.1", "edge")),
+                        (LinkSpec("n1", "n_1", 100.0), LinkSpec("n_1", "n.1", 100.0)))
+        inst = replace(tiny, topology=topo,
+                       requests=(Request("r1", "n1", "n.1", 5.0),))
+        with pytest.raises(ValidationError) as err:
+            milp.build_model(inst)
+        assert [path for path, _ in err.value.failures] == [
+            "topology.nodes[1].id", "topology.nodes[2].id"]
+
 
 class TestEmitLp:
     def test_golden_byte_for_byte(self, tmp_path, tiny):
@@ -86,6 +122,19 @@ class TestEmitLp:
         paths = milp.emit_lp(model, tmp_path / "tiny.lp", phase1_value=5.0)
         for got, want in zip(paths, (GOLDEN / "tiny.phase1.lp", GOLDEN / "tiny.phase2.lp")):
             assert got.read_text() == want.read_text()
+
+    def test_fig2_two_phase_digests(self, tmp_path):
+        model = milp.build_model(fixture_instance("fig2"))
+        paths = milp.emit_lp(model, tmp_path / "model.lp", phase1_value=23.0)
+        assert {p.name: _sha256(p) for p in paths} == FIG2_LP_SHA256
+
+    def test_fig2_weighted_digest(self, tmp_path):
+        inst = fixture_instance("fig2")
+        inst = replace(inst, planner=replace(inst.planner,
+                                             objective_mode=ObjectiveMode(kind="weighted")))
+        [path] = milp.emit_lp(milp.build_model(inst), tmp_path / "model.lp")
+        assert path.name == "model.lp"
+        assert _sha256(path) == FIG2_WEIGHTED_LP_SHA256
 
     def test_deterministic(self, tmp_path, two_request_200m):
         model = milp.build_model(two_request_200m)

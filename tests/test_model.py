@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from otssplan.model import (FrameConfig, ParseError, PlannerConfig, ValidationError,
                             build_fat_tree, load_instance, required_slot_units,
                             serialize_instance, slot_capacity_gbps)
-from otssplan.harness import fig2_fixture
+from otssplan.harness import fig2_fixture, fixture_instance
 
 
 class TestBuildFatTree:
@@ -38,6 +38,13 @@ class TestBuildFatTree:
     def test_invalid_parameters(self, args):
         with pytest.raises(ValueError):
             build_fat_tree(*args)
+
+    @pytest.mark.parametrize("name", ["fig2", "fig4"])
+    def test_in_links_match_linear_scan(self, name):
+        topo = fixture_instance(name).topology
+        for node in topo.node_ids():
+            assert topo.in_links(node) == tuple(l for l in topo.links if l.dst == node)
+            assert topo.out_links(node) == tuple(l for l in topo.links if l.src == node)
 
     @given(e=st.integers(1, 5), a=st.integers(1, 4), c=st.integers(1, 4),
            length=st.floats(1.0, 1000.0))
