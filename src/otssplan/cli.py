@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: plan, validate, sweep, emit-lp, gen-traffic, timeline,
-fixtures. Exit codes: 0 success, 1 validation failure, 2 usage error,
-3 internal error. All randomness flows through explicit --seed flags.
+fixtures. Exit codes: 0 success, 1 validation failure (an invalid
+schedule, or an instance or schedule document that does not parse or
+validate; `error: <location>: <message>` on stderr), 2 usage error, 3
+internal error. All randomness flows through explicit --seed flags.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ import sys
 from pathlib import Path
 
 from . import harness, milp, solve as solve_mod, timeline, validate as validate_mod
-from .model import (Instance, collapse_frame, load_instance, serialize_instance,
-                    topology_from_document)
+from .model import (Instance, ModelError, collapse_frame, load_instance,
+                    serialize_instance, topology_from_document)
 from .solve import SolveLimits, schedule_from_document
 
 EXIT_OK = 0
@@ -211,7 +213,7 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (validate_mod.StructureError,) as exc:
+    except (validate_mod.StructureError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -116,6 +116,12 @@ class Topology:
     def _in(self) -> dict[str, tuple[LinkSpec, ...]]:
         return {n.id: tuple(l for l in self.links if l.dst == n.id) for n in self.nodes}
 
+    @cached_property
+    def path_memo(self) -> dict:
+        """(src, dst, k) -> k shortest paths over this topology, filled by
+        the solver so every instance sharing the topology routes once."""
+        return {}
+
     def has_node(self, node_id: str) -> bool:
         return node_id in self._tiers
 
@@ -170,7 +176,7 @@ class FrameConfig:
         if failures:
             raise ValidationError(failures)
 
-    @property
+    @cached_property
     def slot_count(self) -> int:
         return int(Fraction(str(self.frame_ms)) / Fraction(str(self.slice_ms)))
 
@@ -329,11 +335,12 @@ class Instance:
     def big_m(self) -> int:
         return self.planner.big_m if self.planner.big_m is not None else self.slot_count
 
+    @cached_property
     def slot_capacity(self) -> Fraction:
         return slot_capacity_gbps(self.frame, self.planner)
 
     def slot_units(self, request: Request) -> int:
-        return required_slot_units(request.bandwidth_gbps, self.slot_capacity())
+        return required_slot_units(request.bandwidth_gbps, self.slot_capacity)
 
     @cached_property
     def _requests_by_id(self) -> dict[str, Request]:
@@ -406,9 +413,35 @@ def build_fat_tree(edge_count: int, agg_count: int, core_count: int,
 # --- document ingestion ---------------------------------------------------
 
 
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "integer": int,
+               "number": (int, float), "boolean": bool}
+
+
+def json_value(value: Any, kind: str, location: str) -> Any:
+    """`value` if it is a JSON value of `kind` (a key of _JSON_TYPES), else
+    ParseError at `location`. Booleans are not numbers here."""
+    if (not isinstance(value, _JSON_TYPES[kind])
+            or (isinstance(value, bool) and kind in ("integer", "number"))):
+        raise ParseError(f"must be of type {kind}", location)
+    return value
+
+
+def json_field(doc: dict, key: str, kind: str, location: str) -> Any:
+    """doc[key] (see _require) checked with json_value."""
+    return json_value(_require(doc, key, location), kind, f"{location}.{key}")
+
+
+def json_items(doc: dict, key: str, kind: str, location: str) -> list:
+    """doc[key] as a JSON array whose items are all of `kind`."""
+    where = f"{location}.{key}"
+    return [json_value(v, kind, f"{where}[{i}]")
+            for i, v in enumerate(json_field(doc, key, "array", location))]
+
+
 def _require(doc: dict, key: str, location: str) -> Any:
+    """doc[key]; a missing key is a ParseError at its own location, `location.key`."""
     if key not in doc:
-        raise ParseError(f"{key} required", location)
+        raise ParseError("required", f"{location}.{key}")
     return doc[key]
 
 

@@ -3,10 +3,14 @@ conventional one-slot baseline.
 
 The search is over per-request atomic candidates (path, mode set,
 contiguous slot interval), so path continuity, contiguity, and cross-mode
-slot equality hold by construction. The search tracks slot exclusivity as
-one int bitmask over (link, mode, slot) cells, and adds crosstalk from a
-per-link coefficient table in `xtalk.overlap_terms` order, so totals and
-prune decisions are bit-identical to summing `xtalk.pairwise_contribution`.
+slot equality hold by construction. Yen's paths are memoized per topology,
+and a solve enumerates each (source, destination, slot units) group's
+candidates once. Slot exclusivity is one int bitmask over (link, mode,
+slot) cells. Crosstalk terms come from a per-link coefficient table in
+`xtalk.overlap_terms` order, memoized per pair of (path, modes) geometries,
+so totals and prune decisions are bit-identical to summing
+`xtalk.pairwise_contribution`. A commit re-tests the request that last
+rejected the candidate as a victim first ("last conflict" ordering).
 """
 
 from __future__ import annotations
@@ -15,12 +19,14 @@ import heapq
 import itertools
 import json
 import time
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, NamedTuple, Optional
+from collections import defaultdict
+from dataclasses import dataclass, replace
+from functools import cached_property, reduce
+from typing import Iterable, Iterator, Optional
 
 from . import xtalk
-from .model import Instance, Link, Request, Topology, collapse_frame
+from .model import (Instance, Link, ParseError, Request, Topology, collapse_frame,
+                    json_field, json_items, json_value)
 
 
 @dataclass(frozen=True)
@@ -92,21 +98,25 @@ class Schedule:
 
 
 def schedule_from_document(doc: dict) -> Schedule:
-    assignments = tuple(
-        Assignment(
-            request_id=str(a["request_id"]),
-            path=tuple((str(u), str(v)) for u, v in a["path"]),
-            modes=tuple(int(m) for m in a["modes"]),
-            slot_start=int(a["slots"]["start"]),
-            slot_end=int(a["slots"]["end"]),
-        )
-        for a in doc["accepted"]
-    )
-    return Schedule(assignments=assignments,
-                    rejected=tuple(str(r) for r in doc["rejected"]),
-                    throughput_gbps=float(doc["throughput_gbps"]),
-                    lambda_count=int(doc["lambda_count"]),
-                    optimal=bool(doc.get("optimal", True)))
+    """Inverse of Schedule.to_document. A missing or mistyped field raises
+    ParseError at its JSON location, e.g. $.accepted[0].path."""
+    assignments = []
+    for i, a in enumerate(json_items(json_value(doc, "object", "$"), "accepted", "object", "$")):
+        loc = f"$.accepted[{i}]"
+        path = json_items(a, "path", "array", loc)
+        if not all(len(l) == 2 and all(isinstance(n, str) for n in l) for l in path):
+            raise ParseError("links must be [from, to] pairs of node ids", f"{loc}.path")
+        slots = json_field(a, "slots", "object", loc)
+        assignments.append(Assignment(
+            json_field(a, "request_id", "string", loc), tuple(tuple(l) for l in path),
+            tuple(json_items(a, "modes", "integer", loc)),
+            json_field(slots, "start", "integer", f"{loc}.slots"),
+            json_field(slots, "end", "integer", f"{loc}.slots")))
+    return Schedule(assignments=tuple(assignments),
+                    rejected=tuple(json_items(doc, "rejected", "string", "$")),
+                    throughput_gbps=float(json_field(doc, "throughput_gbps", "number", "$")),
+                    lambda_count=json_field(doc, "lambda_count", "integer", "$"),
+                    optimal=json_value(doc.get("optimal", True), "boolean", "$.optimal"))
 
 
 @dataclass(frozen=True)
@@ -175,15 +185,22 @@ def k_shortest_paths(topology: Topology, src: str, dst: str, k: int) -> list[tup
     return [p for _, p in found]
 
 
+def _routes(topology: Topology, src: str, dst: str, k: int) -> list[tuple[str, ...]]:
+    """k_shortest_paths, run once per (topology, src, dst, k) and kept in
+    the topology's path_memo; each call returns a new list."""
+    memo = topology.path_memo
+    if (src, dst, k) not in memo:
+        memo[src, dst, k] = tuple(k_shortest_paths(topology, src, dst, k))
+    return list(memo[src, dst, k])
+
+
 # --- candidate enumeration ------------------------------------------------
 
 
 def _mode_subsets(mode_count: int, all_subsets: bool) -> list[tuple[int, ...]]:
     if all_subsets:
-        out = []
-        for width in range(1, mode_count + 1):
-            out.extend(itertools.combinations(range(mode_count), width))
-        return out
+        return [c for width in range(1, mode_count + 1)
+                for c in itertools.combinations(range(mode_count), width)]
     # contiguous index runs only
     return [tuple(range(s, s + w))
             for w in range(1, mode_count + 1)
@@ -198,10 +215,9 @@ def enumerate_candidates(request: Request, instance: Instance, k: int,
     start, modes)."""
     q = instance.slot_units(request)
     slots = instance.slot_count
-    paths = k_shortest_paths(instance.topology, request.source, request.destination, k)
     out: list[Assignment] = []
     lengths: dict[tuple[Link, ...], float] = {}
-    for path in paths:
+    for path in _routes(instance.topology, request.source, request.destination, k):
         links = tuple(zip(path, path[1:]))
         lengths[links] = sum(instance.topology.length(l) for l in links)
         for modes in _mode_subsets(instance.mode_count, all_mode_subsets):
@@ -218,92 +234,128 @@ def enumerate_candidates(request: Request, instance: Instance, k: int,
 # --- incremental feasibility state ---------------------------------------
 
 
-class _Placement(NamedTuple):
-    links: tuple[int, ...]  # link indices in path order
-    link_mask: int
-    occupancy: int  # one bit per (link, mode, slot) cell
-    candidate: Assignment
+@dataclass(eq=False, slots=True)
+class _Placement:
+    """A candidate's geometry, shared by its (source, destination, slot units) group: an id
+    for (path, modes), (link, slot) and (link, mode, slot) bitmasks, and its last blocker."""
+
+    path: tuple[Link, ...]
+    links: tuple[int, ...]
+    modes: tuple[int, ...]
+    slot_start: int
+    slot_end: int
+    lambda_count: int
+    geometry: int
+    cells: int
+    occupancy: int
+    blocker: int = 0
+
+    def assignment(self, request_id: str) -> Assignment:
+        return Assignment(request_id, self.path, self.modes, self.slot_start, self.slot_end)
 
 
 class _SearchState:
     """Committed placements plus slot occupancy and each placement's
     additive crosstalk total, with O(1) undo."""
 
-    def __init__(self, instance: Instance):
+    def __init__(self, instance: Instance, limits: SolveLimits):
         links = instance.topology.links
         model = instance.planner.accumulation_model
         modes = range(instance.mode_count)
+        self.instance = instance
+        self.options = (limits.k_paths, limits.all_mode_subsets)
         self.link_index = {l.key: i for i, l in enumerate(links)}
         self.coef = [[[xtalk.pairwise_contribution(instance.crosstalk, m_a, m_v,
                                                    l.length_m, model) if m_a != m_v else 0.0
                        for m_v in modes] for m_a in modes] for l in links]
         self.limit = xtalk.feasibility_limit(instance.planner.xt_threshold_db, model)
-        self.mode_count = instance.mode_count
-        self.slot_count = instance.slot_count
+        self.geometries: dict[tuple, tuple] = {}  # (path, modes) -> (id, links, bit bases)
+        self.pairs: defaultdict[int, dict] = defaultdict(dict)  # id -> {placed id: _pair entry}
+        self.groups: dict[tuple, tuple[list[Assignment], list[_Placement]]] = {}
         self.occupied = 0
         self.placed: list[_Placement] = []
         self.totals: list[float] = []
 
-    @property
-    def committed(self) -> list[Assignment]:
-        return [p.candidate for p in self.placed]
-
     def place(self, cand: Assignment) -> _Placement:
-        links = tuple(self.link_index[l] for l in cand.path)
+        shape = self.geometries.get((cand.path, cand.modes))
+        if shape is None:
+            links = tuple(self.link_index[l] for l in cand.path)
+            modes, slots = self.instance.mode_count, self.instance.slot_count
+            shape = self.geometries[cand.path, cand.modes] = (
+                len(self.geometries), links, sum(1 << li * slots for li in links),
+                sum(1 << (li * modes + m) * slots for li in links for m in cand.modes))
+        geometry, links, link_bits, cell_bits = shape
+        # the bit runs a product places at each link (or (link, mode)) never overlap
         run = ((1 << (cand.slot_end - cand.slot_start)) - 1) << cand.slot_start
-        occupancy = sum(run << ((li * self.mode_count + m) * self.slot_count)
-                        for li in links for m in cand.modes)
-        return _Placement(links, sum(1 << li for li in links), occupancy, cand)
+        return _Placement(cand.path, links, cand.modes, cand.slot_start, cand.slot_end,
+                          cand.lambda_count, geometry, link_bits * run, cell_bits * run)
 
-    def _add_terms(self, total: float, victim_links: tuple[int, ...],
-                   victim_modes: tuple[int, ...], aggressor_mask: int,
-                   aggressor_modes: tuple[int, ...]) -> float:
-        """`total` plus the victim's terms from one aggressor, in
-        xtalk.overlap_terms order: victim link, victim mode, aggressor mode."""
-        for li in victim_links:
-            if aggressor_mask >> li & 1:
-                row = self.coef[li]
-                for m_v in victim_modes:
-                    for m_a in aggressor_modes:
-                        if m_a != m_v:
-                            total += row[m_a][m_v]
-        return total
+    def candidates(self, request: Request) -> Iterator[_Placement]:
+        """The request's placements in enumeration order: each (source, destination, slot
+        units) group is enumerated once per solve, each placement built when first reached."""
+        key = (request.source, request.destination, self.instance.slot_units(request))
+        if key not in self.groups:
+            self.groups[key] = (enumerate_candidates(request, self.instance, *self.options), [])
+        cands, placements = self.groups[key]
+        for i, cand in enumerate(cands):
+            if i == len(placements):
+                placements.append(self.place(cand))
+            yield placements[i]
+
+    def _terms(self, victim: _Placement, aggressor: _Placement) -> tuple[float, ...]:
+        """The victim's terms from an aggressor, in xtalk.overlap_terms order."""
+        return tuple(self.coef[li][m_a][m_v] for li in victim.links if li in aggressor.links
+                     for m_v in victim.modes for m_a in aggressor.modes if m_a != m_v)
+
+    def _pair(self, new: _Placement, placed: _Placement) -> tuple[tuple[float, ...], float]:
+        """Memoized per geometry pair: the terms `new` takes from `placed`,
+        and the sum from 0.0 of the terms `placed` takes from `new`."""
+        entry = self.pairs[new.geometry][placed.geometry] = (
+            self._terms(new, placed), reduce(float.__add__, self._terms(placed, new), 0.0))
+        return entry
 
     def commit(self, new: _Placement) -> Optional[tuple]:
-        """Commit if feasible; returns an undo token, or None if infeasible."""
-        links, link_mask, occupancy, cand = new
+        """Commit if feasible; returns an undo token, or None if infeasible.
+        Testing `new`'s last victim blocker first repeats one of the full
+        scan's checks on an unchanged state, so it never alters a decision."""
+        occupancy, cells = new.occupancy, new.cells
         if occupancy & self.occupied:
             return None
-        limit, totals = self.limit, self.totals
+        limit, totals, placed, row = self.limit, self.totals, self.placed, self.pairs[new.geometry]
+        b = new.blocker
+        if b < len(placed) and placed[b].cells & cells:
+            inc = (row.get(placed[b].geometry) or self._pair(new, placed[b]))[1]
+            if inc and not totals[b] + inc <= limit:
+                return None
         own = 0.0
         updates = []
-        for k, (o_links, o_mask, _, other) in enumerate(self.placed):
-            if (not link_mask & o_mask or other.slot_start >= cand.slot_end
-                    or cand.slot_start >= other.slot_end):
+        for k, other in enumerate(placed):
+            if not other.cells & cells:
                 continue
-            own = self._add_terms(own, links, cand.modes, o_mask, other.modes)
-            inc = self._add_terms(0.0, o_links, other.modes, link_mask, cand.modes)
+            terms, inc = row.get(other.geometry) or self._pair(new, other)
+            for term in terms:
+                own += term
             if inc:
                 total = totals[k] + inc
                 if not total <= limit:
+                    new.blocker = k
                     return None
-                updates.append((k, total))
+                updates.append((k, totals[k], total))
         if own and not own <= limit:
             return None
-        prev = [(k, totals[k]) for k, _ in updates]
-        for k, total in updates:
+        for k, _, total in updates:
             totals[k] = total
         self.occupied |= occupancy
-        self.placed.append(new)
+        placed.append(new)
         totals.append(own)
-        return occupancy, prev
+        return occupancy, updates
 
     def undo(self, token: tuple) -> None:
-        occupancy, prev = token
+        occupancy, updates = token
         self.occupied &= ~occupancy
         self.placed.pop()
         self.totals.pop()
-        for k, total in prev:
+        for k, total, _ in updates:
             self.totals[k] = total
 
 
@@ -347,36 +399,30 @@ def solve_exact(instance: Instance, limits: Optional[SolveLimits] = None,
     """
     limits = limits or SolveLimits()
     requests = list(instance.requests)
-    state = _SearchState(instance)
-    candidates = {r.id: [state.place(c) for c in enumerate_candidates(
-                      r, instance, limits.k_paths, limits.all_mode_subsets)]
-                  for r in requests}
+    state = _SearchState(instance, limits)
+    candidates = {r.id: list(state.candidates(r)) for r in requests}
     # optimistic throughput still reachable from request position i onward,
     # and the least extra lambda any throughput-tying completion must pay
     suffix = [0.0] * (len(requests) + 1)
     min_lam_suffix = [0] * (len(requests) + 1)
     for i in range(len(requests) - 1, -1, -1):
         cands = candidates[requests[i].id]
-        gain = requests[i].bandwidth_gbps if cands else 0.0
-        suffix[i] = suffix[i + 1] + gain
-        min_lam = min((c.candidate.lambda_count for c in cands), default=0)
-        min_lam_suffix[i] = min_lam_suffix[i + 1] + min_lam
+        suffix[i] = suffix[i + 1] + (requests[i].bandwidth_gbps if cands else 0.0)
+        min_lam_suffix[i] = min_lam_suffix[i + 1] + min((c.lambda_count for c in cands), default=0)
 
-    best: dict = {"assignments": None, "tp": -1.0, "lam": 0, "optimal": True}
+    best: dict = {"assignments": None, "tp": -1.0, "lam": 0}
     if initial is not None:
-        best["assignments"] = list(initial.assignments)
-        best["tp"] = initial.throughput_gbps
-        best["lam"] = initial.lambda_count
+        best.update(assignments=list(initial.assignments), tp=initial.throughput_gbps,
+                    lam=initial.lambda_count)
     budget = {"nodes": limits.node_budget, "deadline": time.monotonic() + limits.time_budget_s,
               "exhausted": False}
 
-    def record(tp: float, lam: int):
+    def record(tp: float, lam: int, ids: tuple[str, ...]):
         if best["assignments"] is None or _lex_better(tp, lam, best["tp"], best["lam"]):
-            best["assignments"] = list(state.committed)
-            best["tp"] = tp
-            best["lam"] = lam
+            best.update(assignments=[p.assignment(rid) for rid, p in zip(ids, state.placed)],
+                        tp=tp, lam=lam)
 
-    def dfs(i: int, tp: float, lam: int):
+    def dfs(i: int, tp: float, lam: int, ids: tuple[str, ...]):
         if budget["exhausted"]:
             return
         budget["nodes"] -= 1
@@ -384,7 +430,7 @@ def solve_exact(instance: Instance, limits: Optional[SolveLimits] = None,
             budget["exhausted"] = True
             return
         if i == len(requests):
-            record(tp, lam)
+            record(tp, lam, ids)
             return
         if best["assignments"] is not None:
             reachable = tp + suffix[i]
@@ -404,14 +450,14 @@ def solve_exact(instance: Instance, limits: Optional[SolveLimits] = None,
             token = state.commit(cand)
             if token is None:
                 continue
-            dfs(i + 1, tp + r.bandwidth_gbps, lam + cand.candidate.lambda_count)
+            dfs(i + 1, tp + r.bandwidth_gbps, lam + cand.lambda_count, ids + (r.id,))
             state.undo(token)
             if budget["exhausted"]:
                 return
         # reject branch
-        dfs(i + 1, tp, lam)
+        dfs(i + 1, tp, lam, ids)
 
-    dfs(0, 0.0, 0)
+    dfs(0, 0.0, 0, ())
     # dfs refers to itself; breaking that cycle frees the search state now
     del dfs
     return _finish(instance, best["assignments"] or [], optimal=not budget["exhausted"])
@@ -421,21 +467,19 @@ def solve_greedy(instance: Instance, limits: Optional[SolveLimits] = None,
                  order_policy: str = "bandwidth-desc") -> Schedule:
     """Requests in policy order each take their first feasible candidate;
     a request with no feasible candidate is rejected. Deterministic."""
-    limits = limits or SolveLimits()
     requests = list(instance.requests)
+    if order_policy not in ("bandwidth-desc", "input"):
+        raise ValueError(f"unknown order policy {order_policy!r}")
     if order_policy == "bandwidth-desc":
         requests.sort(key=lambda r: (-r.bandwidth_gbps, r.id))
-    elif order_policy == "input":
-        pass
-    else:
-        raise ValueError(f"unknown order policy {order_policy!r}")
-    state = _SearchState(instance)
+    state = _SearchState(instance, limits or SolveLimits())
+    accepted = []
     for r in requests:
-        for cand in enumerate_candidates(r, instance, limits.k_paths,
-                                         limits.all_mode_subsets):
-            if state.commit(state.place(cand)) is not None:
+        for cand in state.candidates(r):
+            if state.commit(cand) is not None:
+                accepted.append(cand.assignment(r.id))
                 break
-    return _finish(instance, state.committed, optimal=False)
+    return _finish(instance, accepted, optimal=False)
 
 
 def solve_baseline_conventional(instance: Instance,
@@ -445,22 +489,18 @@ def solve_baseline_conventional(instance: Instance,
     avoided by temporal separation. Slot-unit demand is recomputed against
     the full link capacity. The schedule is expressed on the collapsed
     instance (see model.collapse_frame)."""
-    collapsed = collapse_frame(instance)
-    return solve_exact(collapsed, limits)
+    return solve_exact(collapse_frame(instance), limits)
 
 
 def lift_to_sliced(schedule: Schedule, instance: Instance) -> Schedule:
     """Re-express a one-slot baseline schedule on the sliced grid: each
     accepted request keeps its path and modes and spans the whole frame.
     Any baseline schedule is a valid sliced schedule."""
-    slots = instance.slot_count
-    lifted = [Assignment(request_id=a.request_id, path=a.path, modes=a.modes,
-                         slot_start=0, slot_end=slots)
+    lifted = [replace(a, slot_start=0, slot_end=instance.slot_count)
               for a in schedule.assignments]
-    lam = sum(a.lambda_count for a in lifted)
     return Schedule(assignments=tuple(lifted), rejected=schedule.rejected,
-                    throughput_gbps=schedule.throughput_gbps, lambda_count=lam,
-                    optimal=False)
+                    throughput_gbps=schedule.throughput_gbps,
+                    lambda_count=sum(a.lambda_count for a in lifted), optimal=False)
 
 
 SOLVERS = ("exact", "greedy", "baseline")

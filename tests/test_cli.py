@@ -68,6 +68,60 @@ class TestExitCodes:
         assert "structural error" in capsys.readouterr().err
 
 
+class TestModelErrors:
+    """A document that does not parse or validate exits 1 and names the
+    field; it is not reported as an internal error."""
+
+    @pytest.fixture
+    def schedule_doc(self, tmp_path, fig2_file, capsys):
+        out = tmp_path / "schedule.json"
+        assert cli.run(["plan", "-i", str(fig2_file), "-o", str(out)]) == 0
+        capsys.readouterr()
+        return json.loads(out.read_text())
+
+    def _validate(self, tmp_path, fig2_file, doc, capsys):
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        code = cli.run(["validate", "-i", str(fig2_file), "-s", str(path)])
+        return code, capsys.readouterr().err
+
+    def test_instance_parse_error(self, tmp_path, fig2_file, capsys):
+        doc = json.loads(fig2_file.read_text())
+        del doc["modes"]
+        path = tmp_path / "no-modes.json"
+        path.write_text(json.dumps(doc))
+        assert cli.run(["plan", "-i", str(path)]) == 1
+        assert capsys.readouterr().err.strip() == "error: $.modes: required"
+
+    def test_instance_validation_error(self, tmp_path, fig2_file, capsys):
+        doc = json.loads(fig2_file.read_text())
+        doc["requests"][1]["src"] = "nowhere"
+        path = tmp_path / "bad-node.json"
+        path.write_text(json.dumps(doc))
+        assert cli.run(["plan", "-i", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: requests[1].src: unknown node")
+
+    def test_schedule_missing_field(self, tmp_path, fig2_file, schedule_doc, capsys):
+        del schedule_doc["accepted"][0]["path"]
+        code, err = self._validate(tmp_path, fig2_file, schedule_doc, capsys)
+        assert code == 1
+        assert err.strip() == "error: $.accepted[0].path: required"
+
+    @pytest.mark.parametrize("edit, location", [
+        (lambda d: d["accepted"][1]["slots"].update(start="0"), "$.accepted[1].slots.start"),
+        (lambda d: d["accepted"][0]["modes"].append(1.5), "$.accepted[0].modes[1]"),
+        (lambda d: d["accepted"][0]["path"].append(["e1"]), "$.accepted[0].path"),
+        (lambda d: d.update(lambda_count=None), "$.lambda_count"),
+        (lambda d: d.update(accepted={}), "$.accepted"),
+    ])
+    def test_schedule_wrong_type(self, tmp_path, fig2_file, schedule_doc, capsys,
+                                 edit, location):
+        edit(schedule_doc)
+        code, err = self._validate(tmp_path, fig2_file, schedule_doc, capsys)
+        assert code == 1
+        assert err.startswith(f"error: {location}: ")
+
+
 class TestEmitLpCommand:
     def test_byte_identical_across_runs(self, tmp_path, fig2_file):
         a = tmp_path / "a.lp"

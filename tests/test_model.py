@@ -8,6 +8,7 @@ from otssplan.model import (FrameConfig, ParseError, PlannerConfig, ValidationEr
                             build_fat_tree, load_instance, required_slot_units,
                             serialize_instance, slot_capacity_gbps)
 from otssplan.harness import fig2_fixture, fixture_instance
+from otssplan.solve import schedule_from_document, solve_exact
 
 
 class TestBuildFatTree:
@@ -94,6 +95,45 @@ class TestFrameConfig:
 
     def test_decimal_division(self):
         assert FrameConfig(1.0, 0.25).slot_count == 4
+
+
+class TestSlotValuesComputedOnce:
+    def test_slot_count_and_capacity_cached(self):
+        inst = fig2_fixture()
+        assert inst.frame.slot_count == 4
+        assert inst.slot_capacity == slot_capacity_gbps(inst.frame, inst.planner) == 2.5
+        assert inst.slot_capacity is inst.slot_capacity
+        assert "slot_count" in vars(inst.frame)
+        assert [inst.slot_units(r) for r in inst.requests] == [2, 2, 2, 4]
+
+    def test_equality_ignores_cached_values(self):
+        a, b = fig2_fixture(), fig2_fixture()
+        assert a.slot_capacity > 0 and a.frame.slot_count == 4  # b's caches stay empty
+        assert a == b and hash(a.frame) == hash(b.frame)
+
+
+class TestScheduleDocument:
+    def test_round_trip(self):
+        s = solve_exact(fig2_fixture())
+        assert schedule_from_document(json.loads(s.to_json())) == s
+
+    def test_not_an_object(self):
+        with pytest.raises(ParseError) as excinfo:
+            schedule_from_document([])
+        assert excinfo.value.location == "$"
+
+    def test_missing_slot_end(self):
+        doc = json.loads(solve_exact(fig2_fixture()).to_json())
+        del doc["accepted"][2]["slots"]["end"]
+        with pytest.raises(ParseError) as excinfo:
+            schedule_from_document(doc)
+        assert excinfo.value.location == "$.accepted[2].slots.end"
+
+    def test_boolean_is_not_an_integer(self):
+        doc = json.loads(solve_exact(fig2_fixture()).to_json())
+        doc["accepted"][0]["modes"] = [True]
+        with pytest.raises(ParseError, match=r"\$\.accepted\[0\]\.modes\[0\]: must be of type integer"):
+            schedule_from_document(doc)
 
 
 class TestLoadInstance:

@@ -3,12 +3,15 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_force_best, random_micro_instance, two_request_200m_instance
-from otssplan import validate
-from otssplan.model import AccumulationModel, PlannerConfig
-from otssplan.solve import (SolveLimits, enumerate_candidates, k_shortest_paths, solve,
-                            solve_baseline_conventional, solve_exact, solve_greedy)
+from otssplan import solve as solve_mod, validate, xtalk
+from otssplan.model import (AccumulationModel, FrameConfig, Instance, LinkSpec, NodeSpec,
+                            PlannerConfig, Request, Topology)
+from otssplan.solve import (SolveLimits, _SearchState, enumerate_candidates, k_shortest_paths,
+                            solve, solve_baseline_conventional, solve_exact, solve_greedy)
 from otssplan.harness import fig2_fixture, gen_uniform_traffic
 
 
@@ -219,3 +222,188 @@ def test_pinned_heavy_schedules(seed):
     for solver in ("baseline", "exact", "greedy"):
         digest = hashlib.sha256(solve(inst, solver, limits).to_json().encode()).hexdigest()
         assert digest == PINNED_SCHEDULES[seed, solver], solver
+
+
+# The same digests for seed 1 under two other configurations, kept under
+# the same rule: the paper-literal-db model, whose additive terms are
+# negative, and every mode subset over eight paths.
+PINNED_VARIANT_SCHEDULES = {
+    ("paper-literal-db", "baseline"):
+        "232fa6f22fc0a8e6872694ab1c1ee00ba1f211dc1d9c172e45e6ab8474a6c1c3",
+    ("paper-literal-db", "exact"):
+        "e13e7fcb3b4a1acd427744c249a02fbe5b9f4c70ae69af25fa7a3dd3ec39cc0f",
+    ("paper-literal-db", "greedy"):
+        "1da26c8be604b7f068e659bd1470069346975cf73976565999196a4808407031",
+    ("all-mode-subsets", "baseline"):
+        "9f666a6c23b335aed43855bfbc4b1a399c6a0cb21a22f2a150b18c1e047f9511",
+    ("all-mode-subsets", "exact"):
+        "3d071b38ed780c8510ee7827b1ac420964d1c2ffb702e31b63390dc2c3d2d50e",
+    ("all-mode-subsets", "greedy"):
+        "49dfbf58ad21b65f99f5daa1e355ffd14889693f27441bb05a8736a15716cbb5",
+}
+
+
+def _heavy_fig2(seed: int):
+    template = fig2_fixture().with_requests([])
+    return template.with_requests(gen_uniform_traffic(template.topology, 240.0, seed=seed))
+
+
+@pytest.mark.parametrize("variant", ["paper-literal-db", "all-mode-subsets"])
+def test_pinned_variant_schedules(variant):
+    inst = _heavy_fig2(1)
+    limits = SolveLimits(node_budget=2000, time_budget_s=3600.0)
+    if variant == "paper-literal-db":
+        model = AccumulationModel("paper-literal-db")
+        inst = replace(inst, planner=replace(inst.planner, accumulation_model=model))
+    else:
+        limits = replace(limits, all_mode_subsets=True, k_paths=8)
+    for solver in ("baseline", "exact", "greedy"):
+        digest = hashlib.sha256(solve(inst, solver, limits).to_json().encode()).hexdigest()
+        assert digest == PINNED_VARIANT_SCHEDULES[variant, solver], solver
+
+
+def _counting(monkeypatch, name: str) -> list:
+    """Replace solve.<name> with a wrapper that logs each call's arguments."""
+    calls: list = []
+    fn = getattr(solve_mod, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(solve_mod, name, counted)
+    return calls
+
+
+class TestRoutesAndGroups:
+    def test_route_memo_survives_mutating_a_returned_list(self):
+        topo = fig2_fixture().topology
+        expected = k_shortest_paths(topo, "e1", "e3", 4)
+        returned = solve_mod._routes(topo, "e1", "e3", 4)
+        assert returned == expected
+        returned.clear()
+        returned.append(("e1", "e3"))
+        assert solve_mod._routes(topo, "e1", "e3", 4) == expected
+        inst = fig2_fixture().with_requests([Request("r", "e1", "e3", 2.0)])
+        assert {c.path for c in enumerate_candidates(inst.requests[0], inst, 4)} == \
+            {tuple(zip(p, p[1:])) for p in expected}
+
+    def test_yen_runs_once_per_pair_across_solvers(self, monkeypatch):
+        inst = _heavy_fig2(0)
+        calls = _counting(monkeypatch, "k_shortest_paths")
+        limits = SolveLimits(node_budget=200, time_budget_s=3600.0)
+        for solver in ("baseline", "exact", "greedy"):
+            solve(inst, solver, limits)
+        pairs = {(r.source, r.destination) for r in inst.requests}
+        assert sorted(c[1:] for c in calls) == sorted((s, d, 4) for s, d in pairs)
+
+    @pytest.mark.parametrize("solver", ["exact", "greedy"])
+    def test_candidates_enumerated_once_per_group(self, monkeypatch, solver):
+        inst = _heavy_fig2(0)
+        calls = _counting(monkeypatch, "enumerate_candidates")
+        solve(inst, solver, SolveLimits(node_budget=200, time_budget_s=3600.0))
+        groups = {(r.source, r.destination, inst.slot_units(r)) for r in inst.requests}
+        assert len(groups) < len(inst.requests)
+        assert len(calls) == len(groups)
+
+    def test_greedy_places_only_what_it_tries(self, monkeypatch):
+        inst = _heavy_fig2(0)
+        placed = _counting(monkeypatch, "_Placement")
+        solve_greedy(inst)
+        total = sum(len(enumerate_candidates(r, inst, 4))
+                    for r in {(r.source, r.destination, inst.slot_units(r)): r
+                              for r in inst.requests}.values())
+        assert 0 < len(placed) < total
+
+
+def _reference_commit(instance, placed, totals, new):
+    """The totals after committing `new` onto `placed`, or None if it is
+    infeasible, from xtalk.pairwise_contribution summed in
+    xtalk.overlap_terms order: `new` collects its own terms one by one,
+    and each placed victim gains its terms from `new` summed from 0.0."""
+    model = instance.planner.accumulation_model
+    limit = xtalk.feasibility_limit(instance.planner.xt_threshold_db, model)
+
+    def terms(victim, aggressor):
+        return [xtalk.pairwise_contribution(instance.crosstalk, m_a, m_v,
+                                            instance.topology.length(link), model)
+                for link, m_a, m_v in xtalk.overlap_terms(victim, aggressor)]
+
+    if set(new.cells()) & {cell for a in placed for cell in a.cells()}:
+        return None
+    own, after = 0.0, list(totals)
+    for k, other in enumerate(placed):
+        for term in terms(new, other):
+            own += term
+        inc = 0.0
+        for term in terms(other, new):
+            inc += term
+        if inc:
+            after[k] = totals[k] + inc
+            if not after[k] <= limit:
+                return None
+    if own and not own <= limit:
+        return None
+    return after + [own]
+
+
+@pytest.mark.parametrize("variant", ["linear-power", "paper-literal-db"])
+def test_every_pair_on_one_link_matches_reference(variant):
+    """Every pair of placements of two requests on one 170 m link, over all
+    mode subsets: the order of a pair's terms shows in the totals' last bits."""
+    topo = Topology((NodeSpec("n1", "edge"), NodeSpec("n2", "edge")),
+                    (LinkSpec("n1", "n2", 170.0),))
+    inst = Instance(topology=topo, requests=(Request("a", "n1", "n2", 5.0),
+                                             Request("b", "n1", "n2", 4.0)),
+                    frame=FrameConfig(20.0, 5.0), mode_count=4,
+                    crosstalk=fig2_fixture().crosstalk,
+                    planner=PlannerConfig(xt_threshold_db=-3.0,
+                                          accumulation_model=AccumulationModel(variant)))
+    state = _SearchState(inst, SolveLimits(all_mode_subsets=True))
+    for x in state.candidates(inst.requests[0]):
+        first = state.commit(x)
+        for y in state.candidates(inst.requests[1]):
+            expected = _reference_commit(inst, [x.assignment("a")], [0.0], y.assignment("b"))
+            token = state.commit(y)
+            assert (token is None) == (expected is None)
+            if token is not None:
+                assert state.totals == expected
+                state.undo(token)
+        state.undo(first)
+
+
+@given(picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=16),
+       ops=st.lists(st.tuples(st.booleans(), st.integers(0, 10**6)), max_size=60),
+       threshold_db=st.floats(-24.0, -6.0),
+       variant=st.sampled_from(["linear-power", "paper-literal-db"]))
+@settings(max_examples=150, deadline=None)
+def test_commit_and_undo_match_reference(picks, ops, threshold_db, variant):
+    base = fig2_fixture()
+    planner = replace(base.planner, xt_threshold_db=threshold_db,
+                      accumulation_model=AccumulationModel(variant))
+    # requests that share uplinks and downlinks, so placements co-propagate
+    inst = replace(base, planner=planner, requests=(
+        Request("a", "e1", "e2", 3.0), Request("b", "e1", "e3", 5.0),
+        Request("c", "e4", "e2", 2.0), Request("d", "e3", "e2", 8.0)))
+    state = _SearchState(inst, SolveLimits())
+    every = [(r.id, p) for r in inst.requests for p in state.candidates(r)]
+    # a few placements, so a rejected one is often tried again and its last
+    # blocker test runs on a changed state
+    pool = [every[i % len(every)] for i in picks]
+    placed, totals, history = [], [], []
+    for is_commit, pick in ops:
+        if is_commit:
+            rid, new = pool[pick % len(pool)]
+            expected = _reference_commit(inst, placed, totals, new.assignment(rid))
+            token = state.commit(new)
+            assert (token is None) == (expected is None)
+            if token is not None:
+                history.append((token, totals))
+                placed, totals = placed + [new.assignment(rid)], expected
+        elif history:
+            token, totals = history.pop()
+            placed = placed[:-1]
+            state.undo(token)
+        assert state.totals == totals
+        assert [p.assignment("x") for p in state.placed] == \
+            [replace(a, request_id="x") for a in placed]
