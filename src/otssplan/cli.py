@@ -2,9 +2,11 @@
 
 Subcommands: plan, validate, sweep, emit-lp, gen-traffic, timeline,
 fixtures. Exit codes: 0 success, 1 validation failure (an invalid
-schedule, or an instance or schedule document that does not parse or
-validate; `error: <location>: <message>` on stderr), 2 usage error, 3
-internal error. All randomness flows through explicit --seed flags.
+schedule; a file that is not JSON, `error: <file>: invalid JSON: ...`; or
+an instance or schedule document with a missing or mistyped field or a
+violated invariant, `error: <location>: <message>` on stderr), 2 usage
+error, 3 internal error such as a missing file. All randomness flows
+through explicit --seed flags.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import harness, milp, solve as solve_mod, timeline, validate as validate_mod
-from .model import (Instance, ModelError, collapse_frame, load_instance,
+from .model import (Instance, ModelError, collapse_frame, decode_json, load_instance,
                     serialize_instance, topology_from_document)
 from .solve import SolveLimits, schedule_from_document
 
@@ -26,8 +28,7 @@ EXIT_INTERNAL = 3
 
 
 def _read_json(path: str):
-    with open(path) as fh:
-        return json.load(fh)
+    return decode_json(Path(path).read_text(), path)
 
 
 def _load_instance_file(path: str) -> Instance:
@@ -114,8 +115,10 @@ def cmd_emit_lp(args) -> int:
 
 def cmd_gen_traffic(args) -> int:
     doc = _read_json(args.instance)
-    topo_doc = doc["topology"] if isinstance(doc, dict) and "topology" in doc else doc
-    topology = topology_from_document(topo_doc)
+    if isinstance(doc, dict) and "topology" in doc:
+        topology = topology_from_document(doc["topology"])
+    else:
+        topology = topology_from_document(doc, "$")
     requests = harness.gen_uniform_traffic(topology, args.load,
                                            granularity_gbps=args.granularity,
                                            seed=args.seed, capacity_gbps=args.capacity)

@@ -7,11 +7,12 @@ contiguity via transition indicators (eq8), cross-mode slot equality
 overlap-indicator linearizations (eq12-eq15). The model is solver
 agnostic; emit_lp writes standard LP text for any external MILP solver.
 
-Names are assembled from tag tables built once per model: each request
-id, node id and link is sanitized to its LP tag a single time, and two
-ids that sanitize to the same tag raise ValidationError instead of
-silently merging in the LP. emit_lp renders the constraint block once
-and writes it into both phase files.
+One name table (_name_table) owns the naming scheme; build_model and
+assignment_from_schedule both read it. Each request id, node id and link
+is sanitized to its LP tag a single time, and two ids that sanitize to
+the same tag raise ValidationError instead of silently merging in the
+LP. emit_lp renders the constraint block once and writes it into both
+phase files.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import xtalk
 from .model import Instance, Link, ValidationError
@@ -91,42 +92,6 @@ def _link_tag(link: Link) -> str:
     return f"e{_sanitize(link[0])}_{_sanitize(link[1])}"
 
 
-def lambda_name(rid: str, link: Link, m: int, t: int) -> str:
-    return f"l_r{_sanitize(rid)}_{_link_tag(link)}_m{m}_t{t}"
-
-
-def rho_name(rid: str) -> str:
-    return f"rho_r{_sanitize(rid)}"
-
-
-def beta_name(r1: str, r2: str, link: Link, m1: int, m2: int, t: int) -> str:
-    return f"b_r{_sanitize(r1)}_r{_sanitize(r2)}_{_link_tag(link)}_m{m1}_{m2}_t{t}"
-
-
-def theta_name(r1: str, r2: str, link: Link, m1: int, m2: int) -> str:
-    return f"th_r{_sanitize(r1)}_r{_sanitize(r2)}_{_link_tag(link)}_m{m1}_{m2}"
-
-
-def _cm_name(rid: str, link: Link, m: int, t: int) -> str:
-    return f"cm_r{_sanitize(rid)}_{_link_tag(link)}_m{m}_t{t}"
-
-
-def _ca_name(rid: str, link: Link, t: int) -> str:
-    return f"ca_r{_sanitize(rid)}_{_link_tag(link)}_t{t}"
-
-
-def _u_name(rid: str, link: Link, t: int) -> str:
-    return f"u_r{_sanitize(rid)}_{_link_tag(link)}_t{t}"
-
-
-def _w_name(rid: str, link: Link, m: int) -> str:
-    return f"w_r{_sanitize(rid)}_{_link_tag(link)}_m{m}"
-
-
-def _v_name(rid: str, link: Link) -> str:
-    return f"v_r{_sanitize(rid)}_{_link_tag(link)}"
-
-
 def _tag_table(ids, where: str, prefix: str) -> dict[str, str]:
     """`prefix + sanitized id` per id; raises ValidationError naming
     `where[i].id` when an id sanitizes to the tag of an earlier one."""
@@ -143,6 +108,65 @@ def _tag_table(ids, where: str, prefix: str) -> dict[str, str]:
     if failures:
         raise ValidationError(failures)
     return tags
+
+
+class _Names(NamedTuple):
+    """Every name of one instance's model, each id sanitized once: the tags
+    rt (request id), nt (node id) and et (link), and the variable names
+    lam[rid, link][m][t], rho[rid], cm[rid, link][m][tb], ca[rid, link][tb],
+    u[rid, link][t], w[rid, link][m] and v[rid, link]. overlaps lists
+    (r1, r2, link, m1, m2, theta, betas) per ordered request pair, link and
+    ordered mode pair. Iterating lam, rho, overlaps and then lam's keys for
+    cm..v gives the declaration order."""
+
+    rt: dict
+    nt: dict
+    et: dict
+    lam: dict
+    rho: dict
+    overlaps: list
+    cm: dict
+    ca: dict
+    u: dict
+    w: dict
+    v: dict
+
+
+def _name_table(instance: Instance) -> _Names:
+    """The names of instance's model; raises ValidationError when two
+    request ids or two node ids sanitize to one tag."""
+    rids = [r.id for r in instance.requests]
+    links = instance.topology.link_keys()
+    modes = range(instance.mode_count)
+    T = instance.slot_count
+    rt = _tag_table(rids, "requests", "r")
+    nt = _tag_table(instance.topology.node_ids(), "topology.nodes", "n")
+    et = {link: _link_tag(link) for link in links}
+    lam = {(rid, link): [[f"l_{rt[rid]}_{et[link]}_m{m}_t{t}" for t in range(T)]
+                         for m in modes]
+           for rid in rids for link in links}
+    rho = {rid: f"rho_{rt[rid]}" for rid in rids}
+    overlaps = []
+    for r1 in rids:
+        for r2 in rids:
+            if r1 == r2:
+                continue
+            for link in links:
+                pre = f"_{rt[r1]}_{rt[r2]}_{et[link]}_m"
+                for m1 in modes:
+                    for m2 in modes:
+                        if m1 != m2:
+                            overlaps.append((r1, r2, link, m1, m2, f"th{pre}{m1}_{m2}",
+                                             [f"b{pre}{m1}_{m2}_t{t}" for t in range(T)]))
+    cm, ca, u, w, v = {}, {}, {}, {}, {}
+    for key in lam:
+        tag = f"{rt[key[0]]}_{et[key[1]]}"
+        cm[key] = [[f"cm_{tag}_m{m}_t{tb}" for tb in range(T + 1)] for m in modes]
+        ca[key] = [f"ca_{tag}_t{tb}" for tb in range(T + 1)]
+        u[key] = [f"u_{tag}_t{t}" for t in range(T)]
+        w[key] = [f"w_{tag}_m{m}" for m in modes]
+        v[key] = f"v_{tag}"
+    return _Names(rt, nt, et, lam, rho, overlaps, cm, ca, u, w, v)
 
 
 FAMILY_NOTES = {
@@ -245,58 +269,17 @@ def build_model(instance: Instance, max_variables: int = 2_000_000) -> MilpModel
     # eq10's big-M must dominate the largest slot-unit demand
     big_m_cap = max(big_m, max(q.values()))
 
-    # tags: each id sanitized once; every name below is assembled from them
-    rt = _tag_table(rids, "requests", "r")
-    nt = _tag_table(nodes, "topology.nodes", "n")
-    et = {link: _link_tag(link) for link in links}
-
-    add_var = model.variables.append
+    rt, nt, et, lam, rho, overlaps, cm, ca, u, w, v = _name_table(instance)
     add_con = model.constraints.append
 
-    # variables, in a fixed declaration order; name tables kept for the
-    # constraints: lam[rid, link][m][t], cm[rid, link][m][tb], ...
-    lam = {}
-    for rid in rids:
-        for link in links:
-            pre = f"l_{rt[rid]}_{et[link]}_m"
-            lam[rid, link] = [[f"{pre}{m}_t{t}" for t in slots] for m in modes]
-            for row in lam[rid, link]:
-                for name in row:
-                    add_var(Variable(name))
-    rho = {rid: f"rho_{rt[rid]}" for rid in rids}
-    for rid in rids:
-        add_var(Variable(rho[rid]))
-    # (r1, r2, link, m1, m2, theta, betas) in declaration order
-    overlaps = []
-    for r1 in rids:
-        for r2 in rids:
-            if r1 == r2:
-                continue
-            for link in links:
-                pre = f"_{rt[r1]}_{rt[r2]}_{et[link]}_m"
-                for m1 in modes:
-                    for m2 in modes:
-                        if m1 == m2:
-                            continue
-                        betas = [f"b{pre}{m1}_{m2}_t{t}" for t in slots]
-                        th = f"th{pre}{m1}_{m2}"
-                        for b in betas:
-                            add_var(Variable(b))
-                        add_var(Variable(th))
-                        overlaps.append((r1, r2, link, m1, m2, th, betas))
-    cm, ca, u, w, v = {}, {}, {}, {}, {}
-    for rid in rids:
-        for link in links:
-            key = rid, link
-            tag = f"{rt[rid]}_{et[link]}"
-            cm[key] = [[f"cm_{tag}_m{m}_t{tb}" for tb in range(T + 1)] for m in modes]
-            ca[key] = [f"ca_{tag}_t{tb}" for tb in range(T + 1)]
-            u[key] = [f"u_{tag}_t{t}" for t in slots]
-            w[key] = [f"w_{tag}_m{m}" for m in modes]
-            v[key] = f"v_{tag}"
-            for name in (*(n for row in cm[key] for n in row), *ca[key], *u[key],
-                         *w[key], v[key]):
-                add_var(Variable(name))
+    def declare(names):
+        model.variables.extend(map(Variable, names))
+
+    declare(n for rows in lam.values() for row in rows for n in row)
+    declare(rho.values())
+    declare(n for *_, th, betas in overlaps for n in (*betas, th))
+    declare(n for key in lam
+            for n in (*(x for row in cm[key] for x in row), *ca[key], *u[key], *w[key], v[key]))
 
     def flow(rid, out_node, in_node, ms, ts):
         """Out-link lambdas of out_node at +1, in-link ones of in_node at -1."""
@@ -576,68 +559,42 @@ def emit_lp(model: MilpModel, destination: str | Path,
 # --- assignment translation and evaluation --------------------------------
 
 
+def _changes(seq: list[float]) -> list[float]:
+    """Transition indicators of seq, with a virtual 0 before and after it."""
+    padded = [0.0, *seq, 0.0]
+    return [1.0 if a != b else 0.0 for a, b in zip(padded, padded[1:])]
+
+
 def assignment_from_schedule(instance: Instance, schedule) -> dict[str, float]:
     """Variable values induced by a schedule, including every auxiliary
     indicator, for checking against the built model."""
-    values: dict[str, float] = {}
-    links = instance.topology.link_keys()
+    names = _name_table(instance)
     modes = range(instance.mode_count)
-    T = instance.slot_count
-
-    occupied: dict[str, set[tuple[Link, int, int]]] = {r.id: set() for r in instance.requests}
+    slots = range(instance.slot_count)
+    cells: dict[str, set[tuple[Link, int, int]]] = {r.id: set() for r in instance.requests}
     for a in schedule.assignments:
-        occupied[a.request_id] = set(a.cells())
+        cells[a.request_id] = set(a.cells())
 
-    for r in instance.requests:
-        accepted = schedule.assignment(r.id) is not None
-        values[rho_name(r.id)] = 1.0 if accepted else 0.0
-        cells = occupied[r.id]
-        for link in links:
-            for m in modes:
-                for t in range(T):
-                    values[lambda_name(r.id, link, m, t)] = 1.0 if (link, m, t) in cells else 0.0
-
-    def lam(rid, link, m, t):
-        if t < 0 or t >= T:
-            return 0.0
-        return values[lambda_name(rid, link, m, t)]
-
-    for r in instance.requests:
-        for link in links:
-            for t in range(T):
-                u = 1.0 if any(lam(r.id, link, m, t) for m in modes) else 0.0
-                values[_u_name(r.id, link, t)] = u
-            for m in modes:
-                values[_w_name(r.id, link, m)] = (
-                    1.0 if any(lam(r.id, link, m, t) for t in range(T)) else 0.0)
-                for tb in range(T + 1):
-                    a = lam(r.id, link, m, tb - 1)
-                    b = lam(r.id, link, m, tb) if tb < T else 0.0
-                    values[_cm_name(r.id, link, m, tb)] = 1.0 if a != b else 0.0
-            for tb in range(T + 1):
-                ua = values[_u_name(r.id, link, tb - 1)] if tb - 1 >= 0 else 0.0
-                ub = values[_u_name(r.id, link, tb)] if tb < T else 0.0
-                values[_ca_name(r.id, link, tb)] = 1.0 if ua != ub else 0.0
-            values[_v_name(r.id, link)] = (
-                1.0 if any((link, m, t) in occupied[r.id] for m in modes for t in range(T))
-                else 0.0)
-
-    rids = [r.id for r in instance.requests]
-    for r1 in rids:
-        for r2 in rids:
-            if r1 == r2:
-                continue
-            for link in links:
-                for m1 in modes:
-                    for m2 in modes:
-                        if m1 == m2:
-                            continue
-                        any_beta = 0.0
-                        for t in range(T):
-                            b = 1.0 if (lam(r1, link, m1, t) and lam(r2, link, m2, t)) else 0.0
-                            values[beta_name(r1, r2, link, m1, m2, t)] = b
-                            any_beta = max(any_beta, b)
-                        values[theta_name(r1, r2, link, m1, m2)] = any_beta
+    values: dict[str, float] = {}
+    for rid, name in names.rho.items():
+        values[name] = 1.0 if schedule.assignment(rid) is not None else 0.0
+    grid = {}  # (rid, link) -> lambda values [m][t]
+    for key, lam in names.lam.items():
+        rid, link = key
+        grid[key] = rows = [[1.0 if (link, m, t) in cells[rid] else 0.0 for t in slots]
+                            for m in modes]
+        used = [max(col) for col in zip(*rows)]
+        for name_row, row, cm_row in zip(lam, rows, names.cm[key]):
+            values.update(zip(name_row, row))
+            values.update(zip(cm_row, _changes(row)))
+        values.update(zip(names.u[key], used))
+        values.update(zip(names.w[key], map(max, rows)))
+        values.update(zip(names.ca[key], _changes(used)))
+        values[names.v[key]] = max(used)
+    for r1, r2, link, m1, m2, th, betas in names.overlaps:
+        both = [a * b for a, b in zip(grid[r1, link][m1], grid[r2, link][m2])]
+        values.update(zip(betas, both))
+        values[th] = max(both)
     return values
 
 

@@ -3,6 +3,11 @@
 An instance bundles a directed multi-mode-fiber topology, a set of traffic
 requests, the time-slice frame grid, the pairwise modal crosstalk matrix,
 and planner configuration. All types are immutable after construction.
+
+Documents are read through one typed reader (json_value, json_field,
+json_items, json_optional): every field is type-checked at its JSON
+location, so ids must be strings, counts integers and other numbers JSON
+numbers, and a mistyped field raises ParseError naming it.
 """
 
 from __future__ import annotations
@@ -358,10 +363,6 @@ def mode_label(index: int) -> str:
     return f"m{index + 1}"
 
 
-# Conventional LP-mode names for the default 4-mode channel set.
-LP_MODE_LABELS = ("LP01", "LP11", "LP02", "LP31")
-
-
 def slot_capacity_gbps(frame: FrameConfig, config: PlannerConfig) -> Fraction:
     """Bandwidth one slot on one mode carries: C * S / T."""
     c = Fraction(str(config.link_capacity_gbps))
@@ -427,8 +428,11 @@ def json_value(value: Any, kind: str, location: str) -> Any:
 
 
 def json_field(doc: dict, key: str, kind: str, location: str) -> Any:
-    """doc[key] (see _require) checked with json_value."""
-    return json_value(_require(doc, key, location), kind, f"{location}.{key}")
+    """doc[key] checked with json_value; a missing key is a ParseError at
+    its own location, `location.key`."""
+    if key not in doc:
+        raise ParseError("required", f"{location}.{key}")
+    return json_value(doc[key], kind, f"{location}.{key}")
 
 
 def json_items(doc: dict, key: str, kind: str, location: str) -> list:
@@ -438,103 +442,113 @@ def json_items(doc: dict, key: str, kind: str, location: str) -> list:
             for i, v in enumerate(json_field(doc, key, "array", location))]
 
 
-def _require(doc: dict, key: str, location: str) -> Any:
-    """doc[key]; a missing key is a ParseError at its own location, `location.key`."""
-    if key not in doc:
-        raise ParseError("required", f"{location}.{key}")
-    return doc[key]
+def json_optional(doc: dict, key: str, kind: str, location: str, default: Any = None) -> Any:
+    """doc[key] checked with json_value, or `default` when the key is
+    absent or null."""
+    value = doc.get(key)
+    return default if value is None else json_value(value, kind, f"{location}.{key}")
 
 
-def topology_from_document(doc: dict, location: str = "$.topology") -> Topology:
-    if not isinstance(doc, dict):
-        raise ParseError("topology must be an object", location)
-    nodes_doc = _require(doc, "nodes", location)
-    links_doc = _require(doc, "links", location)
+def decode_json(text: str, source: str = "$") -> Any:
+    """The JSON value in `text`; text that does not parse is a ParseError
+    located at `source`, the file it came from."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}", source) from exc
+
+
+def topology_from_document(doc: Any, location: str = "$.topology") -> Topology:
+    json_value(doc, "object", location)
     nodes = []
-    for i, n in enumerate(nodes_doc):
-        if not isinstance(n, dict):
-            raise ParseError("node must be an object", f"{location}.nodes[{i}]")
-        nodes.append(NodeSpec(str(_require(n, "id", f"{location}.nodes[{i}]")),
-                              str(_require(n, "tier", f"{location}.nodes[{i}]"))))
+    for i, n in enumerate(json_items(doc, "nodes", "object", location)):
+        loc = f"{location}.nodes[{i}]"
+        nodes.append(NodeSpec(json_field(n, "id", "string", loc),
+                              json_field(n, "tier", "string", loc)))
     links = []
-    for i, l in enumerate(links_doc):
-        if not isinstance(l, dict):
-            raise ParseError("link must be an object", f"{location}.links[{i}]")
+    for i, l in enumerate(json_items(doc, "links", "object", location)):
         loc = f"{location}.links[{i}]"
-        links.append(LinkSpec(str(_require(l, "from", loc)), str(_require(l, "to", loc)),
-                              float(_require(l, "length_m", loc))))
+        links.append(LinkSpec(json_field(l, "from", "string", loc),
+                              json_field(l, "to", "string", loc),
+                              float(json_field(l, "length_m", "number", loc))))
     return Topology(nodes=tuple(nodes), links=tuple(links))
 
 
-def _accumulation_from_document(value: Any) -> AccumulationModel:
+def _accumulation_from_document(planner: dict) -> AccumulationModel:
+    loc = "$.planner.accumulation_model"
+    value = planner.get("accumulation_model")
     if value is None:
         return AccumulationModel()
     if isinstance(value, str):
         return AccumulationModel(variant=value)
-    if isinstance(value, dict):
-        return AccumulationModel(variant=str(value.get("variant", "tanh-coupling")),
-                                 h=value.get("h"))
-    raise ParseError("accumulation_model must be a string or object",
-                     "$.planner.accumulation_model")
+    json_value(value, "object", loc)
+    return AccumulationModel(variant=json_optional(value, "variant", "string", loc,
+                                                   "tanh-coupling"),
+                             h=json_optional(value, "h", "number", loc))
 
 
-def _objective_from_document(value: Any) -> ObjectiveMode:
-    if value is None or value == "lexicographic":
+def _objective_from_document(planner: dict) -> ObjectiveMode:
+    loc = "$.planner.objective_mode"
+    value = planner.get("objective_mode")
+    if value is None:
         return ObjectiveMode()
-    if value == "weighted":
-        return ObjectiveMode(kind="weighted")
-    if isinstance(value, dict) and "weighted" in value:
-        w = value["weighted"]
-        return ObjectiveMode(kind="weighted", eta1=w.get("eta1"), eta2=w.get("eta2"))
-    raise ParseError("objective_mode must be 'lexicographic', 'weighted', or {weighted: {...}}",
-                     "$.planner.objective_mode")
+    if isinstance(value, str):
+        return ObjectiveMode(kind=value)
+    w = json_field(json_value(value, "object", loc), "weighted", "object", loc)
+    loc += ".weighted"
+    return ObjectiveMode(kind="weighted", eta1=json_optional(w, "eta1", "number", loc),
+                         eta2=json_optional(w, "eta2", "number", loc))
 
 
 def load_instance(document: dict | str) -> Instance:
     """Build a fully validated Instance from a JSON document (dict or text).
 
-    Parse problems raise ParseError with a field location; invariant
-    violations raise ValidationError listing every failure.
+    Every field is type-checked at its JSON location: ids and names are
+    strings, counts are integers and other numbers are JSON numbers, so a
+    mistyped or missing field raises ParseError naming it (e.g.
+    `$.requests[0].bandwidth_gbps`). Invariant violations raise
+    ValidationError listing every failure.
     """
     if isinstance(document, str):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(document, dict):
-        raise ParseError("instance document must be a JSON object")
+        document = decode_json(document)
+    json_value(document, "object", "$")
 
-    topology = topology_from_document(_require(document, "topology", "$"))
-    modes_doc = _require(document, "modes", "$")
-    if isinstance(modes_doc, dict):
-        mode_count = int(_require(modes_doc, "count", "$.modes"))
+    topology = topology_from_document(json_field(document, "topology", "object", "$"))
+    if isinstance(document.get("modes"), dict):
+        mode_count = json_field(document["modes"], "count", "integer", "$.modes")
     else:
-        mode_count = int(modes_doc)
-    if "crosstalk_db_per_100m" not in document:
-        raise ParseError("crosstalk matrix required", "$.crosstalk_db_per_100m")
-    matrix_doc = document["crosstalk_db_per_100m"]
+        mode_count = json_field(document, "modes", "integer", "$")
+    rows = json_items(document, "crosstalk_db_per_100m", "array", "$")
     matrix = CrosstalkMatrix(tuple(
-        tuple(None if e is None else float(e) for e in row) for row in matrix_doc))
-    frame_doc = _require(document, "frame", "$")
-    frame = FrameConfig(frame_ms=float(_require(frame_doc, "frame_ms", "$.frame")),
-                        slice_ms=float(_require(frame_doc, "slice_ms", "$.frame")),
-                        guard_us=frame_doc.get("guard_us"))
-    planner_doc = document.get("planner", {})
+        tuple(None if e is None
+              else float(json_value(e, "number", f"$.crosstalk_db_per_100m[{a}][{v}]"))
+              for v, e in enumerate(row))
+        for a, row in enumerate(rows)))
+    frame_doc = json_field(document, "frame", "object", "$")
+    frame = FrameConfig(frame_ms=float(json_field(frame_doc, "frame_ms", "number", "$.frame")),
+                        slice_ms=float(json_field(frame_doc, "slice_ms", "number", "$.frame")),
+                        guard_us=json_optional(frame_doc, "guard_us", "number", "$.frame"))
+    planner_doc = json_optional(document, "planner", "object", "$", {})
+
+    def number(key: str, default: float) -> float:
+        return float(json_optional(planner_doc, key, "number", "$.planner", default))
+
     planner = PlannerConfig(
-        xt_threshold_db=float(planner_doc.get("xt_threshold_db", -13.0)),
-        link_capacity_gbps=float(planner_doc.get("link_capacity_gbps", 10.0)),
-        granularity_gbps=float(planner_doc.get("granularity_gbps", 1.0)),
-        big_m=planner_doc.get("big_m"),
-        accumulation_model=_accumulation_from_document(planner_doc.get("accumulation_model")),
-        objective_mode=_objective_from_document(planner_doc.get("objective_mode")),
+        xt_threshold_db=number("xt_threshold_db", -13.0),
+        link_capacity_gbps=number("link_capacity_gbps", 10.0),
+        granularity_gbps=number("granularity_gbps", 1.0),
+        big_m=json_optional(planner_doc, "big_m", "integer", "$.planner"),
+        accumulation_model=_accumulation_from_document(planner_doc),
+        objective_mode=_objective_from_document(planner_doc),
     )
     requests = []
-    for i, r in enumerate(document.get("requests", [])):
+    for i, r in enumerate(json_optional(document, "requests", "array", "$", [])):
         loc = f"$.requests[{i}]"
-        requests.append(Request(id=str(_require(r, "id", loc)),
-                                source=str(_require(r, "src", loc)),
-                                destination=str(_require(r, "dst", loc)),
-                                bandwidth_gbps=float(_require(r, "bandwidth_gbps", loc))))
+        json_value(r, "object", loc)
+        requests.append(Request(
+            id=json_field(r, "id", "string", loc), source=json_field(r, "src", "string", loc),
+            destination=json_field(r, "dst", "string", loc),
+            bandwidth_gbps=float(json_field(r, "bandwidth_gbps", "number", loc))))
     return Instance(topology=topology, requests=tuple(requests), frame=frame,
                     mode_count=mode_count, crosstalk=matrix, planner=planner)
 

@@ -463,18 +463,13 @@ def solve_exact(instance: Instance, limits: Optional[SolveLimits] = None,
     return _finish(instance, best["assignments"] or [], optimal=not budget["exhausted"])
 
 
-def solve_greedy(instance: Instance, limits: Optional[SolveLimits] = None,
-                 order_policy: str = "bandwidth-desc") -> Schedule:
-    """Requests in policy order each take their first feasible candidate;
-    a request with no feasible candidate is rejected. Deterministic."""
-    requests = list(instance.requests)
-    if order_policy not in ("bandwidth-desc", "input"):
-        raise ValueError(f"unknown order policy {order_policy!r}")
-    if order_policy == "bandwidth-desc":
-        requests.sort(key=lambda r: (-r.bandwidth_gbps, r.id))
+def solve_greedy(instance: Instance, limits: Optional[SolveLimits] = None) -> Schedule:
+    """Requests in bandwidth-descending order (ties by id) each take their
+    first feasible candidate; a request with no feasible candidate is
+    rejected. Deterministic."""
     state = _SearchState(instance, limits or SolveLimits())
     accepted = []
-    for r in requests:
+    for r in sorted(instance.requests, key=lambda r: (-r.bandwidth_gbps, r.id)):
         for cand in state.candidates(r):
             if state.commit(cand) is not None:
                 accepted.append(cand.assignment(r.id))

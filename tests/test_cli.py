@@ -121,6 +121,53 @@ class TestModelErrors:
         assert code == 1
         assert err.startswith(f"error: {location}: ")
 
+    @pytest.mark.parametrize("edit, location", [
+        (lambda d: d.update(modes="four"), "$.modes"),
+        (lambda d: d.update(modes={"count": True}), "$.modes.count"),
+        (lambda d: d["requests"].__setitem__(0, 5), "$.requests[0]"),
+        (lambda d: d.update(requests={}), "$.requests"),
+        (lambda d: d["requests"][0].update(id=1), "$.requests[0].id"),
+        (lambda d: d["requests"][0].update(bandwidth_gbps="5"), "$.requests[0].bandwidth_gbps"),
+        (lambda d: d.update(planner=[]), "$.planner"),
+        (lambda d: d["planner"].update(xt_threshold_db="x"), "$.planner.xt_threshold_db"),
+        (lambda d: d["planner"].update(big_m="4"), "$.planner.big_m"),
+        (lambda d: d["planner"].update(objective_mode={"weighted": 5}),
+         "$.planner.objective_mode.weighted"),
+        (lambda d: d.update(frame=20), "$.frame"),
+        (lambda d: d["frame"].update(guard_us="x"), "$.frame.guard_us"),
+        (lambda d: d["crosstalk_db_per_100m"][0].__setitem__(1, "x"),
+         "$.crosstalk_db_per_100m[0][1]"),
+        (lambda d: d["crosstalk_db_per_100m"].__setitem__(0, 5), "$.crosstalk_db_per_100m[0]"),
+        (lambda d: d["topology"]["links"][0].update(length_m="x"),
+         "$.topology.links[0].length_m"),
+        (lambda d: d["topology"]["nodes"][0].update(id=1), "$.topology.nodes[0].id"),
+        (lambda d: d["topology"].update(links={}), "$.topology.links"),
+    ])
+    def test_instance_wrong_type(self, tmp_path, fig2_file, capsys, edit, location):
+        doc = json.loads(fig2_file.read_text())
+        edit(doc)
+        path = tmp_path / "mistyped.json"
+        path.write_text(json.dumps(doc))
+        assert cli.run(["plan", "-i", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {location}: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["plan", "-i", "{bad}"],
+        ["validate", "-i", "{bad}", "-s", "{schedule}"],
+        ["validate", "-i", "{fig2}", "-s", "{bad}"],
+        ["sweep", "-i", "{bad}", "--loads", "5", "-o", "{out}"],
+        ["emit-lp", "-i", "{bad}", "-o", "{out}"],
+        ["gen-traffic", "-i", "{bad}", "--load", "5"],
+        ["timeline", "-i", "{bad}", "-s", "{schedule}"],
+        ["timeline", "-i", "{fig2}", "-s", "{bad}"],
+    ])
+    def test_not_json(self, tmp_path, fig2_file, schedule_doc, capsys, argv):
+        files = {"bad": tmp_path / "bad.json", "fig2": fig2_file,
+                 "schedule": tmp_path / "schedule.json", "out": tmp_path / "out.csv"}
+        files["bad"].write_text("{not json")
+        files["schedule"].write_text(json.dumps(schedule_doc))
+        assert cli.run([arg.format(**files) for arg in argv]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {files['bad']}: invalid JSON: ")
 
 class TestEmitLpCommand:
     def test_byte_identical_across_runs(self, tmp_path, fig2_file):

@@ -86,7 +86,7 @@ class TestBuildModel:
         assert [o.sense for o in model.objectives] == ["maximize", "minimize"]
         # phase 1 weights each acceptance by its bandwidth
         terms = dict((name, coef) for coef, name in model.objectives[0].terms)
-        assert terms == {milp.rho_name("r1"): 5.0}
+        assert terms == {"rho_rr1": 5.0}
 
     def test_variable_names_unique(self):
         rng = random.Random("milp-names")
@@ -161,6 +161,7 @@ class TestScheduleSatisfiesModel:
     def test_tiny_exact(self, tiny):
         model = milp.build_model(tiny)
         values = milp.assignment_from_schedule(tiny, solve_exact(tiny))
+        assert set(values) == {v.name for v in model.variables}
         assert milp.evaluate_constraints(model, values) == []
 
     def test_random_corpus(self):
@@ -170,6 +171,7 @@ class TestScheduleSatisfiesModel:
             model = milp.build_model(inst)
             for schedule in (solve_exact(inst), solve_greedy(inst)):
                 values = milp.assignment_from_schedule(inst, schedule)
+                assert set(values) == {v.name for v in model.variables}
                 assert milp.evaluate_constraints(model, values) == []
 
     def test_detects_corrupted_assignment(self, tiny):
@@ -179,7 +181,7 @@ class TestScheduleSatisfiesModel:
         for name in list(values):
             if name.startswith("l_"):
                 values[name] = 0.0
-        values[milp.rho_name("r1")] = 1.0
+        values["rho_rr1"] = 1.0
         violated = milp.evaluate_constraints(model, values)
         assert any(name.startswith("eq2") for name in violated)
 
@@ -193,6 +195,7 @@ class TestLexicographicObjective:
             model = milp.build_model(inst)
             schedule = solve_exact(inst, limits)
             values = milp.assignment_from_schedule(inst, schedule)
+            assert set(values) == {v.name for v in model.variables}
             weighted = sum(coef * values[name]
                            for coef, name in model.objectives[0].terms)
             assert weighted == pytest.approx(schedule.throughput_gbps)

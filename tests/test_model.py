@@ -1,12 +1,15 @@
 import json
+import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from otssplan.model import (FrameConfig, ParseError, PlannerConfig, ValidationError,
-                            build_fat_tree, load_instance, required_slot_units,
-                            serialize_instance, slot_capacity_gbps)
+from conftest import random_micro_instance
+from otssplan.model import (AccumulationModel, FrameConfig, ObjectiveMode, ParseError,
+                            PlannerConfig, ValidationError, build_fat_tree, load_instance,
+                            required_slot_units, serialize_instance, slot_capacity_gbps)
 from otssplan.harness import fig2_fixture, fixture_instance
 from otssplan.solve import schedule_from_document, solve_exact
 
@@ -138,10 +141,18 @@ class TestScheduleDocument:
 
 class TestLoadInstance:
     def test_fig2_fixture_round_trip(self):
-        inst = fig2_fixture()
-        doc = serialize_instance(inst)
-        again = load_instance(json.loads(json.dumps(doc)))
-        assert again == inst
+        rng = random.Random("load-round-trip")
+        fig2 = fig2_fixture()
+        weighted_tanh = replace(fig2, planner=replace(
+            fig2.planner, big_m=6, objective_mode=ObjectiveMode("weighted"),
+            accumulation_model=AccumulationModel("tanh-coupling", h=0.002)))
+        corpus = [fig2, weighted_tanh, fixture_instance("fig4")]
+        corpus += [random_micro_instance(rng) for _ in range(30)]
+        for inst in corpus:
+            doc = serialize_instance(inst)
+            again = load_instance(json.dumps(doc))
+            assert again == inst
+            assert serialize_instance(again) == doc
 
     def test_fig2_values(self):
         inst = fig2_fixture()
@@ -162,11 +173,11 @@ class TestLoadInstance:
     def test_missing_matrix(self):
         doc = serialize_instance(fig2_fixture())
         del doc["crosstalk_db_per_100m"]
-        with pytest.raises(ParseError, match="crosstalk matrix required"):
+        with pytest.raises(ParseError, match=r"^\$\.crosstalk_db_per_100m: required$"):
             load_instance(doc)
 
     def test_malformed_json_text(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=r"^\$: invalid JSON: "):
             load_instance("{not json")
 
     def test_collects_all_failures(self):

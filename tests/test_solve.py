@@ -141,10 +141,6 @@ class TestSolveGreedy:
         s = solve_greedy(two_request_200m)
         assert s.throughput_gbps == 10.0
 
-    def test_unknown_policy(self, tiny):
-        with pytest.raises(ValueError):
-            solve_greedy(tiny, order_policy="alphabetical")
-
 
 class TestBaseline:
     def test_two_request_200m_one_accepted(self, two_request_200m):
