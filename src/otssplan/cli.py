@@ -4,21 +4,24 @@ Subcommands: plan, validate, sweep, emit-lp, gen-traffic, timeline,
 fixtures. Exit codes: 0 success, 1 validation failure (an invalid
 schedule; a file that is not JSON, `error: <file>: invalid JSON: ...`; or
 an instance or schedule document with a missing or mistyped field or a
-violated invariant, `error: <location>: <message>` on stderr), 2 usage
-error, 3 internal error such as a missing file. All randomness flows
-through explicit --seed flags.
+violated invariant, `error: <location>: <message>` on stderr; or a
+`timeline --link` the topology lacks, `error: --link: ...`), 2 usage
+error (an unknown flag, or a flag value that does not parse or is out of
+range, `argument --<flag>: ...`), 3 internal error such as a missing
+file. All randomness flows through explicit --seed flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 from . import harness, milp, solve as solve_mod, timeline, validate as validate_mod
-from .model import (Instance, ModelError, collapse_frame, decode_json, load_instance,
-                    serialize_instance, topology_from_document)
+from .model import (Instance, ModelError, ValidationError, collapse_frame, decode_json,
+                    load_instance, serialize_instance, topology_from_document)
 from .solve import SolveLimits, schedule_from_document
 
 EXIT_OK = 0
@@ -49,11 +52,45 @@ def _limits_from_args(args) -> SolveLimits:
                        k_paths=args.k_paths)
 
 
+def _positive(kind):
+    """argparse type: a `kind` (int or float) value > 0."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+        return value
+    return parse
+
+
+def _loads(text: str) -> list[float]:
+    """argparse type: a comma-separated list of finite offered loads in Gb/s."""
+    try:
+        loads = [float(x) for x in text.split(",") if x]
+    except ValueError:
+        loads = []
+    if not loads or not all(map(math.isfinite, loads)):
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of finite numbers: "
+                                         f"{text!r}")
+    return loads
+
+
+def _solvers(text: str) -> list[str]:
+    """argparse type: a comma-separated list of names from solve.SOLVERS."""
+    names = [s for s in text.split(",") if s]
+    if not names or not set(names) <= set(solve_mod.SOLVERS):
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of solvers from "
+                                         f"{', '.join(solve_mod.SOLVERS)}: {text!r}")
+    return names
+
+
 def _add_limit_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--node-budget", type=int, default=1_000_000)
-    parser.add_argument("--time-budget", type=float, default=300.0,
+    parser.add_argument("--node-budget", type=_positive(int), default=1_000_000)
+    parser.add_argument("--time-budget", type=_positive(float), default=300.0,
                         help="solver wall-clock budget in seconds")
-    parser.add_argument("--k-paths", type=int, default=4,
+    parser.add_argument("--k-paths", type=_positive(int), default=4,
                         help="shortest-path candidates per request")
 
 
@@ -83,9 +120,7 @@ def cmd_validate(args) -> int:
 
 def cmd_sweep(args) -> int:
     instance = _load_instance_file(args.instance)
-    loads = [float(x) for x in args.loads.split(",") if x]
-    solvers = [s for s in args.solvers.split(",") if s]
-    result = harness.run_sweep(instance, loads, solvers, args.trials, args.seed,
+    result = harness.run_sweep(instance, args.loads, args.solvers, args.trials, args.seed,
                                limits=_limits_from_args(args))
     result.to_csv(args.output)
     meta_path = Path(args.output).with_suffix(".meta.json")
@@ -134,6 +169,8 @@ def cmd_timeline(args) -> int:
     if args.link:
         src, _, dst = args.link.partition(":")
         link = (src, dst)
+        if link not in instance.topology.link_keys():
+            raise ValidationError([("--link", f"unknown link {args.link!r}")])
     print(timeline.render_timeline(instance, schedule, link))
     return EXIT_OK
 
@@ -167,9 +204,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="offered-load sweep comparing solvers")
     p.add_argument("-i", "--instance", required=True)
-    p.add_argument("--loads", required=True, help="comma-separated Gb/s values")
-    p.add_argument("--solvers", default="exact,baseline")
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--loads", type=_loads, required=True, help="comma-separated Gb/s values")
+    p.add_argument("--solvers", type=_solvers, default="exact,baseline",
+                   help=f"comma-separated, from {', '.join(solve_mod.SOLVERS)}")
+    p.add_argument("--trials", type=_positive(int), default=1)
     p.add_argument("--seed", default="0")
     p.add_argument("-o", "--output", required=True, help="results CSV path")
     _add_limit_flags(p)

@@ -139,8 +139,8 @@ def _name_table(instance: Instance) -> _Names:
     links = instance.topology.link_keys()
     modes = range(instance.mode_count)
     T = instance.slot_count
-    rt = _tag_table(rids, "requests", "r")
-    nt = _tag_table(instance.topology.node_ids(), "topology.nodes", "n")
+    rt = _tag_table(rids, "$.requests", "r")
+    nt = _tag_table(instance.topology.node_ids(), "$.topology.nodes", "n")
     et = {link: _link_tag(link) for link in links}
     lam = {(rid, link): [[f"l_{rt[rid]}_{et[link]}_m{m}_t{t}" for t in range(T)]
                          for m in modes]

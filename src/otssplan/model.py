@@ -39,7 +39,8 @@ class ParseError(ModelError):
 
 
 class ValidationError(ModelError):
-    """One or more invariant violations; carries all of them with field paths."""
+    """One or more invariant violations; carries all of them, each with its
+    JSON location in the form ParseError uses (e.g. `$.requests[1].src`)."""
 
     def __init__(self, failures: list[tuple[str, str]]):
         self.failures = list(failures)
@@ -80,13 +81,13 @@ class Topology:
         seen = set()
         for i, n in enumerate(self.nodes):
             if n.tier not in TIERS:
-                failures.append((f"topology.nodes[{i}].tier", f"unknown tier {n.tier!r}"))
+                failures.append((f"$.topology.nodes[{i}].tier", f"unknown tier {n.tier!r}"))
             if n.id in seen:
-                failures.append((f"topology.nodes[{i}].id", f"duplicate node id {n.id!r}"))
+                failures.append((f"$.topology.nodes[{i}].id", f"duplicate node id {n.id!r}"))
             seen.add(n.id)
         link_keys = set()
         for i, l in enumerate(self.links):
-            loc = f"topology.links[{i}]"
+            loc = f"$.topology.links[{i}]"
             if l.src == l.dst:
                 failures.append((loc, f"self-loop at {l.src!r}"))
             if l.src not in seen:
@@ -125,6 +126,14 @@ class Topology:
     def path_memo(self) -> dict:
         """(src, dst, k) -> k shortest paths over this topology, filled by
         the solver so every instance sharing the topology routes once."""
+        return {}
+
+    @cached_property
+    def search_memo(self) -> dict:
+        """The solver's search tables over this topology, keyed by what else
+        they depend on (frame, modes, crosstalk, planner, solve options), so
+        every solve on an instance or its `with_requests` copies builds them
+        once."""
         return {}
 
     def has_node(self, node_id: str) -> bool:
@@ -169,15 +178,15 @@ class FrameConfig:
     def __post_init__(self):
         failures = []
         if not (self.frame_ms > 0):
-            failures.append(("frame.frame_ms", "must be > 0"))
+            failures.append(("$.frame.frame_ms", "must be > 0"))
         if not (self.slice_ms > 0):
-            failures.append(("frame.slice_ms", "must be > 0"))
+            failures.append(("$.frame.slice_ms", "must be > 0"))
         if not failures:
             ratio = Fraction(str(self.frame_ms)) / Fraction(str(self.slice_ms))
             if ratio.denominator != 1:
-                failures.append(("frame", f"frame_ms/slice_ms = {ratio} is not an integer"))
+                failures.append(("$.frame", f"frame_ms/slice_ms = {ratio} is not an integer"))
             elif ratio < 1:
-                failures.append(("frame", "slot count must be >= 1"))
+                failures.append(("$.frame", "slot count must be >= 1"))
         if failures:
             raise ValidationError(failures)
 
@@ -199,10 +208,10 @@ class CrosstalkMatrix:
         n = len(self.db_per_100m)
         for a, row in enumerate(self.db_per_100m):
             if len(row) != n:
-                failures.append((f"crosstalk_db_per_100m[{a}]", f"row length {len(row)} != {n}"))
+                failures.append((f"$.crosstalk_db_per_100m[{a}]", f"row length {len(row)} != {n}"))
                 continue
             for v, entry in enumerate(row):
-                loc = f"crosstalk_db_per_100m[{a}][{v}]"
+                loc = f"$.crosstalk_db_per_100m[{a}][{v}]"
                 if a == v:
                     if entry is not None:
                         failures.append((loc, "diagonal must be null"))
@@ -248,9 +257,9 @@ class AccumulationModel:
 
     def __post_init__(self):
         if self.variant not in ACCUMULATION_VARIANTS:
-            raise ValidationError([("planner.accumulation_model", f"unknown variant {self.variant!r}")])
+            raise ValidationError([("$.planner.accumulation_model", f"unknown variant {self.variant!r}")])
         if self.variant == "tanh-coupling" and not (self.h is not None and self.h > 0):
-            raise ValidationError([("planner.accumulation_model.h", "h must be > 0 for tanh-coupling")])
+            raise ValidationError([("$.planner.accumulation_model.h", "h must be > 0 for tanh-coupling")])
 
 
 @dataclass(frozen=True)
@@ -264,7 +273,7 @@ class ObjectiveMode:
 
     def __post_init__(self):
         if self.kind not in ("lexicographic", "weighted"):
-            raise ValidationError([("planner.objective_mode", f"unknown kind {self.kind!r}")])
+            raise ValidationError([("$.planner.objective_mode", f"unknown kind {self.kind!r}")])
 
 
 @dataclass(frozen=True)
@@ -279,13 +288,13 @@ class PlannerConfig:
     def __post_init__(self):
         failures = []
         if not (self.xt_threshold_db < 0):
-            failures.append(("planner.xt_threshold_db", "must be < 0 dB"))
+            failures.append(("$.planner.xt_threshold_db", "must be < 0 dB"))
         if not (self.link_capacity_gbps > 0):
-            failures.append(("planner.link_capacity_gbps", "must be > 0"))
+            failures.append(("$.planner.link_capacity_gbps", "must be > 0"))
         if not (self.granularity_gbps > 0):
-            failures.append(("planner.granularity_gbps", "must be > 0"))
+            failures.append(("$.planner.granularity_gbps", "must be > 0"))
         if self.big_m is not None and self.big_m < 1:
-            failures.append(("planner.big_m", "must be >= 1"))
+            failures.append(("$.planner.big_m", "must be >= 1"))
         if failures:
             raise ValidationError(failures)
 
@@ -304,7 +313,7 @@ class Instance:
         granularity = Fraction(str(self.planner.granularity_gbps))
         seen_ids = set()
         for i, r in enumerate(self.requests):
-            loc = f"requests[{i}]"
+            loc = f"$.requests[{i}]"
             if r.id in seen_ids:
                 failures.append((loc + ".id", f"duplicate request id {r.id!r}"))
             seen_ids.add(r.id)
@@ -323,10 +332,10 @@ class Instance:
                          f"{r.bandwidth_gbps} is not a multiple of the {float(granularity)} Gb/s granularity")
                     )
         if self.mode_count < 1:
-            failures.append(("modes", "mode count must be >= 1"))
+            failures.append(("$.modes", "mode count must be >= 1"))
         if self.crosstalk.mode_count != self.mode_count:
             failures.append(
-                ("crosstalk_db_per_100m",
+                ("$.crosstalk_db_per_100m",
                  f"matrix dimension {self.crosstalk.mode_count} != mode count {self.mode_count}")
             )
         if failures:
@@ -344,8 +353,16 @@ class Instance:
     def slot_capacity(self) -> Fraction:
         return slot_capacity_gbps(self.frame, self.planner)
 
+    @cached_property
+    def _units_by_bandwidth(self) -> dict[float, int]:
+        return {}
+
     def slot_units(self, request: Request) -> int:
-        return required_slot_units(request.bandwidth_gbps, self.slot_capacity)
+        memo = self._units_by_bandwidth
+        bandwidth = request.bandwidth_gbps
+        if bandwidth not in memo:
+            memo[bandwidth] = required_slot_units(bandwidth, self.slot_capacity)
+        return memo[bandwidth]
 
     @cached_property
     def _requests_by_id(self) -> dict[str, Request]:

@@ -3,14 +3,21 @@ conventional one-slot baseline.
 
 The search is over per-request atomic candidates (path, mode set,
 contiguous slot interval), so path continuity, contiguity, and cross-mode
-slot equality hold by construction. Yen's paths are memoized per topology,
-and a solve enumerates each (source, destination, slot units) group's
-candidates once. Slot exclusivity is one int bitmask over (link, mode,
-slot) cells. Crosstalk terms come from a per-link coefficient table in
-`xtalk.overlap_terms` order, memoized per pair of (path, modes) geometries,
-so totals and prune decisions are bit-identical to summing
-`xtalk.pairwise_contribution`. A commit re-tests the request that last
-rejected the candidate as a victim first ("last conflict" ordering).
+slot equality hold by construction. Yen's paths are memoized per topology.
+Everything a search reads but never changes (link index, crosstalk
+coefficient table, threshold limit, geometries, pair-term memo, and each
+(source, destination, slot units) group's candidates and placements) lives
+in one `_Tables` per slot grid and solve options, kept on the topology, so
+every solve of an instance and of its `with_requests` copies enumerates a
+group once; a solve's own `_SearchState` holds only what it has committed.
+Slot exclusivity is one int bitmask over (link, mode, slot) cells.
+Crosstalk terms come from the per-link coefficient table in
+`xtalk.overlap_terms` order, memoized per pair of (path, modes)
+geometries, so totals and prune decisions are bit-identical to summing
+`xtalk.pairwise_contribution`. The search loops skip a candidate without
+calling `commit` while the placement that last rejected it as a victim is
+still placed at the same index and still over the limit ("last conflict"
+ordering); that is one of commit's own checks on an unchanged state.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import json
 import time
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Iterable, Iterator, Optional
 
 from . import xtalk
@@ -207,37 +214,54 @@ def _mode_subsets(mode_count: int, all_subsets: bool) -> list[tuple[int, ...]]:
             for s in range(mode_count - w + 1)]
 
 
+@lru_cache(maxsize=None)
+def _shapes(units: int, mode_count: int, slots: int,
+            all_subsets: bool) -> tuple[tuple[tuple[tuple[int, ...], int, int], ...], ...]:
+    """The (modes, slot start, slot end) triples that cover `units` without a
+    whole spare mode or slot column, grouped by supply ascending, each group
+    ordered by (slot start, modes)."""
+    by_supply: defaultdict[int, list] = defaultdict(list)
+    for modes in _mode_subsets(mode_count, all_subsets):
+        for span in range(1, slots + 1):
+            supply = len(modes) * span
+            if supply < units or supply - units >= min(len(modes), span):
+                continue
+            for start in range(slots - span + 1):
+                by_supply[supply].append((start, modes, start + span))
+    return tuple(tuple((modes, start, end) for start, modes, end in sorted(group))
+                 for _, group in sorted(by_supply.items()))
+
+
 def enumerate_candidates(request: Request, instance: Instance, k: int,
                          all_mode_subsets: bool = False) -> list[Assignment]:
     """All (path, mode subset, contiguous slot interval) triples that cover
     the request's slot-unit demand without a whole spare mode or slot
     column, ordered deterministically by (supply, path length, path, slot
     start, modes)."""
-    q = instance.slot_units(request)
-    slots = instance.slot_count
-    out: list[Assignment] = []
-    lengths: dict[tuple[Link, ...], float] = {}
-    for path in _routes(instance.topology, request.source, request.destination, k):
+    topology = instance.topology
+    routes = []
+    for path in _routes(topology, request.source, request.destination, k):
         links = tuple(zip(path, path[1:]))
-        lengths[links] = sum(instance.topology.length(l) for l in links)
-        for modes in _mode_subsets(instance.mode_count, all_mode_subsets):
-            for span in range(1, slots + 1):
-                supply = len(modes) * span
-                if supply < q or supply - q >= min(len(modes), span):
-                    continue
-                for start in range(slots - span + 1):
-                    out.append(Assignment(request.id, links, modes, start, start + span))
-    out.sort(key=lambda c: (c.supply, lengths[c.path], c.path, c.slot_start, c.modes))
-    return out
+        routes.append((sum(topology.length(l) for l in links), links))
+    routes.sort()
+    shapes = _shapes(instance.slot_units(request), instance.mode_count, instance.slot_count,
+                     all_mode_subsets)
+    return [Assignment(request.id, links, modes, start, end)
+            for group in shapes for _, links in routes for modes, start, end in group]
 
 
-# --- incremental feasibility state ---------------------------------------
+# --- search tables and state ----------------------------------------------
+
+# The blocker of a placement no commit has rejected yet: nothing is ever
+# placed as None, so the last-blocker test never holds for it.
+_NO_BLOCKER = (0, None, 0.0)
 
 
 @dataclass(eq=False, slots=True)
 class _Placement:
     """A candidate's geometry, shared by its (source, destination, slot units) group: an id
-    for (path, modes), (link, slot) and (link, mode, slot) bitmasks, and its last blocker."""
+    for (path, modes), (link, slot) and (link, mode, slot) bitmasks, and its last blocker:
+    (index, placement, increment) of the placed victim its last rejecting commit stopped at."""
 
     path: tuple[Link, ...]
     links: tuple[int, ...]
@@ -248,39 +272,55 @@ class _Placement:
     geometry: int
     cells: int
     occupancy: int
-    blocker: int = 0
+    blocker: tuple = _NO_BLOCKER
 
     def assignment(self, request_id: str) -> Assignment:
         return Assignment(request_id, self.path, self.modes, self.slot_start, self.slot_end)
 
 
-class _SearchState:
-    """Committed placements plus slot occupancy and each placement's
-    additive crosstalk total, with O(1) undo."""
+class _Tables:
+    """What every solve on one slot grid shares: the link index, the
+    `coef[link][m_a][m_v]` crosstalk table, the threshold limit, the
+    (path, modes) geometries, the per-geometry-pair term memo, and each
+    (source, destination, slot units) group's candidates with the
+    placements built from them so far. Nothing here depends on what a
+    solve has committed, except each placement's last blocker, which only
+    decides which of commit's checks runs first."""
 
     def __init__(self, instance: Instance, limits: SolveLimits):
         links = instance.topology.links
         model = instance.planner.accumulation_model
         modes = range(instance.mode_count)
-        self.instance = instance
         self.options = (limits.k_paths, limits.all_mode_subsets)
+        self.mode_count, self.slot_count = instance.mode_count, instance.slot_count
         self.link_index = {l.key: i for i, l in enumerate(links)}
         self.coef = [[[xtalk.pairwise_contribution(instance.crosstalk, m_a, m_v,
                                                    l.length_m, model) if m_a != m_v else 0.0
                        for m_v in modes] for m_a in modes] for l in links]
         self.limit = xtalk.feasibility_limit(instance.planner.xt_threshold_db, model)
         self.geometries: dict[tuple, tuple] = {}  # (path, modes) -> (id, links, bit bases)
-        self.pairs: defaultdict[int, dict] = defaultdict(dict)  # id -> {placed id: _pair entry}
+        self.pairs: defaultdict[int, dict] = defaultdict(dict)  # id -> {placed id: pair() entry}
         self.groups: dict[tuple, tuple[list[Assignment], list[_Placement]]] = {}
-        self.occupied = 0
-        self.placed: list[_Placement] = []
-        self.totals: list[float] = []
+
+    @staticmethod
+    def of(instance: Instance, limits: SolveLimits) -> _Tables:
+        """The tables for `instance` and `limits`, built on first use and kept in
+        the topology's search_memo under everything they depend on besides the
+        topology, so every solve on the instance, its `with_requests` copies
+        included, enumerates and places each group once."""
+        key = (instance.frame, instance.mode_count, instance.crosstalk, instance.planner,
+               limits.k_paths, limits.all_mode_subsets)
+        memo = instance.topology.search_memo
+        tables = memo.get(key)
+        if tables is None:
+            tables = memo[key] = _Tables(instance, limits)
+        return tables
 
     def place(self, cand: Assignment) -> _Placement:
         shape = self.geometries.get((cand.path, cand.modes))
         if shape is None:
             links = tuple(self.link_index[l] for l in cand.path)
-            modes, slots = self.instance.mode_count, self.instance.slot_count
+            modes, slots = self.mode_count, self.slot_count
             shape = self.geometries[cand.path, cand.modes] = (
                 len(self.geometries), links, sum(1 << li * slots for li in links),
                 sum(1 << (li * modes + m) * slots for li in links for m in cand.modes))
@@ -290,12 +330,12 @@ class _SearchState:
         return _Placement(cand.path, links, cand.modes, cand.slot_start, cand.slot_end,
                           cand.lambda_count, geometry, link_bits * run, cell_bits * run)
 
-    def candidates(self, request: Request) -> Iterator[_Placement]:
+    def candidates(self, request: Request, instance: Instance) -> Iterator[_Placement]:
         """The request's placements in enumeration order: each (source, destination, slot
-        units) group is enumerated once per solve, each placement built when first reached."""
-        key = (request.source, request.destination, self.instance.slot_units(request))
+        units) group is enumerated once, each placement built when first reached."""
+        key = (request.source, request.destination, instance.slot_units(request))
         if key not in self.groups:
-            self.groups[key] = (enumerate_candidates(request, self.instance, *self.options), [])
+            self.groups[key] = (enumerate_candidates(request, instance, *self.options), [])
         cands, placements = self.groups[key]
         for i, cand in enumerate(cands):
             if i == len(placements):
@@ -307,38 +347,62 @@ class _SearchState:
         return tuple(self.coef[li][m_a][m_v] for li in victim.links if li in aggressor.links
                      for m_v in victim.modes for m_a in aggressor.modes if m_a != m_v)
 
-    def _pair(self, new: _Placement, placed: _Placement) -> tuple[tuple[float, ...], float]:
+    def pair(self, new: _Placement, placed: _Placement) -> tuple[tuple[float, ...], float]:
         """Memoized per geometry pair: the terms `new` takes from `placed`,
         and the sum from 0.0 of the terms `placed` takes from `new`."""
         entry = self.pairs[new.geometry][placed.geometry] = (
             self._terms(new, placed), reduce(float.__add__, self._terms(placed, new), 0.0))
         return entry
 
+
+class _SearchState:
+    """One solve's committed placements, slot occupancy and each placement's
+    additive crosstalk total, with O(1) undo, over the instance's shared
+    _Tables.
+
+    A search loop skips a candidate without calling `commit` when its last
+    blocker is still the placement at that index and still over the limit
+    with the candidate's increment: that is one of commit's own checks on
+    the same state, so the skip never changes a decision."""
+
+    def __init__(self, instance: Instance, limits: SolveLimits):
+        self.instance = instance
+        self.tables = _Tables.of(instance, limits)
+        self.limit = self.tables.limit
+        self.occupied = 0
+        self.placed: list[_Placement] = []
+        self.totals: list[float] = []
+
+    def candidates(self, request: Request) -> Iterator[_Placement]:
+        return self.tables.candidates(request, self.instance)
+
+    def blocked(self, new: _Placement) -> bool:
+        """Whether `new`'s last blocker still rejects it; the search loops
+        inline this test."""
+        b, blocker, inc = new.blocker
+        return b < len(self.placed) and self.placed[b] is blocker and \
+            not self.totals[b] + inc <= self.limit
+
     def commit(self, new: _Placement) -> Optional[tuple]:
-        """Commit if feasible; returns an undo token, or None if infeasible.
-        Testing `new`'s last victim blocker first repeats one of the full
-        scan's checks on an unchanged state, so it never alters a decision."""
+        """Commit if feasible; returns an undo token, or None if infeasible,
+        recording the placed victim the scan stopped at as `new.blocker`."""
         occupancy, cells = new.occupancy, new.cells
         if occupancy & self.occupied:
             return None
-        limit, totals, placed, row = self.limit, self.totals, self.placed, self.pairs[new.geometry]
-        b = new.blocker
-        if b < len(placed) and placed[b].cells & cells:
-            inc = (row.get(placed[b].geometry) or self._pair(new, placed[b]))[1]
-            if inc and not totals[b] + inc <= limit:
-                return None
+        limit, totals, placed = self.limit, self.totals, self.placed
+        row = self.tables.pairs[new.geometry]
         own = 0.0
         updates = []
         for k, other in enumerate(placed):
             if not other.cells & cells:
                 continue
-            terms, inc = row.get(other.geometry) or self._pair(new, other)
+            terms, inc = row.get(other.geometry) or self.tables.pair(new, other)
             for term in terms:
                 own += term
             if inc:
                 total = totals[k] + inc
                 if not total <= limit:
-                    new.blocker = k
+                    new.blocker = (k, other, inc)
                     return None
                 updates.append((k, totals[k], total))
         if own and not own <= limit:
@@ -400,6 +464,7 @@ def solve_exact(instance: Instance, limits: Optional[SolveLimits] = None,
     limits = limits or SolveLimits()
     requests = list(instance.requests)
     state = _SearchState(instance, limits)
+    placed, totals, limit, commit = state.placed, state.totals, state.limit, state.commit
     candidates = {r.id: list(state.candidates(r)) for r in requests}
     # optimistic throughput still reachable from request position i onward,
     # and the least extra lambda any throughput-tying completion must pay
@@ -443,11 +508,14 @@ def solve_exact(instance: Instance, limits: Optional[SolveLimits] = None,
                     and lam + min_lam_suffix[i] >= best["lam"]):
                 return
         r = requests[i]
-        occupied = state.occupied  # restored by every undo below
+        occupied, n = state.occupied, len(placed)  # restored by every undo below
         for cand in candidates[r.id]:
             if cand.occupancy & occupied:
                 continue
-            token = state.commit(cand)
+            b, blocker, inc = cand.blocker  # state.blocked(cand), inlined
+            if b < n and placed[b] is blocker and not totals[b] + inc <= limit:
+                continue
+            token = commit(cand)
             if token is None:
                 continue
             dfs(i + 1, tp + r.bandwidth_gbps, lam + cand.lambda_count, ids + (r.id,))
@@ -471,7 +539,7 @@ def solve_greedy(instance: Instance, limits: Optional[SolveLimits] = None) -> Sc
     accepted = []
     for r in sorted(instance.requests, key=lambda r: (-r.bandwidth_gbps, r.id)):
         for cand in state.candidates(r):
-            if state.commit(cand) is not None:
+            if not state.blocked(cand) and state.commit(cand) is not None:
                 accepted.append(cand.assignment(r.id))
                 break
     return _finish(instance, accepted, optimal=False)

@@ -68,6 +68,33 @@ class TestExitCodes:
         assert "structural error" in capsys.readouterr().err
 
 
+class TestArgumentErrors:
+    """A flag value that does not parse or is out of range is a usage error
+    naming the flag, not an internal error."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["sweep", "--loads", "x"], "--loads"),
+        (["sweep", "--loads", "5,inf"], "--loads"),
+        (["sweep", "--loads", "5", "--solvers", "bogus"], "--solvers"),
+        (["sweep", "--loads", "5", "--trials", "0"], "--trials"),
+    ] + [([command, *extra, flag, "0"], flag)
+         for command, extra in (("plan", []), ("sweep", ["--loads", "5"]), ("emit-lp", []))
+         for flag in ("--node-budget", "--time-budget", "--k-paths")])
+    def test_bad_flag_value_is_usage(self, tmp_path, fig2_file, capsys, argv, flag):
+        argv = argv[:1] + ["-i", str(fig2_file), "-o", str(tmp_path / "out")] + argv[1:]
+        assert cli.run(argv) == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_timeline_link(self, tmp_path, fig2_file, capsys):
+        sched = tmp_path / "s.json"
+        assert cli.run(["plan", "-i", str(fig2_file), "-o", str(sched)]) == 0
+        capsys.readouterr()
+        assert cli.run(["timeline", "-i", str(fig2_file), "-s", str(sched),
+                        "--link", "e1:zz"]) == 1
+        assert capsys.readouterr().err.strip() == "error: --link: unknown link 'e1:zz'"
+
+
 class TestModelErrors:
     """A document that does not parse or validate exits 1 and names the
     field; it is not reported as an internal error."""
@@ -99,7 +126,7 @@ class TestModelErrors:
         path = tmp_path / "bad-node.json"
         path.write_text(json.dumps(doc))
         assert cli.run(["plan", "-i", str(path)]) == 1
-        assert capsys.readouterr().err.startswith("error: requests[1].src: unknown node")
+        assert capsys.readouterr().err.startswith("error: $.requests[1].src: unknown node")
 
     def test_schedule_missing_field(self, tmp_path, fig2_file, schedule_doc, capsys):
         del schedule_doc["accepted"][0]["path"]

@@ -102,7 +102,7 @@ class TestBuildModel:
                                    Request("r1", "n1", "n2", 5.0)])
         with pytest.raises(ValidationError) as err:
             milp.build_model(inst)
-        assert [path for path, _ in err.value.failures] == ["requests[1].id"]
+        assert [path for path, _ in err.value.failures] == ["$.requests[1].id"]
 
     def test_node_ids_sanitizing_alike_rejected(self, tiny):
         topo = Topology((NodeSpec("n1", "edge"), NodeSpec("n_1", "edge"),
@@ -113,7 +113,7 @@ class TestBuildModel:
         with pytest.raises(ValidationError) as err:
             milp.build_model(inst)
         assert [path for path, _ in err.value.failures] == [
-            "topology.nodes[1].id", "topology.nodes[2].id"]
+            "$.topology.nodes[1].id", "$.topology.nodes[2].id"]
 
 
 class TestEmitLp:

@@ -193,4 +193,4 @@ class TestLoadInstance:
         doc["requests"][0]["src"] = "nope"
         with pytest.raises(ValidationError) as excinfo:
             load_instance(doc)
-        assert any("requests[0]" in path for path, _ in excinfo.value.failures)
+        assert excinfo.value.failures == [("$.requests[0].src", "unknown node 'nope'")]

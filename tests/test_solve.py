@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from dataclasses import replace
 
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import brute_force_best, random_micro_instance, two_request_200m_instance
 from otssplan import solve as solve_mod, validate, xtalk
-from otssplan.model import (AccumulationModel, FrameConfig, Instance, LinkSpec, NodeSpec,
-                            PlannerConfig, Request, Topology)
+from otssplan.model import (AccumulationModel, CrosstalkMatrix, FrameConfig, Instance,
+                            LinkSpec, NodeSpec, PlannerConfig, Request, Topology)
 from otssplan.solve import (SolveLimits, _SearchState, enumerate_candidates, k_shortest_paths,
                             solve, solve_baseline_conventional, solve_exact, solve_greedy)
 from otssplan.harness import fig2_fixture, gen_uniform_traffic
@@ -258,6 +259,97 @@ def test_pinned_variant_schedules(variant):
         assert digest == PINNED_VARIANT_SCHEDULES[variant, solver], solver
 
 
+def _pinned_case(case: str) -> Instance:
+    """A fresh instance of a pinned configuration: the heavy fig2 instance
+    of seed 0 or 1, or seed 1 under the paper-literal-db model."""
+    if case == "paper-literal-db":
+        inst = _heavy_fig2(1)
+        model = AccumulationModel("paper-literal-db")
+        return replace(inst, planner=replace(inst.planner, accumulation_model=model))
+    return _heavy_fig2(int(case.removeprefix("seed-")))
+
+
+@pytest.mark.parametrize("case", ["seed-0", "seed-1", "paper-literal-db"])
+def test_solve_order_does_not_leak_through_shared_tables(case):
+    """Every order of the three solvers on one instance, whose solves share
+    one set of search tables, gives each solver's schedule on a freshly
+    loaded instance."""
+    limits = SolveLimits(node_budget=2000, time_budget_s=3600.0)
+    fresh = {solver: solve(_pinned_case(case), solver, limits).to_json()
+             for solver in solve_mod.SOLVERS}
+    for order in itertools.permutations(solve_mod.SOLVERS):
+        inst = _pinned_case(case)
+        assert {solver: solve(inst, solver, limits).to_json() for solver in order} == fresh, \
+            order
+
+
+def test_tables_keyed_by_all_they_depend_on():
+    """Instances on one topology that differ in threshold, accumulation model,
+    crosstalk, frame, mode count or solve options each get the schedules they
+    get on a topology of their own."""
+    base = _heavy_fig2(0)
+    limits = SolveLimits(node_budget=500, time_budget_s=3600.0)
+    rows = [[e if e is None else e + 2.0 for e in row] for row in base.crosstalk.db_per_100m]
+    variants = [
+        (base, limits),
+        (replace(base, planner=replace(base.planner, xt_threshold_db=-16.0)), limits),
+        (replace(base, planner=replace(base.planner,
+                                       accumulation_model=AccumulationModel("paper-literal-db"))),
+         limits),
+        (replace(base, crosstalk=CrosstalkMatrix(tuple(map(tuple, rows)))), limits),
+        (replace(base, frame=FrameConfig(20.0, 10.0)), limits),
+        (replace(base, mode_count=3, crosstalk=CrosstalkMatrix(
+            tuple(row[:3] for row in base.crosstalk.db_per_100m[:3]))), limits),
+        (base, replace(limits, k_paths=1)),
+        (base, replace(limits, all_mode_subsets=True)),
+    ]
+
+    def outputs(inst, lim):
+        state = _SearchState(inst, lim)
+        return ([solve(inst, solver, lim).to_json() for solver in ("exact", "greedy")],
+                [[(p.path, p.modes, p.slot_start) for p in state.candidates(r)]
+                 for r in inst.requests])
+
+    shared = [outputs(inst, lim) for inst, lim in variants]
+    alone = [outputs(replace(inst, topology=Topology(inst.topology.nodes,
+                                                     inst.topology.links)), lim)
+             for inst, lim in variants]
+    assert shared == alone
+    # each variant changes what the base instance gives
+    assert all(out != alone[0] for out in alone[1:])
+
+
+@pytest.mark.parametrize("case", ["seed-0", "seed-1"])
+def test_inline_blocker_skip_changes_no_decision(monkeypatch, case):
+    """Every solver commits the same placements in the same order whether
+    or not a rejected placement keeps its last blocker, so the loops' skip
+    on a still-placed blocker never drops a candidate commit would accept."""
+    limits = SolveLimits(node_budget=2000, time_budget_s=3600.0)
+    commit = _SearchState.commit
+
+    def run(keep_blockers: bool):
+        calls, accepted = [], []
+
+        def logged(state, new):
+            token = commit(state, new)
+            if not keep_blockers:
+                new.blocker = solve_mod._NO_BLOCKER
+            calls.append(new)
+            if token is not None:
+                accepted.append((new.path, new.modes, new.slot_start, len(state.placed)))
+            return token
+
+        monkeypatch.setattr(_SearchState, "commit", logged)
+        inst = _pinned_case(case)
+        schedules = [solve(inst, solver, limits).to_json() for solver in solve_mod.SOLVERS]
+        return schedules, accepted, len(calls)
+
+    kept, forgotten = run(True), run(False)
+    assert kept[:2] == forgotten[:2]
+    # the skip ran: most rejected commits never happened
+    assert kept[2] < forgotten[2] / 2
+
+
 def _counting(monkeypatch, name: str) -> list:
     """Replace solve.<name> with a wrapper that logs each call's arguments."""
     calls: list = []
@@ -301,6 +393,18 @@ class TestRoutesAndGroups:
         groups = {(r.source, r.destination, inst.slot_units(r)) for r in inst.requests}
         assert len(groups) < len(inst.requests)
         assert len(calls) == len(groups)
+
+    def test_candidates_enumerated_once_per_group_across_solvers(self, monkeypatch):
+        inst = _heavy_fig2(0)
+        calls = _counting(monkeypatch, "enumerate_candidates")
+        limits = SolveLimits(node_budget=200, time_budget_s=3600.0)
+        for solver in ("exact", "greedy"):
+            solve(inst, solver, limits)
+        # a copy with other requests shares the tables too
+        solve(inst.with_requests(inst.requests[::2]), "greedy", limits)
+        groups = {(r.source, r.destination, inst.slot_units(r)) for r in inst.requests}
+        assert sorted((r.source, r.destination, i.slot_units(r)) for r, i, *_ in calls) == \
+            sorted(groups)
 
     def test_greedy_places_only_what_it_tries(self, monkeypatch):
         inst = _heavy_fig2(0)
@@ -391,8 +495,11 @@ def test_commit_and_undo_match_reference(picks, ops, threshold_db, variant):
         if is_commit:
             rid, new = pool[pick % len(pool)]
             expected = _reference_commit(inst, placed, totals, new.assignment(rid))
+            blocked = state.blocked(new)
             token = state.commit(new)
             assert (token is None) == (expected is None)
+            # the search loops' skip holds only where commit rejects
+            assert not (blocked and expected is not None)
             if token is not None:
                 history.append((token, totals))
                 placed, totals = placed + [new.assignment(rid)], expected
