@@ -52,15 +52,17 @@ def _limits_from_args(args) -> SolveLimits:
                        k_paths=args.k_paths)
 
 
-def _positive(kind):
-    """argparse type: a `kind` (int or float) value > 0."""
+def _positive(kind, finite: bool = False):
+    """argparse type: a `kind` (int or float) value > 0, and finite when
+    `finite` is set."""
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+        if not value > 0 or (finite and not math.isfinite(value)):
+            raise argparse.ArgumentTypeError(
+                f"must be {'finite and ' if finite else ''}> 0, got {text!r}")
         return value
     return parse
 
@@ -149,6 +151,10 @@ def cmd_emit_lp(args) -> int:
 
 
 def cmd_gen_traffic(args) -> int:
+    if args.capacity < args.granularity:
+        print(f"otssplan gen-traffic: error: argument --capacity: must be at least "
+              f"--granularity ({args.granularity:g}), got {args.capacity:g}", file=sys.stderr)
+        return EXIT_USAGE
     doc = _read_json(args.instance)
     if isinstance(doc, dict) and "topology" in doc:
         topology = topology_from_document(doc["topology"])
@@ -225,9 +231,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-traffic", help="generate seeded uniform traffic")
     p.add_argument("-i", "--instance", required=True,
                    help="instance or bare topology JSON")
-    p.add_argument("--load", type=float, required=True)
-    p.add_argument("--granularity", type=float, default=1.0)
-    p.add_argument("--capacity", type=float, default=10.0)
+    p.add_argument("--load", type=_positive(float, finite=True), required=True,
+                   help="offered load in Gb/s")
+    p.add_argument("--granularity", type=_positive(float, finite=True), default=1.0,
+                   help="request bandwidths are multiples of this many Gb/s")
+    p.add_argument("--capacity", type=_positive(float, finite=True), default=10.0,
+                   help="largest request bandwidth in Gb/s, at least --granularity")
     p.add_argument("--seed", default="0")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_gen_traffic)

@@ -11,13 +11,18 @@ One name table (_name_table) owns the naming scheme; build_model and
 assignment_from_schedule both read it. Each request id, node id and link
 is sanitized to its LP tag a single time, and two ids that sanitize to
 the same tag raise ValidationError instead of silently merging in the
-LP. emit_lp renders the constraint block once and writes it into both
-phase files.
+LP. Variables, constraints and objectives are immutable NamedTuple
+records, fixed once build_model has audited them against count_formulas.
+One routine, _render_row, renders every LP row (constraints, the phase-2
+fix_throughput row, objectives) with each coefficient's signed prefix
+formatted once per emit_lp call; the constraint block is rendered once
+for both phase files.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -38,16 +43,14 @@ class SizeLimitError(Exception):
         self.cap = cap
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple):
     name: str
     kind: str = "binary"  # binary | continuous
     lb: float = 0.0
     ub: float = 1.0
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     name: str
     terms: tuple[Term, ...]
     sense: str  # <= | >= | =
@@ -55,8 +58,7 @@ class Constraint:
     family: str
 
 
-@dataclass(frozen=True)
-class Objective:
+class Objective(NamedTuple):
     sense: str  # maximize | minimize
     name: str
     terms: tuple[Term, ...]
@@ -75,10 +77,7 @@ class MilpModel:
         return len(self.objectives) == 2
 
     def family_counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for c in self.constraints:
-            out[c.family] = out.get(c.family, 0) + 1
-        return out
+        return Counter(c.family for c in self.constraints)
 
 
 _NON_ALNUM = re.compile(r"[^A-Za-z0-9]")
@@ -281,38 +280,30 @@ def build_model(instance: Instance, max_variables: int = 2_000_000) -> MilpModel
     declare(n for key in lam
             for n in (*(x for row in cm[key] for x in row), *ca[key], *u[key], *w[key], v[key]))
 
-    def flow(rid, out_node, in_node, ms, ts):
-        """Out-link lambdas of out_node at +1, in-link ones of in_node at -1."""
-        return ([(1.0, lam[rid, l.key][m][t]) for l in topo.out_links(out_node)
-                 for m in ms for t in ts]
-                + [(-1.0, lam[rid, l.key][m][t]) for l in topo.in_links(in_node)
-                   for m in ms for t in ts])
+    def flow(rid, out_node, in_node, ms, ts, *tail):
+        """Out-link lambdas of out_node at +1, in-link ones of in_node at -1, tail."""
+        return (*[(1.0, lam[rid, l.key][m][t]) for l in topo.out_links(out_node)
+                  for m in ms for t in ts],
+                *[(-1.0, lam[rid, l.key][m][t]) for l in topo.in_links(in_node)
+                  for m in ms for t in ts], *tail)
 
     def transitions(family, ind, seq):
         """ind[tb] >= |seq[tb] - seq[tb-1]| with virtual zeros at both ends."""
         for tb in range(T + 1):
-            cur = [seq[tb]] if tb < T else []
-            prev = [seq[tb - 1]] if tb >= 1 else []
-            add_con(Constraint(f"{family}_up_{ind[tb]}",
-                               ((1.0, ind[tb]), *((-1.0, n) for n in cur),
-                                *((1.0, n) for n in prev)), ">=", 0.0, family))
-            add_con(Constraint(f"{family}_dn_{ind[tb]}",
-                               ((1.0, ind[tb]), *((1.0, n) for n in cur),
-                                *((-1.0, n) for n in prev)), ">=", 0.0, family))
+            cur, prev = seq[tb:tb + 1], seq[max(tb - 1, 0):tb]
+            for kind, sign in (("up", -1.0), ("dn", 1.0)):
+                add_con(Constraint(f"{family}_{kind}_{ind[tb]}",
+                                   ((1.0, ind[tb]), *[(sign, n) for n in cur],
+                                    *[(-sign, n) for n in prev]), ">=", 0.0, family))
 
     # eq2: flow conservation in slot units, plus lambda <= rho coupling
     for r in instance.requests:
         for node in nodes:
-            terms = flow(r.id, node, node, modes, slots)
-            name = f"eq2_{rt[r.id]}_{nt[node]}"
-            if node == r.source:
-                add_con(Constraint(name, tuple(terms + [(-float(q[r.id]), rho[r.id])]),
-                                   ">=", 0.0, "eq2"))
-            elif node == r.destination:
-                add_con(Constraint(name, tuple(terms + [(float(q[r.id]), rho[r.id])]),
-                                   "<=", 0.0, "eq2"))
-            else:
-                add_con(Constraint(name, tuple(terms), "=", 0.0, "eq2"))
+            sense, tail = ((">=", [(-float(q[r.id]), rho[r.id])]) if node == r.source
+                           else ("<=", [(float(q[r.id]), rho[r.id])]) if node == r.destination
+                           else ("=", []))
+            add_con(Constraint(f"eq2_{rt[r.id]}_{nt[node]}",
+                               flow(r.id, node, node, modes, slots, *tail), sense, 0.0, "eq2"))
     for rid in rids:
         for link in links:
             for m in modes:
@@ -326,23 +317,23 @@ def build_model(instance: Instance, max_variables: int = 2_000_000) -> MilpModel
         transit = [n for n in nodes if n not in (r.source, r.destination)]
         for t in slots:
             add_con(Constraint(f"eq3_{rt[r.id]}_t{t}",
-                               tuple(flow(r.id, r.source, r.destination, modes, (t,))),
+                               flow(r.id, r.source, r.destination, modes, (t,)),
                                "=", 0.0, "eq3"))
         for t in slots:
             for node in transit:
                 add_con(Constraint(f"eq4_{rt[r.id]}_t{t}_{nt[node]}",
-                                   tuple(flow(r.id, node, node, modes, (t,))),
+                                   flow(r.id, node, node, modes, (t,)),
                                    "=", 0.0, "eq4"))
         for m in modes:
             for t in slots:
                 add_con(Constraint(f"eq5_{rt[r.id]}_m{m}_t{t}",
-                                   tuple(flow(r.id, r.source, r.destination, (m,), (t,))),
+                                   flow(r.id, r.source, r.destination, (m,), (t,)),
                                    "=", 0.0, "eq5"))
         for m in modes:
             for t in slots:
                 for node in transit:
                     add_con(Constraint(f"eq6_{rt[r.id]}_m{m}_t{t}_{nt[node]}",
-                                       tuple(flow(r.id, node, node, (m,), (t,))),
+                                       flow(r.id, node, node, (m,), (t,)),
                                        "=", 0.0, "eq6"))
 
     # eq7: each (link, mode, slot) cell used at most once
@@ -373,7 +364,7 @@ def build_model(instance: Instance, max_variables: int = 2_000_000) -> MilpModel
                     add_con(Constraint(f"eq9_uup_{us[t]}_m{m}",
                                        ((1.0, ls[m][t]), (-1.0, us[t])), "<=", 0.0, "eq9"))
                 add_con(Constraint(f"eq9_udn_{us[t]}",
-                                   tuple([(1.0, us[t])] + [(-1.0, ls[m][t]) for m in modes]),
+                                   ((1.0, us[t]), *[(-1.0, ls[m][t]) for m in modes]),
                                    "<=", 0.0, "eq9"))
             transitions("eq9", ca[rid, link], us)
             add_con(Constraint(f"eq9_sum_{rt[rid]}_{et[link]}",
@@ -399,10 +390,10 @@ def build_model(instance: Instance, max_variables: int = 2_000_000) -> MilpModel
                                        ((1.0, lam[r.id, link][m][t]), (-1.0, vn)),
                                        "<=", 0.0, "eq10"))
             add_con(Constraint(f"eq10_vdn_{vn}",
-                               tuple([(1.0, vn)] + [(-1.0, n) for n in cells]),
+                               ((1.0, vn), *[(-1.0, n) for n in cells]),
                                "<=", 0.0, "eq10"))
             add_con(Constraint(f"eq10_cap_{vn}",
-                               tuple([(1.0, n) for n in cells] + [(-float(big_m_cap), vn)]),
+                               (*[(1.0, n) for n in cells], (-float(big_m_cap), vn)),
                                ">=", float(q[r.id]) - big_m_cap, "eq10"))
 
     # eq11: accumulated crosstalk budget per protected request, with
@@ -420,12 +411,11 @@ def build_model(instance: Instance, max_variables: int = 2_000_000) -> MilpModel
         add_con(Constraint(f"eq11_{rt[rid]}", tuple(budget[rid]), "<=", threshold, "eq11"))
 
     # eq12-eq15: beta = AND of the two occupancies; theta = OR over slots
+    inv_m = 1.0 / big_m
     for r1, r2, link, m1, m2, th, betas in overlaps:
-        add_con(Constraint(f"eq12_lo_{th}",
-                           tuple([(1.0 / big_m, b) for b in betas] + [(-1.0, th)]),
+        add_con(Constraint(f"eq12_lo_{th}", (*[(inv_m, b) for b in betas], (-1.0, th)),
                            "<=", 0.0, "eq12"))
-        add_con(Constraint(f"eq12_hi_{th}",
-                           tuple([(1.0, th)] + [(-1.0, b) for b in betas]),
+        add_con(Constraint(f"eq12_hi_{th}", ((1.0, th), *[(-1.0, b) for b in betas]),
                            "<=", 0.0, "eq12"))
         for b, l1, l2 in zip(betas, lam[r1, link][m1], lam[r2, link][m2]):
             add_con(Constraint(f"eq13_{b}", ((1.0, l1), (1.0, l2), (-1.0, b)),
@@ -451,8 +441,8 @@ def build_model(instance: Instance, max_variables: int = 2_000_000) -> MilpModel
             denom = (len(rids) * len(links) * instance.mode_count
                      * instance.slot_count * max_b + 1.0)
             eta2 = eta1 / denom
-        weighted = tuple([(eta1 * c, n) for c, n in throughput_terms]
-                         + [(-eta2, n) for _, n in lambda_terms])
+        weighted = (*[(eta1 * c, n) for c, n in throughput_terms],
+                    *[(-eta2, n) for _, n in lambda_terms])
         model.objectives = [Objective("maximize", "weighted", weighted)]
 
     # audit against the closed forms
@@ -471,20 +461,25 @@ def _fmt_num(x: float) -> str:
     return repr(float(x))
 
 
-def _fmt_terms(terms: tuple[Term, ...]) -> str:
-    if not terms:
-        return "0 dummy_zero"
-    body = " ".join(f"- {_fmt_num(-coef)} {name}" if coef < 0
-                    else f"+ {_fmt_num(coef)} {name}" for coef, name in terms)
-    # the first term carries no explicit plus sign
-    return body[2:] if body[0] == "+" else body
+class _Prefixes(dict):
+    """coefficient -> its signed term prefix, `+ 1 ` or `- 0.25 `."""
+
+    def __missing__(self, coef: float) -> str:
+        text = f"- {_fmt_num(-coef)} " if coef < 0 else f"+ {_fmt_num(coef)} "
+        self[coef] = text
+        return text
+
+
+def _render_row(prefix: _Prefixes, label: str, terms: tuple[Term, ...], tail: str) -> str:
+    """The LP text of the row `label: terms tail` (no plus sign on the first
+    term, `0 dummy_zero` for none), through _wrap past the line limit."""
+    body = " ".join([prefix[c] + n for c, n in terms]) if terms else "0 dummy_zero"
+    row = f" {label}: {body[2:] if body[0] == '+' else body}{tail}\n"
+    return row if len(row) <= 251 else "".join(line + "\n" for line in _wrap(row[1:-1]))
 
 
 def _wrap(body: str, width: int = 250) -> list[str]:
-    """Split a constraint/objective body into LP lines: one leading space on
-    the first line, three on continuations, within the LP line limit."""
-    if len(body) < width:
-        return [" " + body]
+    """Split a row into LP lines: one leading space first, three on continuations."""
     words = body.split(" ")
     lines: list[str] = []
     cur = " " + words[0]
@@ -498,17 +493,17 @@ def _wrap(body: str, width: int = 250) -> list[str]:
     return lines
 
 
-def _render_constraints(constraints: list[Constraint]) -> str:
+def _render_constraints(prefix: _Prefixes, constraints: list[Constraint]) -> str:
     """The rows of a Subject To section, each family run under its header."""
-    lines = []
+    out = []
     last_family = None
     for c in constraints:
         if c.family != last_family:
             note = FAMILY_NOTES.get(c.family, "")
-            lines.append(f"\\ {c.family}: {note}" if note else f"\\ {c.family}")
+            out.append(f"\\ {c.family}: {note}\n" if note else f"\\ {c.family}\n")
             last_family = c.family
-        lines.extend(_wrap(f"{c.name}: {_fmt_terms(c.terms)} {c.sense} {_fmt_num(c.rhs)}"))
-    return "".join(line + "\n" for line in lines)
+        out.append(_render_row(prefix, c.name, c.terms, f" {c.sense} {_fmt_num(c.rhs)}"))
+    return "".join(out)
 
 
 def emit_lp(model: MilpModel, destination: str | Path,
@@ -521,21 +516,21 @@ def emit_lp(model: MilpModel, destination: str | Path,
     resource usage. Both files share one rendering of the constraints.
     """
     destination = Path(destination)
-    block = _render_constraints(model.constraints)
+    prefix = _Prefixes()
+    block = _render_constraints(prefix, model.constraints)
     block_needs_dummy = any(not c.terms for c in model.constraints)
     bounds = "".join(f" {_fmt_num(v.lb)} <= {v.name} <= {_fmt_num(v.ub)}\n"
                      for v in model.variables if v.kind == "continuous")
     binaries = "".join(f" {v.name}\n" for v in model.variables if v.kind == "binary")
 
     def write(path: Path, objective: Objective, lead: list[Constraint]) -> Path:
-        head = ["\\ LP model written by otssplan",
-                "Maximize" if objective.sense == "maximize" else "Minimize",
-                *_wrap(f"obj: {_fmt_terms(objective.terms)}"), "Subject To"]
+        sense = "Maximize" if objective.sense == "maximize" else "Minimize"
         need_dummy = (not objective.terms or block_needs_dummy
                       or any(not c.terms for c in lead))
         with path.open("w") as f:
-            f.write("".join(line + "\n" for line in head))
-            f.write(_render_constraints(lead))
+            f.write(f"\\ LP model written by otssplan\n{sense}\n"
+                    + _render_row(prefix, "obj", objective.terms, "") + "Subject To\n")
+            f.write(_render_constraints(prefix, lead))
             f.write(block)
             f.write("Bounds\n dummy_zero = 0\n" if need_dummy else "Bounds\n")
             f.write(bounds)

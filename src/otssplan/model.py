@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Any, Iterable, Optional
@@ -70,24 +70,26 @@ class Topology:
     """Directed graph of switches and MMF links, lengths in meters.
 
     Stored unidirectionally: a physical duplex fiber contributes two
-    directed links.
+    directed links. An invariant violation is reported under `location`,
+    the JSON location the topology was read from.
     """
 
     nodes: tuple[NodeSpec, ...]
     links: tuple[LinkSpec, ...]
+    location: InitVar[str] = "$.topology"
 
-    def __post_init__(self):
+    def __post_init__(self, location: str):
         failures = []
         seen = set()
         for i, n in enumerate(self.nodes):
             if n.tier not in TIERS:
-                failures.append((f"$.topology.nodes[{i}].tier", f"unknown tier {n.tier!r}"))
+                failures.append((f"{location}.nodes[{i}].tier", f"unknown tier {n.tier!r}"))
             if n.id in seen:
-                failures.append((f"$.topology.nodes[{i}].id", f"duplicate node id {n.id!r}"))
+                failures.append((f"{location}.nodes[{i}].id", f"duplicate node id {n.id!r}"))
             seen.add(n.id)
         link_keys = set()
         for i, l in enumerate(self.links):
-            loc = f"$.topology.links[{i}]"
+            loc = f"{location}.links[{i}]"
             if l.src == l.dst:
                 failures.append((loc, f"self-loop at {l.src!r}"))
             if l.src not in seen:
@@ -488,7 +490,7 @@ def topology_from_document(doc: Any, location: str = "$.topology") -> Topology:
         links.append(LinkSpec(json_field(l, "from", "string", loc),
                               json_field(l, "to", "string", loc),
                               float(json_field(l, "length_m", "number", loc))))
-    return Topology(nodes=tuple(nodes), links=tuple(links))
+    return Topology(nodes=tuple(nodes), links=tuple(links), location=location)
 
 
 def _accumulation_from_document(planner: dict) -> AccumulationModel:

@@ -79,7 +79,14 @@ class TestArgumentErrors:
         (["sweep", "--loads", "5", "--trials", "0"], "--trials"),
     ] + [([command, *extra, flag, "0"], flag)
          for command, extra in (("plan", []), ("sweep", ["--loads", "5"]), ("emit-lp", []))
-         for flag in ("--node-budget", "--time-budget", "--k-paths")])
+         for flag in ("--node-budget", "--time-budget", "--k-paths")] + [
+        (["gen-traffic", "--load", "0"], "--load"),
+        (["gen-traffic", "--load", "-5"], "--load"),
+        (["gen-traffic", "--load", "inf"], "--load"),
+        (["gen-traffic", "--load", "5", "--granularity", "0"], "--granularity"),
+        (["gen-traffic", "--load", "5", "--capacity", "0.5"], "--capacity"),
+        (["gen-traffic", "--load", "5", "--granularity", "2", "--capacity", "1"], "--capacity"),
+    ])
     def test_bad_flag_value_is_usage(self, tmp_path, fig2_file, capsys, argv, flag):
         argv = argv[:1] + ["-i", str(fig2_file), "-o", str(tmp_path / "out")] + argv[1:]
         assert cli.run(argv) == 2
@@ -224,6 +231,23 @@ class TestGenTrafficCommand:
     def test_stdout_when_no_output(self, fig2_file, capsys):
         assert cli.run(["gen-traffic", "-i", str(fig2_file), "--load", "5"]) == 0
         assert json.loads(capsys.readouterr().out)
+
+    def test_capacity_equal_to_granularity(self, fig2_file, capsys):
+        assert cli.run(["gen-traffic", "-i", str(fig2_file), "--load", "5",
+                        "--granularity", "2.5", "--capacity", "2.5"]) == 0
+        assert {r["bandwidth_gbps"] for r in json.loads(capsys.readouterr().out)} == {2.5}
+
+    @pytest.mark.parametrize("bare, location", [(False, "$.topology.links[24]"),
+                                                (True, "$.links[24]")])
+    def test_topology_error_at_its_document_location(self, tmp_path, fig2_file, capsys,
+                                                     bare, location):
+        doc = json.loads(fig2_file.read_text())
+        assert len(doc["topology"]["links"]) == 24
+        doc["topology"]["links"].append({"from": "e1", "to": "e1", "length_m": 10.0})
+        path = tmp_path / "self-loop.json"
+        path.write_text(json.dumps(doc["topology"] if bare else doc))
+        assert cli.run(["gen-traffic", "-i", str(path), "--load", "5"]) == 1
+        assert capsys.readouterr().err.strip() == f"error: {location}: self-loop at 'e1'"
 
 
 class TestFixturesCommand:

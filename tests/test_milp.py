@@ -1,9 +1,12 @@
 import hashlib
 import random
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_micro_instance, tiny_instance, two_request_200m_instance
 from otssplan import milp
@@ -26,6 +29,88 @@ FIG2_WEIGHTED_LP_SHA256 = "7488bf9d0c92cecb2ac3556f830d313ac3c50597c3ed17d003482
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# The LP row pipeline milp used before its one row renderer, verbatim
+# (_fmt_terms, then _wrap, then one join per line): the renderer's oracle.
+@lru_cache(maxsize=4096)
+def _oracle_fmt_num(x: float) -> str:
+    if x == int(x) and abs(x) < 1e15:
+        return str(int(x))
+    return repr(float(x))
+
+
+def _oracle_fmt_terms(terms) -> str:
+    if not terms:
+        return "0 dummy_zero"
+    body = " ".join(f"- {_oracle_fmt_num(-coef)} {name}" if coef < 0
+                    else f"+ {_oracle_fmt_num(coef)} {name}" for coef, name in terms)
+    # the first term carries no explicit plus sign
+    return body[2:] if body[0] == "+" else body
+
+
+def _oracle_wrap(body: str, width: int = 250) -> list[str]:
+    if len(body) < width:
+        return [" " + body]
+    words = body.split(" ")
+    lines: list[str] = []
+    cur = " " + words[0]
+    for w in words[1:]:
+        if len(cur) + 1 + len(w) > width:
+            lines.append(cur)
+            cur = "   " + w
+        else:
+            cur += " " + w
+    lines.append(cur)
+    return lines
+
+
+def _oracle_row_body(c) -> str:
+    return f"{c.name}: {_oracle_fmt_terms(c.terms)} {c.sense} {_oracle_fmt_num(c.rhs)}"
+
+
+def _oracle_render_constraints(constraints) -> str:
+    lines = []
+    last_family = None
+    for c in constraints:
+        if c.family != last_family:
+            note = milp.FAMILY_NOTES.get(c.family, "")
+            lines.append(f"\\ {c.family}: {note}" if note else f"\\ {c.family}")
+            last_family = c.family
+        lines.extend(_oracle_wrap(_oracle_row_body(c)))
+    return "".join(line + "\n" for line in lines)
+
+
+def _oracle_render_objective(terms) -> str:
+    return "".join(line + "\n" for line in _oracle_wrap(f"obj: {_oracle_fmt_terms(terms)}"))
+
+
+def _padded(c, length: int):
+    """c with its name padded so that its LP row, before any wrap, is
+    `length` characters long (or c when it is already longer)."""
+    short = length - len(_oracle_row_body(c))
+    return c._replace(name=c.name + "p" * short) if short > 0 else c
+
+
+_COEFS = st.one_of(
+    st.sampled_from([1.0, -1.0, 0.0, -0.0, 0.25, -0.25, 1e15, -1e15, 1e15 - 1, 3.5e17]),
+    st.integers(-10**18, 10**18),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=1e15, max_value=1e300).flatmap(lambda x: st.sampled_from([x, -x])))
+_NAMES = st.text("abcxyz019_", min_size=1, max_size=24)
+_TERMS = st.integers(0, 3).flatmap(
+    lambda size: st.lists(st.tuples(_COEFS, _NAMES),
+                          max_size=(0, 4, 12, 90)[size]).map(tuple))
+
+
+@st.composite
+def _constraints(draw):
+    c = milp.Constraint(draw(_NAMES), draw(_TERMS), draw(st.sampled_from(["<=", ">=", "="])),
+                        draw(_COEFS), draw(st.sampled_from(["eq2", "eq13", "fix", "other"])))
+    return _padded(c, draw(st.integers(246, 254))) if draw(st.booleans()) else c
+
+
+_EDGE = milp.Constraint("c", ((-0.0, "a"), (1e15, "b"), (-0.25, "c")), "<=", -0.0, "eq13")
 
 
 class TestCountFormulas:
@@ -155,6 +240,60 @@ class TestEmitLp:
         inst = random_micro_instance(rng, max_nodes=4, max_requests=3)
         for path in milp.emit_lp(milp.build_model(inst), tmp_path / "w.lp"):
             assert all(len(line) <= 250 for line in path.read_text().splitlines())
+
+
+class TestRowRenderer:
+    """The one row renderer writes the bytes of the previous _fmt_terms +
+    _wrap + join pipeline, for any terms and any row length."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(constraints=st.lists(_constraints(), max_size=6), objective=_TERMS)
+    @example(constraints=[_padded(_EDGE, n) for n in range(246, 255)]
+             + [milp.Constraint("e", (), "=", 0.0, "eq2")],
+             objective=())
+    @example(constraints=[_EDGE._replace(terms=((1.5, "x" * 30),) * 40)],
+             objective=((-1e16, "y" * 60),) * 20)
+    def test_matches_previous_pipeline(self, constraints, objective):
+        prefix = milp._Prefixes()
+        assert (milp._render_constraints(prefix, constraints)
+                == _oracle_render_constraints(constraints))
+        assert (milp._render_row(prefix, "obj", objective, "")
+                == _oracle_render_objective(objective))
+
+    def test_examples_reach_the_line_limit(self):
+        rows = [_oracle_wrap(_oracle_row_body(_padded(_EDGE, n))) for n in range(246, 255)]
+        assert [len(r[0]) for r in rows[:4]] == [247, 248, 249, 250]
+        assert all(len(r) == 2 for r in rows[4:])
+        wrapped = _oracle_wrap(_oracle_row_body(_EDGE._replace(terms=((1.5, "x" * 30),) * 40)))
+        assert len(wrapped) > 3
+
+
+class TestRecordsImmutable:
+    """No field of a model record can be reassigned, so a model stays as
+    build_model audited it."""
+
+    @pytest.mark.parametrize("record, field", [
+        (milp.Variable("x"), "name"), (milp.Variable("x"), "ub"),
+        (milp.Constraint("c", ((1.0, "x"),), "<=", 1.0, "eq7"), "terms"),
+        (milp.Constraint("c", ((1.0, "x"),), "<=", 1.0, "eq7"), "rhs"),
+        (milp.Objective("maximize", "throughput", ()), "sense"),
+    ])
+    def test_field_assignment_raises(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+
+    def test_built_model_records(self, tiny):
+        model = milp.build_model(tiny)
+        for record in (model.variables[0], model.constraints[0], model.objectives[0]):
+            with pytest.raises(AttributeError):
+                record.name = "changed"
+            assert not hasattr(record, "__dict__")
+
+    def test_fields_and_defaults_kept(self):
+        assert milp.Variable._fields == ("name", "kind", "lb", "ub")
+        assert milp.Variable("x") == ("x", "binary", 0.0, 1.0)
+        assert milp.Constraint._fields == ("name", "terms", "sense", "rhs", "family")
+        assert milp.Objective._fields == ("sense", "name", "terms")
 
 
 class TestScheduleSatisfiesModel:

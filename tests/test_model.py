@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from conftest import random_micro_instance
 from otssplan.model import (AccumulationModel, FrameConfig, ObjectiveMode, ParseError,
                             PlannerConfig, ValidationError, build_fat_tree, load_instance,
-                            required_slot_units, serialize_instance, slot_capacity_gbps)
+                            required_slot_units, serialize_instance, slot_capacity_gbps,
+                            topology_from_document)
 from otssplan.harness import fig2_fixture, fixture_instance
 from otssplan.solve import schedule_from_document, solve_exact
 
@@ -194,3 +195,14 @@ class TestLoadInstance:
         with pytest.raises(ValidationError) as excinfo:
             load_instance(doc)
         assert excinfo.value.failures == [("$.requests[0].src", "unknown node 'nope'")]
+
+    @pytest.mark.parametrize("location", ["$.topology", "$"])
+    def test_topology_failures_under_the_location_read(self, location):
+        doc = serialize_instance(fig2_fixture())["topology"]
+        doc["nodes"][1]["tier"] = "spine"
+        doc["links"][3]["to"] = "nowhere"
+        with pytest.raises(ValidationError) as excinfo:
+            topology_from_document(doc, location)
+        assert excinfo.value.failures == [
+            (f"{location}.nodes[1].tier", "unknown tier 'spine'"),
+            (f"{location}.links[3].to", "unknown node 'nowhere'")]
