@@ -4,11 +4,15 @@ Subcommands: plan, validate, sweep, emit-lp, gen-traffic, timeline,
 fixtures. Exit codes: 0 success, 1 validation failure (an invalid
 schedule; a file that is not JSON, `error: <file>: invalid JSON: ...`; or
 an instance or schedule document with a missing or mistyped field or a
-violated invariant, `error: <location>: <message>` on stderr; or a
-`timeline --link` the topology lacks, `error: --link: ...`), 2 usage
-error (an unknown flag, or a flag value that does not parse or is out of
-range, `argument --<flag>: ...`), 3 internal error such as a missing
-file. All randomness flows through explicit --seed flags.
+violated invariant, `error: <location>: <message>` on stderr, among them
+a topology with fewer than two edge switches to generate traffic between,
+`error: $.topology.nodes: ...` (`$.nodes` in a bare topology); or a
+`timeline --link` the topology lacks, `error: --link: ...`; or an
+`emit-lp` model over the variable cap, `error: model would have <n>
+variables, cap is <cap>`), 2 usage error (an unknown flag, or a flag
+value that does not parse or is out of range, `argument --<flag>: ...`),
+3 internal error such as a missing file. All randomness flows through
+explicit --seed flags.
 """
 
 from __future__ import annotations
@@ -67,6 +71,17 @@ def _positive(kind, finite: bool = False):
     return parse
 
 
+def _finite(text: str) -> float:
+    """argparse type: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _loads(text: str) -> list[float]:
     """argparse type: a comma-separated list of finite offered loads in Gb/s."""
     try:
@@ -96,6 +111,15 @@ def _add_limit_flags(parser: argparse.ArgumentParser) -> None:
                         help="shortest-path candidates per request")
 
 
+def _require_edge_pairs(topology, location: str) -> None:
+    """Raise ValidationError at `<location>.nodes` unless the topology has the
+    two edge switches that traffic runs between."""
+    edges = topology.edge_nodes()
+    if len(edges) < 2:
+        raise ValidationError([(f"{location}.nodes",
+                                f"need >= 2 edge switches, topology has {len(edges)}")])
+
+
 def cmd_plan(args) -> int:
     instance = _load_instance_file(args.instance)
     schedule = solve_mod.solve(instance, args.solver, _limits_from_args(args))
@@ -122,6 +146,7 @@ def cmd_validate(args) -> int:
 
 def cmd_sweep(args) -> int:
     instance = _load_instance_file(args.instance)
+    _require_edge_pairs(instance.topology, "$.topology")
     result = harness.run_sweep(instance, args.loads, args.solvers, args.trials, args.seed,
                                limits=_limits_from_args(args))
     result.to_csv(args.output)
@@ -156,10 +181,10 @@ def cmd_gen_traffic(args) -> int:
               f"--granularity ({args.granularity:g}), got {args.capacity:g}", file=sys.stderr)
         return EXIT_USAGE
     doc = _read_json(args.instance)
-    if isinstance(doc, dict) and "topology" in doc:
-        topology = topology_from_document(doc["topology"])
-    else:
-        topology = topology_from_document(doc, "$")
+    bare = not (isinstance(doc, dict) and "topology" in doc)
+    location = "$" if bare else "$.topology"
+    topology = topology_from_document(doc if bare else doc["topology"], location)
+    _require_edge_pairs(topology, location)
     requests = harness.gen_uniform_traffic(topology, args.load,
                                            granularity_gbps=args.granularity,
                                            seed=args.seed, capacity_gbps=args.capacity)
@@ -223,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-i", "--instance", required=True)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--objective", choices=["lexicographic", "weighted"])
-    p.add_argument("--phase1-value", type=float,
+    p.add_argument("--phase1-value", type=_finite,
                    help="throughput to pin in the phase-2 model")
     _add_limit_flags(p)
     p.set_defaults(func=cmd_emit_lp)
@@ -263,7 +288,7 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (validate_mod.StructureError, ModelError) as exc:
+    except (validate_mod.StructureError, ModelError, milp.SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -11,22 +11,28 @@ One name table (_name_table) owns the naming scheme; build_model and
 assignment_from_schedule both read it. Each request id, node id and link
 is sanitized to its LP tag a single time, and two ids that sanitize to
 the same tag raise ValidationError instead of silently merging in the
-LP. Variables, constraints and objectives are immutable NamedTuple
-records, fixed once build_model has audited them against count_formulas.
-One routine, _render_row, renders every LP row (constraints, the phase-2
+LP. build_model keeps only the name table and the objectives: the
+constraints are a stream of plain (name, terms, sense, rhs, family) rows
+(MilpModel.rows) and the variables a stream of names
+(MilpModel.variable_names), each audited against count_formulas when a
+pass over it ends. A row dies once it is rendered, so no large set of
+long-lived objects is built; Variable and Constraint records are made
+only when MilpModel.variables or MilpModel.constraints is read. One
+routine, _render_row, renders every LP row (constraints, the phase-2
 fix_throughput row, objectives) with each coefficient's signed prefix
-formatted once per emit_lp call; the constraint block is rendered once
-for both phase files.
+and each (sense, rhs) tail formatted once; emit_lp renders the row stream
+in one pass, once for both phase files.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from . import xtalk
 from .model import Instance, Link, ValidationError
@@ -64,20 +70,8 @@ class Objective(NamedTuple):
     terms: tuple[Term, ...]
 
 
-@dataclass
-class MilpModel:
-    variables: list[Variable] = field(default_factory=list)
-    constraints: list[Constraint] = field(default_factory=list)
-    objectives: list[Objective] = field(default_factory=list)
-    # throughput expression, used by phase 2 to pin the phase-1 optimum
-    throughput_terms: tuple[Term, ...] = ()
-
-    @property
-    def two_phase(self) -> bool:
-        return len(self.objectives) == 2
-
-    def family_counts(self) -> dict[str, int]:
-        return Counter(c.family for c in self.constraints)
+# a constraint as rows() yields it: the fields of Constraint, in order
+Row = tuple[str, tuple[Term, ...], str, float, str]
 
 
 _NON_ALNUM = re.compile(r"[^A-Za-z0-9]")
@@ -238,8 +232,72 @@ def count_formulas(instance: Instance) -> dict:
     }
 
 
+# the names of a model without requests: it declares nothing
+_NO_NAMES = _Names({}, {}, {}, {}, {}, [], {}, {}, {}, {}, {})
+
+
+def _audit(what: str, seen, expected) -> None:
+    """Raise AssertionError unless a finished pass saw what count_formulas expects."""
+    if seen != expected:
+        raise AssertionError(f"model {what} {seen} differ from count_formulas {expected}")
+
+
+@dataclass(frozen=True)
+class MilpModel:
+    """The MIP of one instance: its name table and objectives.
+
+    Constraints and variables are streams, not stored: rows() yields each
+    constraint as a plain (name, terms, sense, rhs, family) tuple and
+    variable_names() each binary variable's name, both in declaration
+    order, and a pass over either that runs to its end is audited against
+    count_formulas. The constraints and variables properties build their
+    records from the streams on every read.
+    """
+
+    instance: Instance
+    names: _Names
+    objectives: tuple[Objective, ...]
+    # throughput expression, used by phase 2 to pin the phase-1 optimum
+    throughput_terms: tuple[Term, ...] = ()
+
+    @property
+    def two_phase(self) -> bool:
+        return len(self.objectives) == 2
+
+    def rows(self) -> Iterator[Row]:
+        seen = dict.fromkeys(FAMILY_NOTES, 0)
+        for row in _rows(self.instance, self.names):
+            seen[row[4]] += 1
+            yield row
+        _audit("constraints per family", seen, count_formulas(self.instance)["constraints"])
+
+    def variable_names(self) -> Iterator[str]:
+        t = self.names
+        declared = chain(
+            (n for rows in t.lam.values() for row in rows for n in row),
+            t.rho.values(),
+            (n for *_, th, betas in t.overlaps for n in (*betas, th)),
+            (n for key in t.lam for n in (*(x for row in t.cm[key] for x in row),
+                                          *t.ca[key], *t.u[key], *t.w[key], t.v[key])))
+        seen = 0
+        for seen, name in enumerate(declared, 1):
+            yield name
+        _audit("variables", seen, count_formulas(self.instance)["total_variables"])
+
+    @property
+    def constraints(self) -> list[Constraint]:
+        return list(map(Constraint._make, self.rows()))
+
+    @property
+    def variables(self) -> list[Variable]:
+        return list(map(Variable, self.variable_names()))
+
+    def family_counts(self) -> dict[str, int]:
+        return Counter(row[4] for row in self.rows())
+
+
 def build_model(instance: Instance, max_variables: int = 2_000_000) -> MilpModel:
-    """Construct the full MIP for an instance.
+    """The full MIP of an instance, as its name table and objectives.
 
     An instance with zero requests yields an empty (trivially optimal)
     model; an instance whose variable count exceeds max_variables raises
@@ -249,14 +307,36 @@ def build_model(instance: Instance, max_variables: int = 2_000_000) -> MilpModel
     counts = count_formulas(instance)
     if counts["total_variables"] > max_variables:
         raise SizeLimitError(counts["total_variables"], max_variables)
+    if not instance.requests:
+        return MilpModel(instance, _NO_NAMES, (Objective("maximize", "throughput", ()),
+                                               Objective("minimize", "resource", ())))
 
-    model = MilpModel()
-    rids = [r.id for r in instance.requests]
-    if not rids:
-        model.objectives = [Objective("maximize", "throughput", ()),
-                            Objective("minimize", "resource", ())]
-        return model
+    names = _name_table(instance)
+    throughput_terms = tuple((r.bandwidth_gbps, names.rho[r.id]) for r in instance.requests)
+    lambda_terms = tuple((1.0, n) for rows in names.lam.values() for row in rows for n in row)
+    obj_mode = instance.planner.objective_mode
+    if obj_mode.kind == "lexicographic":
+        objectives = (Objective("maximize", "throughput", throughput_terms),
+                      Objective("minimize", "resource", lambda_terms))
+    else:
+        eta1 = obj_mode.eta1 if obj_mode.eta1 is not None else 1.0
+        if obj_mode.eta2 is not None:
+            eta2 = obj_mode.eta2
+        else:
+            max_b = max(r.bandwidth_gbps for r in instance.requests)
+            denom = (len(instance.requests) * len(instance.topology.links) * instance.mode_count
+                     * instance.slot_count * max_b + 1.0)
+            eta2 = eta1 / denom
+        weighted = (*[(eta1 * c, n) for c, n in throughput_terms],
+                    *[(-eta2, n) for _, n in lambda_terms])
+        objectives = (Objective("maximize", "weighted", weighted),)
+    return MilpModel(instance, names, objectives, throughput_terms)
 
+
+def _rows(instance: Instance, names: _Names) -> Iterator[Row]:
+    """Every constraint row of instance's model, in declaration order."""
+    if not instance.requests:
+        return
     topo = instance.topology
     links = topo.link_keys()
     modes = range(instance.mode_count)
@@ -264,21 +344,11 @@ def build_model(instance: Instance, max_variables: int = 2_000_000) -> MilpModel
     slots = range(T)
     nodes = topo.node_ids()
     big_m = instance.big_m
+    rids = [r.id for r in instance.requests]
     q = {r.id: instance.slot_units(r) for r in instance.requests}
     # eq10's big-M must dominate the largest slot-unit demand
     big_m_cap = max(big_m, max(q.values()))
-
-    rt, nt, et, lam, rho, overlaps, cm, ca, u, w, v = _name_table(instance)
-    add_con = model.constraints.append
-
-    def declare(names):
-        model.variables.extend(map(Variable, names))
-
-    declare(n for rows in lam.values() for row in rows for n in row)
-    declare(rho.values())
-    declare(n for *_, th, betas in overlaps for n in (*betas, th))
-    declare(n for key in lam
-            for n in (*(x for row in cm[key] for x in row), *ca[key], *u[key], *w[key], v[key]))
+    rt, nt, et, lam, rho, overlaps, cm, ca, u, w, v = names
 
     def flow(rid, out_node, in_node, ms, ts, *tail):
         """Out-link lambdas of out_node at +1, in-link ones of in_node at -1, tail."""
@@ -292,9 +362,9 @@ def build_model(instance: Instance, max_variables: int = 2_000_000) -> MilpModel
         for tb in range(T + 1):
             cur, prev = seq[tb:tb + 1], seq[max(tb - 1, 0):tb]
             for kind, sign in (("up", -1.0), ("dn", 1.0)):
-                add_con(Constraint(f"{family}_{kind}_{ind[tb]}",
-                                   ((1.0, ind[tb]), *[(sign, n) for n in cur],
-                                    *[(-sign, n) for n in prev]), ">=", 0.0, family))
+                yield (f"{family}_{kind}_{ind[tb]}",
+                       ((1.0, ind[tb]), *[(sign, n) for n in cur],
+                        *[(-sign, n) for n in prev]), ">=", 0.0, family)
 
     # eq2: flow conservation in slot units, plus lambda <= rho coupling
     for r in instance.requests:
@@ -302,57 +372,50 @@ def build_model(instance: Instance, max_variables: int = 2_000_000) -> MilpModel
             sense, tail = ((">=", [(-float(q[r.id]), rho[r.id])]) if node == r.source
                            else ("<=", [(float(q[r.id]), rho[r.id])]) if node == r.destination
                            else ("=", []))
-            add_con(Constraint(f"eq2_{rt[r.id]}_{nt[node]}",
-                               flow(r.id, node, node, modes, slots, *tail), sense, 0.0, "eq2"))
+            yield (f"eq2_{rt[r.id]}_{nt[node]}",
+                   flow(r.id, node, node, modes, slots, *tail), sense, 0.0, "eq2")
     for rid in rids:
         for link in links:
             for m in modes:
                 for t in slots:
-                    add_con(Constraint(f"eq2_acc_{rt[rid]}_{et[link]}_m{m}_t{t}",
-                                       ((1.0, lam[rid, link][m][t]), (-1.0, rho[rid])),
-                                       "<=", 0.0, "eq2"))
+                    yield (f"eq2_acc_{rt[rid]}_{et[link]}_m{m}_t{t}",
+                           ((1.0, lam[rid, link][m][t]), (-1.0, rho[rid])), "<=", 0.0, "eq2")
 
     # eq3/eq4: per-slot aggregate continuity; eq5/eq6: per-mode continuity
     for r in instance.requests:
         transit = [n for n in nodes if n not in (r.source, r.destination)]
         for t in slots:
-            add_con(Constraint(f"eq3_{rt[r.id]}_t{t}",
-                               flow(r.id, r.source, r.destination, modes, (t,)),
-                               "=", 0.0, "eq3"))
+            yield (f"eq3_{rt[r.id]}_t{t}",
+                   flow(r.id, r.source, r.destination, modes, (t,)), "=", 0.0, "eq3")
         for t in slots:
             for node in transit:
-                add_con(Constraint(f"eq4_{rt[r.id]}_t{t}_{nt[node]}",
-                                   flow(r.id, node, node, modes, (t,)),
-                                   "=", 0.0, "eq4"))
+                yield (f"eq4_{rt[r.id]}_t{t}_{nt[node]}",
+                       flow(r.id, node, node, modes, (t,)), "=", 0.0, "eq4")
         for m in modes:
             for t in slots:
-                add_con(Constraint(f"eq5_{rt[r.id]}_m{m}_t{t}",
-                                   flow(r.id, r.source, r.destination, (m,), (t,)),
-                                   "=", 0.0, "eq5"))
+                yield (f"eq5_{rt[r.id]}_m{m}_t{t}",
+                       flow(r.id, r.source, r.destination, (m,), (t,)), "=", 0.0, "eq5")
         for m in modes:
             for t in slots:
                 for node in transit:
-                    add_con(Constraint(f"eq6_{rt[r.id]}_m{m}_t{t}_{nt[node]}",
-                                       flow(r.id, node, node, (m,), (t,)),
-                                       "=", 0.0, "eq6"))
+                    yield (f"eq6_{rt[r.id]}_m{m}_t{t}_{nt[node]}",
+                           flow(r.id, node, node, (m,), (t,)), "=", 0.0, "eq6")
 
     # eq7: each (link, mode, slot) cell used at most once
     for link in links:
         for m in modes:
             for t in slots:
-                add_con(Constraint(f"eq7_{et[link]}_m{m}_t{t}",
-                                   tuple((1.0, lam[rid, link][m][t]) for rid in rids),
-                                   "<=", 1.0, "eq7"))
+                yield (f"eq7_{et[link]}_m{m}_t{t}",
+                       tuple((1.0, lam[rid, link][m][t]) for rid in rids), "<=", 1.0, "eq7")
 
     # eq8: contiguity via transition indicators with virtual zero slots at
     # both frame boundaries; at most 2 transitions = one contiguous block
     for rid in rids:
         for link in links:
             for m in modes:
-                transitions("eq8", cm[rid, link][m], lam[rid, link][m])
-                add_con(Constraint(f"eq8_sum_{rt[rid]}_{et[link]}_m{m}",
-                                   tuple((1.0, n) for n in cm[rid, link][m]),
-                                   "<=", 2.0, "eq8"))
+                yield from transitions("eq8", cm[rid, link][m], lam[rid, link][m])
+                yield (f"eq8_sum_{rt[rid]}_{et[link]}_m{m}",
+                       tuple((1.0, n) for n in cm[rid, link][m]), "<=", 2.0, "eq8")
 
     # eq9: aggregate occupancy indicator u, its contiguity, and mode-pattern
     # equality for modes the request uses
@@ -361,23 +424,21 @@ def build_model(instance: Instance, max_variables: int = 2_000_000) -> MilpModel
             ls, us, ws = lam[rid, link], u[rid, link], w[rid, link]
             for t in slots:
                 for m in modes:
-                    add_con(Constraint(f"eq9_uup_{us[t]}_m{m}",
-                                       ((1.0, ls[m][t]), (-1.0, us[t])), "<=", 0.0, "eq9"))
-                add_con(Constraint(f"eq9_udn_{us[t]}",
-                                   ((1.0, us[t]), *[(-1.0, ls[m][t]) for m in modes]),
-                                   "<=", 0.0, "eq9"))
-            transitions("eq9", ca[rid, link], us)
-            add_con(Constraint(f"eq9_sum_{rt[rid]}_{et[link]}",
-                               tuple((1.0, n) for n in ca[rid, link]), "<=", 2.0, "eq9"))
+                    yield (f"eq9_uup_{us[t]}_m{m}",
+                           ((1.0, ls[m][t]), (-1.0, us[t])), "<=", 0.0, "eq9")
+                yield (f"eq9_udn_{us[t]}",
+                       ((1.0, us[t]), *[(-1.0, ls[m][t]) for m in modes]), "<=", 0.0, "eq9")
+            yield from transitions("eq9", ca[rid, link], us)
+            yield (f"eq9_sum_{rt[rid]}_{et[link]}",
+                   tuple((1.0, n) for n in ca[rid, link]), "<=", 2.0, "eq9")
             for m in modes:
                 for t in slots:
-                    add_con(Constraint(f"eq9_wub_{ws[m]}_t{t}",
-                                       ((1.0, ls[m][t]), (-1.0, ws[m])), "<=", 0.0, "eq9"))
+                    yield (f"eq9_wub_{ws[m]}_t{t}",
+                           ((1.0, ls[m][t]), (-1.0, ws[m])), "<=", 0.0, "eq9")
                     # lambda >= u - (1 - w): a used mode follows the
                     # aggregate slot pattern exactly
-                    add_con(Constraint(f"eq9_wlb_{ws[m]}_t{t}",
-                                       ((1.0, ls[m][t]), (-1.0, us[t]), (-1.0, ws[m])),
-                                       ">=", -1.0, "eq9"))
+                    yield (f"eq9_wlb_{ws[m]}_t{t}",
+                           ((1.0, ls[m][t]), (-1.0, us[t]), (-1.0, ws[m])), ">=", -1.0, "eq9")
 
     # eq10: if a request uses a link, the supplied cells cover its demand
     for r in instance.requests:
@@ -386,15 +447,12 @@ def build_model(instance: Instance, max_variables: int = 2_000_000) -> MilpModel
             cells = [n for row in lam[r.id, link] for n in row]
             for m in modes:
                 for t in slots:
-                    add_con(Constraint(f"eq10_vup_{vn}_m{m}_t{t}",
-                                       ((1.0, lam[r.id, link][m][t]), (-1.0, vn)),
-                                       "<=", 0.0, "eq10"))
-            add_con(Constraint(f"eq10_vdn_{vn}",
-                               ((1.0, vn), *[(-1.0, n) for n in cells]),
-                               "<=", 0.0, "eq10"))
-            add_con(Constraint(f"eq10_cap_{vn}",
-                               (*[(1.0, n) for n in cells], (-float(big_m_cap), vn)),
-                               ">=", float(q[r.id]) - big_m_cap, "eq10"))
+                    yield (f"eq10_vup_{vn}_m{m}_t{t}",
+                           ((1.0, lam[r.id, link][m][t]), (-1.0, vn)), "<=", 0.0, "eq10")
+            yield (f"eq10_vdn_{vn}", ((1.0, vn), *[(-1.0, n) for n in cells]),
+                   "<=", 0.0, "eq10")
+            yield (f"eq10_cap_{vn}", (*[(1.0, n) for n in cells], (-float(big_m_cap), vn)),
+                   ">=", float(q[r.id]) - big_m_cap, "eq10")
 
     # eq11: accumulated crosstalk budget per protected request, with
     # coefficients and threshold in the configured accumulation model's
@@ -408,47 +466,17 @@ def build_model(instance: Instance, max_variables: int = 2_000_000) -> MilpModel
     for r1, _, link, m1, m2, th, _ in overlaps:
         budget[r1].append((coef[link, m1, m2], th))
     for rid in rids:
-        add_con(Constraint(f"eq11_{rt[rid]}", tuple(budget[rid]), "<=", threshold, "eq11"))
+        yield (f"eq11_{rt[rid]}", tuple(budget[rid]), "<=", threshold, "eq11")
 
     # eq12-eq15: beta = AND of the two occupancies; theta = OR over slots
     inv_m = 1.0 / big_m
     for r1, r2, link, m1, m2, th, betas in overlaps:
-        add_con(Constraint(f"eq12_lo_{th}", (*[(inv_m, b) for b in betas], (-1.0, th)),
-                           "<=", 0.0, "eq12"))
-        add_con(Constraint(f"eq12_hi_{th}", ((1.0, th), *[(-1.0, b) for b in betas]),
-                           "<=", 0.0, "eq12"))
+        yield (f"eq12_lo_{th}", (*[(inv_m, b) for b in betas], (-1.0, th)), "<=", 0.0, "eq12")
+        yield (f"eq12_hi_{th}", ((1.0, th), *[(-1.0, b) for b in betas]), "<=", 0.0, "eq12")
         for b, l1, l2 in zip(betas, lam[r1, link][m1], lam[r2, link][m2]):
-            add_con(Constraint(f"eq13_{b}", ((1.0, l1), (1.0, l2), (-1.0, b)),
-                               "<=", 1.0, "eq13"))
-            add_con(Constraint(f"eq14_{b}", ((1.0, b), (-1.0, l1)), "<=", 0.0, "eq14"))
-            add_con(Constraint(f"eq15_{b}", ((1.0, b), (-1.0, l2)), "<=", 0.0, "eq15"))
-
-    # objective(s)
-    throughput_terms = tuple((r.bandwidth_gbps, rho[r.id]) for r in instance.requests)
-    lambda_terms = tuple((1.0, n) for rid in rids for link in links
-                         for row in lam[rid, link] for n in row)
-    model.throughput_terms = throughput_terms
-    obj_mode = instance.planner.objective_mode
-    if obj_mode.kind == "lexicographic":
-        model.objectives = [Objective("maximize", "throughput", throughput_terms),
-                            Objective("minimize", "resource", lambda_terms)]
-    else:
-        eta1 = obj_mode.eta1 if obj_mode.eta1 is not None else 1.0
-        if obj_mode.eta2 is not None:
-            eta2 = obj_mode.eta2
-        else:
-            max_b = max(r.bandwidth_gbps for r in instance.requests)
-            denom = (len(rids) * len(links) * instance.mode_count
-                     * instance.slot_count * max_b + 1.0)
-            eta2 = eta1 / denom
-        weighted = (*[(eta1 * c, n) for c, n in throughput_terms],
-                    *[(-eta2, n) for _, n in lambda_terms])
-        model.objectives = [Objective("maximize", "weighted", weighted)]
-
-    # audit against the closed forms
-    assert len(model.variables) == counts["total_variables"]
-    assert model.family_counts() == {k: v for k, v in counts["constraints"].items() if v}
-    return model
+            yield (f"eq13_{b}", ((1.0, l1), (1.0, l2), (-1.0, b)), "<=", 1.0, "eq13")
+            yield (f"eq14_{b}", ((1.0, b), (-1.0, l1)), "<=", 0.0, "eq14")
+            yield (f"eq15_{b}", ((1.0, b), (-1.0, l2)), "<=", 0.0, "eq15")
 
 
 # --- LP text emission -----------------------------------------------------
@@ -493,17 +521,25 @@ def _wrap(body: str, width: int = 250) -> list[str]:
     return lines
 
 
-def _render_constraints(prefix: _Prefixes, constraints: list[Constraint]) -> str:
-    """The rows of a Subject To section, each family run under its header."""
+def _render_constraints(prefix: _Prefixes, rows) -> tuple[str, bool]:
+    """The rows of a Subject To section, each family run under its header,
+    and whether any row has no terms (and so reads `0 dummy_zero`)."""
     out = []
+    tails: dict[tuple[str, float], str] = {}
     last_family = None
-    for c in constraints:
-        if c.family != last_family:
-            note = FAMILY_NOTES.get(c.family, "")
-            out.append(f"\\ {c.family}: {note}\n" if note else f"\\ {c.family}\n")
-            last_family = c.family
-        out.append(_render_row(prefix, c.name, c.terms, f" {c.sense} {_fmt_num(c.rhs)}"))
-    return "".join(out)
+    empty = False
+    for name, terms, sense, rhs, family in rows:
+        if family != last_family:
+            note = FAMILY_NOTES.get(family, "")
+            out.append(f"\\ {family}: {note}\n" if note else f"\\ {family}\n")
+            last_family = family
+        tail = tails.get((sense, rhs))
+        if tail is None:
+            tail = tails[sense, rhs] = f" {sense} {_fmt_num(rhs)}"
+        if not terms:
+            empty = True
+        out.append(_render_row(prefix, name, terms, tail))
+    return "".join(out), empty
 
 
 def emit_lp(model: MilpModel, destination: str | Path,
@@ -513,27 +549,24 @@ def emit_lp(model: MilpModel, destination: str | Path,
     A single-objective model writes one file at `destination`. A two-phase
     model writes `<stem>.phase1.lp` and `<stem>.phase2.lp`; phase 2 pins
     the throughput to `phase1_value` (0 when not supplied) and minimizes
-    resource usage. Both files share one rendering of the constraints.
+    resource usage. Both files share one rendering of the constraint
+    stream, made in a single pass over model.rows().
     """
     destination = Path(destination)
     prefix = _Prefixes()
-    block = _render_constraints(prefix, model.constraints)
-    block_needs_dummy = any(not c.terms for c in model.constraints)
-    bounds = "".join(f" {_fmt_num(v.lb)} <= {v.name} <= {_fmt_num(v.ub)}\n"
-                     for v in model.variables if v.kind == "continuous")
-    binaries = "".join(f" {v.name}\n" for v in model.variables if v.kind == "binary")
+    block, block_needs_dummy = _render_constraints(prefix, model.rows())
+    binaries = "".join([f" {name}\n" for name in model.variable_names()])
 
-    def write(path: Path, objective: Objective, lead: list[Constraint]) -> Path:
+    def write(path: Path, objective: Objective, lead: list[Row]) -> Path:
         sense = "Maximize" if objective.sense == "maximize" else "Minimize"
-        need_dummy = (not objective.terms or block_needs_dummy
-                      or any(not c.terms for c in lead))
+        lead_text, lead_needs_dummy = _render_constraints(prefix, lead)
+        need_dummy = not objective.terms or block_needs_dummy or lead_needs_dummy
         with path.open("w") as f:
             f.write(f"\\ LP model written by otssplan\n{sense}\n"
                     + _render_row(prefix, "obj", objective.terms, "") + "Subject To\n")
-            f.write(_render_constraints(prefix, lead))
+            f.write(lead_text)
             f.write(block)
             f.write("Bounds\n dummy_zero = 0\n" if need_dummy else "Bounds\n")
-            f.write(bounds)
             f.write("Binary\n")
             f.write(binaries)
             f.write("End\n")
@@ -544,9 +577,8 @@ def emit_lp(model: MilpModel, destination: str | Path,
     stem = destination
     if stem.suffix == ".lp":
         stem = stem.with_suffix("")
-    fix = Constraint("fix_throughput", model.throughput_terms, ">=",
-                     0.0 if phase1_value is None else float(phase1_value),
-                     "fix")
+    fix = ("fix_throughput", model.throughput_terms, ">=",
+           0.0 if phase1_value is None else float(phase1_value), "fix")
     return [write(stem.with_name(stem.name + ".phase1.lp"), model.objectives[0], []),
             write(stem.with_name(stem.name + ".phase2.lp"), model.objectives[1], [fix])]
 
@@ -597,11 +629,11 @@ def evaluate_constraints(model: MilpModel, values: dict[str, float],
                          tol: float = 1e-9) -> list[str]:
     """Names of constraints the assignment violates (missing vars read 0)."""
     violated = []
-    for c in model.constraints:
-        lhs = sum(coef * values.get(name, 0.0) for coef, name in c.terms)
-        ok = (lhs <= c.rhs + tol if c.sense == "<="
-              else lhs >= c.rhs - tol if c.sense == ">="
-              else abs(lhs - c.rhs) <= tol)
+    for name, terms, sense, rhs, _ in model.rows():
+        lhs = sum(coef * values.get(var, 0.0) for coef, var in terms)
+        ok = (lhs <= rhs + tol if sense == "<="
+              else lhs >= rhs - tol if sense == ">="
+              else abs(lhs - rhs) <= tol)
         if not ok:
-            violated.append(c.name)
+            violated.append(name)
     return violated

@@ -3,9 +3,9 @@ import json
 import pytest
 
 from conftest import two_request_200m_instance
-from otssplan import cli, timeline
+from otssplan import cli, milp, timeline
 from otssplan.harness import fig2_fixture
-from otssplan.model import serialize_instance
+from otssplan.model import load_instance, serialize_instance
 from otssplan.solve import Assignment, Schedule, solve_exact
 
 
@@ -86,6 +86,10 @@ class TestArgumentErrors:
         (["gen-traffic", "--load", "5", "--granularity", "0"], "--granularity"),
         (["gen-traffic", "--load", "5", "--capacity", "0.5"], "--capacity"),
         (["gen-traffic", "--load", "5", "--granularity", "2", "--capacity", "1"], "--capacity"),
+        (["emit-lp", "--phase1-value", "nan"], "--phase1-value"),
+        (["emit-lp", "--phase1-value", "inf"], "--phase1-value"),
+        (["emit-lp", "--phase1-value=-inf"], "--phase1-value"),
+        (["emit-lp", "--phase1-value", "x"], "--phase1-value"),
     ])
     def test_bad_flag_value_is_usage(self, tmp_path, fig2_file, capsys, argv, flag):
         argv = argv[:1] + ["-i", str(fig2_file), "-o", str(tmp_path / "out")] + argv[1:]
@@ -184,6 +188,37 @@ class TestModelErrors:
         path.write_text(json.dumps(doc))
         assert cli.run(["plan", "-i", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {location}: ")
+
+    def test_emit_lp_over_variable_cap(self, tmp_path, fig2_file, capsys):
+        doc = json.loads(fig2_file.read_text())
+        doc["requests"] = [dict(doc["requests"][0], id=f"r{i}") for i in range(60)]
+        path = tmp_path / "sixty.json"
+        path.write_text(json.dumps(doc))
+        count = milp.count_formulas(load_instance(doc))["total_variables"]
+        assert count > 2_000_000
+        assert cli.run(["emit-lp", "-i", str(path), "-o", str(tmp_path / "big.lp")]) == 1
+        assert capsys.readouterr().err.strip() == (
+            f"error: model would have {count} variables, cap is 2000000")
+        assert not list(tmp_path.glob("big*"))
+
+    @pytest.mark.parametrize("argv, bare, location", [
+        (["gen-traffic", "--load", "5"], False, "$.topology.nodes"),
+        (["gen-traffic", "--load", "5"], True, "$.nodes"),
+        (["sweep", "--loads", "5", "-o", "{out}"], False, "$.topology.nodes"),
+    ])
+    def test_too_few_edge_switches(self, tmp_path, fig2_file, capsys, argv, bare, location):
+        doc = json.loads(fig2_file.read_text())
+        for node in doc["topology"]["nodes"]:
+            if node["tier"] == "edge":
+                node["tier"] = "core"
+        path = tmp_path / "no-edges.json"
+        path.write_text(json.dumps(doc["topology"] if bare else doc))
+        out = tmp_path / "out.csv"
+        assert cli.run([argv[0], "-i", str(path)]
+                       + [arg.format(out=out) for arg in argv[1:]]) == 1
+        assert capsys.readouterr().err.strip() == (
+            f"error: {location}: need >= 2 edge switches, topology has 0")
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["plan", "-i", "{bad}"],

@@ -25,10 +25,43 @@ FIG2_LP_SHA256 = {
     "model.phase2.lp": "69a16d8db664a6c09a77c8e640134fe99f45e976bfed7e8c02159d53d51cef05",
 }
 FIG2_WEIGHTED_LP_SHA256 = "7488bf9d0c92cecb2ac3556f830d313ac3c50597c3ed17d003482c4206df756f"
+# One SHA-256 over every LP file of _lp_corpus: the fig4 fixture and 40
+# seeded micro instances, each under both objectives
+CORPUS_LP_SHA256 = "5bce2aa98349f93e0df974b0ca8742bd9519e403aaabb3161b1ab65cbd6b2ba3"
 
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _with_objective(inst, kind: str):
+    return replace(inst, planner=replace(inst.planner, objective_mode=ObjectiveMode(kind=kind)))
+
+
+def _lp_corpus():
+    """(label, instance) pairs: fig4 and seeded micro instances, each
+    under the lexicographic and the weighted objective."""
+    rng = random.Random("milp-lp-corpus")
+    instances = [("fig4", fixture_instance("fig4"))]
+    instances += [(f"micro{i}", random_micro_instance(rng)) for i in range(40)]
+    return [(f"{label}.{kind}", _with_objective(inst, kind))
+            for label, inst in instances for kind in ("lexicographic", "weighted")]
+
+
+class _Counting:
+    """Stands in for a record type and counts the records made through it."""
+
+    def __init__(self, record):
+        self.record = record
+        self.made = 0
+
+    def __call__(self, *fields):
+        self.made += 1
+        return self.record(*fields)
+
+    def _make(self, fields):
+        self.made += 1
+        return self.record._make(fields)
 
 
 # The LP row pipeline milp used before its one row renderer, verbatim
@@ -214,12 +247,20 @@ class TestEmitLp:
         assert {p.name: _sha256(p) for p in paths} == FIG2_LP_SHA256
 
     def test_fig2_weighted_digest(self, tmp_path):
-        inst = fixture_instance("fig2")
-        inst = replace(inst, planner=replace(inst.planner,
-                                             objective_mode=ObjectiveMode(kind="weighted")))
+        inst = _with_objective(fixture_instance("fig2"), "weighted")
         [path] = milp.emit_lp(milp.build_model(inst), tmp_path / "model.lp")
         assert path.name == "model.lp"
         assert _sha256(path) == FIG2_WEIGHTED_LP_SHA256
+
+    def test_corpus_digest(self, tmp_path):
+        digest = hashlib.sha256()
+        for label, inst in _lp_corpus():
+            # a non-integral pin, so phase 2 also writes a fractional rhs
+            pin = sum(r.bandwidth_gbps for r in inst.requests) / 2 + 0.25
+            for path in milp.emit_lp(milp.build_model(inst), tmp_path / f"{label}.lp",
+                                     phase1_value=pin):
+                digest.update(f"{path.name}\0".encode() + path.read_bytes())
+        assert digest.hexdigest() == CORPUS_LP_SHA256
 
     def test_deterministic(self, tmp_path, two_request_200m):
         model = milp.build_model(two_request_200m)
@@ -242,6 +283,67 @@ class TestEmitLp:
             assert all(len(line) <= 250 for line in path.read_text().splitlines())
 
 
+class TestStreams:
+    """The model is a stream of rows and variable names: emitting it makes
+    no records, reading a record list counts the stream, and a pass that
+    drops or repeats a row fails the audit against count_formulas."""
+
+    def test_fig2_emit_makes_no_records(self, tmp_path, tiny, monkeypatch):
+        counting = {name: _Counting(getattr(milp, name)) for name in ("Constraint", "Variable")}
+        for name, stand_in in counting.items():
+            monkeypatch.setattr(milp, name, stand_in)
+        paths = milp.emit_lp(milp.build_model(fixture_instance("fig2")),
+                             tmp_path / "model.lp", phase1_value=23.0)
+        assert {p.name: _sha256(p) for p in paths} == FIG2_LP_SHA256
+        assert [c.made for c in counting.values()] == [0, 0]
+        # the stand-ins do count the records a reader makes
+        model = milp.build_model(tiny)
+        counts = milp.count_formulas(tiny)
+        assert (len(model.constraints), len(model.variables)) == (
+            counts["total_constraints"], counts["total_variables"])
+        assert [c.made for c in counting.values()] == [
+            counts["total_constraints"], counts["total_variables"]]
+
+    def test_record_lists_count_the_streams(self, two_request_200m, monkeypatch):
+        model = milp.build_model(two_request_200m)
+        rows = list(model.rows())
+        names = list(model.variable_names())
+        real = milp.count_formulas
+
+        def off_totals(instance):
+            counts = real(instance)
+            return {**counts, "total_constraints": counts["total_constraints"] + 1000}
+
+        monkeypatch.setattr(milp, "count_formulas", off_totals)
+        assert [tuple(c) for c in model.constraints] == rows
+        assert [v.name for v in model.variables] == names
+        assert len(rows) == real(two_request_200m)["total_constraints"]
+
+    @pytest.mark.parametrize("mutate", [
+        lambda rows: rows[:5] + rows[6:],
+        lambda rows: rows[:6] + rows[5:],
+        lambda rows: rows[:-1],
+        lambda rows: rows + rows[-1:],
+    ], ids=["drop", "repeat", "drop-last", "repeat-last"])
+    def test_audit_catches_a_dropped_or_repeated_row(self, tmp_path, two_request_200m,
+                                                     monkeypatch, mutate):
+        real = milp._rows
+        monkeypatch.setattr(milp, "_rows", lambda *args: iter(mutate(list(real(*args)))))
+        model = milp.build_model(two_request_200m)
+        with pytest.raises(AssertionError, match="count_formulas"):
+            milp.emit_lp(model, tmp_path / "m.lp")
+        with pytest.raises(AssertionError, match="count_formulas"):
+            model.constraints
+        with pytest.raises(AssertionError, match="count_formulas"):
+            milp.evaluate_constraints(model, {})
+
+    def test_audit_catches_an_extra_variable(self, two_request_200m):
+        model = milp.build_model(two_request_200m)
+        names = model.names._replace(rho={**model.names.rho, "extra": "rho_extra"})
+        with pytest.raises(AssertionError, match="count_formulas"):
+            replace(model, names=names).variables
+
+
 class TestRowRenderer:
     """The one row renderer writes the bytes of the previous _fmt_terms +
     _wrap + join pipeline, for any terms and any row length."""
@@ -256,7 +358,8 @@ class TestRowRenderer:
     def test_matches_previous_pipeline(self, constraints, objective):
         prefix = milp._Prefixes()
         assert (milp._render_constraints(prefix, constraints)
-                == _oracle_render_constraints(constraints))
+                == (_oracle_render_constraints(constraints),
+                    any(not c.terms for c in constraints)))
         assert (milp._render_row(prefix, "obj", objective, "")
                 == _oracle_render_objective(objective))
 
@@ -269,8 +372,8 @@ class TestRowRenderer:
 
 
 class TestRecordsImmutable:
-    """No field of a model record can be reassigned, so a model stays as
-    build_model audited it."""
+    """No field of a model record can be reassigned, so a record stays as
+    the audited stream yielded it."""
 
     @pytest.mark.parametrize("record, field", [
         (milp.Variable("x"), "name"), (milp.Variable("x"), "ub"),
