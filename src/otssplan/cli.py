@@ -83,14 +83,14 @@ def _finite(text: str) -> float:
 
 
 def _loads(text: str) -> list[float]:
-    """argparse type: a comma-separated list of finite offered loads in Gb/s."""
+    """argparse type: a comma-separated list of finite offered loads >= 0 in Gb/s."""
     try:
         loads = [float(x) for x in text.split(",") if x]
     except ValueError:
         loads = []
-    if not loads or not all(map(math.isfinite, loads)):
-        raise argparse.ArgumentTypeError(f"not a comma-separated list of finite numbers: "
-                                         f"{text!r}")
+    if not loads or not all(math.isfinite(x) and x >= 0 for x in loads):
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of finite numbers "
+                                         f">= 0: {text!r}")
     return loads
 
 

@@ -14,10 +14,15 @@ Slot exclusivity is one int bitmask over (link, mode, slot) cells.
 Crosstalk terms come from the per-link coefficient table in
 `xtalk.overlap_terms` order, memoized per pair of (path, modes)
 geometries, so totals and prune decisions are bit-identical to summing
-`xtalk.pairwise_contribution`. The search loops skip a candidate without
-calling `commit` while the placement that last rejected it as a victim is
-still placed at the same index and still over the limit ("last conflict"
-ordering); that is one of commit's own checks on an unchanged state.
+`xtalk.pairwise_contribution`. Each group's footprint is the OR of its
+placements' occupancy masks; at a node the exact search takes the group's
+conflict-free placements from a per-solve memo keyed by the occupancy the
+footprint can see, so it tests slot conflicts once per distinct key rather
+than once per visit. The search loops skip a candidate without calling
+`commit` while the placement that last rejected it as a victim is still
+placed at the same index and still over the limit ("last conflict"
+ordering); that is one of commit's own checks on an unchanged state. The
+exact search reads the clock every 256 nodes.
 """
 
 from __future__ import annotations
@@ -134,7 +139,8 @@ class SolveLimits:
     all_mode_subsets: bool = False
 
     def __post_init__(self):
-        if self.node_budget < 1 or self.time_budget_s <= 0 or self.k_paths < 1:
+        # written as `not x > 0`, so a NaN budget is rejected too
+        if not self.node_budget > 0 or not self.time_budget_s > 0 or not self.k_paths > 0:
             raise ValueError("solve limits must be positive")
 
 
@@ -278,14 +284,26 @@ class _Placement:
         return Assignment(request_id, self.path, self.modes, self.slot_start, self.slot_end)
 
 
+@dataclass(eq=False, slots=True)
+class _Group:
+    """One (source, destination, slot units) group: its candidates, the
+    placements built from them so far, and, once all are built, its
+    footprint, the OR of their occupancy masks."""
+
+    candidates: list[Assignment]
+    placements: list[_Placement]
+    footprint: Optional[int] = None
+
+
 class _Tables:
     """What every solve on one slot grid shares: the link index, the
     `coef[link][m_a][m_v]` crosstalk table, the threshold limit, the
     (path, modes) geometries, the per-geometry-pair term memo, and each
     (source, destination, slot units) group's candidates with the
-    placements built from them so far. Nothing here depends on what a
-    solve has committed, except each placement's last blocker, which only
-    decides which of commit's checks runs first."""
+    placements built from them so far and, once all are built, their
+    footprint. Nothing here depends on what a solve has committed, except
+    each placement's last blocker, which only decides which of commit's
+    checks runs first."""
 
     def __init__(self, instance: Instance, limits: SolveLimits):
         links = instance.topology.links
@@ -300,7 +318,7 @@ class _Tables:
         self.limit = xtalk.feasibility_limit(instance.planner.xt_threshold_db, model)
         self.geometries: dict[tuple, tuple] = {}  # (path, modes) -> (id, links, bit bases)
         self.pairs: defaultdict[int, dict] = defaultdict(dict)  # id -> {placed id: pair() entry}
-        self.groups: dict[tuple, tuple[list[Assignment], list[_Placement]]] = {}
+        self.groups: dict[tuple, _Group] = {}
 
     @staticmethod
     def of(instance: Instance, limits: SolveLimits) -> _Tables:
@@ -330,17 +348,32 @@ class _Tables:
         return _Placement(cand.path, links, cand.modes, cand.slot_start, cand.slot_end,
                           cand.lambda_count, geometry, link_bits * run, cell_bits * run)
 
+    def _enumerated(self, request: Request, instance: Instance) -> _Group:
+        """The request's group, enumerated on first use."""
+        key = (request.source, request.destination, instance.slot_units(request))
+        group = self.groups.get(key)
+        if group is None:
+            group = self.groups[key] = _Group(
+                enumerate_candidates(request, instance, *self.options), [])
+        return group
+
     def candidates(self, request: Request, instance: Instance) -> Iterator[_Placement]:
         """The request's placements in enumeration order: each (source, destination, slot
         units) group is enumerated once, each placement built when first reached."""
-        key = (request.source, request.destination, instance.slot_units(request))
-        if key not in self.groups:
-            self.groups[key] = (enumerate_candidates(request, instance, *self.options), [])
-        cands, placements = self.groups[key]
+        group = self._enumerated(request, instance)
+        cands, placements = group.candidates, group.placements
         for i, cand in enumerate(cands):
             if i == len(placements):
                 placements.append(self.place(cand))
             yield placements[i]
+
+    def group(self, request: Request, instance: Instance) -> _Group:
+        """The request's group with every placement built and its footprint set."""
+        group = self._enumerated(request, instance)
+        if group.footprint is None:
+            group.footprint = reduce(int.__or__, (p.occupancy for p in
+                                                  self.candidates(request, instance)), 0)
+        return group
 
     def _terms(self, victim: _Placement, aggressor: _Placement) -> tuple[float, ...]:
         """The victim's terms from an aggressor, in xtalk.overlap_terms order."""
@@ -356,9 +389,10 @@ class _Tables:
 
 
 class _SearchState:
-    """One solve's committed placements, slot occupancy and each placement's
-    additive crosstalk total, with O(1) undo, over the instance's shared
-    _Tables.
+    """One solve's committed placements, their (link, mode, slot) cell masks,
+    slot occupancy and each placement's additive crosstalk total, with O(1)
+    undo, over the instance's shared _Tables, and per group the memo of its
+    conflict-free placements.
 
     A search loop skips a candidate without calling `commit` when its last
     blocker is still the placement at that index and still over the limit
@@ -371,21 +405,40 @@ class _SearchState:
         self.limit = self.tables.limit
         self.occupied = 0
         self.placed: list[_Placement] = []
+        self.cells: list[int] = []  # placed[k].cells
         self.totals: list[float] = []
+        # group -> {occupied & group.footprint: the group's free placements}
+        self.free_lists: defaultdict[_Group, dict[int, list[_Placement]]] = defaultdict(dict)
 
     def candidates(self, request: Request) -> Iterator[_Placement]:
         return self.tables.candidates(request, self.instance)
 
+    def group(self, request: Request) -> _Group:
+        return self.tables.group(request, self.instance)
+
+    def free(self, group: _Group) -> list[_Placement]:
+        """The group's placements that meet no occupied slot, in enumeration
+        order. The list is a function of the occupancy the group's footprint
+        can see, and is built once per solve for each such occupancy;
+        solve_exact inlines this lookup."""
+        key = self.occupied & group.footprint
+        memo = self.free_lists[group]
+        free = memo.get(key)
+        if free is None:
+            free = memo[key] = [p for p in group.placements if not p.occupancy & key]
+        return free
+
     def blocked(self, new: _Placement) -> bool:
-        """Whether `new`'s last blocker still rejects it; the search loops
-        inline this test."""
+        """Whether `new`'s last blocker still rejects it; solve_exact inlines
+        this test."""
         b, blocker, inc = new.blocker
         return b < len(self.placed) and self.placed[b] is blocker and \
             not self.totals[b] + inc <= self.limit
 
     def commit(self, new: _Placement) -> Optional[tuple]:
         """Commit if feasible; returns an undo token, or None if infeasible,
-        recording the placed victim the scan stopped at as `new.blocker`."""
+        recording the placed victim the scan stopped at as `new.blocker`.
+        Only placed entries whose cells meet `new`'s take or give crosstalk."""
         occupancy, cells = new.occupancy, new.cells
         if occupancy & self.occupied:
             return None
@@ -393,9 +446,10 @@ class _SearchState:
         row = self.tables.pairs[new.geometry]
         own = 0.0
         updates = []
-        for k, other in enumerate(placed):
-            if not other.cells & cells:
+        for k, other_cells in enumerate(self.cells):
+            if not other_cells & cells:
                 continue
+            other = placed[k]
             terms, inc = row.get(other.geometry) or self.tables.pair(new, other)
             for term in terms:
                 own += term
@@ -411,6 +465,7 @@ class _SearchState:
             totals[k] = total
         self.occupied |= occupancy
         placed.append(new)
+        self.cells.append(cells)
         totals.append(own)
         return occupancy, updates
 
@@ -418,6 +473,7 @@ class _SearchState:
         occupancy, updates = token
         self.occupied &= ~occupancy
         self.placed.pop()
+        self.cells.pop()
         self.totals.pop()
         for k, total, _ in updates:
             self.totals[k] = total
@@ -464,54 +520,59 @@ def solve_exact(instance: Instance, limits: Optional[SolveLimits] = None,
     limits = limits or SolveLimits()
     requests = list(instance.requests)
     state = _SearchState(instance, limits)
-    placed, totals, limit, commit = state.placed, state.totals, state.limit, state.commit
-    candidates = {r.id: list(state.candidates(r)) for r in requests}
+    placed, totals, limit, commit, undo = (state.placed, state.totals, state.limit,
+                                           state.commit, state.undo)
+    groups = [state.group(r) for r in requests]
+    # per request position: the group's footprint and free-list memo (state.free)
+    footprints = [g.footprint for g in groups]
+    free_lists = [state.free_lists[g] for g in groups]
     # optimistic throughput still reachable from request position i onward,
     # and the least extra lambda any throughput-tying completion must pay
     suffix = [0.0] * (len(requests) + 1)
     min_lam_suffix = [0] * (len(requests) + 1)
     for i in range(len(requests) - 1, -1, -1):
-        cands = candidates[requests[i].id]
+        cands = groups[i].placements
         suffix[i] = suffix[i + 1] + (requests[i].bandwidth_gbps if cands else 0.0)
         min_lam_suffix[i] = min_lam_suffix[i + 1] + min((c.lambda_count for c in cands), default=0)
 
-    best: dict = {"assignments": None, "tp": -1.0, "lam": 0}
+    best: Optional[list[Assignment]] = None
+    best_tp, best_lam = -1.0, 0
     if initial is not None:
-        best.update(assignments=list(initial.assignments), tp=initial.throughput_gbps,
-                    lam=initial.lambda_count)
-    budget = {"nodes": limits.node_budget, "deadline": time.monotonic() + limits.time_budget_s,
-              "exhausted": False}
-
-    def record(tp: float, lam: int, ids: tuple[str, ...]):
-        if best["assignments"] is None or _lex_better(tp, lam, best["tp"], best["lam"]):
-            best.update(assignments=[p.assignment(rid) for rid, p in zip(ids, state.placed)],
-                        tp=tp, lam=lam)
+        best = list(initial.assignments)
+        best_tp, best_lam = initial.throughput_gbps, initial.lambda_count
+    nodes = limits.node_budget
+    deadline = time.monotonic() + limits.time_budget_s
+    exhausted = False
 
     def dfs(i: int, tp: float, lam: int, ids: tuple[str, ...]):
-        if budget["exhausted"]:
-            return
-        budget["nodes"] -= 1
-        if budget["nodes"] <= 0 or time.monotonic() > budget["deadline"]:
-            budget["exhausted"] = True
+        nonlocal nodes, exhausted, best, best_tp, best_lam
+        nodes -= 1
+        # the clock is read every 256 nodes
+        if nodes <= 0 or not nodes & 255 and time.monotonic() > deadline:
+            exhausted = True
             return
         if i == len(requests):
-            record(tp, lam, ids)
+            if best is None or _lex_better(tp, lam, best_tp, best_lam):
+                best = [p.assignment(rid) for rid, p in zip(ids, placed)]
+                best_tp, best_lam = tp, lam
             return
-        if best["assignments"] is not None:
+        if best is not None:
             reachable = tp + suffix[i]
-            if reachable < best["tp"] - _EPS:
+            if reachable < best_tp - _EPS:
                 return
             # a completion can only tie the incumbent's throughput by
             # accepting every remaining request that has candidates, each
             # costing at least its cheapest placement
-            if (reachable <= best["tp"] + _EPS
-                    and lam + min_lam_suffix[i] >= best["lam"]):
+            if reachable <= best_tp + _EPS and lam + min_lam_suffix[i] >= best_lam:
                 return
         r = requests[i]
-        occupied, n = state.occupied, len(placed)  # restored by every undo below
-        for cand in candidates[r.id]:
-            if cand.occupancy & occupied:
-                continue
+        n = len(placed)  # restored by every undo below
+        key = state.occupied & footprints[i]  # state.free(groups[i]), inlined
+        free = free_lists[i].get(key)
+        if free is None:
+            free = free_lists[i][key] = [p for p in groups[i].placements
+                                         if not p.occupancy & key]
+        for cand in free:
             b, blocker, inc = cand.blocker  # state.blocked(cand), inlined
             if b < n and placed[b] is blocker and not totals[b] + inc <= limit:
                 continue
@@ -519,8 +580,8 @@ def solve_exact(instance: Instance, limits: Optional[SolveLimits] = None,
             if token is None:
                 continue
             dfs(i + 1, tp + r.bandwidth_gbps, lam + cand.lambda_count, ids + (r.id,))
-            state.undo(token)
-            if budget["exhausted"]:
+            undo(token)
+            if exhausted:
                 return
         # reject branch
         dfs(i + 1, tp, lam, ids)
@@ -528,7 +589,7 @@ def solve_exact(instance: Instance, limits: Optional[SolveLimits] = None,
     dfs(0, 0.0, 0, ())
     # dfs refers to itself; breaking that cycle frees the search state now
     del dfs
-    return _finish(instance, best["assignments"] or [], optimal=not budget["exhausted"])
+    return _finish(instance, best or [], optimal=not exhausted)
 
 
 def solve_greedy(instance: Instance, limits: Optional[SolveLimits] = None) -> Schedule:

@@ -90,12 +90,19 @@ class TestArgumentErrors:
         (["emit-lp", "--phase1-value", "inf"], "--phase1-value"),
         (["emit-lp", "--phase1-value=-inf"], "--phase1-value"),
         (["emit-lp", "--phase1-value", "x"], "--phase1-value"),
+        (["sweep", "--loads=-5,0"], "--loads"),
     ])
     def test_bad_flag_value_is_usage(self, tmp_path, fig2_file, capsys, argv, flag):
         argv = argv[:1] + ["-i", str(fig2_file), "-o", str(tmp_path / "out")] + argv[1:]
         assert cli.run(argv) == 2
         assert f"argument {flag}: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_zero_load_is_valid(self, tmp_path, fig2_file):
+        out = tmp_path / "sweep.csv"
+        assert cli.run(["sweep", "-i", str(fig2_file), "--loads", "0", "--solvers", "greedy",
+                        "-o", str(out)]) == 0
+        assert out.read_text().count("\n") > 1
 
     def test_unknown_timeline_link(self, tmp_path, fig2_file, capsys):
         sched = tmp_path / "s.json"

@@ -1,6 +1,10 @@
+import functools
 import hashlib
 import itertools
+import operator
 import random
+import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -259,6 +263,42 @@ def test_pinned_variant_schedules(variant):
         assert digest == PINNED_VARIANT_SCHEDULES[variant, solver], solver
 
 
+# The same digest for exact alone at a 20,000-node budget on seed 1, where
+# most nodes find their group's free placements already listed.
+PINNED_HOT_EXACT = "ef14cf36ae098a6e8bf547f11652d9bc687f6bb6d54710870f93bb1effd21acb"
+
+
+def test_pinned_exact_at_20k_nodes():
+    limits = SolveLimits(node_budget=20_000, time_budget_s=3600.0)
+    schedule = solve_exact(_heavy_fig2(1), limits)
+    assert not schedule.optimal
+    assert hashlib.sha256(schedule.to_json().encode()).hexdigest() == PINNED_HOT_EXACT
+
+
+def test_time_budget_stops_search_when_nodes_cannot():
+    inst = _heavy_fig2(0)
+    limits = SolveLimits(node_budget=10**9, time_budget_s=1e-3)
+    # in a thread, so a search that ignores its deadline fails the test
+    # instead of hanging it
+    schedules = []
+    worker = threading.Thread(target=lambda: schedules.append(solve_exact(inst, limits)),
+                              daemon=True)
+    start = time.monotonic()
+    worker.start()
+    worker.join(timeout=10.0)
+    assert not worker.is_alive()
+    assert time.monotonic() - start < 1.0
+    assert not schedules[0].optimal
+    assert validate.check_schedule(inst, schedules[0]).passed
+
+
+@pytest.mark.parametrize("field", ["node_budget", "time_budget_s", "k_paths"])
+@pytest.mark.parametrize("value", [0, -1, float("nan")])
+def test_solve_limits_reject_non_positive_and_nan(field, value):
+    with pytest.raises(ValueError):
+        SolveLimits(**{field: value})
+
+
 def _pinned_case(case: str) -> Instance:
     """A fresh instance of a pinned configuration: the heavy fig2 instance
     of seed 0 or 1, or seed 1 under the paper-literal-db model."""
@@ -510,3 +550,33 @@ def test_commit_and_undo_match_reference(picks, ops, threshold_db, variant):
         assert state.totals == totals
         assert [p.assignment("x") for p in state.placed] == \
             [replace(a, request_id="x") for a in placed]
+
+
+@given(ops=st.lists(st.tuples(st.booleans(), st.integers(0, 10**6)), max_size=60),
+       threshold_db=st.floats(-24.0, -6.0))
+@settings(max_examples=100, deadline=None)
+def test_free_lists_match_occupancy(ops, threshold_db):
+    """After every commit and undo, each group's memoized free list is its
+    placements that meet no occupied slot, in enumeration order."""
+    base = fig2_fixture()
+    inst = replace(base, planner=replace(base.planner, xt_threshold_db=threshold_db),
+                   requests=(Request("a", "e1", "e2", 3.0), Request("b", "e1", "e3", 5.0),
+                             Request("c", "e4", "e2", 2.0), Request("d", "e3", "e2", 8.0),
+                             Request("e", "e1", "e2", 3.0)))
+    state = _SearchState(inst, SolveLimits())
+    groups = [state.group(r) for r in inst.requests]
+    assert groups[0] is groups[4]
+    assert all(g.footprint == functools.reduce(operator.or_, (p.occupancy for p in g.placements))
+               for g in groups)
+    every = [p for g in groups[:4] for p in g.placements]
+    tokens = []
+    for is_commit, pick in ops:
+        if is_commit:
+            token = state.commit(every[pick % len(every)])
+            if token is not None:
+                tokens.append(token)
+        elif tokens:
+            state.undo(tokens.pop())
+        for group in groups:
+            assert state.free(group) == \
+                [p for p in group.placements if not p.occupancy & state.occupied]
