@@ -6,23 +6,31 @@ contiguous slot interval), so path continuity, contiguity, and cross-mode
 slot equality hold by construction. Yen's paths are memoized per topology.
 Everything a search reads but never changes (link index, crosstalk
 coefficient table, threshold limit, geometries, pair-term memo, and each
-(source, destination, slot units) group's candidates and placements) lives
-in one `_Tables` per slot grid and solve options, kept on the topology, so
-every solve of an instance and of its `with_requests` copies enumerates a
-group once; a solve's own `_SearchState` holds only what it has committed.
-Slot exclusivity is one int bitmask over (link, mode, slot) cells.
-Crosstalk terms come from the per-link coefficient table in
-`xtalk.overlap_terms` order, memoized per pair of (path, modes)
-geometries, so totals and prune decisions are bit-identical to summing
-`xtalk.pairwise_contribution`. Each group's footprint is the OR of its
-placements' occupancy masks; at a node the exact search takes the group's
-conflict-free placements from a per-solve memo keyed by the occupancy the
-footprint can see, so it tests slot conflicts once per distinct key rather
-than once per visit. The search loops skip a candidate without calling
-`commit` while the placement that last rejected it as a victim is still
-placed at the same index and still over the limit ("last conflict"
+(source, destination, slot units) group's placements) lives in one
+`_Tables` per slot grid and solve options, kept on the topology. A group
+is built once, eagerly, from routes x shapes straight into placements,
+with its footprint, the OR of their occupancy masks, so every solve of an
+instance and of its `with_requests` copies shares it; a solve's own
+`_SearchState` holds only what it has committed. Slot exclusivity is one
+int bitmask over (link, mode, slot) cells. Crosstalk terms come from the
+per-link coefficient table in `xtalk.overlap_terms` order, memoized per
+pair of (path, modes) geometries, so totals and prune decisions are
+bit-identical to summing `xtalk.pairwise_contribution`.
+
+One routine, `_branch`, searches for every solver: a depth-first
+branch-and-bound whose open nodes are frames on an explicit stack, so a
+search one level per request deep never recurses. Exact runs it until the
+search completes or a budget runs out; greedy is its first root-to-leaf
+descent over requests in bandwidth-descending order, where with no
+incumbent no bound prunes, so it stops at that leaf and no budget applies;
+baseline is exact on the collapsed frame. At a node the search takes the
+group's conflict-free placements from a per-solve memo keyed by the
+occupancy the footprint can see, so it tests slot conflicts once per
+distinct key rather than once per visit. It skips a candidate without
+calling `commit` while the placement that last rejected it as a victim is
+still placed at the same index and still over the limit ("last conflict"
 ordering); that is one of commit's own checks on an unchanged state. The
-exact search reads the clock every 256 nodes.
+clock is read every 256 nodes.
 """
 
 from __future__ import annotations
@@ -30,11 +38,12 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
+import math
 import time
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, reduce
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from . import xtalk
 from .model import (Instance, Link, ParseError, Request, Topology, collapse_frame,
@@ -243,17 +252,9 @@ def enumerate_candidates(request: Request, instance: Instance, k: int,
     """All (path, mode subset, contiguous slot interval) triples that cover
     the request's slot-unit demand without a whole spare mode or slot
     column, ordered deterministically by (supply, path length, path, slot
-    start, modes)."""
-    topology = instance.topology
-    routes = []
-    for path in _routes(topology, request.source, request.destination, k):
-        links = tuple(zip(path, path[1:]))
-        routes.append((sum(topology.length(l) for l in links), links))
-    routes.sort()
-    shapes = _shapes(instance.slot_units(request), instance.mode_count, instance.slot_count,
-                     all_mode_subsets)
-    return [Assignment(request.id, links, modes, start, end)
-            for group in shapes for _, links in routes for modes, start, end in group]
+    start, modes): the placements of the request's search-table group."""
+    tables = _Tables.of(instance, SolveLimits(k_paths=k, all_mode_subsets=all_mode_subsets))
+    return [p.assignment(request.id) for p in tables.group(request, instance).placements]
 
 
 # --- search tables and state ----------------------------------------------
@@ -286,30 +287,26 @@ class _Placement:
 
 @dataclass(eq=False, slots=True)
 class _Group:
-    """One (source, destination, slot units) group: its candidates, the
-    placements built from them so far, and, once all are built, its
-    footprint, the OR of their occupancy masks."""
+    """One (source, destination, slot units) group: its placements in
+    enumeration order and its footprint, the OR of their occupancy masks."""
 
-    candidates: list[Assignment]
     placements: list[_Placement]
-    footprint: Optional[int] = None
+    footprint: int
 
 
 class _Tables:
     """What every solve on one slot grid shares: the link index, the
     `coef[link][m_a][m_v]` crosstalk table, the threshold limit, the
     (path, modes) geometries, the per-geometry-pair term memo, and each
-    (source, destination, slot units) group's candidates with the
-    placements built from them so far and, once all are built, their
-    footprint. Nothing here depends on what a solve has committed, except
-    each placement's last blocker, which only decides which of commit's
-    checks runs first."""
+    (source, destination, slot units) group. Nothing here depends on what
+    a solve has committed, except each placement's last blocker, which
+    only decides which of commit's checks runs first."""
 
     def __init__(self, instance: Instance, limits: SolveLimits):
         links = instance.topology.links
         model = instance.planner.accumulation_model
         modes = range(instance.mode_count)
-        self.options = (limits.k_paths, limits.all_mode_subsets)
+        self.k_paths, self.all_mode_subsets = limits.k_paths, limits.all_mode_subsets
         self.mode_count, self.slot_count = instance.mode_count, instance.slot_count
         self.link_index = {l.key: i for i, l in enumerate(links)}
         self.coef = [[[xtalk.pairwise_contribution(instance.crosstalk, m_a, m_v,
@@ -325,7 +322,7 @@ class _Tables:
         """The tables for `instance` and `limits`, built on first use and kept in
         the topology's search_memo under everything they depend on besides the
         topology, so every solve on the instance, its `with_requests` copies
-        included, enumerates and places each group once."""
+        included, builds each group once."""
         key = (instance.frame, instance.mode_count, instance.crosstalk, instance.planner,
                limits.k_paths, limits.all_mode_subsets)
         memo = instance.topology.search_memo
@@ -334,46 +331,40 @@ class _Tables:
             tables = memo[key] = _Tables(instance, limits)
         return tables
 
-    def place(self, cand: Assignment) -> _Placement:
-        shape = self.geometries.get((cand.path, cand.modes))
-        if shape is None:
-            links = tuple(self.link_index[l] for l in cand.path)
-            modes, slots = self.mode_count, self.slot_count
-            shape = self.geometries[cand.path, cand.modes] = (
-                len(self.geometries), links, sum(1 << li * slots for li in links),
-                sum(1 << (li * modes + m) * slots for li in links for m in cand.modes))
-        geometry, links, link_bits, cell_bits = shape
-        # the bit runs a product places at each link (or (link, mode)) never overlap
-        run = ((1 << (cand.slot_end - cand.slot_start)) - 1) << cand.slot_start
-        return _Placement(cand.path, links, cand.modes, cand.slot_start, cand.slot_end,
-                          cand.lambda_count, geometry, link_bits * run, cell_bits * run)
-
-    def _enumerated(self, request: Request, instance: Instance) -> _Group:
-        """The request's group, enumerated on first use."""
-        key = (request.source, request.destination, instance.slot_units(request))
+    def group(self, request: Request, instance: Instance) -> _Group:
+        """The request's (source, destination, slot units) group, built on
+        first use: a placement for every route × shape, ordered by (supply,
+        path length, path, slot start, modes), and their footprint."""
+        units = instance.slot_units(request)
+        key = (request.source, request.destination, units)
         group = self.groups.get(key)
         if group is None:
+            topology = instance.topology
+            paths = [tuple(zip(p, p[1:])) for p in
+                     _routes(topology, request.source, request.destination, self.k_paths)]
+            routes = sorted((sum(map(topology.length, links)), links) for links in paths)
+            placements = [self._place(links, modes, start, end)
+                          for shapes in _shapes(units, self.mode_count, self.slot_count,
+                                                self.all_mode_subsets)
+                          for _, links in routes for modes, start, end in shapes]
             group = self.groups[key] = _Group(
-                enumerate_candidates(request, instance, *self.options), [])
+                placements, reduce(int.__or__, (p.occupancy for p in placements), 0))
         return group
 
-    def candidates(self, request: Request, instance: Instance) -> Iterator[_Placement]:
-        """The request's placements in enumeration order: each (source, destination, slot
-        units) group is enumerated once, each placement built when first reached."""
-        group = self._enumerated(request, instance)
-        cands, placements = group.candidates, group.placements
-        for i, cand in enumerate(cands):
-            if i == len(placements):
-                placements.append(self.place(cand))
-            yield placements[i]
-
-    def group(self, request: Request, instance: Instance) -> _Group:
-        """The request's group with every placement built and its footprint set."""
-        group = self._enumerated(request, instance)
-        if group.footprint is None:
-            group.footprint = reduce(int.__or__, (p.occupancy for p in
-                                                  self.candidates(request, instance)), 0)
-        return group
+    def _place(self, path: tuple[Link, ...], modes: tuple[int, ...],
+               start: int, end: int) -> _Placement:
+        shape = self.geometries.get((path, modes))
+        if shape is None:
+            links = tuple(self.link_index[l] for l in path)
+            shape = self.geometries[path, modes] = (
+                len(self.geometries), links, sum(1 << li * self.slot_count for li in links),
+                sum(1 << (li * self.mode_count + m) * self.slot_count
+                    for li in links for m in modes))
+        geometry, links, link_bits, cell_bits = shape
+        # the bit runs a product places at each link (or (link, mode)) never overlap
+        run = ((1 << (end - start)) - 1) << start
+        return _Placement(path, links, modes, start, end, len(path) * len(modes) * (end - start),
+                          geometry, link_bits * run, cell_bits * run)
 
     def _terms(self, victim: _Placement, aggressor: _Placement) -> tuple[float, ...]:
         """The victim's terms from an aggressor, in xtalk.overlap_terms order."""
@@ -391,49 +382,15 @@ class _Tables:
 class _SearchState:
     """One solve's committed placements, their (link, mode, slot) cell masks,
     slot occupancy and each placement's additive crosstalk total, with O(1)
-    undo, over the instance's shared _Tables, and per group the memo of its
-    conflict-free placements.
+    undo, over the instance's shared _Tables."""
 
-    A search loop skips a candidate without calling `commit` when its last
-    blocker is still the placement at that index and still over the limit
-    with the candidate's increment: that is one of commit's own checks on
-    the same state, so the skip never changes a decision."""
-
-    def __init__(self, instance: Instance, limits: SolveLimits):
-        self.instance = instance
-        self.tables = _Tables.of(instance, limits)
-        self.limit = self.tables.limit
+    def __init__(self, tables: _Tables):
+        self.tables = tables
+        self.limit = tables.limit
         self.occupied = 0
         self.placed: list[_Placement] = []
         self.cells: list[int] = []  # placed[k].cells
         self.totals: list[float] = []
-        # group -> {occupied & group.footprint: the group's free placements}
-        self.free_lists: defaultdict[_Group, dict[int, list[_Placement]]] = defaultdict(dict)
-
-    def candidates(self, request: Request) -> Iterator[_Placement]:
-        return self.tables.candidates(request, self.instance)
-
-    def group(self, request: Request) -> _Group:
-        return self.tables.group(request, self.instance)
-
-    def free(self, group: _Group) -> list[_Placement]:
-        """The group's placements that meet no occupied slot, in enumeration
-        order. The list is a function of the occupancy the group's footprint
-        can see, and is built once per solve for each such occupancy;
-        solve_exact inlines this lookup."""
-        key = self.occupied & group.footprint
-        memo = self.free_lists[group]
-        free = memo.get(key)
-        if free is None:
-            free = memo[key] = [p for p in group.placements if not p.occupancy & key]
-        return free
-
-    def blocked(self, new: _Placement) -> bool:
-        """Whether `new`'s last blocker still rejects it; solve_exact inlines
-        this test."""
-        b, blocker, inc = new.blocker
-        return b < len(self.placed) and self.placed[b] is blocker and \
-            not self.totals[b] + inc <= self.limit
 
     def commit(self, new: _Placement) -> Optional[tuple]:
         """Commit if feasible; returns an undo token, or None if infeasible,
@@ -504,35 +461,38 @@ def _finish(instance: Instance, assignments: list[Assignment], optimal: bool) ->
                     throughput_gbps=tp, lambda_count=lam, optimal=optimal)
 
 
-def solve_exact(instance: Instance, limits: Optional[SolveLimits] = None,
-                initial: Optional[Schedule] = None) -> Schedule:
-    """Depth-first branch-and-bound over per-request candidate decisions.
+def _branch(instance: Instance, limits: SolveLimits, requests: list[Request],
+            initial: Optional[Schedule] = None,
+            first_leaf: bool = False) -> tuple[Optional[list[Assignment]], bool]:
+    """Depth-first branch-and-bound over `requests` in order: each request
+    tries its group's conflict-free placements in enumeration order, then
+    rejection. Returns the best leaf's assignments (the first found on
+    ties; `initial`'s if no leaf beats it, None if neither exists) and
+    whether a budget stopped the search.
 
     Prunes on slot conflicts, incremental crosstalk infeasibility, and an
-    optimistic throughput bound. Deterministic: fixed candidate order,
-    first-found incumbent kept on ties. When the node or time budget runs
-    out, the best schedule found so far is returned with optimal=False.
-
-    `initial` seeds the incumbent with a known-feasible schedule (e.g. a
-    baseline schedule re-expressed on the sliced grid), guaranteeing the
-    result is never worse.
-    """
-    limits = limits or SolveLimits()
-    requests = list(instance.requests)
-    state = _SearchState(instance, limits)
+    optimistic throughput bound against the incumbent. Each open node is a
+    frame on an explicit stack, so the depth, one level per request, meets
+    no recursion limit. With `first_leaf` the search ends at its first leaf
+    and no budget applies: with no incumbent no bound prunes before it, so
+    that leaf gives each request in turn its first feasible placement."""
+    state = _SearchState(_Tables.of(instance, limits))
     placed, totals, limit, commit, undo = (state.placed, state.totals, state.limit,
                                            state.commit, state.undo)
-    groups = [state.group(r) for r in requests]
-    # per request position: the group's footprint and free-list memo (state.free)
+    groups = [state.tables.group(r, instance) for r in requests]
     footprints = [g.footprint for g in groups]
-    free_lists = [state.free_lists[g] for g in groups]
+    # per group: {occupied & footprint: the group's placements meeting no occupied cell}
+    memo: defaultdict[_Group, dict[int, list[_Placement]]] = defaultdict(dict)
+    free_lists = [memo[g] for g in groups]
+    gains = [r.bandwidth_gbps for r in requests]
+    n = len(requests)
     # optimistic throughput still reachable from request position i onward,
     # and the least extra lambda any throughput-tying completion must pay
-    suffix = [0.0] * (len(requests) + 1)
-    min_lam_suffix = [0] * (len(requests) + 1)
-    for i in range(len(requests) - 1, -1, -1):
+    suffix = [0.0] * (n + 1)
+    min_lam_suffix = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
         cands = groups[i].placements
-        suffix[i] = suffix[i + 1] + (requests[i].bandwidth_gbps if cands else 0.0)
+        suffix[i] = suffix[i + 1] + (gains[i] if cands else 0.0)
         min_lam_suffix[i] = min_lam_suffix[i + 1] + min((c.lambda_count for c in cands), default=0)
 
     best: Optional[list[Assignment]] = None
@@ -540,70 +500,98 @@ def solve_exact(instance: Instance, limits: Optional[SolveLimits] = None,
     if initial is not None:
         best = list(initial.assignments)
         best_tp, best_lam = initial.throughput_gbps, initial.lambda_count
-    nodes = limits.node_budget
-    deadline = time.monotonic() + limits.time_budget_s
-    exhausted = False
-
-    def dfs(i: int, tp: float, lam: int, ids: tuple[str, ...]):
-        nonlocal nodes, exhausted, best, best_tp, best_lam
+    if first_leaf:
+        nodes, deadline = n + 2, math.inf
+    else:
+        nodes, deadline = limits.node_budget, time.monotonic() + limits.time_budget_s
+    # one frame per open node, root first: [its untried placements, or None
+    # once it has taken its reject branch, the undo token of the placement
+    # it has committed, or None, tp, lam]
+    frames: list[list] = []
+    i, tp, lam = 0, 0.0, 0
+    while True:
+        # enter the node at depth i
         nodes -= 1
         # the clock is read every 256 nodes
         if nodes <= 0 or not nodes & 255 and time.monotonic() > deadline:
-            exhausted = True
-            return
-        if i == len(requests):
+            return best, True
+        if i == n:
             if best is None or _lex_better(tp, lam, best_tp, best_lam):
+                ids = (requests[d].id for d, frame in enumerate(frames) if frame[1] is not None)
                 best = [p.assignment(rid) for rid, p in zip(ids, placed)]
                 best_tp, best_lam = tp, lam
-            return
-        if best is not None:
+            if first_leaf:
+                return best, False
+        else:
             reachable = tp + suffix[i]
-            if reachable < best_tp - _EPS:
-                return
-            # a completion can only tie the incumbent's throughput by
-            # accepting every remaining request that has candidates, each
-            # costing at least its cheapest placement
-            if reachable <= best_tp + _EPS and lam + min_lam_suffix[i] >= best_lam:
-                return
-        r = requests[i]
-        n = len(placed)  # restored by every undo below
-        key = state.occupied & footprints[i]  # state.free(groups[i]), inlined
-        free = free_lists[i].get(key)
-        if free is None:
-            free = free_lists[i][key] = [p for p in groups[i].placements
-                                         if not p.occupancy & key]
-        for cand in free:
-            b, blocker, inc = cand.blocker  # state.blocked(cand), inlined
-            if b < n and placed[b] is blocker and not totals[b] + inc <= limit:
+            # the bound prunes only against an incumbent; a completion can
+            # only tie its throughput by accepting every remaining request
+            # that has candidates, each costing at least its cheapest placement
+            if best is None or reachable > best_tp + _EPS or \
+                    reachable >= best_tp - _EPS and lam + min_lam_suffix[i] < best_lam:
+                key = state.occupied & footprints[i]
+                free = free_lists[i].get(key)
+                if free is None:
+                    free = free_lists[i][key] = [p for p in groups[i].placements
+                                                 if not p.occupancy & key]
+                frames.append([iter(free), None, tp, lam])
+        # move to the next branch of the deepest open node: its next
+        # committable placement, else its reject branch
+        while frames:
+            frame = frames[-1]
+            untried, token, tp, lam = frame
+            if token is not None:
+                undo(token)
+                frame[1] = None
+            if untried is None:
+                frames.pop()
                 continue
-            token = commit(cand)
-            if token is None:
-                continue
-            dfs(i + 1, tp + r.bandwidth_gbps, lam + cand.lambda_count, ids + (r.id,))
-            undo(token)
-            if exhausted:
-                return
-        # reject branch
-        dfs(i + 1, tp, lam, ids)
+            i = len(frames)
+            m = len(placed)
+            for cand in untried:
+                # skipped while its last blocker still rejects it (see module doc)
+                b, blocker, inc = cand.blocker
+                if b < m and placed[b] is blocker and not totals[b] + inc <= limit:
+                    continue
+                token = commit(cand)
+                if token is not None:
+                    frame[1] = token
+                    tp += gains[i - 1]
+                    lam += cand.lambda_count
+                    break
+            else:
+                frame[0] = None
+            break
+        else:
+            return best, False  # every branch explored
 
-    dfs(0, 0.0, 0, ())
-    # dfs refers to itself; breaking that cycle frees the search state now
-    del dfs
+
+def solve_exact(instance: Instance, limits: Optional[SolveLimits] = None,
+                initial: Optional[Schedule] = None) -> Schedule:
+    """Branch-and-bound over per-request candidate decisions (see _branch),
+    requests in instance order.
+
+    Deterministic: fixed candidate order, first-found incumbent kept on
+    ties. When the node or time budget runs out, the best schedule found
+    so far is returned with optimal=False.
+
+    `initial` seeds the incumbent with a known-feasible schedule (e.g. a
+    baseline schedule re-expressed on the sliced grid), guaranteeing the
+    result is never worse.
+    """
+    best, exhausted = _branch(instance, limits or SolveLimits(), list(instance.requests),
+                              initial)
     return _finish(instance, best or [], optimal=not exhausted)
 
 
 def solve_greedy(instance: Instance, limits: Optional[SolveLimits] = None) -> Schedule:
     """Requests in bandwidth-descending order (ties by id) each take their
     first feasible candidate; a request with no feasible candidate is
-    rejected. Deterministic."""
-    state = _SearchState(instance, limits or SolveLimits())
-    accepted = []
-    for r in sorted(instance.requests, key=lambda r: (-r.bandwidth_gbps, r.id)):
-        for cand in state.candidates(r):
-            if not state.blocked(cand) and state.commit(cand) is not None:
-                accepted.append(cand.assignment(r.id))
-                break
-    return _finish(instance, accepted, optimal=False)
+    rejected. This is the branch-and-bound's first descent (see _branch),
+    which no budget cuts short. Deterministic."""
+    order = sorted(instance.requests, key=lambda r: (-r.bandwidth_gbps, r.id))
+    best, _ = _branch(instance, limits or SolveLimits(), order, first_leaf=True)
+    return _finish(instance, best, optimal=False)
 
 
 def solve_baseline_conventional(instance: Instance,

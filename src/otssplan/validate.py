@@ -52,9 +52,13 @@ class ViolationReport:
 def _check_structure(instance: Instance, schedule: Schedule) -> None:
     known_requests = {r.id for r in instance.requests}
     known_links = set(instance.topology.link_keys())
+    seen: set[str] = set()
     for a in schedule.assignments:
         if a.request_id not in known_requests:
             raise StructureError(f"accepted request {a.request_id!r} not in instance")
+        if a.request_id in seen:
+            raise StructureError(f"request {a.request_id!r} accepted more than once")
+        seen.add(a.request_id)
         for link in a.path:
             if link not in known_links:
                 raise StructureError(f"request {a.request_id!r} uses unknown link {link}")

@@ -68,6 +68,32 @@ class TestExitCodes:
         assert "structural error" in capsys.readouterr().err
 
 
+    def test_request_accepted_twice_is_validation(self, tmp_path, fig2_file, capsys):
+        sched = tmp_path / "twice.json"
+        assert cli.run(["plan", "-i", str(fig2_file), "-o", str(sched)]) == 0
+        capsys.readouterr()
+        doc = json.loads(sched.read_text())
+        r1 = next(a for a in doc["accepted"] if a["request_id"] == "r1")
+        doc["accepted"].append(dict(r1, path=[["e1", "a2"], ["a2", "e2"]]))
+        sched.write_text(json.dumps(doc))
+        assert cli.run(["validate", "-i", str(fig2_file), "-s", str(sched)]) == 1
+        assert "structural error" in capsys.readouterr().err
+
+    def test_thousand_request_plan(self, tmp_path, fig2_file, capsys):
+        requests = tmp_path / "requests.json"
+        assert cli.run(["gen-traffic", "-i", str(fig2_file), "--load", "6000", "--seed", "0",
+                        "-o", str(requests)]) == 0
+        doc = json.loads(fig2_file.read_text())
+        doc["requests"] = json.loads(requests.read_text())
+        assert len(doc["requests"]) > 1000
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(doc))
+        out = tmp_path / "plan.json"
+        assert cli.run(["plan", "-i", str(big), "--node-budget", "5000", "-o", str(out)]) == 0
+        capsys.readouterr()
+        assert cli.run(["validate", "-i", str(big), "-s", str(out)]) == 0
+
+
 class TestArgumentErrors:
     """A flag value that does not parse or is out of range is a usage error
     naming the flag, not an internal error."""

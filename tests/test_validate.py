@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_micro_instance, two_request_200m_instance
 from otssplan import validate
+from otssplan.harness import fig2_fixture
 from otssplan.model import collapse_frame
 from otssplan.solve import (Assignment, Schedule, solve_baseline_conventional,
                             solve_exact, solve_greedy)
@@ -66,6 +67,14 @@ class TestCheckSchedule:
         sched = Schedule((), ("ra",), 0.0, 0, True)  # rb unaccounted
         with pytest.raises(validate.StructureError):
             validate.check_schedule(two_request_200m, sched)
+
+    def test_request_accepted_twice_is_structural(self):
+        inst = fig2_fixture()
+        schedule = solve_exact(inst)
+        copy = replace(schedule.assignment("r1"), path=(("e1", "a2"), ("a2", "e2")))
+        twice = replace(schedule, assignments=schedule.assignments + (copy,))
+        with pytest.raises(validate.StructureError, match="'r1' accepted more than once"):
+            validate.check_schedule(inst, twice)
 
     def test_solver_outputs_pass_over_corpus(self):
         rng = random.Random("validate-corpus")
