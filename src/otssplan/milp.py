@@ -12,22 +12,23 @@ assignment_from_schedule both read it. Each request id, node id and link
 is sanitized to its LP tag a single time, and two ids that sanitize to
 the same tag raise ValidationError instead of silently merging in the
 LP. build_model keeps only the name table and the objectives: the
-constraints are a stream of plain (name, terms, sense, rhs, family) rows
-(MilpModel.rows) and the variables a stream of names
-(MilpModel.variable_names), each audited against count_formulas when a
-pass over it ends. A row dies once it is rendered, so no large set of
-long-lived objects is built; Variable and Constraint records are made
-only when MilpModel.variables or MilpModel.constraints is read. One
-routine, _render_row, renders every LP row (constraints, the phase-2
-fix_throughput row, objectives) with each coefficient's signed prefix
-and each (sense, rhs) tail formatted once; emit_lp renders the row stream
-in one pass, once for both phase files.
+constraints are a stream of columnar (name, coefs, names, sense, rhs,
+family) rows (MilpModel.rows), where every row of one shape shares one
+coefs tuple per pass (fig2's 62,900 rows have 22) and names holds the
+row's variable names, and the variables are a stream of names
+(MilpModel.variable_names); each stream is audited against
+count_formulas when a pass over it ends. A row dies once it is rendered;
+Variable and Constraint records, with (coef, name) terms, are made only
+when MilpModel.variables or MilpModel.constraints is read. One routine,
+_render_rows, renders every LP row (constraints, the phase-2
+fix_throughput row, objectives) from a %-format template made once per
+(coefs, sense, rhs); emit_lp renders and encodes the row stream in one
+pass and writes those bytes into both phase files.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -70,9 +71,9 @@ class Objective(NamedTuple):
     terms: tuple[Term, ...]
 
 
-# a constraint as rows() yields it: the fields of Constraint, in order
-Row = tuple[str, tuple[Term, ...], str, float, str]
-
+# a constraint as rows() yields it: coefs is shared by the pass's rows with
+# equal coefficients, and names holds one variable name per coefficient
+Row = tuple[str, tuple[float, ...], tuple[str, ...], str, float, str]
 
 _NON_ALNUM = re.compile(r"[^A-Za-z0-9]")
 
@@ -247,7 +248,7 @@ class MilpModel:
     """The MIP of one instance: its name table and objectives.
 
     Constraints and variables are streams, not stored: rows() yields each
-    constraint as a plain (name, terms, sense, rhs, family) tuple and
+    constraint as a (name, coefs, names, sense, rhs, family) tuple and
     variable_names() each binary variable's name, both in declaration
     order, and a pass over either that runs to its end is audited against
     count_formulas. The constraints and variables properties build their
@@ -267,7 +268,7 @@ class MilpModel:
     def rows(self) -> Iterator[Row]:
         seen = dict.fromkeys(FAMILY_NOTES, 0)
         for row in _rows(self.instance, self.names):
-            seen[row[4]] += 1
+            seen[row[5]] += 1
             yield row
         _audit("constraints per family", seen, count_formulas(self.instance)["constraints"])
 
@@ -286,14 +287,12 @@ class MilpModel:
 
     @property
     def constraints(self) -> list[Constraint]:
-        return list(map(Constraint._make, self.rows()))
+        return [Constraint(name, tuple(zip(coefs, names)), sense, rhs, family)
+                for name, coefs, names, sense, rhs, family in self.rows()]
 
     @property
     def variables(self) -> list[Variable]:
         return list(map(Variable, self.variable_names()))
-
-    def family_counts(self) -> dict[str, int]:
-        return Counter(row[4] for row in self.rows())
 
 
 def build_model(instance: Instance, max_variables: int = 2_000_000) -> MilpModel:
@@ -334,7 +333,8 @@ def build_model(instance: Instance, max_variables: int = 2_000_000) -> MilpModel
 
 
 def _rows(instance: Instance, names: _Names) -> Iterator[Row]:
-    """Every constraint row of instance's model, in declaration order."""
+    """Every constraint row of instance's model, in declaration order. Rows
+    of one coefficient vector share one tuple, made once per pass."""
     if not instance.requests:
         return
     topo = instance.topology
@@ -349,13 +349,20 @@ def _rows(instance: Instance, names: _Names) -> Iterator[Row]:
     # eq10's big-M must dominate the largest slot-unit demand
     big_m_cap = max(big_m, max(q.values()))
     rt, nt, et, lam, rho, overlaps, cm, ca, u, w, v = names
+    shapes: dict[tuple[float, ...], tuple[float, ...]] = {}
+
+    def shape(*coefs: float) -> tuple[float, ...]:  # the pass's one tuple equal to coefs
+        return shapes.setdefault(coefs, coefs)
+
+    pair, triple = shape(1.0, -1.0), shape(1.0, -1.0, -1.0)
 
     def flow(rid, out_node, in_node, ms, ts, *tail):
-        """Out-link lambdas of out_node at +1, in-link ones of in_node at -1, tail."""
-        return (*[(1.0, lam[rid, l.key][m][t]) for l in topo.out_links(out_node)
-                  for m in ms for t in ts],
-                *[(-1.0, lam[rid, l.key][m][t]) for l in topo.in_links(in_node)
-                  for m in ms for t in ts], *tail)
+        """(coefs, names): out_node's out-link lambdas at +1, in_node's in-link ones
+        at -1, then the (coef, name) tail."""
+        out = [lam[rid, l.key][m][t] for l in topo.out_links(out_node) for m in ms for t in ts]
+        inn = [lam[rid, l.key][m][t] for l in topo.in_links(in_node) for m in ms for t in ts]
+        return (shape(*[1.0] * len(out), *[-1.0] * len(inn), *[c for c, _ in tail]),
+                (*out, *inn, *[n for _, n in tail]))
 
     def transitions(family, ind, seq):
         """ind[tb] >= |seq[tb] - seq[tb-1]| with virtual zeros at both ends."""
@@ -363,8 +370,8 @@ def _rows(instance: Instance, names: _Names) -> Iterator[Row]:
             cur, prev = seq[tb:tb + 1], seq[max(tb - 1, 0):tb]
             for kind, sign in (("up", -1.0), ("dn", 1.0)):
                 yield (f"{family}_{kind}_{ind[tb]}",
-                       ((1.0, ind[tb]), *[(sign, n) for n in cur],
-                        *[(-sign, n) for n in prev]), ">=", 0.0, family)
+                       shape(1.0, *[sign] * len(cur), *[-sign] * len(prev)),
+                       (ind[tb], *cur, *prev), ">=", 0.0, family)
 
     # eq2: flow conservation in slot units, plus lambda <= rho coupling
     for r in instance.requests:
@@ -373,85 +380,86 @@ def _rows(instance: Instance, names: _Names) -> Iterator[Row]:
                            else ("<=", [(float(q[r.id]), rho[r.id])]) if node == r.destination
                            else ("=", []))
             yield (f"eq2_{rt[r.id]}_{nt[node]}",
-                   flow(r.id, node, node, modes, slots, *tail), sense, 0.0, "eq2")
+                   *flow(r.id, node, node, modes, slots, *tail), sense, 0.0, "eq2")
     for rid in rids:
         for link in links:
             for m in modes:
                 for t in slots:
-                    yield (f"eq2_acc_{rt[rid]}_{et[link]}_m{m}_t{t}",
-                           ((1.0, lam[rid, link][m][t]), (-1.0, rho[rid])), "<=", 0.0, "eq2")
+                    yield (f"eq2_acc_{rt[rid]}_{et[link]}_m{m}_t{t}", pair,
+                           (lam[rid, link][m][t], rho[rid]), "<=", 0.0, "eq2")
 
     # eq3/eq4: per-slot aggregate continuity; eq5/eq6: per-mode continuity
     for r in instance.requests:
         transit = [n for n in nodes if n not in (r.source, r.destination)]
         for t in slots:
             yield (f"eq3_{rt[r.id]}_t{t}",
-                   flow(r.id, r.source, r.destination, modes, (t,)), "=", 0.0, "eq3")
+                   *flow(r.id, r.source, r.destination, modes, (t,)), "=", 0.0, "eq3")
         for t in slots:
             for node in transit:
                 yield (f"eq4_{rt[r.id]}_t{t}_{nt[node]}",
-                       flow(r.id, node, node, modes, (t,)), "=", 0.0, "eq4")
+                       *flow(r.id, node, node, modes, (t,)), "=", 0.0, "eq4")
         for m in modes:
             for t in slots:
                 yield (f"eq5_{rt[r.id]}_m{m}_t{t}",
-                       flow(r.id, r.source, r.destination, (m,), (t,)), "=", 0.0, "eq5")
+                       *flow(r.id, r.source, r.destination, (m,), (t,)), "=", 0.0, "eq5")
         for m in modes:
             for t in slots:
                 for node in transit:
                     yield (f"eq6_{rt[r.id]}_m{m}_t{t}_{nt[node]}",
-                           flow(r.id, node, node, (m,), (t,)), "=", 0.0, "eq6")
+                           *flow(r.id, node, node, (m,), (t,)), "=", 0.0, "eq6")
 
     # eq7: each (link, mode, slot) cell used at most once
+    sum_r = shape(*[1.0] * len(rids))
     for link in links:
         for m in modes:
             for t in slots:
-                yield (f"eq7_{et[link]}_m{m}_t{t}",
-                       tuple((1.0, lam[rid, link][m][t]) for rid in rids), "<=", 1.0, "eq7")
+                yield (f"eq7_{et[link]}_m{m}_t{t}", sum_r,
+                       tuple(lam[rid, link][m][t] for rid in rids), "<=", 1.0, "eq7")
 
     # eq8: contiguity via transition indicators with virtual zero slots at
     # both frame boundaries; at most 2 transitions = one contiguous block
+    sum_tb = shape(*[1.0] * (T + 1))
     for rid in rids:
         for link in links:
             for m in modes:
                 yield from transitions("eq8", cm[rid, link][m], lam[rid, link][m])
-                yield (f"eq8_sum_{rt[rid]}_{et[link]}_m{m}",
-                       tuple((1.0, n) for n in cm[rid, link][m]), "<=", 2.0, "eq8")
+                yield (f"eq8_sum_{rt[rid]}_{et[link]}_m{m}", sum_tb,
+                       tuple(cm[rid, link][m]), "<=", 2.0, "eq8")
 
     # eq9: aggregate occupancy indicator u, its contiguity, and mode-pattern
     # equality for modes the request uses
+    one_less_all = shape(1.0, *[-1.0] * len(modes))
     for rid in rids:
         for link in links:
             ls, us, ws = lam[rid, link], u[rid, link], w[rid, link]
             for t in slots:
                 for m in modes:
-                    yield (f"eq9_uup_{us[t]}_m{m}",
-                           ((1.0, ls[m][t]), (-1.0, us[t])), "<=", 0.0, "eq9")
-                yield (f"eq9_udn_{us[t]}",
-                       ((1.0, us[t]), *[(-1.0, ls[m][t]) for m in modes]), "<=", 0.0, "eq9")
+                    yield (f"eq9_uup_{us[t]}_m{m}", pair, (ls[m][t], us[t]), "<=", 0.0, "eq9")
+                yield (f"eq9_udn_{us[t]}", one_less_all,
+                       (us[t], *[ls[m][t] for m in modes]), "<=", 0.0, "eq9")
             yield from transitions("eq9", ca[rid, link], us)
-            yield (f"eq9_sum_{rt[rid]}_{et[link]}",
-                   tuple((1.0, n) for n in ca[rid, link]), "<=", 2.0, "eq9")
+            yield (f"eq9_sum_{rt[rid]}_{et[link]}", sum_tb, tuple(ca[rid, link]), "<=", 2.0, "eq9")
             for m in modes:
                 for t in slots:
-                    yield (f"eq9_wub_{ws[m]}_t{t}",
-                           ((1.0, ls[m][t]), (-1.0, ws[m])), "<=", 0.0, "eq9")
+                    yield (f"eq9_wub_{ws[m]}_t{t}", pair, (ls[m][t], ws[m]), "<=", 0.0, "eq9")
                     # lambda >= u - (1 - w): a used mode follows the
                     # aggregate slot pattern exactly
-                    yield (f"eq9_wlb_{ws[m]}_t{t}",
-                           ((1.0, ls[m][t]), (-1.0, us[t]), (-1.0, ws[m])), ">=", -1.0, "eq9")
+                    yield (f"eq9_wlb_{ws[m]}_t{t}", triple, (ls[m][t], us[t], ws[m]),
+                           ">=", -1.0, "eq9")
 
     # eq10: if a request uses a link, the supplied cells cover its demand
+    one_less_cells = shape(1.0, *[-1.0] * (len(modes) * T))
+    cells_less_cap = shape(*[1.0] * (len(modes) * T), -float(big_m_cap))
     for r in instance.requests:
         for link in links:
             vn = v[r.id, link]
             cells = [n for row in lam[r.id, link] for n in row]
             for m in modes:
                 for t in slots:
-                    yield (f"eq10_vup_{vn}_m{m}_t{t}",
-                           ((1.0, lam[r.id, link][m][t]), (-1.0, vn)), "<=", 0.0, "eq10")
-            yield (f"eq10_vdn_{vn}", ((1.0, vn), *[(-1.0, n) for n in cells]),
-                   "<=", 0.0, "eq10")
-            yield (f"eq10_cap_{vn}", (*[(1.0, n) for n in cells], (-float(big_m_cap), vn)),
+                    yield (f"eq10_vup_{vn}_m{m}_t{t}", pair,
+                           (lam[r.id, link][m][t], vn), "<=", 0.0, "eq10")
+            yield (f"eq10_vdn_{vn}", one_less_cells, (vn, *cells), "<=", 0.0, "eq10")
+            yield (f"eq10_cap_{vn}", cells_less_cap, (*cells, vn),
                    ">=", float(q[r.id]) - big_m_cap, "eq10")
 
     # eq11: accumulated crosstalk budget per protected request, with
@@ -466,17 +474,19 @@ def _rows(instance: Instance, names: _Names) -> Iterator[Row]:
     for r1, _, link, m1, m2, th, _ in overlaps:
         budget[r1].append((coef[link, m1, m2], th))
     for rid in rids:
-        yield (f"eq11_{rt[rid]}", tuple(budget[rid]), "<=", threshold, "eq11")
+        coefs, ths = _columns(budget[rid])
+        yield (f"eq11_{rt[rid]}", shape(*coefs), ths, "<=", threshold, "eq11")
 
     # eq12-eq15: beta = AND of the two occupancies; theta = OR over slots
-    inv_m = 1.0 / big_m
+    lo, hi = shape(*[1.0 / big_m] * T, -1.0), shape(1.0, *[-1.0] * T)
+    both = shape(1.0, 1.0, -1.0)
     for r1, r2, link, m1, m2, th, betas in overlaps:
-        yield (f"eq12_lo_{th}", (*[(inv_m, b) for b in betas], (-1.0, th)), "<=", 0.0, "eq12")
-        yield (f"eq12_hi_{th}", ((1.0, th), *[(-1.0, b) for b in betas]), "<=", 0.0, "eq12")
+        yield (f"eq12_lo_{th}", lo, (*betas, th), "<=", 0.0, "eq12")
+        yield (f"eq12_hi_{th}", hi, (th, *betas), "<=", 0.0, "eq12")
         for b, l1, l2 in zip(betas, lam[r1, link][m1], lam[r2, link][m2]):
-            yield (f"eq13_{b}", ((1.0, l1), (1.0, l2), (-1.0, b)), "<=", 1.0, "eq13")
-            yield (f"eq14_{b}", ((1.0, b), (-1.0, l1)), "<=", 0.0, "eq14")
-            yield (f"eq15_{b}", ((1.0, b), (-1.0, l2)), "<=", 0.0, "eq15")
+            yield (f"eq13_{b}", both, (l1, l2, b), "<=", 1.0, "eq13")
+            yield (f"eq14_{b}", pair, (b, l1), "<=", 0.0, "eq14")
+            yield (f"eq15_{b}", pair, (b, l2), "<=", 0.0, "eq15")
 
 
 # --- LP text emission -----------------------------------------------------
@@ -489,57 +499,53 @@ def _fmt_num(x: float) -> str:
     return repr(float(x))
 
 
-class _Prefixes(dict):
-    """coefficient -> its signed term prefix, `+ 1 ` or `- 0.25 `."""
+class _Templates(dict):
+    """(coefs, sense, rhs) -> the %-format template of an LP row of that
+    shape, whose fields are the row's label and then one name per
+    coefficient, as in ` %s: %s - 0.25 %s <= 1`: no plus sign on the first
+    term, `0 dummy_zero` for no terms, and no tail when sense is None."""
 
-    def __missing__(self, coef: float) -> str:
-        text = f"- {_fmt_num(-coef)} " if coef < 0 else f"+ {_fmt_num(coef)} "
-        self[coef] = text
+    def __missing__(self, key: tuple) -> str:
+        coefs, sense, rhs = key
+        body = " ".join([f"- {_fmt_num(-c)} %s" if c < 0 else f"+ {_fmt_num(c)} %s"
+                         for c in coefs]) if coefs else "0 dummy_zero"
+        tail = "" if sense is None else f" {sense} {_fmt_num(rhs)}"
+        text = self[key] = f" %s: {body[2:] if body[0] == '+' else body}{tail}\n"
         return text
 
 
-def _render_row(prefix: _Prefixes, label: str, terms: tuple[Term, ...], tail: str) -> str:
-    """The LP text of the row `label: terms tail` (no plus sign on the first
-    term, `0 dummy_zero` for none), through _wrap past the line limit."""
-    body = " ".join([prefix[c] + n for c, n in terms]) if terms else "0 dummy_zero"
-    row = f" {label}: {body[2:] if body[0] == '+' else body}{tail}\n"
-    return row if len(row) <= 251 else "".join(line + "\n" for line in _wrap(row[1:-1]))
-
-
-def _wrap(body: str, width: int = 250) -> list[str]:
-    """Split a row into LP lines: one leading space first, three on continuations."""
+def _wrap(body: str, width: int = 250) -> str:
+    """A row split into LP lines: one leading space first, three on continuations."""
     words = body.split(" ")
-    lines: list[str] = []
-    cur = " " + words[0]
+    lines = [" " + words[0]]
     for w in words[1:]:
-        if len(cur) + 1 + len(w) > width:
-            lines.append(cur)
-            cur = "   " + w
+        if len(lines[-1]) + 1 + len(w) > width:
+            lines.append("   " + w)
         else:
-            cur += " " + w
-    lines.append(cur)
-    return lines
+            lines[-1] += " " + w
+    return "\n".join(lines) + "\n"
 
 
-def _render_constraints(prefix: _Prefixes, rows) -> tuple[str, bool]:
-    """The rows of a Subject To section, each family run under its header,
-    and whether any row has no terms (and so reads `0 dummy_zero`)."""
-    out = []
-    tails: dict[tuple[str, float], str] = {}
-    last_family = None
-    empty = False
-    for name, terms, sense, rhs, family in rows:
+def _render_rows(templates: _Templates, rows) -> tuple[str, bool]:
+    """The LP text of rows, each through its shape's template and _wrap past
+    the line limit, and each family run under its header (a row of family
+    None has none), and whether any row has no terms (so reads `0 dummy_zero`)."""
+    out, last_family, empty = [], None, False
+    for name, coefs, names, sense, rhs, family in rows:
         if family != last_family:
             note = FAMILY_NOTES.get(family, "")
             out.append(f"\\ {family}: {note}\n" if note else f"\\ {family}\n")
             last_family = family
-        tail = tails.get((sense, rhs))
-        if tail is None:
-            tail = tails[sense, rhs] = f" {sense} {_fmt_num(rhs)}"
-        if not terms:
+        if not coefs:
             empty = True
-        out.append(_render_row(prefix, name, terms, tail))
+        row = templates[coefs, sense, rhs] % ((name,) + names)
+        out.append(row if len(row) <= 251 else _wrap(row[1:-1]))
     return "".join(out), empty
+
+
+def _columns(terms: tuple[Term, ...]) -> tuple[tuple[float, ...], tuple[str, ...]]:
+    """(coefs, names) of (coef, name) terms."""
+    return tuple(c for c, _ in terms), tuple(n for _, n in terms)
 
 
 def emit_lp(model: MilpModel, destination: str | Path,
@@ -549,35 +555,31 @@ def emit_lp(model: MilpModel, destination: str | Path,
     A single-objective model writes one file at `destination`. A two-phase
     model writes `<stem>.phase1.lp` and `<stem>.phase2.lp`; phase 2 pins
     the throughput to `phase1_value` (0 when not supplied) and minimizes
-    resource usage. Both files share one rendering of the constraint
-    stream, made in a single pass over model.rows().
+    resource usage. Both files write the same bytes of the constraint
+    block, rendered and encoded once in a single pass over model.rows().
     """
     destination = Path(destination)
-    prefix = _Prefixes()
-    block, block_needs_dummy = _render_constraints(prefix, model.rows())
-    binaries = "".join([f" {name}\n" for name in model.variable_names()])
+    templates = _Templates()
+    block, block_empty = _render_rows(templates, model.rows())
+    block = block.encode()
+    binaries = "".join([f" {name}\n" for name in model.variable_names()]).encode()
 
     def write(path: Path, objective: Objective, lead: list[Row]) -> Path:
         sense = "Maximize" if objective.sense == "maximize" else "Minimize"
-        lead_text, lead_needs_dummy = _render_constraints(prefix, lead)
-        need_dummy = not objective.terms or block_needs_dummy or lead_needs_dummy
-        with path.open("w") as f:
-            f.write(f"\\ LP model written by otssplan\n{sense}\n"
-                    + _render_row(prefix, "obj", objective.terms, "") + "Subject To\n")
-            f.write(lead_text)
-            f.write(block)
-            f.write("Bounds\n dummy_zero = 0\n" if need_dummy else "Bounds\n")
-            f.write("Binary\n")
-            f.write(binaries)
-            f.write("End\n")
+        obj, obj_empty = _render_rows(
+            templates, [("obj", *_columns(objective.terms), None, None, None)])
+        lead_text, lead_empty = _render_rows(templates, lead)
+        bounds = " dummy_zero = 0\n" if obj_empty or block_empty or lead_empty else ""
+        head = f"\\ LP model written by otssplan\n{sense}\n{obj}Subject To\n{lead_text}"
+        with path.open("wb") as f:
+            f.writelines([head.encode(), block, f"Bounds\n{bounds}Binary\n".encode(), binaries,
+                          b"End\n"])
         return path
 
     if not model.two_phase:
         return [write(destination, model.objectives[0], [])]
-    stem = destination
-    if stem.suffix == ".lp":
-        stem = stem.with_suffix("")
-    fix = ("fix_throughput", model.throughput_terms, ">=",
+    stem = destination.with_suffix("") if destination.suffix == ".lp" else destination
+    fix = ("fix_throughput", *_columns(model.throughput_terms), ">=",
            0.0 if phase1_value is None else float(phase1_value), "fix")
     return [write(stem.with_name(stem.name + ".phase1.lp"), model.objectives[0], []),
             write(stem.with_name(stem.name + ".phase2.lp"), model.objectives[1], [fix])]
@@ -629,11 +631,9 @@ def evaluate_constraints(model: MilpModel, values: dict[str, float],
                          tol: float = 1e-9) -> list[str]:
     """Names of constraints the assignment violates (missing vars read 0)."""
     violated = []
-    for name, terms, sense, rhs, _ in model.rows():
-        lhs = sum(coef * values.get(var, 0.0) for coef, var in terms)
-        ok = (lhs <= rhs + tol if sense == "<="
-              else lhs >= rhs - tol if sense == ">="
-              else abs(lhs - rhs) <= tol)
-        if not ok:
+    for name, coefs, names, sense, rhs, _ in model.rows():
+        lhs = sum(coef * values.get(var, 0.0) for coef, var in zip(coefs, names))
+        if not (lhs <= rhs + tol if sense == "<=" else lhs >= rhs - tol if sense == ">="
+                else abs(lhs - rhs) <= tol):
             violated.append(name)
     return violated

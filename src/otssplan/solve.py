@@ -313,6 +313,8 @@ class _Tables:
                                                    l.length_m, model) if m_a != m_v else 0.0
                        for m_v in modes] for m_a in modes] for l in links]
         self.limit = xtalk.feasibility_limit(instance.planner.xt_threshold_db, model)
+        # with no negative term a total over the limit stays over it
+        self.monotone = all(c >= 0.0 for per_link in self.coef for row in per_link for c in row)
         self.geometries: dict[tuple, tuple] = {}  # (path, modes) -> (id, links, bit bases)
         self.pairs: defaultdict[int, dict] = defaultdict(dict)  # id -> {placed id: pair() entry}
         self.groups: dict[tuple, _Group] = {}
@@ -471,12 +473,18 @@ def _branch(instance: Instance, limits: SolveLimits, requests: list[Request],
     whether a budget stopped the search.
 
     Prunes on slot conflicts, incremental crosstalk infeasibility, and an
-    optimistic throughput bound against the incumbent. Each open node is a
+    optimistic throughput bound against the incumbent. Over tables with a
+    negative term (paper-literal-db), where a total can fall back under
+    the limit, exact checks crosstalk at its leaves instead (greedy still
+    rejects at commit, which keeps its leaf feasible). Each open node is a
     frame on an explicit stack, so the depth, one level per request, meets
     no recursion limit. With `first_leaf` the search ends at its first leaf
     and no budget applies: with no incumbent no bound prunes before it, so
     that leaf gives each request in turn its first feasible placement."""
     state = _SearchState(_Tables.of(instance, limits))
+    leaf_limit = None if state.tables.monotone or first_leaf else state.limit
+    if leaf_limit is not None:
+        state.limit = math.inf
     placed, totals, limit, commit, undo = (state.placed, state.totals, state.limit,
                                            state.commit, state.undo)
     groups = [state.tables.group(r, instance) for r in requests]
@@ -516,7 +524,8 @@ def _branch(instance: Instance, limits: SolveLimits, requests: list[Request],
         if nodes <= 0 or not nodes & 255 and time.monotonic() > deadline:
             return best, True
         if i == n:
-            if best is None or _lex_better(tp, lam, best_tp, best_lam):
+            feasible = leaf_limit is None or all(not t or t <= leaf_limit for t in totals)
+            if feasible and (best is None or _lex_better(tp, lam, best_tp, best_lam)):
                 ids = (requests[d].id for d, frame in enumerate(frames) if frame[1] is not None)
                 best = [p.assignment(rid) for rid, p in zip(ids, placed)]
                 best_tp, best_lam = tp, lam

@@ -17,7 +17,9 @@ import pytest
 from conftest import brute_force_best, random_micro_instance, tiny_instance
 from otssplan import milp, validate, xtalk
 from otssplan.harness import fig2_fixture, fig4_scenario, run_sweep
-from otssplan.model import collapse_frame
+from otssplan.model import (AccumulationModel, CrosstalkMatrix, FrameConfig, Instance,
+                            LinkSpec, NodeSpec, PlannerConfig, Request, Topology,
+                            collapse_frame)
 from otssplan.solve import (Assignment, Schedule, SolveLimits,
                             solve_baseline_conventional, solve_exact, solve_greedy)
 
@@ -62,6 +64,49 @@ def test_criterion_1_oracle_equivalence():
         elapsed = time.monotonic() - start
         assert elapsed < 300
         c.detail = f"200 instances in {elapsed:.1f} s"
+
+
+def _three_on_one_slot() -> Instance:
+    """Three 10 Gb/s requests on one 50 m link of 3 modes, every
+    off-diagonal -14 dB/100 m, one slot. Under paper-literal-db two
+    requests on the slot give each victim -7 dB, over the -13 dB
+    threshold, and three give -14 dB, under it: the optimum carries 30."""
+    topo = Topology((NodeSpec("n1", "edge"), NodeSpec("n2", "edge")),
+                    (LinkSpec("n1", "n2", 50.0),))
+    matrix = CrosstalkMatrix(tuple(tuple(None if a == v else -14.0 for v in range(3))
+                                   for a in range(3)))
+    return Instance(topology=topo,
+                    requests=tuple(Request(f"r{i}", "n1", "n2", 10.0) for i in range(3)),
+                    frame=FrameConfig(5.0, 5.0), mode_count=3, crosstalk=matrix,
+                    planner=PlannerConfig())
+
+
+def test_criterion_1_proven_optimum_under_every_accumulation_model():
+    with _criterion(1, "proven optimum equals the oracle under every model") as c:
+        rng = random.Random("acceptance-oracle")
+        corpus = [random_micro_instance(rng) for _ in range(200)]
+        # the instances of this corpus on which a search that pruned on
+        # partial paper-literal-db totals proved a schedule below the optimum
+        rng = random.Random("plit-corpus")
+        plit = [random_micro_instance(rng) for _ in range(1450)]
+        corpus += [plit[i] for i in (1310, 1414, 1449)] + [_three_on_one_slot()]
+        limits = SolveLimits(all_mode_subsets=True, k_paths=8)
+        literal = AccumulationModel("paper-literal-db")
+        proven = 0
+        for model in (AccumulationModel("linear-power"), literal,
+                      AccumulationModel("tanh-coupling", h=2e-3)):
+            for i, inst in enumerate(corpus):
+                inst = replace(inst, planner=replace(inst.planner, accumulation_model=model))
+                schedule = solve_exact(inst, limits)
+                if schedule.optimal:
+                    proven += 1
+                    got = (schedule.throughput_gbps, schedule.lambda_count)
+                    assert got == pytest.approx(brute_force_best(inst)), \
+                        f"{model.variant} instance {i}: {got}"
+        schedule = solve_exact(replace(_three_on_one_slot(),
+                                       planner=PlannerConfig(accumulation_model=literal)), limits)
+        assert (schedule.optimal, schedule.throughput_gbps) == (True, 30.0)
+        c.detail = f"{proven} of {3 * len(corpus)} solves proven"
 
 
 def test_criterion_2_constraint_soundness():

@@ -125,6 +125,16 @@ def _padded(c, length: int):
     return c._replace(name=c.name + "p" * short) if short > 0 else c
 
 
+def _split(terms):
+    """(coefs, names) of (coef, name) terms."""
+    return tuple(coef for coef, _ in terms), tuple(name for _, name in terms)
+
+
+def _columnar(c):
+    """c as rows() yields it: (name, coefs, names, sense, rhs, family)."""
+    return (c.name, *_split(c.terms), c.sense, c.rhs, c.family)
+
+
 _COEFS = st.one_of(
     st.sampled_from([1.0, -1.0, 0.0, -0.0, 0.25, -0.25, 1e15, -1e15, 1e15 - 1, 3.5e17]),
     st.integers(-10**18, 10**18),
@@ -315,7 +325,7 @@ class TestStreams:
             return {**counts, "total_constraints": counts["total_constraints"] + 1000}
 
         monkeypatch.setattr(milp, "count_formulas", off_totals)
-        assert [tuple(c) for c in model.constraints] == rows
+        assert [_columnar(c) for c in model.constraints] == rows
         assert [v.name for v in model.variables] == names
         assert len(rows) == real(two_request_200m)["total_constraints"]
 
@@ -337,6 +347,10 @@ class TestStreams:
         with pytest.raises(AssertionError, match="count_formulas"):
             milp.evaluate_constraints(model, {})
 
+    def test_fig2_equal_coefficient_vectors_are_one_object(self):
+        coefs = [row[1] for row in milp.build_model(fixture_instance("fig2")).rows()]
+        assert len({id(c) for c in coefs}) == len(set(coefs)) == 22
+
     def test_audit_catches_an_extra_variable(self, two_request_200m):
         model = milp.build_model(two_request_200m)
         names = model.names._replace(rho={**model.names.rho, "extra": "rho_extra"})
@@ -345,8 +359,9 @@ class TestStreams:
 
 
 class TestRowRenderer:
-    """The one row renderer writes the bytes of the previous _fmt_terms +
-    _wrap + join pipeline, for any terms and any row length."""
+    """The one row renderer, a template per (coefs, sense, rhs) shared by
+    constraints and objectives, writes the bytes of the previous
+    _fmt_terms + _wrap + join pipeline, for any terms and any row length."""
 
     @settings(max_examples=300, deadline=None)
     @given(constraints=st.lists(_constraints(), max_size=6), objective=_TERMS)
@@ -356,12 +371,13 @@ class TestRowRenderer:
     @example(constraints=[_EDGE._replace(terms=((1.5, "x" * 30),) * 40)],
              objective=((-1e16, "y" * 60),) * 20)
     def test_matches_previous_pipeline(self, constraints, objective):
-        prefix = milp._Prefixes()
-        assert (milp._render_constraints(prefix, constraints)
+        templates = milp._Templates()
+        assert (milp._render_rows(templates, [_columnar(c) for c in constraints])
                 == (_oracle_render_constraints(constraints),
                     any(not c.terms for c in constraints)))
-        assert (milp._render_row(prefix, "obj", objective, "")
-                == _oracle_render_objective(objective))
+        obj = ("obj", *_split(objective), None, None, None)
+        assert (milp._render_rows(templates, [obj])
+                == (_oracle_render_objective(objective), not objective))
 
     def test_examples_reach_the_line_limit(self):
         rows = [_oracle_wrap(_oracle_row_body(_padded(_EDGE, n))) for n in range(246, 255)]
