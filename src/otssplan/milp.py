@@ -11,19 +11,19 @@ One name table (_name_table) owns the naming scheme; build_model and
 assignment_from_schedule both read it. Each request id, node id and link
 is sanitized to its LP tag a single time, and two ids that sanitize to
 the same tag raise ValidationError instead of silently merging in the
-LP. build_model keeps only the name table and the objectives: the
-constraints are a stream of columnar (name, coefs, names, sense, rhs,
-family) rows (MilpModel.rows), where every row of one shape shares one
-coefs tuple per pass (fig2's 62,900 rows have 22) and names holds the
-row's variable names, and the variables are a stream of names
-(MilpModel.variable_names); each stream is audited against
-count_formulas when a pass over it ends. A row dies once it is rendered;
-Variable and Constraint records, with (coef, name) terms, are made only
-when MilpModel.variables or MilpModel.constraints is read. One routine,
-_render_rows, renders every LP row (constraints, the phase-2
-fix_throughput row, objectives) from a %-format template made once per
-(coefs, sense, rhs); emit_lp renders and encodes the row stream in one
-pass and writes those bytes into both phase files.
+LP. build_model keeps only the name table and the objectives, and the
+model's one representation is columnar rows. The constraints are a
+stream of (name, coefs, names, sense, rhs, family) rows (MilpModel.rows),
+where every row of one shape shares one coefs tuple per pass (fig2's
+62,900 rows have 22) and names holds the row's variable names; an
+objective is (sense, name, coefs, names); the variables are a stream of
+names (MilpModel.variable_names). Each stream is audited against
+count_formulas when a pass over it ends. One routine, _render_rows,
+renders every LP row (constraints, objectives, and the phase-2
+fix_throughput row over the throughput objective's columns) from a
+%-format template made once per (coefs, sense, rhs); emit_lp renders and
+encodes the row stream in one pass and writes those bytes into both phase
+files. paper-literal-db has no MILP until its eq11 row is derived.
 """
 
 from __future__ import annotations
@@ -38,9 +38,6 @@ from typing import Iterator, NamedTuple, Optional
 from . import xtalk
 from .model import Instance, Link, ValidationError
 
-Term = tuple[float, str]
-
-
 class SizeLimitError(Exception):
     """Instance would exceed the configured variable cap."""
 
@@ -50,25 +47,11 @@ class SizeLimitError(Exception):
         self.cap = cap
 
 
-class Variable(NamedTuple):
-    name: str
-    kind: str = "binary"  # binary | continuous
-    lb: float = 0.0
-    ub: float = 1.0
-
-
-class Constraint(NamedTuple):
-    name: str
-    terms: tuple[Term, ...]
-    sense: str  # <= | >= | =
-    rhs: float
-    family: str
-
-
 class Objective(NamedTuple):
     sense: str  # maximize | minimize
     name: str
-    terms: tuple[Term, ...]
+    coefs: tuple[float, ...]
+    names: tuple[str, ...]  # one variable name per coefficient
 
 
 # a constraint as rows() yields it: coefs is shared by the pass's rows with
@@ -251,15 +234,13 @@ class MilpModel:
     constraint as a (name, coefs, names, sense, rhs, family) tuple and
     variable_names() each binary variable's name, both in declaration
     order, and a pass over either that runs to its end is audited against
-    count_formulas. The constraints and variables properties build their
-    records from the streams on every read.
+    count_formulas. A two-phase model's first objective is the throughput
+    expression that phase 2 pins.
     """
 
     instance: Instance
     names: _Names
     objectives: tuple[Objective, ...]
-    # throughput expression, used by phase 2 to pin the phase-1 optimum
-    throughput_terms: tuple[Term, ...] = ()
 
     @property
     def two_phase(self) -> bool:
@@ -286,13 +267,14 @@ class MilpModel:
         _audit("variables", seen, count_formulas(self.instance)["total_variables"])
 
     @property
-    def constraints(self) -> list[Constraint]:
-        return [Constraint(name, tuple(zip(coefs, names)), sense, rhs, family)
-                for name, coefs, names, sense, rhs, family in self.rows()]
+    def constraints(self) -> list[Row]:
+        """list(self.rows()), audited; kept only because perfbench takes its len."""
+        return list(self.rows())
 
     @property
-    def variables(self) -> list[Variable]:
-        return list(map(Variable, self.variable_names()))
+    def variables(self) -> list[str]:
+        """list(self.variable_names()), audited; kept only because perfbench takes its len."""
+        return list(self.variable_names())
 
 
 def build_model(instance: Instance, max_variables: int = 2_000_000) -> MilpModel:
@@ -300,36 +282,35 @@ def build_model(instance: Instance, max_variables: int = 2_000_000) -> MilpModel
 
     An instance with zero requests yields an empty (trivially optimal)
     model; an instance whose variable count exceeds max_variables raises
-    SizeLimitError naming the count, and one whose request or node ids
-    collide once sanitized into LP names raises ValidationError.
+    SizeLimitError naming the count, and one under paper-literal-db or whose
+    request or node ids collide once sanitized into LP names raises ValidationError.
     """
+    if instance.planner.accumulation_model.variant == "paper-literal-db":
+        raise ValidationError([("$.planner.accumulation_model", "no MILP under paper-literal-db: "
+                                "its eq11 row reads 0 <= a negative dB threshold at zero")])
     counts = count_formulas(instance)
     if counts["total_variables"] > max_variables:
         raise SizeLimitError(counts["total_variables"], max_variables)
-    if not instance.requests:
-        return MilpModel(instance, _NO_NAMES, (Objective("maximize", "throughput", ()),
-                                               Objective("minimize", "resource", ())))
-
-    names = _name_table(instance)
-    throughput_terms = tuple((r.bandwidth_gbps, names.rho[r.id]) for r in instance.requests)
-    lambda_terms = tuple((1.0, n) for rows in names.lam.values() for row in rows for n in row)
+    names = _name_table(instance) if instance.requests else _NO_NAMES
+    bandwidths = tuple(r.bandwidth_gbps for r in instance.requests)
+    rhos = tuple(names.rho.values())
+    lams = tuple(n for rows in names.lam.values() for row in rows for n in row)
     obj_mode = instance.planner.objective_mode
     if obj_mode.kind == "lexicographic":
-        objectives = (Objective("maximize", "throughput", throughput_terms),
-                      Objective("minimize", "resource", lambda_terms))
+        objectives = (Objective("maximize", "throughput", bandwidths, rhos),
+                      Objective("minimize", "resource", (1.0,) * len(lams), lams))
     else:
         eta1 = obj_mode.eta1 if obj_mode.eta1 is not None else 1.0
         if obj_mode.eta2 is not None:
             eta2 = obj_mode.eta2
         else:
-            max_b = max(r.bandwidth_gbps for r in instance.requests)
-            denom = (len(instance.requests) * len(instance.topology.links) * instance.mode_count
-                     * instance.slot_count * max_b + 1.0)
+            denom = (len(bandwidths) * len(instance.topology.links) * instance.mode_count
+                     * instance.slot_count * max(bandwidths, default=0.0) + 1.0)
             eta2 = eta1 / denom
-        weighted = (*[(eta1 * c, n) for c, n in throughput_terms],
-                    *[(-eta2, n) for _, n in lambda_terms])
-        objectives = (Objective("maximize", "weighted", weighted),)
-    return MilpModel(instance, names, objectives, throughput_terms)
+        objectives = (Objective("maximize", "weighted",
+                                (*[eta1 * b for b in bandwidths], *[-eta2] * len(lams)),
+                                (*rhos, *lams)),)
+    return MilpModel(instance, names, objectives)
 
 
 def _rows(instance: Instance, names: _Names) -> Iterator[Row]:
@@ -470,12 +451,13 @@ def _rows(instance: Instance, names: _Names) -> Iterator[Row]:
     coef = {(l.key, m1, m2): xtalk.pairwise_contribution(
                 instance.crosstalk, m2, m1, l.length_m, acc)
             for l in topo.links for m1 in modes for m2 in modes if m1 != m2}
-    budget = {rid: [] for rid in rids}
+    budget = {rid: ([], []) for rid in rids}  # (coefs, theta names) per victim
     for r1, _, link, m1, m2, th, _ in overlaps:
-        budget[r1].append((coef[link, m1, m2], th))
+        budget[r1][0].append(coef[link, m1, m2])
+        budget[r1][1].append(th)
     for rid in rids:
-        coefs, ths = _columns(budget[rid])
-        yield (f"eq11_{rt[rid]}", shape(*coefs), ths, "<=", threshold, "eq11")
+        coefs, ths = budget[rid]
+        yield (f"eq11_{rt[rid]}", shape(*coefs), tuple(ths), "<=", threshold, "eq11")
 
     # eq12-eq15: beta = AND of the two occupancies; theta = OR over slots
     lo, hi = shape(*[1.0 / big_m] * T, -1.0), shape(1.0, *[-1.0] * T)
@@ -543,11 +525,6 @@ def _render_rows(templates: _Templates, rows) -> tuple[str, bool]:
     return "".join(out), empty
 
 
-def _columns(terms: tuple[Term, ...]) -> tuple[tuple[float, ...], tuple[str, ...]]:
-    """(coefs, names) of (coef, name) terms."""
-    return tuple(c for c, _ in terms), tuple(n for _, n in terms)
-
-
 def emit_lp(model: MilpModel, destination: str | Path,
             phase1_value: Optional[float] = None) -> list[Path]:
     """Write the model as LP text; deterministic, byte-stable output.
@@ -567,7 +544,7 @@ def emit_lp(model: MilpModel, destination: str | Path,
     def write(path: Path, objective: Objective, lead: list[Row]) -> Path:
         sense = "Maximize" if objective.sense == "maximize" else "Minimize"
         obj, obj_empty = _render_rows(
-            templates, [("obj", *_columns(objective.terms), None, None, None)])
+            templates, [("obj", objective.coefs, objective.names, None, None, None)])
         lead_text, lead_empty = _render_rows(templates, lead)
         bounds = " dummy_zero = 0\n" if obj_empty or block_empty or lead_empty else ""
         head = f"\\ LP model written by otssplan\n{sense}\n{obj}Subject To\n{lead_text}"
@@ -579,7 +556,8 @@ def emit_lp(model: MilpModel, destination: str | Path,
     if not model.two_phase:
         return [write(destination, model.objectives[0], [])]
     stem = destination.with_suffix("") if destination.suffix == ".lp" else destination
-    fix = ("fix_throughput", *_columns(model.throughput_terms), ">=",
+    throughput = model.objectives[0]
+    fix = ("fix_throughput", throughput.coefs, throughput.names, ">=",
            0.0 if phase1_value is None else float(phase1_value), "fix")
     return [write(stem.with_name(stem.name + ".phase1.lp"), model.objectives[0], []),
             write(stem.with_name(stem.name + ".phase2.lp"), model.objectives[1], [fix])]

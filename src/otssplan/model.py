@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import InitVar, dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -276,6 +277,11 @@ class ObjectiveMode:
     def __post_init__(self):
         if self.kind not in ("lexicographic", "weighted"):
             raise ValidationError([("$.planner.objective_mode", f"unknown kind {self.kind!r}")])
+        failures = [(f"$.planner.objective_mode.weighted.{key}", "must be > 0")
+                    for key in ("eta1", "eta2")
+                    if getattr(self, key) is not None and not getattr(self, key) > 0]
+        if failures:
+            raise ValidationError(failures)
 
 
 @dataclass(frozen=True)
@@ -439,10 +445,13 @@ _JSON_TYPES = {"object": dict, "array": list, "string": str, "integer": int,
 
 def json_value(value: Any, kind: str, location: str) -> Any:
     """`value` if it is a JSON value of `kind` (a key of _JSON_TYPES), else
-    ParseError at `location`. Booleans are not numbers here."""
+    ParseError at `location`. Booleans are not numbers here, and a number
+    must be a finite float (not NaN, Infinity or an int past float range)."""
     if (not isinstance(value, _JSON_TYPES[kind])
             or (isinstance(value, bool) and kind in ("integer", "number"))):
         raise ParseError(f"must be of type {kind}", location)
+    if kind == "number" and not abs(value) <= sys.float_info.max:  # exact for any int
+        raise ParseError("must be a finite number", location)
     return value
 
 

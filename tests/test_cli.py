@@ -8,6 +8,8 @@ from otssplan.harness import fig2_fixture
 from otssplan.model import load_instance, serialize_instance
 from otssplan.solve import Assignment, Schedule, solve_exact
 
+INF, NAN = float("inf"), float("nan")
+
 
 @pytest.fixture
 def fig2_file(tmp_path):
@@ -213,6 +215,27 @@ class TestModelErrors:
          "$.topology.links[0].length_m"),
         (lambda d: d["topology"]["nodes"][0].update(id=1), "$.topology.nodes[0].id"),
         (lambda d: d["topology"].update(links={}), "$.topology.links"),
+        # numbers that are not finite floats, and weights that are not > 0
+        pytest.param(lambda d: d["planner"].update(link_capacity_gbps=INF),
+                     "$.planner.link_capacity_gbps", id="capacity-infinity"),
+        pytest.param(lambda d: d["planner"].update(granularity_gbps=INF),
+                     "$.planner.granularity_gbps", id="granularity-infinity"),
+        pytest.param(lambda d: d["frame"].update(frame_ms=INF), "$.frame.frame_ms",
+                     id="frame-ms-infinity"),
+        pytest.param(lambda d: d["requests"][0].update(bandwidth_gbps=INF),
+                     "$.requests[0].bandwidth_gbps", id="bandwidth-infinity"),
+        pytest.param(lambda d: d["requests"][0].update(bandwidth_gbps=10**400),
+                     "$.requests[0].bandwidth_gbps", id="bandwidth-401-digits"),
+        pytest.param(lambda d: d["topology"]["links"][0].update(length_m=INF),
+                     "$.topology.links[0].length_m", id="length-infinity"),
+        pytest.param(lambda d: d["planner"].update(objective_mode={"weighted": {"eta1": NAN}}),
+                     "$.planner.objective_mode.weighted.eta1", id="eta1-nan"),
+        pytest.param(lambda d: d["planner"].update(objective_mode={"weighted": {"eta1": INF}}),
+                     "$.planner.objective_mode.weighted.eta1", id="eta1-infinity"),
+        pytest.param(lambda d: d["planner"].update(objective_mode={"weighted": {"eta1": 0}}),
+                     "$.planner.objective_mode.weighted.eta1", id="eta1-zero"),
+        pytest.param(lambda d: d["planner"].update(objective_mode={"weighted": {"eta2": -1}}),
+                     "$.planner.objective_mode.weighted.eta2", id="eta2-negative"),
     ])
     def test_instance_wrong_type(self, tmp_path, fig2_file, capsys, edit, location):
         doc = json.loads(fig2_file.read_text())
@@ -221,6 +244,15 @@ class TestModelErrors:
         path.write_text(json.dumps(doc))
         assert cli.run(["plan", "-i", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {location}: ")
+
+    def test_emit_lp_refuses_paper_literal_db(self, tmp_path, fig2_file, capsys):
+        doc = json.loads(fig2_file.read_text())
+        doc["planner"]["accumulation_model"] = "paper-literal-db"
+        path = tmp_path / "literal.json"
+        path.write_text(json.dumps(doc))
+        assert cli.run(["emit-lp", "-i", str(path), "-o", str(tmp_path / "literal.lp")]) == 1
+        assert capsys.readouterr().err.startswith("error: $.planner.accumulation_model: ")
+        assert not list(tmp_path.glob("literal*.lp"))
 
     def test_emit_lp_over_variable_cap(self, tmp_path, fig2_file, capsys):
         doc = json.loads(fig2_file.read_text())

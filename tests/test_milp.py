@@ -3,6 +3,7 @@ import random
 from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 from conftest import random_micro_instance, tiny_instance, two_request_200m_instance
 from otssplan import milp
 from otssplan.harness import fixture_instance
-from otssplan.model import (LinkSpec, NodeSpec, ObjectiveMode, Request, Topology,
-                            ValidationError)
+from otssplan.model import (AccumulationModel, LinkSpec, NodeSpec, ObjectiveMode, Request,
+                            Topology, ValidationError)
 from otssplan.solve import SolveLimits, solve_exact, solve_greedy
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -48,20 +49,14 @@ def _lp_corpus():
             for label, inst in instances for kind in ("lexicographic", "weighted")]
 
 
-class _Counting:
-    """Stands in for a record type and counts the records made through it."""
+class _Row(NamedTuple):
+    """A constraint row with (coef, name) terms, as the renderer's oracle reads it."""
 
-    def __init__(self, record):
-        self.record = record
-        self.made = 0
-
-    def __call__(self, *fields):
-        self.made += 1
-        return self.record(*fields)
-
-    def _make(self, fields):
-        self.made += 1
-        return self.record._make(fields)
+    name: str
+    terms: tuple
+    sense: str
+    rhs: float
+    family: str
 
 
 # The LP row pipeline milp used before its one row renderer, verbatim
@@ -148,12 +143,12 @@ _TERMS = st.integers(0, 3).flatmap(
 
 @st.composite
 def _constraints(draw):
-    c = milp.Constraint(draw(_NAMES), draw(_TERMS), draw(st.sampled_from(["<=", ">=", "="])),
+    c = _Row(draw(_NAMES), draw(_TERMS), draw(st.sampled_from(["<=", ">=", "="])),
                         draw(_COEFS), draw(st.sampled_from(["eq2", "eq13", "fix", "other"])))
     return _padded(c, draw(st.integers(246, 254))) if draw(st.booleans()) else c
 
 
-_EDGE = milp.Constraint("c", ((-0.0, "a"), (1e15, "b"), (-0.25, "c")), "<=", -0.0, "eq13")
+_EDGE = _Row("c", ((-0.0, "a"), (1e15, "b"), (-0.25, "c")), "<=", -0.0, "eq13")
 
 
 class TestCountFormulas:
@@ -192,8 +187,8 @@ class TestCountFormulas:
             assert len(model.variables) == counts["total_variables"]
             assert len(model.constraints) == counts["total_constraints"]
             by_family: dict[str, int] = {}
-            for c in model.constraints:
-                by_family[c.family] = by_family.get(c.family, 0) + 1
+            for *_, family in model.constraints:
+                by_family[family] = by_family.get(family, 0) + 1
             for family, n in counts["constraints"].items():
                 assert by_family.get(family, 0) == n, family
 
@@ -209,20 +204,28 @@ class TestBuildModel:
         assert len(model.constraints) == 0
         assert model.two_phase
 
+    def test_paper_literal_db_refused(self, tiny):
+        # its eq11 row, a sum of negative dB terms <= -13, fails at all-zero
+        literal = AccumulationModel("paper-literal-db")
+        inst = replace(tiny, planner=replace(tiny.planner, accumulation_model=literal))
+        with pytest.raises(ValidationError) as err:
+            milp.build_model(inst)
+        assert [path for path, _ in err.value.failures] == ["$.planner.accumulation_model"]
+
     def test_objectives_are_lexicographic_pair(self, tiny):
         model = milp.build_model(tiny)
         assert [o.sense for o in model.objectives] == ["maximize", "minimize"]
         # phase 1 weights each acceptance by its bandwidth
-        terms = dict((name, coef) for coef, name in model.objectives[0].terms)
-        assert terms == {"rho_rr1": 5.0}
+        throughput = model.objectives[0]
+        assert dict(zip(throughput.names, throughput.coefs)) == {"rho_rr1": 5.0}
 
     def test_variable_names_unique(self):
         rng = random.Random("milp-names")
         for _ in range(10):
             model = milp.build_model(random_micro_instance(rng))
-            names = [v.name for v in model.variables]
+            names = model.variables
             assert len(names) == len(set(names))
-            cnames = [c.name for c in model.constraints]
+            cnames = [row[0] for row in model.constraints]
             assert len(cnames) == len(set(cnames))
 
     def test_request_ids_sanitizing_alike_rejected(self, tiny):
@@ -272,6 +275,22 @@ class TestEmitLp:
                 digest.update(f"{path.name}\0".encode() + path.read_bytes())
         assert digest.hexdigest() == CORPUS_LP_SHA256
 
+    def test_zero_request_objectives(self, tmp_path, tiny):
+        """Without requests the lexicographic model still writes both phase
+        files, and a weighted model writes one file, phase 1's text."""
+        empty = tiny.with_requests([])
+        lex = milp.emit_lp(milp.build_model(empty), tmp_path / "lex.lp", phase1_value=3.0)
+        [weighted] = milp.emit_lp(milp.build_model(_with_objective(empty, "weighted")),
+                                  tmp_path / "w.lp")
+        assert [p.name for p in lex] == ["lex.phase1.lp", "lex.phase2.lp"]
+        assert weighted.name == "w.lp"
+        head = "\\ LP model written by otssplan\n"
+        tail = "Bounds\n dummy_zero = 0\nBinary\nEnd\n"
+        assert (lex[0].read_text() == weighted.read_text()
+                == f"{head}Maximize\n obj: 0 dummy_zero\nSubject To\n{tail}")
+        assert lex[1].read_text() == (f"{head}Minimize\n obj: 0 dummy_zero\nSubject To\n"
+                                      f"\\ fix\n fix_throughput: 0 dummy_zero >= 3\n{tail}")
+
     def test_deterministic(self, tmp_path, two_request_200m):
         model = milp.build_model(two_request_200m)
         a = milp.emit_lp(model, tmp_path / "a.lp")
@@ -294,25 +313,9 @@ class TestEmitLp:
 
 
 class TestStreams:
-    """The model is a stream of rows and variable names: emitting it makes
-    no records, reading a record list counts the stream, and a pass that
-    drops or repeats a row fails the audit against count_formulas."""
-
-    def test_fig2_emit_makes_no_records(self, tmp_path, tiny, monkeypatch):
-        counting = {name: _Counting(getattr(milp, name)) for name in ("Constraint", "Variable")}
-        for name, stand_in in counting.items():
-            monkeypatch.setattr(milp, name, stand_in)
-        paths = milp.emit_lp(milp.build_model(fixture_instance("fig2")),
-                             tmp_path / "model.lp", phase1_value=23.0)
-        assert {p.name: _sha256(p) for p in paths} == FIG2_LP_SHA256
-        assert [c.made for c in counting.values()] == [0, 0]
-        # the stand-ins do count the records a reader makes
-        model = milp.build_model(tiny)
-        counts = milp.count_formulas(tiny)
-        assert (len(model.constraints), len(model.variables)) == (
-            counts["total_constraints"], counts["total_variables"])
-        assert [c.made for c in counting.values()] == [
-            counts["total_constraints"], counts["total_variables"]]
+    """The model is a stream of rows and variable names: the constraint and
+    variable lists are those streams, and a pass that drops or repeats a
+    row fails the audit against count_formulas."""
 
     def test_record_lists_count_the_streams(self, two_request_200m, monkeypatch):
         model = milp.build_model(two_request_200m)
@@ -325,8 +328,8 @@ class TestStreams:
             return {**counts, "total_constraints": counts["total_constraints"] + 1000}
 
         monkeypatch.setattr(milp, "count_formulas", off_totals)
-        assert [_columnar(c) for c in model.constraints] == rows
-        assert [v.name for v in model.variables] == names
+        assert model.constraints == rows
+        assert model.variables == names
         assert len(rows) == real(two_request_200m)["total_constraints"]
 
     @pytest.mark.parametrize("mutate", [
@@ -366,7 +369,7 @@ class TestRowRenderer:
     @settings(max_examples=300, deadline=None)
     @given(constraints=st.lists(_constraints(), max_size=6), objective=_TERMS)
     @example(constraints=[_padded(_EDGE, n) for n in range(246, 255)]
-             + [milp.Constraint("e", (), "=", 0.0, "eq2")],
+             + [_Row("e", (), "=", 0.0, "eq2")],
              objective=())
     @example(constraints=[_EDGE._replace(terms=((1.5, "x" * 30),) * 40)],
              objective=((-1e16, "y" * 60),) * 20)
@@ -388,38 +391,30 @@ class TestRowRenderer:
 
 
 class TestRecordsImmutable:
-    """No field of a model record can be reassigned, so a record stays as
-    the audited stream yielded it."""
+    """No field of an objective can be reassigned, so it stays as
+    build_model made it."""
 
-    @pytest.mark.parametrize("record, field", [
-        (milp.Variable("x"), "name"), (milp.Variable("x"), "ub"),
-        (milp.Constraint("c", ((1.0, "x"),), "<=", 1.0, "eq7"), "terms"),
-        (milp.Constraint("c", ((1.0, "x"),), "<=", 1.0, "eq7"), "rhs"),
-        (milp.Objective("maximize", "throughput", ()), "sense"),
-    ])
-    def test_field_assignment_raises(self, record, field):
+    @pytest.mark.parametrize("field", ["sense", "names"])
+    def test_field_assignment_raises(self, field):
         with pytest.raises(AttributeError):
-            setattr(record, field, None)
+            setattr(milp.Objective("maximize", "throughput", (), ()), field, None)
 
     def test_built_model_records(self, tiny):
-        model = milp.build_model(tiny)
-        for record in (model.variables[0], model.constraints[0], model.objectives[0]):
-            with pytest.raises(AttributeError):
-                record.name = "changed"
-            assert not hasattr(record, "__dict__")
+        record = milp.build_model(tiny).objectives[0]
+        with pytest.raises(AttributeError):
+            record.name = "changed"
+        assert not hasattr(record, "__dict__")
 
     def test_fields_and_defaults_kept(self):
-        assert milp.Variable._fields == ("name", "kind", "lb", "ub")
-        assert milp.Variable("x") == ("x", "binary", 0.0, 1.0)
-        assert milp.Constraint._fields == ("name", "terms", "sense", "rhs", "family")
-        assert milp.Objective._fields == ("sense", "name", "terms")
+        assert milp.Objective._fields == ("sense", "name", "coefs", "names")
+        assert milp.Objective._field_defaults == {}
 
 
 class TestScheduleSatisfiesModel:
     def test_tiny_exact(self, tiny):
         model = milp.build_model(tiny)
         values = milp.assignment_from_schedule(tiny, solve_exact(tiny))
-        assert set(values) == {v.name for v in model.variables}
+        assert set(values) == set(model.variables)
         assert milp.evaluate_constraints(model, values) == []
 
     def test_random_corpus(self):
@@ -429,7 +424,7 @@ class TestScheduleSatisfiesModel:
             model = milp.build_model(inst)
             for schedule in (solve_exact(inst), solve_greedy(inst)):
                 values = milp.assignment_from_schedule(inst, schedule)
-                assert set(values) == {v.name for v in model.variables}
+                assert set(values) == set(model.variables)
                 assert milp.evaluate_constraints(model, values) == []
 
     def test_detects_corrupted_assignment(self, tiny):
@@ -453,10 +448,8 @@ class TestLexicographicObjective:
             model = milp.build_model(inst)
             schedule = solve_exact(inst, limits)
             values = milp.assignment_from_schedule(inst, schedule)
-            assert set(values) == {v.name for v in model.variables}
-            weighted = sum(coef * values[name]
-                           for coef, name in model.objectives[0].terms)
-            assert weighted == pytest.approx(schedule.throughput_gbps)
-            resource = sum(coef * values[name]
-                           for coef, name in model.objectives[1].terms)
+            assert set(values) == set(model.variables)
+            throughput, resource = (sum(c * values[n] for c, n in zip(o.coefs, o.names))
+                                    for o in model.objectives)
+            assert throughput == pytest.approx(schedule.throughput_gbps)
             assert resource == pytest.approx(schedule.lambda_count)
