@@ -11,19 +11,25 @@ One name table (_name_table) owns the naming scheme; build_model and
 assignment_from_schedule both read it. Each request id, node id and link
 is sanitized to its LP tag a single time, and two ids that sanitize to
 the same tag raise ValidationError instead of silently merging in the
-LP. build_model keeps only the name table and the objectives, and the
-model's one representation is columnar rows. The constraints are a
-stream of (name, coefs, names, sense, rhs, family) rows (MilpModel.rows),
-where every row of one shape shares one coefs tuple per pass (fig2's
-62,900 rows have 22) and names holds the row's variable names; an
-objective is (sense, name, coefs, names); the variables are a stream of
-names (MilpModel.variable_names). Each stream is audited against
-count_formulas when a pass over it ends. One routine, _render_rows,
-renders every LP row (constraints, objectives, and the phase-2
-fix_throughput row over the throughput objective's columns) from a
-%-format template made once per (coefs, sense, rhs); emit_lp renders and
-encodes the row stream in one pass and writes those bytes into both phase
-files. paper-literal-db has no MILP until its eq11 row is derived.
+LP. build_model keeps only the name table and the objectives. The
+constraints are a stream of stanza blocks (MilpModel.blocks): each hot
+loop of _blocks yields the same row shapes every time round, so one
+block is a stanza, the tuple of (family, coefs, sense, rhs) shapes one
+iteration yields, and args, one flat tuple per iteration of each row's
+label followed by its variable names. Every row of one shape shares one
+coefs tuple per pass (fig2's 62,900 rows have 22). MilpModel.rows
+flattens the blocks into columnar (name, coefs, names, sense, rhs,
+family) rows; an objective is (sense, name, coefs, names); the variables
+are a stream of names (MilpModel.variable_names). Each stream is audited
+against count_formulas when a pass over it ends. One routine,
+_render_blocks, renders every LP row (constraints, objectives, and the
+phase-2 fix_throughput row over the throughput objective's columns): it
+fills one %-format template per stanza, family headers included, for all
+of a block's iterations, and renders alone (and wraps) only a row whose
+longest possible text, from the block's longest label and the model's
+longest name, reaches the line limit. emit_lp renders and encodes the
+block stream in one pass and writes those bytes into both phase files.
+paper-literal-db has no MILP until its eq11 row is derived.
 """
 
 from __future__ import annotations
@@ -31,7 +37,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, islice
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, NamedTuple, Optional
 
@@ -57,6 +64,10 @@ class Objective(NamedTuple):
 # a constraint as rows() yields it: coefs is shared by the pass's rows with
 # equal coefficients, and names holds one variable name per coefficient
 Row = tuple[str, tuple[float, ...], tuple[str, ...], str, float, str]
+# the row shapes one loop iteration yields, each (family, coefs, sense, rhs)
+Stanza = tuple[tuple[str, tuple[float, ...], str, float], ...]
+# a stanza and, per iteration, its fields: each row's label, then its names
+Block = tuple[Stanza, list[tuple[str, ...]]]
 
 _NON_ALNUM = re.compile(r"[^A-Za-z0-9]")
 
@@ -246,12 +257,24 @@ class MilpModel:
     def two_phase(self) -> bool:
         return len(self.objectives) == 2
 
-    def rows(self) -> Iterator[Row]:
+    def blocks(self) -> Iterator[Block]:
         seen = dict.fromkeys(FAMILY_NOTES, 0)
-        for row in _rows(self.instance, self.names):
-            seen[row[5]] += 1
-            yield row
+        for stanza, args in _blocks(self.instance, self.names):
+            for family, *_ in stanza:
+                seen[family] += len(args)
+            yield stanza, args
         _audit("constraints per family", seen, count_formulas(self.instance)["constraints"])
+
+    def rows(self) -> Iterator[Row]:
+        """The blocks, flattened to one row per stanza row and iteration."""
+        for stanza, args in self.blocks():
+            spans, i = [], 0
+            for family, coefs, sense, rhs in stanza:
+                spans.append((i, i + 1, i + 1 + len(coefs), coefs, sense, rhs, family))
+                i += 1 + len(coefs)
+            for fields in args:
+                for i, j, k, coefs, sense, rhs, family in spans:
+                    yield fields[i], coefs, fields[j:k], sense, rhs, family
 
     def variable_names(self) -> Iterator[str]:
         t = self.names
@@ -313,9 +336,11 @@ def build_model(instance: Instance, max_variables: int = 2_000_000) -> MilpModel
     return MilpModel(instance, names, objectives)
 
 
-def _rows(instance: Instance, names: _Names) -> Iterator[Row]:
-    """Every constraint row of instance's model, in declaration order. Rows
-    of one coefficient vector share one tuple, made once per pass."""
+def _blocks(instance: Instance, names: _Names) -> Iterator[Block]:
+    """Every constraint row of instance's model, in declaration order, as
+    (stanza, args) blocks: a loop body that yields the same row shapes each
+    time round is one stanza, with one fields tuple per iteration. Rows of
+    one coefficient vector share one tuple, made once per pass."""
     if not instance.requests:
         return
     topo = instance.topology
@@ -345,103 +370,116 @@ def _rows(instance: Instance, names: _Names) -> Iterator[Row]:
         return (shape(*[1.0] * len(out), *[-1.0] * len(inn), *[c for c, _ in tail]),
                 (*out, *inn, *[n for _, n in tail]))
 
-    def transitions(family, ind, seq):
-        """ind[tb] >= |seq[tb] - seq[tb-1]| with virtual zeros at both ends."""
+    def block(iterations: list[list[Row]]) -> Block:
+        """The block of iterations that each yield rows of the same shapes."""
+        stanza = tuple((family, coefs, sense, rhs)
+                       for _, coefs, _, sense, rhs, family in iterations[0])
+        return stanza, [tuple(chain.from_iterable((row[0], *row[2]) for row in rows))
+                        for rows in iterations]
+
+    def transitions(family: str) -> Stanza:
+        """ind[tb] >= |seq[tb] - seq[tb-1]| for tb in 0..T, up then down,
+        with virtual zeros at both ends (so the terms of seq[tb] exist for
+        tb < T and of seq[tb-1] for tb > 0); transition_fields fills it."""
+        return tuple((family, shape(1.0, *[sign] * (tb < T), *[-sign] * (tb > 0)), ">=", 0.0)
+                     for tb in range(T + 1) for sign in (-1.0, 1.0))
+
+    def transition_fields(family, ind, seq) -> list[str]:
+        fields = []
         for tb in range(T + 1):
             cur, prev = seq[tb:tb + 1], seq[max(tb - 1, 0):tb]
-            for kind, sign in (("up", -1.0), ("dn", 1.0)):
-                yield (f"{family}_{kind}_{ind[tb]}",
-                       shape(1.0, *[sign] * len(cur), *[-sign] * len(prev)),
-                       (ind[tb], *cur, *prev), ">=", 0.0, family)
+            fields += (f"{family}_up_{ind[tb]}", ind[tb], *cur, *prev,
+                       f"{family}_dn_{ind[tb]}", ind[tb], *cur, *prev)
+        return fields
 
     # eq2: flow conservation in slot units, plus lambda <= rho coupling
     for r in instance.requests:
+        rows = []
         for node in nodes:
             sense, tail = ((">=", [(-float(q[r.id]), rho[r.id])]) if node == r.source
                            else ("<=", [(float(q[r.id]), rho[r.id])]) if node == r.destination
                            else ("=", []))
-            yield (f"eq2_{rt[r.id]}_{nt[node]}",
-                   *flow(r.id, node, node, modes, slots, *tail), sense, 0.0, "eq2")
-    for rid in rids:
-        for link in links:
-            for m in modes:
-                for t in slots:
-                    yield (f"eq2_acc_{rt[rid]}_{et[link]}_m{m}_t{t}", pair,
-                           (lam[rid, link][m][t], rho[rid]), "<=", 0.0, "eq2")
+            rows.append((f"eq2_{rt[r.id]}_{nt[node]}",
+                         *flow(r.id, node, node, modes, slots, *tail), sense, 0.0, "eq2"))
+        yield block([rows])
+    yield ((("eq2", pair, "<=", 0.0),),
+           [(f"eq2_acc_{rt[rid]}_{et[link]}_m{m}_t{t}", lam[rid, link][m][t], rho[rid])
+            for rid in rids for link in links for m in modes for t in slots])
 
     # eq3/eq4: per-slot aggregate continuity; eq5/eq6: per-mode continuity
     for r in instance.requests:
         transit = [n for n in nodes if n not in (r.source, r.destination)]
-        for t in slots:
-            yield (f"eq3_{rt[r.id]}_t{t}",
-                   *flow(r.id, r.source, r.destination, modes, (t,)), "=", 0.0, "eq3")
-        for t in slots:
-            for node in transit:
-                yield (f"eq4_{rt[r.id]}_t{t}_{nt[node]}",
-                       *flow(r.id, node, node, modes, (t,)), "=", 0.0, "eq4")
-        for m in modes:
-            for t in slots:
-                yield (f"eq5_{rt[r.id]}_m{m}_t{t}",
-                       *flow(r.id, r.source, r.destination, (m,), (t,)), "=", 0.0, "eq5")
-        for m in modes:
-            for t in slots:
-                for node in transit:
-                    yield (f"eq6_{rt[r.id]}_m{m}_t{t}_{nt[node]}",
+        yield block([[(f"eq3_{rt[r.id]}_t{t}",
+                       *flow(r.id, r.source, r.destination, modes, (t,)), "=", 0.0, "eq3")]
+                     for t in slots])
+        if transit:
+            yield block([[(f"eq4_{rt[r.id]}_t{t}_{nt[node]}",
+                           *flow(r.id, node, node, modes, (t,)), "=", 0.0, "eq4")
+                          for node in transit] for t in slots])
+        yield block([[(f"eq5_{rt[r.id]}_m{m}_t{t}",
+                       *flow(r.id, r.source, r.destination, (m,), (t,)), "=", 0.0, "eq5")]
+                     for m in modes for t in slots])
+        if transit:
+            yield block([[(f"eq6_{rt[r.id]}_m{m}_t{t}_{nt[node]}",
                            *flow(r.id, node, node, (m,), (t,)), "=", 0.0, "eq6")
+                          for node in transit] for m in modes for t in slots])
 
     # eq7: each (link, mode, slot) cell used at most once
-    sum_r = shape(*[1.0] * len(rids))
-    for link in links:
-        for m in modes:
-            for t in slots:
-                yield (f"eq7_{et[link]}_m{m}_t{t}", sum_r,
-                       tuple(lam[rid, link][m][t] for rid in rids), "<=", 1.0, "eq7")
+    yield ((("eq7", shape(*[1.0] * len(rids)), "<=", 1.0),),
+           [(f"eq7_{et[link]}_m{m}_t{t}", *[lam[rid, link][m][t] for rid in rids])
+            for link in links for m in modes for t in slots])
 
     # eq8: contiguity via transition indicators with virtual zero slots at
     # both frame boundaries; at most 2 transitions = one contiguous block
     sum_tb = shape(*[1.0] * (T + 1))
-    for rid in rids:
-        for link in links:
-            for m in modes:
-                yield from transitions("eq8", cm[rid, link][m], lam[rid, link][m])
-                yield (f"eq8_sum_{rt[rid]}_{et[link]}_m{m}", sum_tb,
-                       tuple(cm[rid, link][m]), "<=", 2.0, "eq8")
+    yield ((*transitions("eq8"), ("eq8", sum_tb, "<=", 2.0)),
+           [(*transition_fields("eq8", cm[rid, link][m], lam[rid, link][m]),
+             f"eq8_sum_{rt[rid]}_{et[link]}_m{m}", *cm[rid, link][m])
+            for rid in rids for link in links for m in modes])
 
     # eq9: aggregate occupancy indicator u, its contiguity, and mode-pattern
-    # equality for modes the request uses
+    # equality for modes the request uses; lambda >= u - (1 - w): a used mode
+    # follows the aggregate slot pattern exactly
     one_less_all = shape(1.0, *[-1.0] * len(modes))
+    eq9 = (*((("eq9", pair, "<=", 0.0),) * len(modes) + (("eq9", one_less_all, "<=", 0.0),))
+           * T,
+           *transitions("eq9"), ("eq9", sum_tb, "<=", 2.0),
+           *(("eq9", pair, "<=", 0.0), ("eq9", triple, ">=", -1.0)) * (len(modes) * T))
+    args = []
     for rid in rids:
         for link in links:
             ls, us, ws = lam[rid, link], u[rid, link], w[rid, link]
+            fields = []
             for t in slots:
                 for m in modes:
-                    yield (f"eq9_uup_{us[t]}_m{m}", pair, (ls[m][t], us[t]), "<=", 0.0, "eq9")
-                yield (f"eq9_udn_{us[t]}", one_less_all,
-                       (us[t], *[ls[m][t] for m in modes]), "<=", 0.0, "eq9")
-            yield from transitions("eq9", ca[rid, link], us)
-            yield (f"eq9_sum_{rt[rid]}_{et[link]}", sum_tb, tuple(ca[rid, link]), "<=", 2.0, "eq9")
+                    fields += (f"eq9_uup_{us[t]}_m{m}", ls[m][t], us[t])
+                fields += (f"eq9_udn_{us[t]}", us[t], *[ls[m][t] for m in modes])
+            fields += transition_fields("eq9", ca[rid, link], us)
+            fields += (f"eq9_sum_{rt[rid]}_{et[link]}", *ca[rid, link])
             for m in modes:
                 for t in slots:
-                    yield (f"eq9_wub_{ws[m]}_t{t}", pair, (ls[m][t], ws[m]), "<=", 0.0, "eq9")
-                    # lambda >= u - (1 - w): a used mode follows the
-                    # aggregate slot pattern exactly
-                    yield (f"eq9_wlb_{ws[m]}_t{t}", triple, (ls[m][t], us[t], ws[m]),
-                           ">=", -1.0, "eq9")
+                    fields += (f"eq9_wub_{ws[m]}_t{t}", ls[m][t], ws[m],
+                               f"eq9_wlb_{ws[m]}_t{t}", ls[m][t], us[t], ws[m])
+            args.append(tuple(fields))
+    yield eq9, args
 
     # eq10: if a request uses a link, the supplied cells cover its demand
     one_less_cells = shape(1.0, *[-1.0] * (len(modes) * T))
     cells_less_cap = shape(*[1.0] * (len(modes) * T), -float(big_m_cap))
     for r in instance.requests:
+        eq10 = (*(("eq10", pair, "<=", 0.0),) * (len(modes) * T),
+                ("eq10", one_less_cells, "<=", 0.0),
+                ("eq10", cells_less_cap, ">=", float(q[r.id]) - big_m_cap))
+        args = []
         for link in links:
             vn = v[r.id, link]
             cells = [n for row in lam[r.id, link] for n in row]
+            fields = []
             for m in modes:
                 for t in slots:
-                    yield (f"eq10_vup_{vn}_m{m}_t{t}", pair,
-                           (lam[r.id, link][m][t], vn), "<=", 0.0, "eq10")
-            yield (f"eq10_vdn_{vn}", one_less_cells, (vn, *cells), "<=", 0.0, "eq10")
-            yield (f"eq10_cap_{vn}", cells_less_cap, (*cells, vn),
-                   ">=", float(q[r.id]) - big_m_cap, "eq10")
+                    fields += (f"eq10_vup_{vn}_m{m}_t{t}", lam[r.id, link][m][t], vn)
+            args.append((*fields, f"eq10_vdn_{vn}", vn, *cells, f"eq10_cap_{vn}", *cells, vn))
+        yield eq10, args
 
     # eq11: accumulated crosstalk budget per protected request, with
     # coefficients and threshold in the configured accumulation model's
@@ -457,18 +495,20 @@ def _rows(instance: Instance, names: _Names) -> Iterator[Row]:
         budget[r1][1].append(th)
     for rid in rids:
         coefs, ths = budget[rid]
-        yield (f"eq11_{rt[rid]}", shape(*coefs), tuple(ths), "<=", threshold, "eq11")
+        yield block([[(f"eq11_{rt[rid]}", shape(*coefs), tuple(ths), "<=", threshold, "eq11")]])
 
     # eq12-eq15: beta = AND of the two occupancies; theta = OR over slots
     lo, hi = shape(*[1.0 / big_m] * T, -1.0), shape(1.0, *[-1.0] * T)
     both = shape(1.0, 1.0, -1.0)
+    args = []
     for r1, r2, link, m1, m2, th, betas in overlaps:
-        yield (f"eq12_lo_{th}", lo, (*betas, th), "<=", 0.0, "eq12")
-        yield (f"eq12_hi_{th}", hi, (th, *betas), "<=", 0.0, "eq12")
+        fields = [f"eq12_lo_{th}", *betas, th, f"eq12_hi_{th}", th, *betas]
         for b, l1, l2 in zip(betas, lam[r1, link][m1], lam[r2, link][m2]):
-            yield (f"eq13_{b}", both, (l1, l2, b), "<=", 1.0, "eq13")
-            yield (f"eq14_{b}", pair, (b, l1), "<=", 0.0, "eq14")
-            yield (f"eq15_{b}", pair, (b, l2), "<=", 0.0, "eq15")
+            fields += (f"eq13_{b}", l1, l2, b, f"eq14_{b}", b, l1, f"eq15_{b}", b, l2)
+        args.append(tuple(fields))
+    yield ((("eq12", lo, "<=", 0.0), ("eq12", hi, "<=", 0.0),
+            *(("eq13", both, "<=", 1.0), ("eq14", pair, "<=", 0.0), ("eq15", pair, "<=", 0.0))
+            * T), args)
 
 
 # --- LP text emission -----------------------------------------------------
@@ -508,21 +548,80 @@ def _wrap(body: str, width: int = 250) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_rows(templates: _Templates, rows) -> tuple[str, bool]:
-    """The LP text of rows, each through its shape's template and _wrap past
-    the line limit, and each family run under its header (a row of family
-    None has none), and whether any row has no terms (so reads `0 dummy_zero`)."""
-    out, last_family, empty = [], None, False
-    for name, coefs, names, sense, rhs, family in rows:
-        if family != last_family:
-            note = FAMILY_NOTES.get(family, "")
-            out.append(f"\\ {family}: {note}\n" if note else f"\\ {family}\n")
-            last_family = family
-        if not coefs:
-            empty = True
-        row = templates[coefs, sense, rhs] % ((name,) + names)
-        out.append(row if len(row) <= 251 else _wrap(row[1:-1]))
-    return "".join(out), empty
+def _header(family) -> str:
+    note = FAMILY_NOTES.get(family, "")
+    return f"\\ {family}: {note}\n" if note else f"\\ {family}\n"
+
+
+def _segments(templates: _Templates, stanza: Stanza, family, longest: int) -> list:
+    """The pieces of one iteration of stanza after a row of `family`, its
+    fields at most `longest` characters: (template, start, stop, None) for a
+    run of rows that cannot pass the line limit, family headers included,
+    and (template, start, stop, header) for one row that might."""
+    segments, run, begin, i = [], "", 0, 0
+    for fam, coefs, sense, rhs in stanza:
+        head = _header(fam) if fam != family else ""
+        family = fam
+        template = templates[coefs, sense, rhs]
+        j = i + 1 + len(coefs)
+        if len(template) + (j - i) * (longest - 2) <= 251:
+            if not run:
+                begin = i
+            run += head.replace("%", "%%") + template
+        else:
+            if run:
+                segments.append((run, begin, i, None))
+                run = ""
+            segments.append((template, i, j, head))
+        i = j
+    if run:
+        segments.append((run, begin, i, None))
+    return segments
+
+
+def _render_segments(out: list[bytes], segments: list, args) -> None:
+    """Append the encoded text of each iteration's fields in args."""
+    if len(segments) == 1 and segments[0][3] is None:
+        out.extend(map(str.encode, map(segments[0][0].__mod__, args)))
+        return
+    for fields in args:
+        for template, i, j, head in segments:
+            text = template % fields[i:j]
+            if head is not None:
+                text = head + (text if len(text) <= 251 else _wrap(text[1:-1]))
+            out.append(text.encode())
+
+
+def _longest_label(stanza: Stanza, args) -> int:
+    """The length of the longest row label in args, each stanza row's first field."""
+    offsets, i = [], 0
+    for _, coefs, _, _ in stanza:
+        offsets.append(i)
+        i += 1 + len(coefs)
+    labels = map(itemgetter(*offsets), args)
+    return max(map(len, labels if len(offsets) == 1 else chain.from_iterable(labels)))
+
+
+def _render_blocks(templates: _Templates, blocks, longest_name: int) -> tuple[bytes, bool]:
+    """The encoded LP text of blocks, whose names are at most longest_name
+    characters, and whether any row has no terms (so reads `0 dummy_zero`).
+    Each family run is under its header (a row of family None has none). A
+    block fills one template per stanza for all of its iterations, unless a
+    row of it might reach the line limit with its longest label and names
+    of longest_name characters; each such row is rendered alone and wrapped
+    past the limit."""
+    out, family, empty = [], None, False
+    for stanza, args in blocks:
+        if not args or not stanza:
+            continue
+        longest = max(longest_name, _longest_label(stanza, args))
+        last = stanza[-1][0]
+        _render_segments(out, _segments(templates, stanza, family, longest), args[:1])
+        _render_segments(out, _segments(templates, stanza, last, longest),
+                         islice(args, 1, None))
+        family, empty = last, empty or not all(coefs for _, coefs, _, _ in stanza)
+    args = None  # the last block's fields need not outlive its text
+    return b"".join(out), empty
 
 
 def emit_lp(model: MilpModel, destination: str | Path,
@@ -533,32 +632,34 @@ def emit_lp(model: MilpModel, destination: str | Path,
     model writes `<stem>.phase1.lp` and `<stem>.phase2.lp`; phase 2 pins
     the throughput to `phase1_value` (0 when not supplied) and minimizes
     resource usage. Both files write the same bytes of the constraint
-    block, rendered and encoded once in a single pass over model.rows().
+    block, rendered and encoded once in a single pass over model.blocks().
     """
     destination = Path(destination)
     templates = _Templates()
-    block, block_empty = _render_rows(templates, model.rows())
-    block = block.encode()
-    binaries = "".join([f" {name}\n" for name in model.variable_names()]).encode()
+    variables = list(model.variable_names())
+    longest = max(map(len, variables), default=0)
+    block, block_empty = _render_blocks(templates, model.blocks(), longest)
+    binaries = "".join(map(" {}\n".format, variables)).encode()
 
-    def write(path: Path, objective: Objective, lead: list[Row]) -> Path:
+    def write(path: Path, objective: Objective, lead: list[Block]) -> Path:
         sense = "Maximize" if objective.sense == "maximize" else "Minimize"
-        obj, obj_empty = _render_rows(
-            templates, [("obj", objective.coefs, objective.names, None, None, None)])
-        lead_text, lead_empty = _render_rows(templates, lead)
+        obj, obj_empty = _render_blocks(
+            templates, [(((None, objective.coefs, None, None),), [("obj", *objective.names)])],
+            longest)
+        lead_text, lead_empty = _render_blocks(templates, lead, longest)
         bounds = " dummy_zero = 0\n" if obj_empty or block_empty or lead_empty else ""
-        head = f"\\ LP model written by otssplan\n{sense}\n{obj}Subject To\n{lead_text}"
+        head = f"\\ LP model written by otssplan\n{sense}\n".encode()
         with path.open("wb") as f:
-            f.writelines([head.encode(), block, f"Bounds\n{bounds}Binary\n".encode(), binaries,
-                          b"End\n"])
+            f.writelines([head, obj, b"Subject To\n", lead_text, block,
+                          f"Bounds\n{bounds}Binary\n".encode(), binaries, b"End\n"])
         return path
 
     if not model.two_phase:
         return [write(destination, model.objectives[0], [])]
     stem = destination.with_suffix("") if destination.suffix == ".lp" else destination
     throughput = model.objectives[0]
-    fix = ("fix_throughput", throughput.coefs, throughput.names, ">=",
-           0.0 if phase1_value is None else float(phase1_value), "fix")
+    pin = 0.0 if phase1_value is None else float(phase1_value)
+    fix = ((("fix", throughput.coefs, ">=", pin),), [("fix_throughput", *throughput.names)])
     return [write(stem.with_name(stem.name + ".phase1.lp"), model.objectives[0], []),
             write(stem.with_name(stem.name + ".phase2.lp"), model.objectives[1], [fix])]
 

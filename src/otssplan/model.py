@@ -303,6 +303,9 @@ class PlannerConfig:
             failures.append(("$.planner.granularity_gbps", "must be > 0"))
         if self.big_m is not None and self.big_m < 1:
             failures.append(("$.planner.big_m", "must be >= 1"))
+        if self.big_m is not None and self.big_m > 2**53:
+            # the MILP's rows read big_m as a float, exact for every int up to 2**53
+            failures.append(("$.planner.big_m", f"must be <= 2**53 = {2**53}"))
         if failures:
             raise ValidationError(failures)
 

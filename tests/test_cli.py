@@ -236,6 +236,11 @@ class TestModelErrors:
                      "$.planner.objective_mode.weighted.eta1", id="eta1-zero"),
         pytest.param(lambda d: d["planner"].update(objective_mode={"weighted": {"eta2": -1}}),
                      "$.planner.objective_mode.weighted.eta2", id="eta2-negative"),
+        # eq12 reads 1 / big_m as a float
+        pytest.param(lambda d: d["planner"].update(big_m=2**53 + 1), "$.planner.big_m",
+                     id="big-m-past-2**53"),
+        pytest.param(lambda d: d["planner"].update(big_m=10**400), "$.planner.big_m",
+                     id="big-m-401-digits"),
     ])
     def test_instance_wrong_type(self, tmp_path, fig2_file, capsys, edit, location):
         doc = json.loads(fig2_file.read_text())

@@ -2,6 +2,7 @@ import hashlib
 import random
 from dataclasses import replace
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -47,6 +48,19 @@ def _lp_corpus():
     instances += [(f"micro{i}", random_micro_instance(rng)) for i in range(40)]
     return [(f"{label}.{kind}", _with_objective(inst, kind))
             for label, inst in instances for kind in ("lexicographic", "weighted")]
+
+
+def _long_id_instance():
+    """two_request_200m's two requests, from one edge switch to another
+    through a core switch, with request ids of 103 characters and node ids
+    of 65 (tags of 55 and 36 characters): every row of every multi-row
+    stanza is longer than an LP line, and no name or label is."""
+    a, b, c = (f"{tier} switch {x}: " + f"{x}." * 25
+               for tier, x in (("edge", "a"), ("core", "b"), ("edge", "c")))
+    topo = Topology((NodeSpec(a, "edge"), NodeSpec(b, "core"), NodeSpec(c, "edge")),
+                    (LinkSpec(a, b, 100.0), LinkSpec(b, c, 100.0)))
+    requests = tuple(Request(f"request {n}: " + "x-" * 45, a, c, 5.0) for n in ("one", "two"))
+    return replace(two_request_200m_instance(), topology=topo, requests=requests)
 
 
 class _Row(NamedTuple):
@@ -125,11 +139,6 @@ def _split(terms):
     return tuple(coef for coef, _ in terms), tuple(name for _, name in terms)
 
 
-def _columnar(c):
-    """c as rows() yields it: (name, coefs, names, sense, rhs, family)."""
-    return (c.name, *_split(c.terms), c.sense, c.rhs, c.family)
-
-
 _COEFS = st.one_of(
     st.sampled_from([1.0, -1.0, 0.0, -0.0, 0.25, -0.25, 1e15, -1e15, 1e15 - 1, 3.5e17]),
     st.integers(-10**18, 10**18),
@@ -146,6 +155,54 @@ def _constraints(draw):
     c = _Row(draw(_NAMES), draw(_TERMS), draw(st.sampled_from(["<=", ">=", "="])),
                         draw(_COEFS), draw(st.sampled_from(["eq2", "eq13", "fix", "other"])))
     return _padded(c, draw(st.integers(246, 254))) if draw(st.booleans()) else c
+
+
+@st.composite
+def _iterations(draw):
+    """One block as its iterations: a stanza of 1-3 drawn rows, repeated 1-3
+    times, each repeat keeping the rows' coefficients, sense, rhs and family
+    and drawing its own label and names (padded, or not, to the line limit)."""
+    stanza = draw(st.lists(_constraints(), min_size=1, max_size=3))
+    iterations = [stanza]
+    for _ in range(draw(st.integers(0, 2))):
+        again = [c._replace(name=draw(_NAMES),
+                            terms=tuple((coef, draw(_NAMES)) for coef, _ in c.terms))
+                 for c in stanza]
+        iterations.append([_padded(c, draw(st.integers(246, 254))) if draw(st.booleans())
+                           else c for c in again])
+    return iterations
+
+
+def _block(iterations):
+    """iterations (each a list of _Rows of one stanza) as a (stanza, args) block."""
+    stanza = tuple((c.family, _split(c.terms)[0], c.sense, c.rhs) for c in iterations[0])
+    return stanza, [tuple(x for c in rows for x in (c.name, *_split(c.terms)[1]))
+                    for rows in iterations]
+
+
+def _render(templates, blocks) -> tuple[str, bool]:
+    """milp._render_blocks of blocks given as iterations, decoded, with the
+    longest of their names as its name bound."""
+    names = [name for rows in chain.from_iterable(blocks) for c in rows for _, name in c.terms]
+    text, empty = milp._render_blocks(templates, [_block(b) for b in blocks],
+                                      max(map(len, names), default=0))
+    return text.decode(), empty
+
+
+def _block_rows(stanza, args):
+    """The _Rows of a (stanza, args) block, iteration by iteration."""
+    for fields in args:
+        i = 0
+        for family, coefs, sense, rhs in stanza:
+            yield _Row(fields[i], tuple(zip(coefs, fields[i + 1:i + 1 + len(coefs)])),
+                       sense, rhs, family)
+            i += 1 + len(coefs)
+
+
+def _as_row(row):
+    """A row of rows() as the oracle reads it."""
+    name, coefs, names, sense, rhs, family = row
+    return _Row(name, tuple(zip(coefs, names)), sense, rhs, family)
 
 
 _EDGE = _Row("c", ((-0.0, "a"), (1e15, "b"), (-0.25, "c")), "<=", -0.0, "eq13")
@@ -311,6 +368,34 @@ class TestEmitLp:
         for path in milp.emit_lp(milp.build_model(inst), tmp_path / "w.lp"):
             assert all(len(line) <= 250 for line in path.read_text().splitlines())
 
+    def test_line_width_cap_with_long_ids(self, tmp_path):
+        model = milp.build_model(_long_id_instance())
+        multi = [row for stanza, args in model.blocks() if len(stanza) > 1
+                 for row in _block_rows(stanza, args)]
+        assert {row.family for row in multi} == {f"eq{k}" for k in (2, 8, 9, 10, 12, 13, 14, 15)}
+        assert all(len(_oracle_row_body(row)) >= 250 for row in multi)
+        for path in milp.emit_lp(model, tmp_path / "w.lp"):
+            assert all(len(line) <= 250 for line in path.read_text().splitlines())
+
+    def test_constraint_block_matches_row_oracle(self, tmp_path):
+        """The constraint block emit_lp writes is the row-at-a-time oracle's
+        rendering of rows(), on the corpus, fig2 and the long-id instance."""
+        instances = [*_lp_corpus(), ("fig2", fixture_instance("fig2")),
+                     ("long-ids", _long_id_instance())]
+        for label, inst in instances:
+            model = milp.build_model(inst)
+            text = milp.emit_lp(model, tmp_path / f"{label}.lp")[0].read_text()
+            block = text[text.index("\nSubject To\n") + 12:text.rindex("\nBounds\n") + 1]
+            assert block == _oracle_render_constraints(map(_as_row, model.rows())), label
+
+
+def _drop_an_iteration(blocks):
+    """blocks without the second iteration of the first block whose stanza
+    has more than one row."""
+    k = next(k for k, (stanza, args) in enumerate(blocks) if len(stanza) > 1 and len(args) > 1)
+    stanza, args = blocks[k]
+    return [*blocks[:k], (stanza, args[:1] + args[2:]), *blocks[k + 1:]]
+
 
 class TestStreams:
     """The model is a stream of rows and variable names: the constraint and
@@ -333,15 +418,19 @@ class TestStreams:
         assert len(rows) == real(two_request_200m)["total_constraints"]
 
     @pytest.mark.parametrize("mutate", [
-        lambda rows: rows[:5] + rows[6:],
-        lambda rows: rows[:6] + rows[5:],
-        lambda rows: rows[:-1],
-        lambda rows: rows + rows[-1:],
-    ], ids=["drop", "repeat", "drop-last", "repeat-last"])
+        lambda blocks: blocks[:5] + blocks[6:],
+        lambda blocks: blocks[:6] + blocks[5:],
+        lambda blocks: blocks[:-1],
+        lambda blocks: blocks + blocks[-1:],
+        lambda blocks: _drop_an_iteration(blocks),
+    ], ids=["drop", "repeat", "drop-last", "repeat-last", "drop-iteration"])
     def test_audit_catches_a_dropped_or_repeated_row(self, tmp_path, two_request_200m,
                                                      monkeypatch, mutate):
-        real = milp._rows
-        monkeypatch.setattr(milp, "_rows", lambda *args: iter(mutate(list(real(*args)))))
+        real = milp._blocks
+        blocks = list(real(two_request_200m, milp.build_model(two_request_200m).names))
+        # the dropped and the repeated block are not empty
+        assert [len(args) for _, args in blocks[5:7]] == [4, 8]
+        monkeypatch.setattr(milp, "_blocks", lambda *args: iter(mutate(list(real(*args)))))
         model = milp.build_model(two_request_200m)
         with pytest.raises(AssertionError, match="count_formulas"):
             milp.emit_lp(model, tmp_path / "m.lp")
@@ -362,24 +451,27 @@ class TestStreams:
 
 
 class TestRowRenderer:
-    """The one row renderer, a template per (coefs, sense, rhs) shared by
-    constraints and objectives, writes the bytes of the previous
-    _fmt_terms + _wrap + join pipeline, for any terms and any row length."""
+    """The stanza renderer, a template per stanza shared by constraints and
+    objectives, writes the bytes of the previous _fmt_terms + _wrap + join
+    pipeline, for any terms, any row length and any run of stanzas."""
 
     @settings(max_examples=300, deadline=None)
-    @given(constraints=st.lists(_constraints(), max_size=6), objective=_TERMS)
-    @example(constraints=[_padded(_EDGE, n) for n in range(246, 255)]
-             + [_Row("e", (), "=", 0.0, "eq2")],
+    @given(blocks=st.lists(_iterations(), max_size=6), objective=_TERMS)
+    @example(blocks=[[[_padded(_EDGE, n)]] for n in range(246, 255)]
+             + [[[_Row("e", (), "=", 0.0, "eq2")]]],
              objective=())
-    @example(constraints=[_EDGE._replace(terms=((1.5, "x" * 30),) * 40)],
+    @example(blocks=[[[_EDGE._replace(terms=((1.5, "x" * 30),) * 40)]]],
              objective=((-1e16, "y" * 60),) * 20)
-    def test_matches_previous_pipeline(self, constraints, objective):
+    @example(blocks=[[[_padded(_EDGE, n), _EDGE._replace(family="eq14")] for n in range(246, 255)],
+                     [[_EDGE._replace(family="eq14")]] * 2],
+             objective=())
+    def test_matches_previous_pipeline(self, blocks, objective):
         templates = milp._Templates()
-        assert (milp._render_rows(templates, [_columnar(c) for c in constraints])
-                == (_oracle_render_constraints(constraints),
-                    any(not c.terms for c in constraints)))
-        obj = ("obj", *_split(objective), None, None, None)
-        assert (milp._render_rows(templates, [obj])
+        rows = [c for iterations in blocks for rows in iterations for c in rows]
+        assert _render(templates, blocks) == (_oracle_render_constraints(rows),
+                                              any(not c.terms for c in rows))
+        obj = _Row("obj", objective, None, None, None)
+        assert (_render(templates, [[[obj]]])
                 == (_oracle_render_objective(objective), not objective))
 
     def test_examples_reach_the_line_limit(self):
