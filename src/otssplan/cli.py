@@ -6,13 +6,15 @@ schedule; a file that is not JSON, `error: <file>: invalid JSON: ...`; or
 an instance or schedule document with a missing or mistyped field or a
 violated invariant, `error: <location>: <message>` on stderr, among them
 a topology with fewer than two edge switches to generate traffic between,
-`error: $.topology.nodes: ...` (`$.nodes` in a bare topology); or a
+`error: $.topology.nodes: ...` (`$.nodes` in a bare topology), and a
+sweep instance whose link capacity is below its granularity; or a
 `timeline --link` the topology lacks, `error: --link: ...`; or an
 `emit-lp` model over the variable cap, `error: model would have <n>
 variables, cap is <cap>`), 2 usage error (an unknown flag, or a flag
-value that does not parse or is out of range, `argument --<flag>: ...`),
-3 internal error such as a missing file. All randomness flows through
-explicit --seed flags.
+value that does not parse or is out of range, `argument --<flag>: ...`,
+such as a `--loads` or `--load` value off the granularity grid that
+sweep or gen-traffic draws traffic at), 3 internal error such as a
+missing file. All randomness flows through explicit --seed flags.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from pathlib import Path
 
 from . import harness, milp, solve as solve_mod, timeline, validate as validate_mod
 from .model import (Instance, ModelError, ValidationError, collapse_frame, decode_json,
-                    load_instance, serialize_instance, topology_from_document)
+                    load_instance, on_grid, serialize_instance, topology_from_document)
 from .solve import SolveLimits, schedule_from_document
 
 EXIT_OK = 0
@@ -111,6 +113,12 @@ def _add_limit_flags(parser: argparse.ArgumentParser) -> None:
                         help="shortest-path candidates per request")
 
 
+def _usage(command: str, flag: str, message: str) -> int:
+    """Print an argparse-style error naming flag and return EXIT_USAGE."""
+    print(f"otssplan {command}: error: argument {flag}: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def _require_edge_pairs(topology, location: str) -> None:
     """Raise ValidationError at `<location>.nodes` unless the topology has the
     two edge switches that traffic runs between."""
@@ -146,6 +154,11 @@ def cmd_validate(args) -> int:
 
 def cmd_sweep(args) -> int:
     instance = _load_instance_file(args.instance)
+    step = instance.planner.granularity_gbps
+    off = [x for x in args.loads if not on_grid(x, step)]
+    if off:
+        return _usage("sweep", "--loads", f"must be multiples of the instance's "
+                      f"{step:g} Gb/s granularity, got {off[0]:g}")
     _require_edge_pairs(instance.topology, "$.topology")
     result = harness.run_sweep(instance, args.loads, args.solvers, args.trials, args.seed,
                                limits=_limits_from_args(args))
@@ -177,9 +190,11 @@ def cmd_emit_lp(args) -> int:
 
 def cmd_gen_traffic(args) -> int:
     if args.capacity < args.granularity:
-        print(f"otssplan gen-traffic: error: argument --capacity: must be at least "
-              f"--granularity ({args.granularity:g}), got {args.capacity:g}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage("gen-traffic", "--capacity", f"must be at least --granularity "
+                      f"({args.granularity:g}), got {args.capacity:g}")
+    if not on_grid(args.load, args.granularity):
+        return _usage("gen-traffic", "--load", f"must be a multiple of --granularity "
+                      f"({args.granularity:g}), got {args.load:g}")
     doc = _read_json(args.instance)
     bare = not (isinstance(doc, dict) and "topology" in doc)
     location = "$" if bare else "$.topology"
@@ -235,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="offered-load sweep comparing solvers")
     p.add_argument("-i", "--instance", required=True)
-    p.add_argument("--loads", type=_loads, required=True, help="comma-separated Gb/s values")
+    p.add_argument("--loads", type=_loads, required=True,
+                   help="comma-separated Gb/s values on the instance's granularity")
     p.add_argument("--solvers", type=_solvers, default="exact,baseline",
                    help=f"comma-separated, from {', '.join(solve_mod.SOLVERS)}")
     p.add_argument("--trials", type=_positive(int), default=1)
@@ -257,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-i", "--instance", required=True,
                    help="instance or bare topology JSON")
     p.add_argument("--load", type=_positive(float, finite=True), required=True,
-                   help="offered load in Gb/s")
+                   help="offered load in Gb/s, a multiple of --granularity")
     p.add_argument("--granularity", type=_positive(float, finite=True), default=1.0,
                    help="request bandwidths are multiples of this many Gb/s")
     p.add_argument("--capacity", type=_positive(float, finite=True), default=10.0,
@@ -288,7 +304,7 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (validate_mod.StructureError, ModelError, milp.SizeLimitError) as exc:
+    except (ModelError, milp.SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 
 from . import solve as solve_mod
 from .model import (CrosstalkMatrix, FrameConfig, Instance, LinkSpec, NodeSpec,
-                    PlannerConfig, Request, Topology, build_fat_tree,
-                    serialize_instance)
+                    PlannerConfig, Request, Topology, ValidationError,
+                    build_fat_tree, serialize_instance)
 from .solve import Schedule, SolveLimits
 
 # Pairwise coupling of the default 4-mode channel set, dB per 100 m;
@@ -40,8 +40,9 @@ def gen_uniform_traffic(topology: Topology, offered_load_gbps: float,
     """Uniform random traffic between ordered edge-switch pairs.
 
     Bandwidths are uniform on the granularity multiples up to the channel
-    capacity; the last request is trimmed so the total hits the offered
-    load exactly. Deterministic for a given seed.
+    capacity (at least one granularity); the last request is trimmed so the
+    total hits the offered load (a granularity multiple) exactly.
+    Deterministic for a given seed.
     """
     edges = sorted(topology.edge_nodes())
     if len(edges) < 2:
@@ -116,22 +117,26 @@ def _instance_digest(instance: Instance) -> str:
 
 def run_sweep(instance_template: Instance, loads: Sequence[float],
               solvers: Sequence[str], trials: int, seed: int | str,
-              limits: Optional[SolveLimits] = None,
-              granularity_gbps: float = 1.0) -> SweepResult:
+              limits: Optional[SolveLimits] = None) -> SweepResult:
     """For each (load, trial) cell, generate traffic with a derived seed,
     solve with every requested solver on identical requests, and record a
     row per solver. Cells are independent; per-cell seeds depend only on
-    (master seed, load index, trial index)."""
+    (master seed, load index, trial index). Bandwidths are drawn at the
+    template's granularity up to its link capacity, which must reach it."""
     if not loads or not solvers or trials < 1:
         raise ValueError("need at least one load, one solver, and one trial")
     limits = limits or SolveLimits()
     rows: list[SweepRow] = []
     cap = instance_template.planner.link_capacity_gbps
+    granularity = instance_template.planner.granularity_gbps
+    if cap < granularity:
+        raise ValidationError([("$.planner.link_capacity_gbps",
+                                f"{cap} is below the {granularity} Gb/s granularity")])
     for li, load in enumerate(loads):
         for trial in range(trials):
             if load > 0:
                 requests = gen_uniform_traffic(
-                    instance_template.topology, load, granularity_gbps,
+                    instance_template.topology, load, granularity,
                     seed=f"{seed}:{li}:{trial}", capacity_gbps=cap)
             else:
                 requests = ()
@@ -163,7 +168,7 @@ def run_sweep(instance_template: Instance, loads: Sequence[float],
             averages.append((float(load), solver, sum(vals) / len(vals)))
     return SweepResult(rows=tuple(rows), seed=seed,
                        instance_digest=_instance_digest(instance_template),
-                       bandwidth_law=(f"uniform multiples of {granularity_gbps} Gb/s "
+                       bandwidth_law=(f"uniform multiples of {granularity} Gb/s "
                                       f"on (0, {cap}]"),
                        averages=tuple(averages))
 

@@ -23,13 +23,12 @@ family) rows; an objective is (sense, name, coefs, names); the variables
 are a stream of names (MilpModel.variable_names). Each stream is audited
 against count_formulas when a pass over it ends. One routine,
 _render_blocks, renders every LP row (constraints, objectives, and the
-phase-2 fix_throughput row over the throughput objective's columns): it
-fills one %-format template per stanza, family headers included, for all
-of a block's iterations, and renders alone (and wraps) only a row whose
-longest possible text, from the block's longest label and the model's
-longest name, reaches the line limit. emit_lp renders and encodes the
-block stream in one pass and writes those bytes into both phase files.
-paper-literal-db has no MILP until its eq11 row is derived.
+phase-2 fix_throughput row over the throughput objective's columns): each
+iteration of a block fills one %-template, family headers included, and
+a block with a row that might reach the line limit then wraps each line
+past it. emit_lp renders and encodes the block stream in one pass and
+writes those bytes into both phase files. paper-literal-db has no MILP
+until its eq11 row is derived.
 """
 
 from __future__ import annotations
@@ -536,60 +535,40 @@ class _Templates(dict):
         return text
 
 
-def _wrap(body: str, width: int = 250) -> str:
-    """A row split into LP lines: one leading space first, three on continuations."""
+def _wrap(body: str) -> str:
+    """A row split into LP lines of at most 250 characters: one leading
+    space first, three on continuations."""
     words = body.split(" ")
     lines = [" " + words[0]]
     for w in words[1:]:
-        if len(lines[-1]) + 1 + len(w) > width:
+        if len(lines[-1]) + 1 + len(w) > 250:
             lines.append("   " + w)
         else:
             lines[-1] += " " + w
     return "\n".join(lines) + "\n"
 
 
-def _header(family) -> str:
-    note = FAMILY_NOTES.get(family, "")
-    return f"\\ {family}: {note}\n" if note else f"\\ {family}\n"
+def _fit(text: str) -> str:
+    """text, whole lines, with each line past 250 characters wrapped."""
+    return "".join(line + "\n" if len(line) <= 250 else _wrap(line[1:])
+                   for line in text[:-1].split("\n"))
 
 
-def _segments(templates: _Templates, stanza: Stanza, family, longest: int) -> list:
-    """The pieces of one iteration of stanza after a row of `family`, its
-    fields at most `longest` characters: (template, start, stop, None) for a
-    run of rows that cannot pass the line limit, family headers included,
-    and (template, start, stop, header) for one row that might."""
-    segments, run, begin, i = [], "", 0, 0
+def _stanza_template(templates: _Templates, stanza: Stanza, family,
+                     longest: int) -> tuple[str, bool]:
+    """The %-template of one iteration of stanza after a row of `family`,
+    family headers included, and whether a row of it might reach the line
+    limit when its fields are `longest` characters long."""
+    parts, long = [], False
     for fam, coefs, sense, rhs in stanza:
-        head = _header(fam) if fam != family else ""
-        family = fam
+        if fam != family:
+            note = FAMILY_NOTES.get(fam, "")
+            parts.append((f"\\ {fam}: {note}\n" if note else f"\\ {fam}\n").replace("%", "%%"))
+            family = fam
         template = templates[coefs, sense, rhs]
-        j = i + 1 + len(coefs)
-        if len(template) + (j - i) * (longest - 2) <= 251:
-            if not run:
-                begin = i
-            run += head.replace("%", "%%") + template
-        else:
-            if run:
-                segments.append((run, begin, i, None))
-                run = ""
-            segments.append((template, i, j, head))
-        i = j
-    if run:
-        segments.append((run, begin, i, None))
-    return segments
-
-
-def _render_segments(out: list[bytes], segments: list, args) -> None:
-    """Append the encoded text of each iteration's fields in args."""
-    if len(segments) == 1 and segments[0][3] is None:
-        out.extend(map(str.encode, map(segments[0][0].__mod__, args)))
-        return
-    for fields in args:
-        for template, i, j, head in segments:
-            text = template % fields[i:j]
-            if head is not None:
-                text = head + (text if len(text) <= 251 else _wrap(text[1:-1]))
-            out.append(text.encode())
+        parts.append(template)
+        long = long or len(template) + (1 + len(coefs)) * (longest - 2) > 251
+    return "".join(parts), long
 
 
 def _longest_label(stanza: Stanza, args) -> int:
@@ -606,20 +585,20 @@ def _render_blocks(templates: _Templates, blocks, longest_name: int) -> tuple[by
     """The encoded LP text of blocks, whose names are at most longest_name
     characters, and whether any row has no terms (so reads `0 dummy_zero`).
     Each family run is under its header (a row of family None has none). A
-    block fills one template per stanza for all of its iterations, unless a
-    row of it might reach the line limit with its longest label and names
-    of longest_name characters; each such row is rendered alone and wrapped
-    past the limit."""
+    block fills one template for its first iteration and one for the rest,
+    then wraps the lines past the limit if a row might reach it with the
+    block's longest label and names of longest_name characters."""
     out, family, empty = [], None, False
     for stanza, args in blocks:
         if not args or not stanza:
             continue
         longest = max(longest_name, _longest_label(stanza, args))
-        last = stanza[-1][0]
-        _render_segments(out, _segments(templates, stanza, family, longest), args[:1])
-        _render_segments(out, _segments(templates, stanza, last, longest),
-                         islice(args, 1, None))
-        family, empty = last, empty or not all(coefs for _, coefs, _, _ in stanza)
+        first, long = _stanza_template(templates, stanza, family, longest)
+        family = stanza[-1][0]
+        rest, _ = _stanza_template(templates, stanza, family, longest)
+        texts = chain((first % args[0],), map(rest.__mod__, islice(args, 1, None)))
+        out.extend(map(str.encode, map(_fit, texts) if long else texts))
+        empty = empty or not all(coefs for _, coefs, _, _ in stanza)
     args = None  # the last block's fields need not outlive its text
     return b"".join(out), empty
 

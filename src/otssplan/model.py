@@ -321,7 +321,7 @@ class Instance:
 
     def __post_init__(self):
         failures = []
-        granularity = Fraction(str(self.planner.granularity_gbps))
+        granularity = self.planner.granularity_gbps
         seen_ids = set()
         for i, r in enumerate(self.requests):
             loc = f"$.requests[{i}]"
@@ -335,13 +335,9 @@ class Instance:
                     failures.append((f"{loc}.{fieldname}", f"unknown node {node!r}"))
             if not (r.bandwidth_gbps > 0):
                 failures.append((loc + ".bandwidth_gbps", "must be > 0"))
-            else:
-                units = Fraction(str(r.bandwidth_gbps)) / granularity
-                if units.denominator != 1:
-                    failures.append(
-                        (loc + ".bandwidth_gbps",
-                         f"{r.bandwidth_gbps} is not a multiple of the {float(granularity)} Gb/s granularity")
-                    )
+            elif not on_grid(r.bandwidth_gbps, granularity):
+                failures.append((loc + ".bandwidth_gbps", f"{r.bandwidth_gbps} is not a multiple "
+                                 f"of the {float(granularity)} Gb/s granularity"))
         if self.mode_count < 1:
             failures.append(("$.modes", "mode count must be >= 1"))
         if self.crosstalk.mode_count != self.mode_count:
@@ -389,6 +385,11 @@ class Instance:
 def mode_label(index: int) -> str:
     """Display label m1, m2, ... for a 0-based mode index."""
     return f"m{index + 1}"
+
+
+def on_grid(value: float, step: float) -> bool:
+    """Whether value is a whole multiple of step, both read as decimals."""
+    return (Fraction(str(value)) / Fraction(str(step))).denominator == 1
 
 
 def slot_capacity_gbps(frame: FrameConfig, config: PlannerConfig) -> Fraction:

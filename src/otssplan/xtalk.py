@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .model import AccumulationModel, CrosstalkMatrix, Instance, Link
 
@@ -145,8 +144,7 @@ def overlap_terms(victim, aggressor) -> list[tuple[Link, int, int]]:
     return out
 
 
-def accumulate_for_request(victim_request: str, schedule, instance: Instance,
-                           model: Optional[AccumulationModel] = None) -> CrosstalkReport:
+def accumulate_for_request(victim_request: str, schedule, instance: Instance) -> CrosstalkReport:
     """Total accumulated crosstalk seen by one scheduled request.
 
     Sums pairwise contributions over every link of the victim's path, every
@@ -154,8 +152,7 @@ def accumulate_for_request(victim_request: str, schedule, instance: Instance,
     every distinct mode pair, then compares against the configured
     threshold.
     """
-    if model is None:
-        model = instance.planner.accumulation_model
+    model = instance.planner.accumulation_model
     victim = schedule.assignment(victim_request)
     if victim is None:
         raise NotScheduledError(f"request {victim_request!r} is not scheduled")

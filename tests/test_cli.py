@@ -119,6 +119,10 @@ class TestArgumentErrors:
         (["emit-lp", "--phase1-value=-inf"], "--phase1-value"),
         (["emit-lp", "--phase1-value", "x"], "--phase1-value"),
         (["sweep", "--loads=-5,0"], "--loads"),
+        # off the granularity grid: the instance's for sweep, --granularity's for gen-traffic
+        (["gen-traffic", "--load", "5", "--granularity", "2"], "--load"),
+        (["sweep", "--loads", "2.5"], "--loads"),
+        (["sweep", "--loads", "4,2.5"], "--loads"),
     ])
     def test_bad_flag_value_is_usage(self, tmp_path, fig2_file, capsys, argv, flag):
         argv = argv[:1] + ["-i", str(fig2_file), "-o", str(tmp_path / "out")] + argv[1:]
@@ -323,6 +327,35 @@ class TestEmitLpCommand:
                         str(tmp_path / "p.lp"), "--phase1-value", "17"]) == 0
         capsys.readouterr()
         assert "fix_throughput" in (tmp_path / "p.phase2.lp").read_text()
+
+
+class TestSweepCommand:
+    """Sweep traffic is drawn at the instance's granularity, up to its link
+    capacity."""
+
+    def _planner_copy(self, tmp_path, fig2_file, **planner):
+        doc = json.loads(fig2_file.read_text())
+        doc["planner"].update(planner)
+        for r in doc["requests"]:
+            r["bandwidth_gbps"] = 4.0
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_granularity_two(self, tmp_path, fig2_file, capsys):
+        path = self._planner_copy(tmp_path, fig2_file, granularity_gbps=2)
+        out = tmp_path / "sweep.csv"
+        assert cli.run(["sweep", "-i", str(path), "--loads", "20,38", "--trials", "3",
+                        "--solvers", "greedy", "-o", str(out)]) == 0
+        meta = json.loads(out.with_suffix(".meta.json").read_text())
+        assert meta["bandwidth_law"] == "uniform multiples of 2.0 Gb/s on (0, 10.0]"
+
+    def test_capacity_below_granularity(self, tmp_path, fig2_file, capsys):
+        path = self._planner_copy(tmp_path, fig2_file, granularity_gbps=2,
+                                  link_capacity_gbps=1)
+        assert cli.run(["sweep", "-i", str(path), "--loads", "20",
+                        "-o", str(tmp_path / "sweep.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: $.planner.link_capacity_gbps: ")
 
 
 class TestGenTrafficCommand:

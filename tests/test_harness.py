@@ -1,10 +1,12 @@
 import math
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from otssplan import harness, validate, xtalk
-from otssplan.model import build_fat_tree, load_instance, serialize_instance
+from otssplan.model import (PlannerConfig, ValidationError, build_fat_tree, load_instance,
+                            on_grid, serialize_instance)
 
 
 class TestGenUniformTraffic:
@@ -109,6 +111,20 @@ class TestRunSweep:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2
         assert float(rows[0]["throughput_gbps"]) == result.rows[0].throughput_gbps
+
+    def test_traffic_drawn_at_the_instance_granularity(self):
+        tpl = replace(self.template(), planner=PlannerConfig(granularity_gbps=2.5))
+        result = harness.run_sweep(tpl, [25.0, 50.0], ["greedy"], trials=3, seed=4)
+        assert result.bandwidth_law == "uniform multiples of 2.5 Gb/s on (0, 10.0]"
+        # accepted throughput sums on-grid bandwidths, the trimmed last request's too
+        assert all(on_grid(r.throughput_gbps, 2.5) for r in result.rows)
+
+    def test_capacity_below_granularity_is_named(self):
+        tpl = replace(self.template(),
+                      planner=PlannerConfig(granularity_gbps=2.0, link_capacity_gbps=1.0))
+        with pytest.raises(ValidationError) as exc:
+            harness.run_sweep(tpl, [4.0], ["greedy"], trials=1, seed=0)
+        assert [path for path, _ in exc.value.failures] == ["$.planner.link_capacity_gbps"]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

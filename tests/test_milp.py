@@ -465,6 +465,11 @@ class TestRowRenderer:
     @example(blocks=[[[_padded(_EDGE, n), _EDGE._replace(family="eq14")] for n in range(246, 255)],
                      [[_EDGE._replace(family="eq14")]] * 2],
              objective=())
+    # eq10's shape after another family: two short rows, then one past the limit
+    @example(blocks=[[[_EDGE]],
+                     [[_EDGE._replace(family="eq10")] * 2
+                      + [_padded(_EDGE._replace(name="cap", family="eq10"), 260)]] * 3],
+             objective=())
     def test_matches_previous_pipeline(self, blocks, objective):
         templates = milp._Templates()
         rows = [c for iterations in blocks for rows in iterations for c in rows]
