@@ -1,20 +1,14 @@
 """Command-line front end.
 
 Subcommands: plan, validate, sweep, emit-lp, gen-traffic, timeline,
-fixtures. Exit codes: 0 success, 1 validation failure (an invalid
-schedule; a file that is not JSON, `error: <file>: invalid JSON: ...`; or
-an instance or schedule document with a missing or mistyped field or a
-violated invariant, `error: <location>: <message>` on stderr, among them
-a topology with fewer than two edge switches to generate traffic between,
-`error: $.topology.nodes: ...` (`$.nodes` in a bare topology), and a
-sweep instance whose link capacity is below its granularity; or a
-`timeline --link` the topology lacks, `error: --link: ...`; or an
-`emit-lp` model over the variable cap, `error: model would have <n>
-variables, cap is <cap>`), 2 usage error (an unknown flag, or a flag
-value that does not parse or is out of range, `argument --<flag>: ...`,
-such as a `--loads` or `--load` value off the granularity grid that
-sweep or gen-traffic draws traffic at), 3 internal error such as a
-missing file. All randomness flows through explicit --seed flags.
+fixtures. Exit codes: 0 success; 1 validation failure: an invalid
+schedule, a schedule that names what the instance lacks (`structural
+error: ...`), a file that is not JSON, an input document field that
+`model` or `harness` rejects (`error: <location>: <message>`), or an
+`emit-lp` model over the variable cap; 2 usage error: an unknown flag or
+a flag value that does not parse or that `harness` rejects (`argument
+--<flag>: ...`); 3 internal error such as a missing file. All randomness
+flows through explicit --seed flags.
 """
 
 from __future__ import annotations
@@ -27,7 +21,7 @@ from pathlib import Path
 
 from . import harness, milp, solve as solve_mod, timeline, validate as validate_mod
 from .model import (Instance, ModelError, ValidationError, collapse_frame, decode_json,
-                    load_instance, on_grid, serialize_instance, topology_from_document)
+                    load_instance, serialize_instance, topology_from_document)
 from .solve import SolveLimits, schedule_from_document
 
 EXIT_OK = 0
@@ -58,17 +52,15 @@ def _limits_from_args(args) -> SolveLimits:
                        k_paths=args.k_paths)
 
 
-def _positive(kind, finite: bool = False):
-    """argparse type: a `kind` (int or float) value > 0, and finite when
-    `finite` is set."""
+def _positive(kind):
+    """argparse type: a `kind` (int or float) value > 0."""
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-        if not value > 0 or (finite and not math.isfinite(value)):
-            raise argparse.ArgumentTypeError(
-                f"must be {'finite and ' if finite else ''}> 0, got {text!r}")
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
         return value
     return parse
 
@@ -85,14 +77,13 @@ def _finite(text: str) -> float:
 
 
 def _loads(text: str) -> list[float]:
-    """argparse type: a comma-separated list of finite offered loads >= 0 in Gb/s."""
+    """argparse type: a comma-separated list of numbers, offered loads in Gb/s."""
     try:
         loads = [float(x) for x in text.split(",") if x]
     except ValueError:
         loads = []
-    if not loads or not all(math.isfinite(x) and x >= 0 for x in loads):
-        raise argparse.ArgumentTypeError(f"not a comma-separated list of finite numbers "
-                                         f">= 0: {text!r}")
+    if not loads:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of numbers: {text!r}")
     return loads
 
 
@@ -119,15 +110,6 @@ def _usage(command: str, flag: str, message: str) -> int:
     return EXIT_USAGE
 
 
-def _require_edge_pairs(topology, location: str) -> None:
-    """Raise ValidationError at `<location>.nodes` unless the topology has the
-    two edge switches that traffic runs between."""
-    edges = topology.edge_nodes()
-    if len(edges) < 2:
-        raise ValidationError([(f"{location}.nodes",
-                                f"need >= 2 edge switches, topology has {len(edges)}")])
-
-
 def cmd_plan(args) -> int:
     instance = _load_instance_file(args.instance)
     schedule = solve_mod.solve(instance, args.solver, _limits_from_args(args))
@@ -143,25 +125,18 @@ def cmd_validate(args) -> int:
     if args.baseline:
         instance = collapse_frame(instance)
     schedule = schedule_from_document(_read_json(args.schedule))
-    try:
-        report = validate_mod.check_schedule(instance, schedule)
-    except validate_mod.StructureError as exc:
-        print(f"structural error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    report = validate_mod.check_schedule(instance, schedule)
     print(report.to_json())
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
 
 def cmd_sweep(args) -> int:
     instance = _load_instance_file(args.instance)
-    step = instance.planner.granularity_gbps
-    off = [x for x in args.loads if not on_grid(x, step)]
-    if off:
-        return _usage("sweep", "--loads", f"must be multiples of the instance's "
-                      f"{step:g} Gb/s granularity, got {off[0]:g}")
-    _require_edge_pairs(instance.topology, "$.topology")
-    result = harness.run_sweep(instance, args.loads, args.solvers, args.trials, args.seed,
-                               limits=_limits_from_args(args))
+    try:
+        result = harness.run_sweep(instance, args.loads, args.solvers, args.trials,
+                                   args.seed, limits=_limits_from_args(args))
+    except harness.TrafficError as exc:
+        return _usage("sweep", "--loads", exc.message)
     result.to_csv(args.output)
     meta_path = Path(args.output).with_suffix(".meta.json")
     meta_path.write_text(json.dumps(result.metadata(), sort_keys=True, indent=2) + "\n")
@@ -189,20 +164,18 @@ def cmd_emit_lp(args) -> int:
 
 
 def cmd_gen_traffic(args) -> int:
-    if args.capacity < args.granularity:
-        return _usage("gen-traffic", "--capacity", f"must be at least --granularity "
-                      f"({args.granularity:g}), got {args.capacity:g}")
-    if not on_grid(args.load, args.granularity):
-        return _usage("gen-traffic", "--load", f"must be a multiple of --granularity "
-                      f"({args.granularity:g}), got {args.load:g}")
     doc = _read_json(args.instance)
     bare = not (isinstance(doc, dict) and "topology" in doc)
     location = "$" if bare else "$.topology"
     topology = topology_from_document(doc if bare else doc["topology"], location)
-    _require_edge_pairs(topology, location)
-    requests = harness.gen_uniform_traffic(topology, args.load,
-                                           granularity_gbps=args.granularity,
-                                           seed=args.seed, capacity_gbps=args.capacity)
+    try:
+        requests = harness.gen_uniform_traffic(topology, args.load,
+                                               granularity_gbps=args.granularity,
+                                               seed=args.seed, capacity_gbps=args.capacity)
+    except harness.TrafficError as exc:
+        if exc.field == "topology":
+            raise ValidationError([(f"{location}.nodes", exc.message)]) from None
+        return _usage("gen-traffic", f"--{exc.field}", exc.message)
     _write_json([{"id": r.id, "src": r.source, "dst": r.destination,
                   "bandwidth_gbps": r.bandwidth_gbps} for r in requests], args.output)
     return EXIT_OK
@@ -217,6 +190,7 @@ def cmd_timeline(args) -> int:
         link = (src, dst)
         if link not in instance.topology.link_keys():
             raise ValidationError([("--link", f"unknown link {args.link!r}")])
+    validate_mod.check_structure(instance, schedule)
     print(timeline.render_timeline(instance, schedule, link))
     return EXIT_OK
 
@@ -272,11 +246,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-traffic", help="generate seeded uniform traffic")
     p.add_argument("-i", "--instance", required=True,
                    help="instance or bare topology JSON")
-    p.add_argument("--load", type=_positive(float, finite=True), required=True,
+    p.add_argument("--load", type=float, required=True,
                    help="offered load in Gb/s, a multiple of --granularity")
-    p.add_argument("--granularity", type=_positive(float, finite=True), default=1.0,
+    p.add_argument("--granularity", type=float, default=1.0,
                    help="request bandwidths are multiples of this many Gb/s")
-    p.add_argument("--capacity", type=_positive(float, finite=True), default=10.0,
+    p.add_argument("--capacity", type=float, default=10.0,
                    help="largest request bandwidth in Gb/s, at least --granularity")
     p.add_argument("--seed", default="0")
     p.add_argument("-o", "--output")
@@ -306,6 +280,9 @@ def run(argv=None) -> int:
         return args.func(args)
     except (ModelError, milp.SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except validate_mod.StructureError as exc:
+        print(f"structural error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"internal error: {exc}", file=sys.stderr)

@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from typing import Optional, Sequence
 from . import solve as solve_mod
 from .model import (CrosstalkMatrix, FrameConfig, Instance, LinkSpec, NodeSpec,
                     PlannerConfig, Request, Topology, ValidationError,
-                    build_fat_tree, serialize_instance)
+                    build_fat_tree, on_grid, serialize_instance)
 from .solve import Schedule, SolveLimits
 
 # Pairwise coupling of the default 4-mode channel set, dB per 100 m;
@@ -30,8 +31,28 @@ DEFAULT_CROSSTALK_DB = (
 )
 
 
-class TrafficError(Exception):
-    pass
+class TrafficError(ValueError):
+    """Uniform traffic cannot be drawn; `field` names the rejected input:
+    `topology`, `load`, `granularity` or `capacity`."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(f"{field}: {message}")
+        self.field, self.message = field, message
+
+
+def _check_traffic(topology: Topology, load: float, granularity: float, capacity: float):
+    """Raise TrafficError unless gen_uniform_traffic can draw this load."""
+    edges = len(topology.edge_nodes())
+    if edges < 2:
+        raise TrafficError("topology", f"need >= 2 edge switches, topology has {edges}")
+    if not 0 < granularity < math.inf:
+        raise TrafficError("granularity", f"must be finite and > 0, got {granularity:g}")
+    if not granularity <= capacity < math.inf:
+        raise TrafficError("capacity", f"must be finite and at least the {granularity:g} "
+                           f"Gb/s granularity, got {capacity:g}")
+    if not 0 < load < math.inf or not on_grid(load, granularity):
+        raise TrafficError("load", f"must be a finite multiple > 0 of the {granularity:g} "
+                           f"Gb/s granularity, got {load:g}")
 
 
 def gen_uniform_traffic(topology: Topology, offered_load_gbps: float,
@@ -42,13 +63,10 @@ def gen_uniform_traffic(topology: Topology, offered_load_gbps: float,
     Bandwidths are uniform on the granularity multiples up to the channel
     capacity (at least one granularity); the last request is trimmed so the
     total hits the offered load (a granularity multiple) exactly.
-    Deterministic for a given seed.
+    Deterministic for a given seed; inputs that break these rules raise TrafficError.
     """
+    _check_traffic(topology, offered_load_gbps, granularity_gbps, capacity_gbps)
     edges = sorted(topology.edge_nodes())
-    if len(edges) < 2:
-        raise TrafficError(f"need >= 2 edge switches, topology has {len(edges)}")
-    if not (offered_load_gbps > 0):
-        raise TrafficError(f"offered load must be > 0, got {offered_load_gbps}")
     pairs = [(s, d) for s in edges for d in edges if s != d]
     steps = int(Fraction(str(capacity_gbps)) / Fraction(str(granularity_gbps)))
     rng = random.Random(f"traffic:{seed}")
@@ -115,6 +133,11 @@ def _instance_digest(instance: Instance) -> str:
     return hashlib.sha256(doc.encode()).hexdigest()[:16]
 
 
+# Where a sweep template holds each traffic input but the load.
+_TEMPLATE_FIELDS = {"topology": "$.topology.nodes", "granularity": "$.planner.granularity_gbps",
+                    "capacity": "$.planner.link_capacity_gbps"}
+
+
 def run_sweep(instance_template: Instance, loads: Sequence[float],
               solvers: Sequence[str], trials: int, seed: int | str,
               limits: Optional[SolveLimits] = None) -> SweepResult:
@@ -122,24 +145,26 @@ def run_sweep(instance_template: Instance, loads: Sequence[float],
     solve with every requested solver on identical requests, and record a
     row per solver. Cells are independent; per-cell seeds depend only on
     (master seed, load index, trial index). Bandwidths are drawn at the
-    template's granularity up to its link capacity, which must reach it."""
+    template's granularity up to its link capacity. Before any cell runs, a
+    load it cannot draw raises TrafficError, and a template ValidationError."""
     if not loads or not solvers or trials < 1:
         raise ValueError("need at least one load, one solver, and one trial")
     limits = limits or SolveLimits()
     rows: list[SweepRow] = []
     cap = instance_template.planner.link_capacity_gbps
     granularity = instance_template.planner.granularity_gbps
-    if cap < granularity:
-        raise ValidationError([("$.planner.link_capacity_gbps",
-                                f"{cap} is below the {granularity} Gb/s granularity")])
+    try:  # a load of 0 is a cell without requests
+        for load in loads:
+            _check_traffic(instance_template.topology, load or granularity, granularity, cap)
+    except TrafficError as exc:
+        if exc.field == "load":
+            raise
+        raise ValidationError([(_TEMPLATE_FIELDS[exc.field], exc.message)]) from None
     for li, load in enumerate(loads):
         for trial in range(trials):
-            if load > 0:
-                requests = gen_uniform_traffic(
-                    instance_template.topology, load, granularity,
-                    seed=f"{seed}:{li}:{trial}", capacity_gbps=cap)
-            else:
-                requests = ()
+            requests = gen_uniform_traffic(
+                instance_template.topology, load, granularity,
+                seed=f"{seed}:{li}:{trial}", capacity_gbps=cap) if load else ()
             instance = instance_template.with_requests(requests)
             cell: dict[str, tuple[Schedule, float]] = {}
             for solver in sorted(solvers, key=lambda s: s != "baseline"):

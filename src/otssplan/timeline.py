@@ -22,22 +22,13 @@ def request_aliases(schedule: Schedule) -> dict[str, str]:
     return aliases
 
 
-def occupied_links(schedule: Schedule) -> list[Link]:
-    seen: list[Link] = []
-    for a in schedule.assignments:
-        for link in a.path:
-            if link not in seen:
-                seen.append(link)
-    return seen
-
-
 def render_timeline(instance: Instance, schedule: Schedule,
                     link: Optional[Link] = None) -> str:
     """Render the slot grid of one link (default: the first occupied link,
     or the first topology link if nothing is scheduled)."""
     if link is None:
-        used = occupied_links(schedule)
-        link = used[0] if used else instance.topology.link_keys()[0]
+        link = next((l for a in schedule.assignments for l in a.path),
+                    instance.topology.link_keys()[0])
     aliases = request_aliases(schedule)
     slots = instance.slot_count
     guard = instance.frame.guard_us
@@ -47,7 +38,7 @@ def render_timeline(instance: Instance, schedule: Schedule,
         if link not in a.path:
             continue
         for m in a.modes:
-            for t in range(a.slot_start, a.slot_end):
+            for t in range(max(a.slot_start, 0), min(a.slot_end, slots)):
                 grid[(m, t)] = aliases[a.request_id]
     lines = [f"link {link[0]} -> {link[1]} "
              f"({instance.topology.length(link):g} m, {slots} slots)"]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import product
 
 from . import xtalk
 from .model import Instance
@@ -49,7 +50,8 @@ class ViolationReport:
         return json.dumps(self.to_document(), sort_keys=True, separators=(",", ":"))
 
 
-def _check_structure(instance: Instance, schedule: Schedule) -> None:
+def check_structure(instance: Instance, schedule: Schedule) -> None:
+    """Raise StructureError where the schedule does not fit the instance."""
     known_requests = {r.id for r in instance.requests}
     known_links = set(instance.topology.link_keys())
     seen: set[str] = set()
@@ -89,7 +91,7 @@ def check_schedule(instance: Instance, schedule: Schedule) -> ViolationReport:
     eq11: accumulated crosstalk within threshold for every accepted
     request.
     """
-    _check_structure(instance, schedule)
+    check_structure(instance, schedule)
     violations: list[Violation] = []
     slots = instance.slot_count
 
@@ -129,10 +131,12 @@ def check_schedule(instance: Instance, schedule: Schedule) -> ViolationReport:
             violations.append(Violation("eq10", loc,
                                         f"supply {supply} (modes x slots) below demand {q}"))
 
-    # eq7: slot exclusivity over re-derived occupancy
+    # eq7: slot exclusivity over re-derived occupancy, in the frame only:
+    # eq8 reports the rest of an interval, which no document bounds
     occupancy: dict[tuple, str] = {}
     for a in schedule.assignments:
-        for cell in a.cells():
+        in_frame = range(max(a.slot_start, 0), min(a.slot_end, slots))
+        for cell in product(a.path, a.modes, in_frame):
             if cell in occupancy:
                 link, m, t = cell
                 violations.append(Violation(

@@ -121,6 +121,25 @@ def brute_force_best(instance: Instance, k: int = 8) -> tuple[float, int]:
     return best
 
 
+class CountingMode(int):
+    """A mode number that counts how often it is hashed. A walk over
+    (link, mode, slot) cells hashes a cell's mode once per cell it visits,
+    so the count bounds the cells visited; past `cap` hashes it raises, so
+    a walk over a huge slot interval fails at once instead of filling
+    memory."""
+
+    def __new__(cls, mode: int, cap: int):
+        self = super().__new__(cls, mode)
+        self.hashes, self.cap = 0, cap
+        return self
+
+    def __hash__(self):
+        self.hashes += 1
+        if self.hashes > self.cap:
+            raise AssertionError(f"mode {int(self)} hashed more than {self.cap} times")
+        return int.__hash__(self)
+
+
 @pytest.fixture
 def two_request_200m() -> Instance:
     return two_request_200m_instance()

@@ -1,8 +1,9 @@
+import csv
 import json
 
 import pytest
 
-from conftest import two_request_200m_instance
+from conftest import CountingMode, two_request_200m_instance
 from otssplan import cli, milp, timeline
 from otssplan.harness import fig2_fixture
 from otssplan.model import load_instance, serialize_instance
@@ -79,7 +80,8 @@ class TestExitCodes:
         doc["accepted"].append(dict(r1, path=[["e1", "a2"], ["a2", "e2"]]))
         sched.write_text(json.dumps(doc))
         assert cli.run(["validate", "-i", str(fig2_file), "-s", str(sched)]) == 1
-        assert "structural error" in capsys.readouterr().err
+        assert capsys.readouterr().err.strip() == (
+            "structural error: request 'r1' accepted more than once")
 
     def test_thousand_request_plan(self, tmp_path, fig2_file, capsys):
         requests = tmp_path / "requests.json"
@@ -87,7 +89,7 @@ class TestExitCodes:
                         "-o", str(requests)]) == 0
         doc = json.loads(fig2_file.read_text())
         doc["requests"] = json.loads(requests.read_text())
-        assert len(doc["requests"]) > 1000
+        assert len(doc["requests"]) == 1092
         big = tmp_path / "big.json"
         big.write_text(json.dumps(doc))
         out = tmp_path / "plan.json"
@@ -263,6 +265,15 @@ class TestModelErrors:
         assert capsys.readouterr().err.startswith("error: $.planner.accumulation_model: ")
         assert not list(tmp_path.glob("literal*.lp"))
 
+    def test_emit_lp_names_huge_big_m(self, tmp_path, fig2_file, capsys):
+        doc = json.loads(fig2_file.read_text())
+        doc["planner"]["big_m"] = 10**400
+        path = tmp_path / "huge-big-m.json"
+        path.write_text(json.dumps(doc))
+        assert cli.run(["emit-lp", "-i", str(path), "-o", str(tmp_path / "huge.lp")]) == 1
+        assert capsys.readouterr().err.startswith("error: $.planner.big_m: ")
+        assert not list(tmp_path.glob("huge*.lp"))
+
     def test_emit_lp_over_variable_cap(self, tmp_path, fig2_file, capsys):
         doc = json.loads(fig2_file.read_text())
         doc["requests"] = [dict(doc["requests"][0], id=f"r{i}") for i in range(60)]
@@ -346,9 +357,27 @@ class TestSweepCommand:
         path = self._planner_copy(tmp_path, fig2_file, granularity_gbps=2)
         out = tmp_path / "sweep.csv"
         assert cli.run(["sweep", "-i", str(path), "--loads", "20,38", "--trials", "3",
-                        "--solvers", "greedy", "-o", str(out)]) == 0
+                        "--node-budget", "2000", "-o", str(out)]) == 0
         meta = json.loads(out.with_suffix(".meta.json").read_text())
         assert meta["bandwidth_law"] == "uniform multiples of 2.0 Gb/s on (0, 10.0]"
+
+    def test_rows_do_not_depend_on_solver_order(self, tmp_path, fig2_file, capsys):
+        by_order = {}
+        for solvers in ("exact,greedy", "greedy,exact"):
+            out = tmp_path / f"{solvers}.csv"
+            assert cli.run(["sweep", "-i", str(fig2_file), "--loads", "120,240",
+                            "--trials", "2", "--node-budget", "2000",
+                            "--solvers", solvers, "-o", str(out)]) == 0
+            by_solver = {}
+            with open(out, newline="") as fh:
+                for row in csv.DictReader(fh):
+                    del row["solve_ms"]
+                    by_solver.setdefault(row["solver"], []).append(row)
+            by_order[solvers] = by_solver
+        exact_first = by_order["exact,greedy"]
+        assert set(exact_first) == {"exact", "greedy"}
+        assert all(len(rows) == 4 for rows in exact_first.values())
+        assert exact_first == by_order["greedy,exact"]
 
     def test_capacity_below_granularity(self, tmp_path, fig2_file, capsys):
         path = self._planner_copy(tmp_path, fig2_file, granularity_gbps=2,
@@ -425,6 +454,30 @@ class TestTimeline:
         text = timeline.render_timeline(inst, sched)
         assert "m1 A|A|.|." in text
         assert "guard interval: 50 us" in text
+
+    def test_interval_past_the_frame_draws_only_frame_cells(self):
+        inst = two_request_200m_instance()
+        mode = CountingMode(0, cap=1000)
+        sched = Schedule((Assignment("ra", (("n1", "n2"),), (mode,), 2, 10**9),),
+                         ("rb",), 5.0, 2, True)
+        assert timeline.render_timeline(inst, sched).splitlines()[1] == "m1 ..AA"
+        assert mode.hashes < 10
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda a: a["path"].__setitem__(0, ["zz", "yy"]), "uses unknown link ('zz', 'yy')"),
+        (lambda a: a.update(modes=[9]), "uses unknown mode 9"),
+    ])
+    def test_structure_error(self, tmp_path, fig2_file, capsys, edit, message):
+        sched = tmp_path / "s.json"
+        assert cli.run(["plan", "-i", str(fig2_file), "-o", str(sched)]) == 0
+        capsys.readouterr()
+        doc = json.loads(sched.read_text())
+        edit(doc["accepted"][0])
+        sched.write_text(json.dumps(doc))
+        assert cli.run(["timeline", "-i", str(fig2_file), "-s", str(sched)]) == 1
+        request = doc["accepted"][0]["request_id"]
+        assert capsys.readouterr().err.strip() == (
+            f"structural error: request {request!r} {message}")
 
     def test_cli_command(self, tmp_path, fig2_file, capsys):
         inst_doc = json.loads(fig2_file.read_text())

@@ -57,6 +57,23 @@ class TestGenUniformTraffic:
         for pair_count in counts.values():
             assert abs(pair_count - n * p) < 5 * sigma
 
+    @pytest.mark.parametrize("load, options, field", [
+        (5.0, {"granularity_gbps": 2}, "load"),
+        (math.inf, {}, "load"),
+        (math.nan, {}, "load"),
+        (-5.0, {}, "load"),
+        (5.0, {"granularity_gbps": 0}, "granularity"),
+        (5.0, {"granularity_gbps": math.nan}, "granularity"),
+        (4.0, {"granularity_gbps": 2, "capacity_gbps": 1}, "capacity"),
+        (5.0, {"capacity_gbps": math.inf}, "capacity"),
+    ])
+    def test_rejected_input_is_named(self, load, options, field):
+        topo = build_fat_tree(4, 2, 2, 100.0)
+        with pytest.raises(harness.TrafficError) as exc:
+            harness.gen_uniform_traffic(topo, load, seed=0, **options)
+        assert exc.value.field == field
+        assert str(exc.value).startswith(f"{field}: ")
+
     def test_rejects_degenerate_inputs(self):
         topo = build_fat_tree(1, 1, 1, 100.0)
         with pytest.raises(harness.TrafficError):
@@ -125,6 +142,23 @@ class TestRunSweep:
         with pytest.raises(ValidationError) as exc:
             harness.run_sweep(tpl, [4.0], ["greedy"], trials=1, seed=0)
         assert [path for path, _ in exc.value.failures] == ["$.planner.link_capacity_gbps"]
+
+    @pytest.mark.parametrize("loads", [[2.5], [4.0, 2.5], [4.0, -4.0], [math.inf], [math.nan]])
+    def test_bad_load_named_before_any_cell_is_solved(self, monkeypatch, loads):
+        def solve(*args, **kwargs):
+            raise AssertionError("a cell was solved")
+        monkeypatch.setattr(harness.solve_mod, "solve", solve)
+        with pytest.raises(harness.TrafficError) as exc:
+            harness.run_sweep(self.template(), loads, ["greedy"], trials=1, seed=0)
+        assert exc.value.field == "load"
+        assert exc.value.message.endswith(f"got {loads[-1]:g}")
+
+    def test_too_few_edge_switches_named(self):
+        tpl = replace(self.template(), topology=build_fat_tree(1, 1, 1, 100.0))
+        with pytest.raises(ValidationError) as exc:
+            harness.run_sweep(tpl, [4.0], ["greedy"], trials=1, seed=0)
+        assert exc.value.failures == [("$.topology.nodes",
+                                       "need >= 2 edge switches, topology has 1")]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import random_micro_instance, two_request_200m_instance
+from conftest import CountingMode, random_micro_instance, two_request_200m_instance
 from otssplan import validate
 from otssplan.harness import fig2_fixture
 from otssplan.model import collapse_frame
@@ -50,6 +50,21 @@ class TestCheckSchedule:
              Assignment("rb", (link,), (1,), 2, 4)),
             (), 10.0, 4, True)
         assert validate.check_schedule(two_request_200m, sched).passed
+
+    def test_interval_past_the_frame_walks_only_frame_cells(self, two_request_200m):
+        """eq8 reports an interval reaching far past the frame; eq7 still
+        finds the double booking inside the frame and visits no cell
+        outside it."""
+        link = ("n1", "n2")
+        mode = CountingMode(0, cap=1000)
+        sched = Schedule(
+            (Assignment("ra", (link,), (0,), 0, 2),
+             Assignment("rb", (link,), (mode,), 1, 10**9)),
+            (), 10.0, 4, True)
+        report = validate.check_schedule(two_request_200m, sched)
+        assert [(v.family, v.location) for v in report.violations] == [
+            ("eq8", "request rb"), ("eq7", "link ('n1', 'n2') mode 0 slot 1")]
+        assert mode.hashes < 10
 
     def test_dangling_request_is_structural(self, two_request_200m):
         sched = Schedule((Assignment("ghost", (("n1", "n2"),), (0,), 0, 2),),
