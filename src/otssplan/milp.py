@@ -660,7 +660,9 @@ def assignment_from_schedule(instance: Instance, schedule) -> dict[str, float]:
     slots = range(instance.slot_count)
     cells: dict[str, set[tuple[Link, int, int]]] = {r.id: set() for r in instance.requests}
     for a in schedule.assignments:
-        cells[a.request_id] = set(a.cells())
+        # only in-frame slots have variables, so the walk stops at the frame
+        in_frame = range(max(a.slot_start, 0), min(a.slot_end, instance.slot_count))
+        cells[a.request_id] = {(link, m, t) for link in a.path for m in a.modes for t in in_frame}
 
     values: dict[str, float] = {}
     for rid, name in names.rho.items():

@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import InitVar, dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Any, Iterable, Optional
 
 Link = tuple[str, str]
@@ -387,8 +387,11 @@ def mode_label(index: int) -> str:
     return f"m{index + 1}"
 
 
+# typed: an int and the float equal to it can read as different decimals
+@lru_cache(maxsize=4096, typed=True)
 def on_grid(value: float, step: float) -> bool:
-    """Whether value is a whole multiple of step, both read as decimals."""
+    """Whether value is a whole multiple of step, both read as decimals.
+    Memoized: every load and every collapse_frame checks each request."""
     return (Fraction(str(value)) / Fraction(str(step))).denominator == 1
 
 

@@ -18,19 +18,34 @@ pair of (path, modes) geometries, so totals and prune decisions are
 bit-identical to summing `xtalk.pairwise_contribution`.
 
 One routine, `_branch`, searches for every solver: a depth-first
-branch-and-bound whose open nodes are frames on an explicit stack, so a
-search one level per request deep never recurses. Exact runs it until the
-search completes or a budget runs out; greedy is its first root-to-leaf
-descent over requests in bandwidth-descending order, where with no
-incumbent no bound prunes, so it stops at that leaf and no budget applies;
-baseline is exact on the collapsed frame. At a node the search takes the
-group's conflict-free placements from a per-solve memo keyed by the
-occupancy the footprint can see, so it tests slot conflicts once per
-distinct key rather than once per visit. It skips a candidate without
-calling `commit` while the placement that last rejected it as a victim is
-still placed at the same index and still over the limit ("last conflict"
-ordering); that is one of commit's own checks on an unchanged state. The
-clock is read every 256 nodes.
+branch-and-bound whose path is a stack of frames, one per committed
+placement, so a search one level per request deep never recurses. Exact
+runs it until the search completes or a budget runs out; greedy is its
+first root-to-leaf descent over requests in bandwidth-descending order,
+where with no incumbent no bound prunes, so it stops at that leaf and no
+budget applies; baseline is exact on the collapsed frame. At a node the
+search takes the mask of the group's conflict-free placements (bit j for
+placement j, so lowest bit first is enumeration order) from a per-solve
+memo keyed by the occupancy the footprint can see; a miss builds it route
+by route from the (mode, slot) cells occupied on the route's links. It
+tries only the live bits, the free ones outside the group's dead mask; a
+node with none takes its reject branch at once.
+
+Each commit owns a crosstalk record: [its total, the index of the last
+commit that added to it]. A commit that a placed victim rejects leaves
+the victim's (record, increment) on the candidate as its blocker, and the
+search skips the candidate without calling `commit` while record total +
+increment is over the limit ("last conflict" ordering): one of commit's
+own checks on the current state. Undo kills its commit's record (total
+-inf), and so does the end of every search, because blockers live on the
+shared tables. With no negative term in the tables, a total only grows
+while its contributors stay placed, and every contributor of a record is
+placed at or below its last contributor; so a candidate its blocker
+rejects stays rejected until the record's last contributor is undone. The
+search sets the candidate's bit in its group's dead mask, scoped to that
+commit, and clears the bit when the commit is undone. Under
+paper-literal-db a total can fall back under the limit, so no bit
+is ever set dead there. The clock is read every 256 nodes.
 """
 
 from __future__ import annotations
@@ -41,7 +56,7 @@ import json
 import math
 import time
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from typing import Iterable, Optional
 
@@ -230,11 +245,14 @@ def _mode_subsets(mode_count: int, all_subsets: bool) -> list[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _shapes(units: int, mode_count: int, slots: int,
-            all_subsets: bool) -> tuple[tuple[tuple[tuple[int, ...], int, int], ...], ...]:
+def _shapes(units: int, mode_count: int, slots: int, all_subsets: bool) -> tuple[
+        tuple[tuple[int, tuple[tuple[tuple[int, ...], int, int, int, int], ...]], ...],
+        tuple[tuple[int, ...], ...], int]:
     """The (modes, slot start, slot end) triples that cover `units` without a
     whole spare mode or slot column, grouped by supply ascending, each group
-    ordered by (slot start, modes)."""
+    ordered by (slot start, modes). Each triple comes with its slot run mask
+    (bit t per slot t) and its (mode, slot) mask (bit m * slots + t). Also
+    returns the mode sets they use and the OR of their (mode, slot) masks."""
     by_supply: defaultdict[int, list] = defaultdict(list)
     for modes in _mode_subsets(mode_count, all_subsets):
         for span in range(1, slots + 1):
@@ -243,8 +261,15 @@ def _shapes(units: int, mode_count: int, slots: int,
                 continue
             for start in range(slots - span + 1):
                 by_supply[supply].append((start, modes, start + span))
-    return tuple(tuple((modes, start, end) for start, modes, end in sorted(group))
-                 for _, group in sorted(by_supply.items()))
+    runs = {(start, end): ((1 << end - start) - 1) << start
+            for start in range(slots) for end in range(start + 1, slots + 1)}
+    blocks = tuple((supply, tuple((modes, start, end, runs[start, end],
+                                   sum(runs[start, end] << m * slots for m in modes))
+                                  for start, modes, end in sorted(group)))
+                   for supply, group in sorted(by_supply.items()))
+    shapes = [shape for _, same in blocks for shape in same]
+    return (blocks, tuple(dict.fromkeys(modes for modes, *_ in shapes)),
+            reduce(int.__or__, (shape[-1] for shape in shapes), 0))
 
 
 def enumerate_candidates(request: Request, instance: Instance, k: int,
@@ -259,16 +284,16 @@ def enumerate_candidates(request: Request, instance: Instance, k: int,
 
 # --- search tables and state ----------------------------------------------
 
-# The blocker of a placement no commit has rejected yet: nothing is ever
-# placed as None, so the last-blocker test never holds for it.
-_NO_BLOCKER = (0, None, 0.0)
+# The blocker of a placement no commit has rejected yet: a dead record
+# (see _SearchState), so the last-blocker test never holds for it.
+_NO_BLOCKER = ([-math.inf, -1], 0.0)
 
 
 @dataclass(eq=False, slots=True)
 class _Placement:
     """A candidate's geometry, shared by its (source, destination, slot units) group: an id
     for (path, modes), (link, slot) and (link, mode, slot) bitmasks, and its last blocker:
-    (index, placement, increment) of the placed victim its last rejecting commit stopped at."""
+    (record, increment) of the placed victim its last rejecting commit stopped at."""
 
     path: tuple[Link, ...]
     links: tuple[int, ...]
@@ -287,17 +312,41 @@ class _Placement:
 
 @dataclass(eq=False, slots=True)
 class _Group:
-    """One (source, destination, slot units) group: its placements in
-    enumeration order and its footprint, the OR of their occupancy masks."""
+    """One (source, destination, slot units) group: its serial number in
+    its tables, its placements in enumeration order, their footprint (the
+    OR of their occupancy masks) and their least lambda count (0 if none)."""
 
+    serial: int
     placements: list[_Placement]
     footprint: int
+    least_lambda: int
+    cell_mask: int  # the (mode, slot) cells of one link
+    # per route: the offsets of its links' (mode, slot) cells, the
+    # ((mode, slot) mask, bit) of each of its placements, and a memo
+    # {the cells occupied on any of its links: mask of its free placements}
+    routes: list[tuple[tuple[int, ...], list[tuple[int, int]], dict[int, int]]]
+
+    def free(self, occupied: int) -> int:
+        """The mask of the placements meeting no cell of `occupied`, bit j
+        for placement j, built route by route: a placement is free iff its
+        (mode, slot) mask meets no cell occupied on a link of its route."""
+        free = 0
+        for shifts, shapes, memo in self.routes:
+            cells = 0
+            for shift in shifts:
+                cells |= occupied >> shift
+            cells &= self.cell_mask
+            mask = memo.get(cells)
+            if mask is None:
+                mask = memo[cells] = sum([bit for shape, bit in shapes if not shape & cells])
+            free |= mask
+        return free
 
 
 class _Tables:
     """What every solve on one slot grid shares: the link index, the
     `coef[link][m_a][m_v]` crosstalk table, the threshold limit, the
-    (path, modes) geometries, the per-geometry-pair term memo, and each
+    (path, modes) geometry ids, the per-geometry-pair term memo, and each
     (source, destination, slot units) group. Nothing here depends on what
     a solve has committed, except each placement's last blocker, which
     only decides which of commit's checks runs first."""
@@ -315,7 +364,7 @@ class _Tables:
         self.limit = xtalk.feasibility_limit(instance.planner.xt_threshold_db, model)
         # with no negative term a total over the limit stays over it
         self.monotone = all(c >= 0.0 for per_link in self.coef for row in per_link for c in row)
-        self.geometries: dict[tuple, tuple] = {}  # (path, modes) -> (id, links, bit bases)
+        self.geometries: dict[tuple, int] = {}  # (link indices, modes) -> id
         self.pairs: defaultdict[int, dict] = defaultdict(dict)  # id -> {placed id: pair() entry}
         self.groups: dict[tuple, _Group] = {}
 
@@ -336,37 +385,45 @@ class _Tables:
     def group(self, request: Request, instance: Instance) -> _Group:
         """The request's (source, destination, slot units) group, built on
         first use: a placement for every route × shape, ordered by (supply,
-        path length, path, slot start, modes), and their footprint."""
+        path length, path, slot start, modes). A placement's masks are its
+        route's base masks times its shape's run and (mode, slot) masks,
+        and its geometry id is looked up once per (route, mode set)."""
         units = instance.slot_units(request)
         key = (request.source, request.destination, units)
         group = self.groups.get(key)
         if group is None:
-            topology = instance.topology
+            topology, slots = instance.topology, self.slot_count
+            blocks, mode_sets, cells_used = _shapes(units, self.mode_count, slots,
+                                                    self.all_mode_subsets)
             paths = [tuple(zip(p, p[1:])) for p in
                      _routes(topology, request.source, request.destination, self.k_paths)]
-            routes = sorted((sum(map(topology.length, links)), links) for links in paths)
-            placements = [self._place(links, modes, start, end)
-                          for shapes in _shapes(units, self.mode_count, self.slot_count,
-                                                self.all_mode_subsets)
-                          for _, links in routes for modes, start, end in shapes]
+            routes = []
+            for _, path in sorted((sum(map(topology.length, path)), path) for path in paths):
+                links = tuple(self.link_index[l] for l in path)
+                ids = {modes: self.geometries.setdefault((links, modes), len(self.geometries))
+                       for modes in mode_sets}
+                # one bit per (link, slot), and per (link, mode, slot) at
+                # link * mode_count * slots; a shape's masks fill the gaps
+                routes.append((path, links, sum(1 << li * slots for li in links),
+                               sum(1 << li * self.mode_count * slots for li in links), ids))
+            placements: list[_Placement] = []
+            route_shapes: list[list[tuple[int, int]]] = [[] for _ in routes]
+            for supply, same in blocks:
+                for (path, links, link_base, cell_base, ids), own in zip(routes, route_shapes):
+                    for modes, start, end, run, mode_slots in same:
+                        own.append((mode_slots, 1 << len(placements)))
+                        placements.append(_Placement(
+                            path, links, modes, start, end, len(links) * supply, ids[modes],
+                            link_base * run, cell_base * mode_slots))
+            cell_bits = self.mode_count * slots
             group = self.groups[key] = _Group(
-                placements, reduce(int.__or__, (p.occupancy for p in placements), 0))
+                len(self.groups), placements,
+                reduce(int.__or__, (route[3] * cells_used for route in routes), 0),
+                min(len(route[1]) for route in routes) * blocks[0][0] if placements else 0,
+                (1 << cell_bits) - 1,
+                [(tuple(li * cell_bits for li in route[1]), own, {})
+                 for route, own in zip(routes, route_shapes)])
         return group
-
-    def _place(self, path: tuple[Link, ...], modes: tuple[int, ...],
-               start: int, end: int) -> _Placement:
-        shape = self.geometries.get((path, modes))
-        if shape is None:
-            links = tuple(self.link_index[l] for l in path)
-            shape = self.geometries[path, modes] = (
-                len(self.geometries), links, sum(1 << li * self.slot_count for li in links),
-                sum(1 << (li * self.mode_count + m) * self.slot_count
-                    for li in links for m in modes))
-        geometry, links, link_bits, cell_bits = shape
-        # the bit runs a product places at each link (or (link, mode)) never overlap
-        run = ((1 << (end - start)) - 1) << start
-        return _Placement(path, links, modes, start, end, len(path) * len(modes) * (end - start),
-                          geometry, link_bits * run, cell_bits * run)
 
     def _terms(self, victim: _Placement, aggressor: _Placement) -> tuple[float, ...]:
         """The victim's terms from an aggressor, in xtalk.overlap_terms order."""
@@ -382,60 +439,79 @@ class _Tables:
 
 
 class _SearchState:
-    """One solve's committed placements, their (link, mode, slot) cell masks,
-    slot occupancy and each placement's additive crosstalk total, with O(1)
-    undo, over the instance's shared _Tables."""
+    """One solve's committed placements, their (link, slot) cell masks, slot
+    occupancy and one crosstalk record per commit, indexed by link, with
+    O(1) undo, over the instance's shared _Tables. A record is [the
+    placement's additive crosstalk total, the index of the last commit that
+    added to it]. Undo kills its commit's record (its total becomes -inf),
+    so a blocker that outlives its commit never rejects."""
 
     def __init__(self, tables: _Tables):
         self.tables = tables
         self.limit = tables.limit
         self.occupied = 0
         self.placed: list[_Placement] = []
-        self.cells: list[int] = []  # placed[k].cells
-        self.totals: list[float] = []
+        # per placed[k]: (its cells, placed[k], its [total, last contributor])
+        self.entries: list[tuple[int, _Placement, list]] = []
+        # per link: the mask of the placed indices k whose path uses it
+        self.by_link = [0] * len(tables.link_index)
 
     def commit(self, new: _Placement) -> Optional[tuple]:
         """Commit if feasible; returns an undo token, or None if infeasible,
-        recording the placed victim the scan stopped at as `new.blocker`.
-        Only placed entries whose cells meet `new`'s take or give crosstalk."""
+        recording the placed victim's record the scan stopped at as
+        `new.blocker`. Only placed entries whose cells meet `new`'s take or
+        give crosstalk; the scan visits those that share a link with it, in
+        commit order."""
         occupancy, cells = new.occupancy, new.cells
         if occupancy & self.occupied:
             return None
-        limit, totals, placed = self.limit, self.totals, self.placed
+        limit, placed = self.limit, self.placed
         row = self.tables.pairs[new.geometry]
         own = 0.0
         updates = []
-        for k, other_cells in enumerate(self.cells):
+        entries, by_link = self.entries, self.by_link
+        near = 0
+        for li in new.links:
+            near |= by_link[li]
+        while near:
+            bit = near & -near
+            near ^= bit
+            other_cells, other, record = entries[bit.bit_length() - 1]
             if not other_cells & cells:
                 continue
-            other = placed[k]
             terms, inc = row.get(other.geometry) or self.tables.pair(new, other)
             for term in terms:
                 own += term
             if inc:
-                total = totals[k] + inc
+                total = record[0] + inc
                 if not total <= limit:
-                    new.blocker = (k, other, inc)
+                    new.blocker = (record, inc)
                     return None
-                updates.append((k, totals[k], total))
+                updates.append((record, total, record[0], record[1]))
         if own and not own <= limit:
             return None
-        for k, _, total in updates:
-            totals[k] = total
+        m = len(placed)
+        for record, total, _, _ in updates:
+            record[0] = total
+            record[1] = m
         self.occupied |= occupancy
         placed.append(new)
-        self.cells.append(cells)
-        totals.append(own)
+        entries.append((cells, new, [own, m]))
+        bit = 1 << m
+        for li in new.links:
+            by_link[li] |= bit
         return occupancy, updates
 
     def undo(self, token: tuple) -> None:
         occupancy, updates = token
         self.occupied &= ~occupancy
-        self.placed.pop()
-        self.cells.pop()
-        self.totals.pop()
-        for k, total, _ in updates:
-            self.totals[k] = total
+        bit = 1 << len(self.entries) - 1
+        for li in self.placed.pop().links:
+            self.by_link[li] ^= bit
+        self.entries.pop()[2][0] = -math.inf
+        for record, _, total, last in updates:
+            record[0] = total
+            record[1] = last
 
 
 # --- solvers --------------------------------------------------------------
@@ -476,22 +552,30 @@ def _branch(instance: Instance, limits: SolveLimits, requests: list[Request],
     optimistic throughput bound against the incumbent. Over tables with a
     negative term (paper-literal-db), where a total can fall back under
     the limit, exact checks crosstalk at its leaves instead (greedy still
-    rejects at commit, which keeps its leaf feasible). Each open node is a
-    frame on an explicit stack, so the depth, one level per request, meets
-    no recursion limit. With `first_leaf` the search ends at its first leaf
-    and no budget applies: with no incumbent no bound prunes before it, so
-    that leaf gives each request in turn its first feasible placement."""
+    rejects at commit, which keeps its leaf feasible). Each committed
+    placement is a frame on an explicit stack, so the depth, one level per
+    request, meets no recursion limit. With `first_leaf` the search ends at
+    its first leaf and no budget applies: with no incumbent no bound prunes
+    before it, so that leaf gives each request in turn its first feasible
+    placement."""
     state = _SearchState(_Tables.of(instance, limits))
-    leaf_limit = None if state.tables.monotone or first_leaf else state.limit
+    tables = state.tables
+    monotone = tables.monotone
+    leaf_limit = None if monotone or first_leaf else state.limit
     if leaf_limit is not None:
         state.limit = math.inf
-    placed, totals, limit, commit, undo = (state.placed, state.totals, state.limit,
-                                           state.commit, state.undo)
-    groups = [state.tables.group(r, instance) for r in requests]
+    placed, entries, limit, commit, undo = (state.placed, state.entries, state.limit,
+                                            state.commit, state.undo)
+    groups = [tables.group(r, instance) for r in requests]
     footprints = [g.footprint for g in groups]
-    # per group: {occupied & footprint: the group's placements meeting no occupied cell}
-    memo: defaultdict[_Group, dict[int, list[_Placement]]] = defaultdict(dict)
-    free_lists = [memo[g] for g in groups]
+    candidates = [g.placements for g in groups]
+    serials = [g.serial for g in groups]
+    # per group: {occupied & footprint: mask of the placements meeting no
+    # occupied cell}, bit j for placement j
+    memo: dict[int, dict[int, int]] = {}
+    free_masks = [memo.setdefault(g.serial, {}) for g in groups]
+    # per group: the placements known to be rejected (see module doc)
+    dead = [0] * len(tables.groups)
     gains = [r.bandwidth_gbps for r in requests]
     n = len(requests)
     # optimistic throughput still reachable from request position i onward,
@@ -499,9 +583,8 @@ def _branch(instance: Instance, limits: SolveLimits, requests: list[Request],
     suffix = [0.0] * (n + 1)
     min_lam_suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
-        cands = groups[i].placements
-        suffix[i] = suffix[i + 1] + (gains[i] if cands else 0.0)
-        min_lam_suffix[i] = min_lam_suffix[i + 1] + min((c.lambda_count for c in cands), default=0)
+        suffix[i] = suffix[i + 1] + (gains[i] if candidates[i] else 0.0)
+        min_lam_suffix[i] = min_lam_suffix[i + 1] + groups[i].least_lambda
 
     best: Optional[list[Assignment]] = None
     best_tp, best_lam = -1.0, 0
@@ -512,67 +595,84 @@ def _branch(instance: Instance, limits: SolveLimits, requests: list[Request],
         nodes, deadline = n + 2, math.inf
     else:
         nodes, deadline = limits.node_budget, time.monotonic() + limits.time_budget_s
-    # one frame per open node, root first: [its untried placements, or None
-    # once it has taken its reject branch, the undo token of the placement
-    # it has committed, or None, tp, lam]
+    # one frame per placement committed on the path to the current node,
+    # root first: [the mask of its node's untried placements, the undo
+    # token, the node's depth, tp and lam, and the (group, bit)s set dead
+    # while the commit stands]; a node whose untried placements run out
+    # takes its reject branch and leaves the stack
     frames: list[list] = []
     i, tp, lam = 0, 0.0, 0
-    while True:
-        # enter the node at depth i
-        nodes -= 1
-        # the clock is read every 256 nodes
-        if nodes <= 0 or not nodes & 255 and time.monotonic() > deadline:
-            return best, True
-        if i == n:
-            feasible = leaf_limit is None or all(not t or t <= leaf_limit for t in totals)
-            if feasible and (best is None or _lex_better(tp, lam, best_tp, best_lam)):
-                ids = (requests[d].id for d, frame in enumerate(frames) if frame[1] is not None)
-                best = [p.assignment(rid) for rid, p in zip(ids, placed)]
-                best_tp, best_lam = tp, lam
-            if first_leaf:
-                return best, False
-        else:
-            reachable = tp + suffix[i]
-            # the bound prunes only against an incumbent; a completion can
-            # only tie its throughput by accepting every remaining request
-            # that has candidates, each costing at least its cheapest placement
-            if best is None or reachable > best_tp + _EPS or \
-                    reachable >= best_tp - _EPS and lam + min_lam_suffix[i] < best_lam:
-                key = state.occupied & footprints[i]
-                free = free_lists[i].get(key)
-                if free is None:
-                    free = free_lists[i][key] = [p for p in groups[i].placements
-                                                 if not p.occupancy & key]
-                frames.append([iter(free), None, tp, lam])
-        # move to the next branch of the deepest open node: its next
-        # committable placement, else its reject branch
-        while frames:
+    try:
+        while True:
+            # enter the node at depth i
+            nodes -= 1
+            # the clock is read every 256 nodes
+            if nodes <= 0 or not nodes & 255 and time.monotonic() > deadline:
+                return best, True
+            if i == n:
+                feasible = leaf_limit is None or all(not r[0] or r[0] <= leaf_limit
+                                                     for _, _, r in entries)
+                if feasible and (best is None or _lex_better(tp, lam, best_tp, best_lam)):
+                    best = [p.assignment(requests[frame[2]].id)
+                            for frame, p in zip(frames, placed)]
+                    best_tp, best_lam = tp, lam
+                if first_leaf:
+                    return best, False
+            else:
+                reachable = tp + suffix[i]
+                # the bound prunes only against an incumbent; a completion can
+                # only tie its throughput by accepting every remaining request
+                # that has candidates, each costing at least its cheapest placement
+                if best is None or reachable > best_tp + _EPS or \
+                        reachable >= best_tp - _EPS and lam + min_lam_suffix[i] < best_lam:
+                    key = state.occupied & footprints[i]
+                    free = free_masks[i].get(key)
+                    if free is None:
+                        free = free_masks[i][key] = groups[i].free(key)
+                    live = free & ~dead[serials[i]]
+                    if not live:
+                        i += 1  # its reject branch
+                        continue
+                    frames.append([live, None, i, tp, lam, []])
+            # move to the next branch of the deepest node with untried
+            # placements: its next committable one, else its reject branch
+            if not frames:
+                return best, False  # every branch explored
             frame = frames[-1]
-            untried, token, tp, lam = frame
+            untried, token, i, tp, lam, buried = frame
             if token is not None:
                 undo(token)
-                frame[1] = None
-            if untried is None:
-                frames.pop()
-                continue
-            i = len(frames)
-            m = len(placed)
-            for cand in untried:
+                for s, bit in buried:
+                    dead[s] &= ~bit
+                buried.clear()
+            group, s = candidates[i], serials[i]
+            live = untried & ~dead[s]
+            while live:
+                bit = live & -live
+                live ^= bit
+                cand = group[bit.bit_length() - 1]
                 # skipped while its last blocker still rejects it (see module doc)
-                b, blocker, inc = cand.blocker
-                if b < m and placed[b] is blocker and not totals[b] + inc <= limit:
-                    continue
-                token = commit(cand)
-                if token is not None:
-                    frame[1] = token
-                    tp += gains[i - 1]
-                    lam += cand.lambda_count
-                    break
+                record, inc = cand.blocker
+                if record[0] + inc <= limit:
+                    token = commit(cand)
+                    if token is not None:
+                        frame[0], frame[1] = live, token
+                        tp += gains[i]
+                        lam += cand.lambda_count
+                        break
+                    record, inc = cand.blocker
+                    if record[0] + inc <= limit:
+                        continue  # not rejected by a victim
+                if monotone:
+                    dead[s] |= bit
+                    frames[record[1]][5].append((s, bit))
             else:
-                frame[0] = None
-            break
-        else:
-            return best, False  # every branch explored
+                frames.pop()
+            i += 1
+    finally:
+        # blockers outlive the solve on the shared tables
+        for _, _, record in entries:
+            record[0] = -math.inf
 
 
 def solve_exact(instance: Instance, limits: Optional[SolveLimits] = None,
@@ -617,7 +717,7 @@ def lift_to_sliced(schedule: Schedule, instance: Instance) -> Schedule:
     """Re-express a one-slot baseline schedule on the sliced grid: each
     accepted request keeps its path and modes and spans the whole frame.
     Any baseline schedule is a valid sliced schedule."""
-    lifted = [replace(a, slot_start=0, slot_end=instance.slot_count)
+    lifted = [Assignment(a.request_id, a.path, a.modes, 0, instance.slot_count)
               for a in schedule.assignments]
     return Schedule(assignments=tuple(lifted), rejected=schedule.rejected,
                     throughput_gbps=schedule.throughput_gbps,

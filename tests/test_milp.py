@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_micro_instance, tiny_instance, two_request_200m_instance
+from conftest import (CountingMode, random_micro_instance, tiny_instance,
+                      two_request_200m_instance)
 from otssplan import milp
 from otssplan.harness import fixture_instance
 from otssplan.model import (AccumulationModel, LinkSpec, NodeSpec, ObjectiveMode, Request,
@@ -523,6 +524,20 @@ class TestScheduleSatisfiesModel:
                 values = milp.assignment_from_schedule(inst, schedule)
                 assert set(values) == set(model.variables)
                 assert milp.evaluate_constraints(model, values) == []
+
+    def test_interval_past_the_frame_reads_only_frame_cells(self):
+        """An interval reaching far past the frame gives the values of its
+        in-frame part, and no cell outside the frame is visited."""
+        inst = fixture_instance("fig2")
+        schedule = solve_exact(inst)
+        first, rest = schedule.assignments[0], schedule.assignments[1:]
+        mode = CountingMode(first.modes[0], cap=1000)
+        far = replace(first, modes=(mode,) + first.modes[1:], slot_end=10**9)
+        clipped = replace(first, slot_end=inst.slot_count)
+        values = milp.assignment_from_schedule(inst, replace(schedule, assignments=(far,) + rest))
+        assert values == milp.assignment_from_schedule(
+            inst, replace(schedule, assignments=(clipped,) + rest))
+        assert mode.hashes < 100
 
     def test_detects_corrupted_assignment(self, tiny):
         model = milp.build_model(tiny)

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import operator
 import random
 import threading
@@ -9,7 +10,7 @@ import time
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_best, random_micro_instance, two_request_200m_instance
@@ -301,13 +302,23 @@ def test_solve_limits_reject_non_positive_and_nan(field, value):
         SolveLimits(**{field: value})
 
 
+# the accumulation models of the search, by name; tanh-coupling with the
+# coupling parameter the oracle tests use
+MODELS = {"linear-power": AccumulationModel("linear-power"),
+          "paper-literal-db": AccumulationModel("paper-literal-db"),
+          "tanh-coupling": AccumulationModel("tanh-coupling", h=2e-3)}
+
+
+def _with_model(inst: Instance, model: str) -> Instance:
+    return replace(inst, planner=replace(inst.planner, accumulation_model=MODELS[model]))
+
+
 def _pinned_case(case: str) -> Instance:
     """A fresh instance of a pinned configuration: the heavy fig2 instance
-    of seed 0 or 1, or seed 1 under the paper-literal-db model."""
-    if case == "paper-literal-db":
-        inst = _heavy_fig2(1)
-        model = AccumulationModel("paper-literal-db")
-        return replace(inst, planner=replace(inst.planner, accumulation_model=model))
+    of seed 0 or 1, or seed 1 under the paper-literal-db or the
+    tanh-coupling model."""
+    if case in MODELS:
+        return _with_model(_heavy_fig2(1), case)
     return _heavy_fig2(int(case.removeprefix("seed-")))
 
 
@@ -361,35 +372,80 @@ def test_tables_keyed_by_all_they_depend_on():
     assert all(out != alone[0] for out in alone[1:])
 
 
-@pytest.mark.parametrize("case", ["seed-0", "seed-1"])
-def test_inline_blocker_skip_changes_no_decision(monkeypatch, case):
-    """Every solver commits the same placements in the same order whether
-    or not a rejected placement keeps its last blocker, so the loops' skip
-    on a still-placed blocker never drops a candidate commit would accept."""
-    limits = SolveLimits(node_budget=2000, time_budget_s=3600.0)
+def _commit_log(inst: Instance, limits: SolveLimits, keep_blockers: bool):
+    """Every solver's schedule on `inst`, the placements committed in order
+    with their depth, and the number of commit calls; without
+    `keep_blockers` each placement forgets its blocker after every commit,
+    so the search neither skips a candidate nor sets one dead."""
     commit = _SearchState.commit
+    calls, accepted = [], []
 
-    def run(keep_blockers: bool):
-        calls, accepted = [], []
+    def logged(state, new):
+        token = commit(state, new)
+        if not keep_blockers:
+            new.blocker = solve_mod._NO_BLOCKER
+        calls.append(new)
+        if token is not None:
+            accepted.append((new.path, new.modes, new.slot_start, len(state.placed)))
+        return token
 
-        def logged(state, new):
-            token = commit(state, new)
-            if not keep_blockers:
-                new.blocker = solve_mod._NO_BLOCKER
-            calls.append(new)
-            if token is not None:
-                accepted.append((new.path, new.modes, new.slot_start, len(state.placed)))
-            return token
-
+    with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(_SearchState, "commit", logged)
-        inst = _pinned_case(case)
         schedules = [solve(inst, solver, limits).to_json() for solver in solve_mod.SOLVERS]
-        return schedules, accepted, len(calls)
+    return schedules, accepted, len(calls)
 
-    kept, forgotten = run(True), run(False)
+
+@pytest.mark.parametrize("case", ["seed-0", "seed-1", "paper-literal-db", "tanh-coupling"])
+def test_inline_blocker_skip_changes_no_decision(case):
+    """Every solver commits the same placements in the same order whether
+    or not a rejected placement keeps its last blocker, so neither the
+    skip on a blocker that still rejects nor a dead mask ever drops a
+    candidate commit would accept."""
+    limits = SolveLimits(node_budget=2000, time_budget_s=3600.0)
+    kept = _commit_log(_pinned_case(case), limits, True)
+    forgotten = _commit_log(_pinned_case(case), limits, False)
     assert kept[:2] == forgotten[:2]
-    # the skip ran: most rejected commits never happened
-    assert kept[2] < forgotten[2] / 2
+    if case == "paper-literal-db":
+        # exact checks crosstalk at its leaves there, so only greedy's
+        # commits can be rejected, and it tries each request once
+        assert kept[2] <= forgotten[2]
+    else:
+        # the skip ran: most rejected commits never happened
+        assert kept[2] < forgotten[2] / 2
+
+
+def _crowded_instance(rng: random.Random) -> Instance:
+    """Six to twelve requests over the two links between two nodes, 50 or
+    100 m long, on a 1- or 2-slot frame: placements crowd each other, so
+    totals cross the limit, and under paper-literal-db, where every term
+    is negative, a total over the limit falls back under it."""
+    nodes = (NodeSpec("n1", "edge"), NodeSpec("n2", "edge"))
+    links = (LinkSpec("n1", "n2", rng.choice([50.0, 100.0])),
+             LinkSpec("n2", "n1", rng.choice([50.0, 100.0])))
+    modes = rng.randint(2, 4)
+    matrix = CrosstalkMatrix(tuple(
+        tuple(None if a == v else round(rng.uniform(-30.0, -11.0), 1) for v in range(modes))
+        for a in range(modes)))
+    slots = rng.randint(1, 2)
+    requests = tuple(
+        Request(f"r{i + 1}", *rng.sample(["n1", "n2"], 2), rng.choice([2.0, 5.0, 10.0]))
+        for i in range(rng.randint(6, 12)))
+    return Instance(topology=Topology(nodes, links), requests=requests,
+                    frame=FrameConfig(5.0 * slots, 5.0), mode_count=modes, crosstalk=matrix,
+                    planner=PlannerConfig(xt_threshold_db=round(rng.uniform(-20.0, -8.0), 1)))
+
+
+@given(seed=st.integers(0, 2**32 - 1), model=st.sampled_from(sorted(MODELS)))
+@example(seed=21, model="paper-literal-db")
+@settings(max_examples=150, deadline=None)
+def test_blocker_memory_changes_no_decision_on_small_instances(seed, model):
+    """The same property on small crowded instances under every model; the
+    explicit example is one where a dead mask kept under paper-literal-db
+    drops a placement greedy commits."""
+    inst = _with_model(_crowded_instance(random.Random(seed)), model)
+    limits = SolveLimits(node_budget=300, time_budget_s=3600.0)
+    kept = _commit_log(inst, limits, True)
+    assert kept[:2] == _commit_log(inst, limits, False)[:2]
 
 
 def _counting(monkeypatch, name: str) -> list:
@@ -449,11 +505,12 @@ class TestRoutesAndGroups:
         assert set(solve_mod._Tables.of(inst, limits).groups) == groups
 
 
-def _reference_commit(instance, placed, totals, new):
-    """The totals after committing `new` onto `placed`, or None if it is
-    infeasible, from xtalk.pairwise_contribution summed in
-    xtalk.overlap_terms order: `new` collects its own terms one by one,
-    and each placed victim gains its terms from `new` summed from 0.0."""
+def _reference_commit(instance, placed, records, new):
+    """The crosstalk records ([total, index of the last commit that added to
+    it]) after committing `new` onto `placed`, or None if it is infeasible,
+    from xtalk.pairwise_contribution summed in xtalk.overlap_terms order:
+    `new` collects its own terms one by one, and each placed victim gains
+    its terms from `new` summed from 0.0."""
     model = instance.planner.accumulation_model
     limit = xtalk.feasibility_limit(instance.planner.xt_threshold_db, model)
 
@@ -464,7 +521,7 @@ def _reference_commit(instance, placed, totals, new):
 
     if set(new.cells()) & {cell for a in placed for cell in a.cells()}:
         return None
-    own, after = 0.0, list(totals)
+    own, after, m = 0.0, [list(r) for r in records], len(placed)
     for k, other in enumerate(placed):
         for term in terms(new, other):
             own += term
@@ -472,18 +529,24 @@ def _reference_commit(instance, placed, totals, new):
         for term in terms(other, new):
             inc += term
         if inc:
-            after[k] = totals[k] + inc
-            if not after[k] <= limit:
+            after[k] = [records[k][0] + inc, m]
+            if not after[k][0] <= limit:
                 return None
     if own and not own <= limit:
         return None
-    return after + [own]
+    return after + [[own, m]]
+
+
+def _records(state):
+    return [record for _, _, record in state.entries]
 
 
 @pytest.mark.parametrize("variant", ["linear-power", "paper-literal-db"])
 def test_every_pair_on_one_link_matches_reference(variant):
     """Every pair of placements of two requests on one 170 m link, over all
-    mode subsets: the order of a pair's terms shows in the totals' last bits."""
+    mode subsets: the order of a pair's terms shows in the totals' last
+    bits. Undo restores the first placement's record and kills the
+    second's."""
     topo = Topology((NodeSpec("n1", "edge"), NodeSpec("n2", "edge")),
                     (LinkSpec("n1", "n2", 170.0),))
     inst = Instance(topology=topo, requests=(Request("a", "n1", "n2", 5.0),
@@ -496,13 +559,18 @@ def test_every_pair_on_one_link_matches_reference(variant):
     state = _SearchState(tables)
     for x in tables.group(inst.requests[0], inst).placements:
         first = state.commit(x)
+        assert _records(state) == [[0.0, 0]]
         for y in tables.group(inst.requests[1], inst).placements:
-            expected = _reference_commit(inst, [x.assignment("a")], [0.0], y.assignment("b"))
+            expected = _reference_commit(inst, [x.assignment("a")], [[0.0, 0]],
+                                         y.assignment("b"))
             token = state.commit(y)
             assert (token is None) == (expected is None)
             if token is not None:
-                assert state.totals == expected
+                assert _records(state) == expected
+                record = state.entries[1][2]
                 state.undo(token)
+                assert record[0] == -math.inf
+            assert _records(state) == [[0.0, 0]]
         state.undo(first)
 
 
@@ -525,29 +593,31 @@ def test_commit_and_undo_match_reference(picks, ops, threshold_db, variant):
     # a few placements, so a rejected one is often tried again and its last
     # blocker test runs on a changed state
     pool = [every[i % len(every)] for i in picks]
-    placed, totals, history = [], [], []
+    placed, records, history = [], [], []
     for is_commit, pick in ops:
         if is_commit:
             rid, new = pool[pick % len(pool)]
-            expected = _reference_commit(inst, placed, totals, new.assignment(rid))
+            expected = _reference_commit(inst, placed, records, new.assignment(rid))
             # the branch routine's skip test, on new.blocker as it reads it
-            b, blocker, inc = new.blocker
-            blocked = b < len(state.placed) and state.placed[b] is blocker and \
-                not state.totals[b] + inc <= state.limit
+            record, inc = new.blocker
+            blocked = not record[0] + inc <= state.limit
             token = state.commit(new)
             assert (token is None) == (expected is None)
             # the search's skip holds only where commit rejects
             assert not (blocked and expected is not None)
             if token is not None:
-                history.append((token, totals))
-                placed, totals = placed + [new.assignment(rid)], expected
+                history.append((token, records))
+                placed, records = placed + [new.assignment(rid)], expected
         elif history:
-            token, totals = history.pop()
+            token, records = history.pop()
             placed = placed[:-1]
             state.undo(token)
-        assert state.totals == totals
+        assert _records(state) == records
         assert [p.assignment("x") for p in state.placed] == \
             [replace(a, request_id="x") for a in placed]
+        # a blocker's record is a live one of this state, or dead
+        live = {id(record) for record in _records(state)}
+        assert all(id(p.blocker[0]) in live or p.blocker[0][0] == -math.inf for _, p in pool)
 
 
 def test_free_lists_match_occupancy(monkeypatch):
