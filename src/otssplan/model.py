@@ -72,7 +72,9 @@ class Topology:
 
     Stored unidirectionally: a physical duplex fiber contributes two
     directed links. An invariant violation is reported under `location`,
-    the JSON location the topology was read from.
+    the JSON location the topology was read from. Equality and hashing
+    cover the nodes and links only, so the solver keys its per-network
+    cache on the value.
     """
 
     nodes: tuple[NodeSpec, ...]
@@ -124,20 +126,6 @@ class Topology:
     @cached_property
     def _in(self) -> dict[str, tuple[LinkSpec, ...]]:
         return {n.id: tuple(l for l in self.links if l.dst == n.id) for n in self.nodes}
-
-    @cached_property
-    def path_memo(self) -> dict:
-        """(src, dst, k) -> k shortest paths over this topology, filled by
-        the solver so every instance sharing the topology routes once."""
-        return {}
-
-    @cached_property
-    def search_memo(self) -> dict:
-        """The solver's search tables over this topology, keyed by what else
-        they depend on (frame, modes, crosstalk, planner, solve options), so
-        every solve on an instance or its `with_requests` copies builds them
-        once."""
-        return {}
 
     def has_node(self, node_id: str) -> bool:
         return node_id in self._tiers
@@ -360,16 +348,8 @@ class Instance:
     def slot_capacity(self) -> Fraction:
         return slot_capacity_gbps(self.frame, self.planner)
 
-    @cached_property
-    def _units_by_bandwidth(self) -> dict[float, int]:
-        return {}
-
     def slot_units(self, request: Request) -> int:
-        memo = self._units_by_bandwidth
-        bandwidth = request.bandwidth_gbps
-        if bandwidth not in memo:
-            memo[bandwidth] = required_slot_units(bandwidth, self.slot_capacity)
-        return memo[bandwidth]
+        return required_slot_units(request.bandwidth_gbps, self.slot_capacity)
 
     @cached_property
     def _requests_by_id(self) -> dict[str, Request]:
@@ -401,8 +381,11 @@ def slot_capacity_gbps(frame: FrameConfig, config: PlannerConfig) -> Fraction:
     return c * Fraction(str(frame.slice_ms)) / Fraction(str(frame.frame_ms))
 
 
+@lru_cache(maxsize=4096, typed=True)
 def required_slot_units(bandwidth_gbps: float, slot_capacity: Fraction | float) -> int:
-    """Number of (mode, slot) units a request needs on every link of its path."""
+    """Number of (mode, slot) units a request needs on every link of its path.
+    Memoized: every solve, schedule check and MILP build sizes its requests,
+    and the instances of one sweep share their few bandwidths."""
     if not (bandwidth_gbps > 0):
         raise ValueError(f"bandwidth must be > 0, got {bandwidth_gbps}")
     cap = Fraction(str(slot_capacity)) if not isinstance(slot_capacity, Fraction) else slot_capacity

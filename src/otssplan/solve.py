@@ -3,19 +3,35 @@ conventional one-slot baseline.
 
 The search is over per-request atomic candidates (path, mode set,
 contiguous slot interval), so path continuity, contiguity, and cross-mode
-slot equality hold by construction. Yen's paths are memoized per topology.
-Everything a search reads but never changes (link index, crosstalk
-coefficient table, threshold limit, geometries, pair-term memo, and each
-(source, destination, slot units) group's placements) lives in one
-`_Tables` per slot grid and solve options, kept on the topology. A group
-is built once, eagerly, from routes x shapes straight into placements,
-with its footprint, the OR of their occupancy masks, so every solve of an
-instance and of its `with_requests` copies shares it; a solve's own
-`_SearchState` holds only what it has committed. Slot exclusivity is one
-int bitmask over (link, mode, slot) cells. Crosstalk terms come from the
-per-link coefficient table in `xtalk.overlap_terms` order, memoized per
-pair of (path, modes) geometries, so totals and prune decisions are
-bit-identical to summing `xtalk.pairwise_contribution`.
+slot equality hold by construction. Everything a search reads but never
+changes (link index, crosstalk coefficient table, threshold limit,
+geometries, pair-term memo, and each (source, destination, slot units)
+group's placements) lives in one `_Tables` per slot grid and solve
+options. Routes and tables depend on the network, not on the traffic, so
+each thread keeps them for the network its last solve ran on, keyed by
+the `Topology` value (nodes and links: an equal topology, whatever object
+it is or wherever it was read from, finds them), and a solve on another
+network replaces them. Yen runs once per (network, source, destination,
+k), the collapsed-frame baseline shares the routes, and every solve of an
+instance, of its `with_requests` copies and of every instance loaded on
+an equal network shares the tables. A group is built once, eagerly, from
+routes x shapes straight into placements, with its footprint, the OR of
+their occupancy masks; a solve's own `_SearchState` holds only what it
+has committed. Slot exclusivity is one int bitmask over (link, mode,
+slot) cells. Crosstalk terms come from the per-link coefficient table in
+`xtalk.overlap_terms` order, memoized per pair of (path, modes)
+geometries, so totals and prune decisions are bit-identical to summing
+`xtalk.pairwise_contribution`. The network bounds the groups and
+geometries; the memos that grow with the traffic planned, each route's
+free placements per occupancy and the pair terms, are emptied when a
+solve starts with more than _MEMO_ENTRIES_KEPT of them.
+
+Sharing tables across solves changes no decision: a placement's blocker
+(below) left by an earlier solve holds a dead record, since every search
+kills its records when it ends; geometry ids and group serials only key
+memos; and every memo is a pure function of the geometry. A solve in
+another thread uses that thread's own cache, so concurrent solves share
+nothing.
 
 One routine, `_branch`, searches for every solver: a depth-first
 branch-and-bound whose path is a stack of frames, one per committed
@@ -54,6 +70,7 @@ import heapq
 import itertools
 import json
 import math
+import threading
 import time
 from collections import defaultdict
 from dataclasses import dataclass
@@ -107,6 +124,21 @@ class Schedule:
 
     def assignment(self, request_id: str) -> Optional[Assignment]:
         return self._by_request.get(request_id)
+
+    @cached_property
+    def _by_link(self) -> dict[Link, list[int]]:
+        # per link: the positions of the assignments whose path uses it, ascending
+        positions: defaultdict[Link, list[int]] = defaultdict(list)
+        for k, a in enumerate(self.assignments):
+            for link in a.path:
+                positions[link].append(k)
+        return positions
+
+    def sharing_a_link(self, path: Iterable[Link]) -> list[Assignment]:
+        """The assignments whose path uses a link of `path`, in schedule order."""
+        by_link = self._by_link
+        positions = {k for link in path for k in by_link.get(link, ())}
+        return [self.assignments[k] for k in sorted(positions)]
 
     @property
     def accepted_ids(self) -> tuple[str, ...]:
@@ -168,6 +200,29 @@ class SolveLimits:
             raise ValueError("solve limits must be positive")
 
 
+# --- network cache --------------------------------------------------------
+
+# Per thread: the network its last solve ran on (a Topology value: nodes
+# and links), with that network's route memo {(src, dst, k): routes} and
+# its search tables {_Tables.of key: _Tables}, as `network`.
+_cache = threading.local()
+
+# The most entries the traffic-grown memos of one _Tables (each route's
+# free placements per occupancy, the pair terms) keep from one solve to
+# the next; past it they are emptied when the next solve starts.
+_MEMO_ENTRIES_KEPT = 1 << 14
+
+
+def _network(topology: Topology) -> tuple[Topology, dict, dict]:
+    """The network `topology` describes, with its route memo and search
+    tables; a solve on another network than the thread's last one starts
+    them empty and drops the last one's."""
+    entry = getattr(_cache, "network", None)
+    if entry is None or entry[0] != topology:
+        entry = _cache.network = (topology, {}, {})
+    return entry
+
+
 # --- routing --------------------------------------------------------------
 
 
@@ -223,9 +278,9 @@ def k_shortest_paths(topology: Topology, src: str, dst: str, k: int) -> list[tup
 
 
 def _routes(topology: Topology, src: str, dst: str, k: int) -> list[tuple[str, ...]]:
-    """k_shortest_paths, run once per (topology, src, dst, k) and kept in
-    the topology's path_memo; each call returns a new list."""
-    memo = topology.path_memo
+    """k_shortest_paths, run once per (network, src, dst, k) and kept in
+    the network cache; each call returns a new list."""
+    memo = _network(topology)[1]
     if (src, dst, k) not in memo:
         memo[src, dst, k] = tuple(k_shortest_paths(topology, src, dst, k))
     return list(memo[src, dst, k])
@@ -321,34 +376,35 @@ class _Group:
     footprint: int
     least_lambda: int
     cell_mask: int  # the (mode, slot) cells of one link
-    # per route: the offsets of its links' (mode, slot) cells, the
-    # ((mode, slot) mask, bit) of each of its placements, and a memo
-    # {the cells occupied on any of its links: mask of its free placements}
-    routes: list[tuple[tuple[int, ...], list[tuple[int, int]], dict[int, int]]]
+    # per route: the offsets of its links' (mode, slot) cells, the (mode,
+    # slot) mask and the index of each of its placements, and a memo {the
+    # cells occupied on any of its links: mask of its free placements}
+    routes: list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], dict[int, int]]]
 
     def free(self, occupied: int) -> int:
         """The mask of the placements meeting no cell of `occupied`, bit j
         for placement j, built route by route: a placement is free iff its
         (mode, slot) mask meets no cell occupied on a link of its route."""
         free = 0
-        for shifts, shapes, memo in self.routes:
+        for shifts, shapes, indices, memo in self.routes:
             cells = 0
             for shift in shifts:
                 cells |= occupied >> shift
             cells &= self.cell_mask
             mask = memo.get(cells)
             if mask is None:
-                mask = memo[cells] = sum([bit for shape, bit in shapes if not shape & cells])
+                mask = memo[cells] = sum([1 << j for shape, j in zip(shapes, indices)
+                                          if not shape & cells])
             free |= mask
         return free
 
 
 class _Tables:
-    """What every solve on one slot grid shares: the link index, the
-    `coef[link][m_a][m_v]` crosstalk table, the threshold limit, the
-    (path, modes) geometry ids, the per-geometry-pair term memo, and each
-    (source, destination, slot units) group. Nothing here depends on what
-    a solve has committed, except each placement's last blocker, which
+    """What every solve on one network and slot grid shares: the link
+    index, the `coef[link][m_a][m_v]` crosstalk table, the threshold limit,
+    the (path, modes) geometry ids, the per-geometry-pair term memo, and
+    each (source, destination, slot units) group. Nothing here depends on
+    what a solve has committed, except each placement's last blocker, which
     only decides which of commit's checks runs first."""
 
     def __init__(self, instance: Instance, limits: SolveLimits):
@@ -366,21 +422,36 @@ class _Tables:
         self.monotone = all(c >= 0.0 for per_link in self.coef for row in per_link for c in row)
         self.geometries: dict[tuple, int] = {}  # (link indices, modes) -> id
         self.pairs: defaultdict[int, dict] = defaultdict(dict)  # id -> {placed id: pair() entry}
+        self.interned: dict[tuple, tuple] = {}  # each distinct pair() entry, to share
         self.groups: dict[tuple, _Group] = {}
 
     @staticmethod
     def of(instance: Instance, limits: SolveLimits) -> _Tables:
         """The tables for `instance` and `limits`, built on first use and kept in
-        the topology's search_memo under everything they depend on besides the
-        topology, so every solve on the instance, its `with_requests` copies
-        included, builds each group once."""
+        the network cache under everything they depend on besides the network,
+        so every solve on an equal topology (the instance, its `with_requests`
+        copies, and every instance loaded with the same nodes and links)
+        builds each group once; trimmed before they are returned."""
         key = (instance.frame, instance.mode_count, instance.crosstalk, instance.planner,
                limits.k_paths, limits.all_mode_subsets)
-        memo = instance.topology.search_memo
+        memo = _network(instance.topology)[2]
         tables = memo.get(key)
         if tables is None:
             tables = memo[key] = _Tables(instance, limits)
+        tables.trim()
         return tables
+
+    def trim(self) -> None:
+        """Empty the memos that grow with the traffic planned, each route's
+        free placements per occupancy and the pair terms, once they hold
+        more than _MEMO_ENTRIES_KEPT entries. The groups and geometries stay:
+        the network bounds them."""
+        memos = [route[3] for group in self.groups.values() for route in group.routes]
+        if sum(map(len, memos)) + sum(map(len, self.pairs.values())) > _MEMO_ENTRIES_KEPT:
+            for memo in memos:
+                memo.clear()
+            self.pairs.clear()
+            self.interned.clear()
 
     def group(self, request: Request, instance: Instance) -> _Group:
         """The request's (source, destination, slot units) group, built on
@@ -407,22 +478,24 @@ class _Tables:
                 routes.append((path, links, sum(1 << li * slots for li in links),
                                sum(1 << li * self.mode_count * slots for li in links), ids))
             placements: list[_Placement] = []
-            route_shapes: list[list[tuple[int, int]]] = [[] for _ in routes]
+            route_indices: list[list[int]] = [[] for _ in routes]
             for supply, same in blocks:
-                for (path, links, link_base, cell_base, ids), own in zip(routes, route_shapes):
+                for (path, links, link_base, cell_base, ids), own in zip(routes, route_indices):
                     for modes, start, end, run, mode_slots in same:
-                        own.append((mode_slots, 1 << len(placements)))
+                        own.append(len(placements))
                         placements.append(_Placement(
                             path, links, modes, start, end, len(links) * supply, ids[modes],
                             link_base * run, cell_base * mode_slots))
+            # every route takes the shapes in the same order
+            shapes = tuple(shape[-1] for _, same in blocks for shape in same)
             cell_bits = self.mode_count * slots
             group = self.groups[key] = _Group(
                 len(self.groups), placements,
                 reduce(int.__or__, (route[3] * cells_used for route in routes), 0),
                 min(len(route[1]) for route in routes) * blocks[0][0] if placements else 0,
                 (1 << cell_bits) - 1,
-                [(tuple(li * cell_bits for li in route[1]), own, {})
-                 for route, own in zip(routes, route_shapes)])
+                [(tuple(li * cell_bits for li in route[1]), shapes, tuple(own), {})
+                 for route, own in zip(routes, route_indices)])
         return group
 
     def _terms(self, victim: _Placement, aggressor: _Placement) -> tuple[float, ...]:
@@ -432,16 +505,17 @@ class _Tables:
 
     def pair(self, new: _Placement, placed: _Placement) -> tuple[tuple[float, ...], float]:
         """Memoized per geometry pair: the terms `new` takes from `placed`,
-        and the sum from 0.0 of the terms `placed` takes from `new`."""
-        entry = self.pairs[new.geometry][placed.geometry] = (
-            self._terms(new, placed), reduce(float.__add__, self._terms(placed, new), 0.0))
+        and the sum from 0.0 of the terms `placed` takes from `new`. Equal
+        entries share one tuple: on links of one length they repeat."""
+        entry = (self._terms(new, placed), reduce(float.__add__, self._terms(placed, new), 0.0))
+        entry = self.pairs[new.geometry][placed.geometry] = self.interned.setdefault(entry, entry)
         return entry
 
 
 class _SearchState:
     """One solve's committed placements, their (link, slot) cell masks, slot
     occupancy and one crosstalk record per commit, indexed by link, with
-    O(1) undo, over the instance's shared _Tables. A record is [the
+    O(1) undo, over the network's shared _Tables. A record is [the
     placement's additive crosstalk total, the index of the last commit that
     added to it]. Undo kills its commit's record (its total becomes -inf),
     so a blocker that outlives its commit never rejects."""

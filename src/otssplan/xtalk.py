@@ -150,7 +150,8 @@ def accumulate_for_request(victim_request: str, schedule, instance: Instance) ->
     Sums pairwise contributions over every link of the victim's path, every
     other scheduled request whose slot interval overlaps the victim's, and
     every distinct mode pair, then compares against the configured
-    threshold.
+    threshold. Only the requests whose path shares a link with the
+    victim's can contribute, so only those are visited, in schedule order.
     """
     model = instance.planner.accumulation_model
     victim = schedule.assignment(victim_request)
@@ -158,7 +159,7 @@ def accumulate_for_request(victim_request: str, schedule, instance: Instance) ->
         raise NotScheduledError(f"request {victim_request!r} is not scheduled")
     terms: list[CrosstalkTerm] = []
     contributions: list[float] = []
-    for other in schedule.assignments:
+    for other in schedule.sharing_a_link(victim.path):
         if other.request_id == victim_request:
             continue
         for link, m_a, m_v in overlap_terms(victim, other):

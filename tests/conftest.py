@@ -8,10 +8,18 @@ import random
 
 import pytest
 
-from otssplan import xtalk
+from otssplan import solve, xtalk
 from otssplan.model import (CrosstalkMatrix, FrameConfig, Instance, LinkSpec,
                             NodeSpec, PlannerConfig, Request, Topology)
 from otssplan.solve import enumerate_candidates
+
+
+@pytest.fixture(autouse=True)
+def cold_network_cache():
+    """Every test starts with an empty solver network cache, so a test that
+    counts route or group builds, or the spans a solve records, sees its
+    own solves build them."""
+    solve._cache.network = None
 
 
 def two_request_200m_instance() -> Instance:

@@ -17,7 +17,7 @@ from conftest import brute_force_best, random_micro_instance, two_request_200m_i
 from otssplan import solve as solve_mod, validate, xtalk
 from otssplan.model import (AccumulationModel, CrosstalkMatrix, FrameConfig, Instance,
                             LinkSpec, NodeSpec, PlannerConfig, Request, Topology,
-                            collapse_frame)
+                            collapse_frame, load_instance, serialize_instance)
 from otssplan.solve import (SolveLimits, _SearchState, enumerate_candidates, k_shortest_paths,
                             solve, solve_baseline_conventional, solve_exact, solve_greedy)
 from otssplan.harness import fig2_fixture, gen_uniform_traffic
@@ -339,7 +339,7 @@ def test_solve_order_does_not_leak_through_shared_tables(case):
 def test_tables_keyed_by_all_they_depend_on():
     """Instances on one topology that differ in threshold, accumulation model,
     crosstalk, frame, mode count or solve options each get the schedules they
-    get on a topology of their own."""
+    get alone on an empty network cache."""
     base = _heavy_fig2(0)
     limits = SolveLimits(node_budget=500, time_budget_s=3600.0)
     rows = [[e if e is None else e + 2.0 for e in row] for row in base.crosstalk.db_per_100m]
@@ -363,13 +363,113 @@ def test_tables_keyed_by_all_they_depend_on():
                 [[(p.path, p.modes, p.slot_start) for p in tables.group(r, inst).placements]
                  for r in inst.requests])
 
+    def cold(inst, lim):
+        solve_mod._cache.network = None
+        return outputs(inst, lim)
+
     shared = [outputs(inst, lim) for inst, lim in variants]
-    alone = [outputs(replace(inst, topology=Topology(inst.topology.nodes,
-                                                     inst.topology.links)), lim)
-             for inst, lim in variants]
+    alone = [cold(inst, lim) for inst, lim in variants]
     assert shared == alone
     # each variant changes what the base instance gives
     assert all(out != alone[0] for out in alone[1:])
+
+
+def _loaded_case(text: str, variant: str) -> tuple[Instance, SolveLimits]:
+    """A heavy fig2 instance loaded from its JSON text, so its topology is
+    an object of its own, and its limits: under `variant`, either the
+    paper-literal-db model or every mode subset over eight paths."""
+    inst = load_instance(text)
+    limits = SolveLimits(node_budget=2000, time_budget_s=3600.0)
+    if variant == "paper-literal-db":
+        inst = _with_model(inst, variant)
+    elif variant == "all-mode-subsets":
+        limits = replace(limits, all_mode_subsets=True, k_paths=8)
+    return inst, limits
+
+
+@pytest.mark.parametrize("variant", ["default", "paper-literal-db", "all-mode-subsets"])
+def test_warm_network_cache_gives_cold_schedules(variant):
+    """Instances loaded apart on one network share its cache entry, and
+    every solver, run forward and then in reverse order on warm tables,
+    gives the schedule it gives on a cold cache."""
+    texts = [json.dumps(serialize_instance(_heavy_fig2(seed))) for seed in (0, 1)]
+    runs = [(t, solver) for t in range(len(texts)) for solver in solve_mod.SOLVERS]
+    cold = {}
+    for t, solver in runs:
+        solve_mod._cache.network = None
+        inst, limits = _loaded_case(texts[t], variant)
+        cold[t, solver] = solve(inst, solver, limits).to_json()
+    solve_mod._cache.network = None
+    entries = set()
+    for t, solver in runs + runs[::-1]:
+        inst, limits = _loaded_case(texts[t], variant)
+        assert solve(inst, solver, limits).to_json() == cold[t, solver], (t, solver)
+        entries.add(id(solve_mod._cache.network))
+    assert len(entries) == 1
+
+
+def _on_fibers(base: Instance, length_m: float) -> Instance:
+    """`base` with every link `length_m` long: another network."""
+    topo = base.topology
+    return replace(base, topology=Topology(
+        topo.nodes, tuple(replace(l, length_m=length_m) for l in topo.links)))
+
+
+def test_network_cache_keeps_the_last_network(monkeypatch):
+    """A solve on another network replaces the cached one; going back
+    rebuilds its tables and gives the same schedules."""
+    base = _heavy_fig2(0)
+    limits = SolveLimits(node_budget=500, time_budget_s=3600.0)
+    first = {solver: solve(_on_fibers(base, 100.0), solver, limits).to_json()
+             for solver in solve_mod.SOLVERS}
+    solve(_on_fibers(base, 110.0), "greedy", limits)
+    assert solve_mod._cache.network[0] == _on_fibers(base, 110.0).topology
+    groups = _counting(monkeypatch, "_Group")
+    assert {solver: solve(_on_fibers(base, 100.0), solver, limits).to_json()
+            for solver in solve_mod.SOLVERS} == first
+    assert groups
+    assert solve_mod._cache.network[0] == _on_fibers(base, 100.0).topology
+
+
+def test_network_cache_memos_stay_bounded(monkeypatch):
+    """Distinct traffic on one network grows the occupancy- and pair-keyed
+    memos; every solve starts with at most _MEMO_ENTRIES_KEPT of them, and
+    emptying them changes no schedule."""
+    monkeypatch.setattr(solve_mod, "_MEMO_ENTRIES_KEPT", 1000)
+    limits = SolveLimits(node_budget=500, time_budget_s=3600.0)
+    cells = [_heavy_fig2(seed) for seed in range(100, 108)]
+    cold = []
+    for inst in cells:
+        solve_mod._cache.network = None
+        cold.append(solve(inst, "exact", limits).to_json())
+    solve_mod._cache.network = None
+    sizes = []
+    for inst, expected in zip(cells, cold):
+        tables = solve_mod._Tables.of(inst, limits)
+        sizes.append(sum(len(route[3]) for group in tables.groups.values()
+                         for route in group.routes)
+                     + sum(map(len, tables.pairs.values())))
+        assert solve(inst, "exact", limits).to_json() == expected
+    assert max(sizes) <= 1000
+    # the memos grew past the bound and were emptied at least once
+    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
+
+
+def test_each_thread_keeps_its_own_network():
+    """A solve in another thread neither reads nor replaces this thread's
+    cached network, and gives the schedule it gives here."""
+    base = _heavy_fig2(0)
+    limits = SolveLimits(node_budget=500, time_budget_s=3600.0)
+    here = solve(base, "exact", limits).to_json()
+    entry = solve_mod._cache.network
+    seen = []
+    worker = threading.Thread(target=lambda: seen.append(
+        (solve(base, "exact", limits).to_json(), solve_mod._cache.network)))
+    worker.start()
+    worker.join()
+    assert seen[0][0] == here
+    assert seen[0][1] is not entry and seen[0][1][0] == entry[0]
+    assert solve_mod._cache.network is entry
 
 
 def _commit_log(inst: Instance, limits: SolveLimits, keep_blockers: bool):
@@ -587,7 +687,9 @@ def test_commit_and_undo_match_reference(picks, ops, threshold_db, variant):
     inst = replace(base, planner=planner, requests=(
         Request("a", "e1", "e2", 3.0), Request("b", "e1", "e3", 5.0),
         Request("c", "e4", "e2", 2.0), Request("d", "e3", "e2", 8.0)))
-    tables = solve_mod._Tables.of(inst, SolveLimits())
+    # private tables: without _branch, which kills every record a search
+    # leaves, a live record would outlive this example on shared tables
+    tables = solve_mod._Tables(inst, SolveLimits())
     state = _SearchState(tables)
     every = [(r.id, p) for r in inst.requests for p in tables.group(r, inst).placements]
     # a few placements, so a rejected one is often tried again and its last

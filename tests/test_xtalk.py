@@ -3,9 +3,9 @@ import math
 import pytest
 
 from otssplan import xtalk
-from otssplan.harness import DEFAULT_CROSSTALK_DB, fig4_scenario
+from otssplan.harness import DEFAULT_CROSSTALK_DB, fig2_fixture, fig4_scenario, gen_uniform_traffic
 from otssplan.model import AccumulationModel, CrosstalkMatrix
-from otssplan.solve import Assignment, Schedule
+from otssplan.solve import Assignment, Schedule, enumerate_candidates
 
 MATRIX = CrosstalkMatrix(DEFAULT_CROSSTALK_DB)
 LINEAR = AccumulationModel("linear-power")
@@ -162,6 +162,27 @@ class TestAccumulateForRequest:
         worst = xtalk.accumulate_for_request("#E", sched, sc.instance)
         assert worst.total_db == pytest.approx(-5.87, abs=0.01)
         assert not worst.feasible
+
+    def test_terms_match_a_scan_of_every_assignment(self):
+        """On a 240 Gb/s fig2 instance, its 50 requests each placed on one
+        of its candidates over paths of two and four links (cells may
+        clash: the sum does not read them), each report holds the terms a
+        scan of every other assignment gives, in schedule order, though it
+        visits only those that share a link with the victim."""
+        inst = fig2_fixture().with_requests([])
+        inst = inst.with_requests(gen_uniform_traffic(inst.topology, 240.0, seed=0))
+        picks = []
+        for i, r in enumerate(inst.requests):
+            candidates = enumerate_candidates(r, inst, 4)
+            picks.append(candidates[7 * i % len(candidates)])
+        schedule = Schedule(tuple(picks), (), 0.0, 0)
+        assert {len(a.path) for a in schedule.assignments} == {2, 4}
+        for victim in schedule.assignments:
+            report = xtalk.accumulate_for_request(victim.request_id, schedule, inst)
+            assert [(t.link, t.aggressor_request, t.aggressor_mode, t.victim_mode)
+                    for t in report.terms] == [
+                (link, other.request_id, m_a, m_v) for other in schedule.assignments
+                if other is not victim for link, m_a, m_v in xtalk.overlap_terms(victim, other)]
 
 
 class TestTanhModel:
