@@ -24,14 +24,9 @@ geometries, so totals and prune decisions are bit-identical to summing
 `xtalk.pairwise_contribution`. The network bounds the groups and
 geometries; the memos that grow with the traffic planned, each route's
 free placements per occupancy and the pair terms, are emptied when a
-solve starts with more than _MEMO_ENTRIES_KEPT of them.
-
-Sharing tables across solves changes no decision: a placement's blocker
-(below) left by an earlier solve holds a dead record, since every search
-kills its records when it ends; geometry ids and group serials only key
-memos; and every memo is a pure function of the geometry. A solve in
-another thread uses that thread's own cache, so concurrent solves share
-nothing.
+solve starts with more than _MEMO_ENTRIES_KEPT of them. No solve writes
+anything else to the tables, and a solve in another thread uses that
+thread's own cache.
 
 One routine, `_branch`, searches for every solver: a depth-first
 branch-and-bound whose path is a stack of frames, one per committed
@@ -48,19 +43,14 @@ tries only the live bits, the free ones outside the group's dead mask; a
 node with none takes its reject branch at once.
 
 Each commit owns a crosstalk record: [its total, the index of the last
-commit that added to it]. A commit that a placed victim rejects leaves
-the victim's (record, increment) on the candidate as its blocker, and the
-search skips the candidate without calling `commit` while record total +
-increment is over the limit ("last conflict" ordering): one of commit's
-own checks on the current state. Undo kills its commit's record (total
--inf), and so does the end of every search, because blockers live on the
-shared tables. With no negative term in the tables, a total only grows
-while its contributors stay placed, and every contributor of a record is
-placed at or below its last contributor; so a candidate its blocker
-rejects stays rejected until the record's last contributor is undone. The
-search sets the candidate's bit in its group's dead mask, scoped to that
-commit, and clears the bit when the commit is undone. Under
-paper-literal-db a total can fall back under the limit, so no bit
+commit that added to it]. A commit that a placed victim rejects reports
+the victim's record. With no negative term in the tables, a total only
+grows while its contributors stay placed, and every contributor of a
+record is placed at or below its last contributor; so a candidate that
+record rejects stays rejected until the record's last contributor is
+undone. The search sets the candidate's bit in its group's dead mask,
+scoped to that commit, and clears the bit when the commit is undone.
+Under paper-literal-db a total can fall back under the limit, so no bit
 is ever set dead there. The clock is read every 256 nodes.
 """
 
@@ -339,16 +329,11 @@ def enumerate_candidates(request: Request, instance: Instance, k: int,
 
 # --- search tables and state ----------------------------------------------
 
-# The blocker of a placement no commit has rejected yet: a dead record
-# (see _SearchState), so the last-blocker test never holds for it.
-_NO_BLOCKER = ([-math.inf, -1], 0.0)
-
 
 @dataclass(eq=False, slots=True)
 class _Placement:
     """A candidate's geometry, shared by its (source, destination, slot units) group: an id
-    for (path, modes), (link, slot) and (link, mode, slot) bitmasks, and its last blocker:
-    (record, increment) of the placed victim its last rejecting commit stopped at."""
+    for (path, modes), and (link, slot) and (link, mode, slot) bitmasks."""
 
     path: tuple[Link, ...]
     links: tuple[int, ...]
@@ -359,7 +344,6 @@ class _Placement:
     geometry: int
     cells: int
     occupancy: int
-    blocker: tuple = _NO_BLOCKER
 
     def assignment(self, request_id: str) -> Assignment:
         return Assignment(request_id, self.path, self.modes, self.slot_start, self.slot_end)
@@ -404,8 +388,7 @@ class _Tables:
     index, the `coef[link][m_a][m_v]` crosstalk table, the threshold limit,
     the (path, modes) geometry ids, the per-geometry-pair term memo, and
     each (source, destination, slot units) group. Nothing here depends on
-    what a solve has committed, except each placement's last blocker, which
-    only decides which of commit's checks runs first."""
+    what a solve has committed."""
 
     def __init__(self, instance: Instance, limits: SolveLimits):
         links = instance.topology.links
@@ -517,8 +500,9 @@ class _SearchState:
     occupancy and one crosstalk record per commit, indexed by link, with
     O(1) undo, over the network's shared _Tables. A record is [the
     placement's additive crosstalk total, the index of the last commit that
-    added to it]. Undo kills its commit's record (its total becomes -inf),
-    so a blocker that outlives its commit never rejects."""
+    added to it]. `rejected_by` is the record of the placed victim that
+    rejected the last rejected commit, or None if a slot or its own
+    crosstalk did."""
 
     def __init__(self, tables: _Tables):
         self.tables = tables
@@ -529,15 +513,16 @@ class _SearchState:
         self.entries: list[tuple[int, _Placement, list]] = []
         # per link: the mask of the placed indices k whose path uses it
         self.by_link = [0] * len(tables.link_index)
+        self.rejected_by: Optional[list] = None
 
     def commit(self, new: _Placement) -> Optional[tuple]:
         """Commit if feasible; returns an undo token, or None if infeasible,
-        recording the placed victim's record the scan stopped at as
-        `new.blocker`. Only placed entries whose cells meet `new`'s take or
-        give crosstalk; the scan visits those that share a link with it, in
-        commit order."""
+        setting `rejected_by`. Only placed entries whose cells meet `new`'s
+        take or give crosstalk; the scan visits those that share a link with
+        it, in commit order."""
         occupancy, cells = new.occupancy, new.cells
         if occupancy & self.occupied:
+            self.rejected_by = None
             return None
         limit, placed = self.limit, self.placed
         row = self.tables.pairs[new.geometry]
@@ -559,10 +544,11 @@ class _SearchState:
             if inc:
                 total = record[0] + inc
                 if not total <= limit:
-                    new.blocker = (record, inc)
+                    self.rejected_by = record
                     return None
                 updates.append((record, total, record[0], record[1]))
         if own and not own <= limit:
+            self.rejected_by = None
             return None
         m = len(placed)
         for record, total, _, _ in updates:
@@ -582,7 +568,7 @@ class _SearchState:
         bit = 1 << len(self.entries) - 1
         for li in self.placed.pop().links:
             self.by_link[li] ^= bit
-        self.entries.pop()[2][0] = -math.inf
+        self.entries.pop()
         for record, _, total, last in updates:
             record[0] = total
             record[1] = last
@@ -638,8 +624,7 @@ def _branch(instance: Instance, limits: SolveLimits, requests: list[Request],
     leaf_limit = None if monotone or first_leaf else state.limit
     if leaf_limit is not None:
         state.limit = math.inf
-    placed, entries, limit, commit, undo = (state.placed, state.entries, state.limit,
-                                            state.commit, state.undo)
+    placed, entries, commit, undo = state.placed, state.entries, state.commit, state.undo
     groups = [tables.group(r, instance) for r in requests]
     footprints = [g.footprint for g in groups]
     candidates = [g.placements for g in groups]
@@ -676,77 +661,67 @@ def _branch(instance: Instance, limits: SolveLimits, requests: list[Request],
     # takes its reject branch and leaves the stack
     frames: list[list] = []
     i, tp, lam = 0, 0.0, 0
-    try:
-        while True:
-            # enter the node at depth i
-            nodes -= 1
-            # the clock is read every 256 nodes
-            if nodes <= 0 or not nodes & 255 and time.monotonic() > deadline:
-                return best, True
-            if i == n:
-                feasible = leaf_limit is None or all(not r[0] or r[0] <= leaf_limit
-                                                     for _, _, r in entries)
-                if feasible and (best is None or _lex_better(tp, lam, best_tp, best_lam)):
-                    best = [p.assignment(requests[frame[2]].id)
-                            for frame, p in zip(frames, placed)]
-                    best_tp, best_lam = tp, lam
-                if first_leaf:
-                    return best, False
-            else:
-                reachable = tp + suffix[i]
-                # the bound prunes only against an incumbent; a completion can
-                # only tie its throughput by accepting every remaining request
-                # that has candidates, each costing at least its cheapest placement
-                if best is None or reachable > best_tp + _EPS or \
-                        reachable >= best_tp - _EPS and lam + min_lam_suffix[i] < best_lam:
-                    key = state.occupied & footprints[i]
-                    free = free_masks[i].get(key)
-                    if free is None:
-                        free = free_masks[i][key] = groups[i].free(key)
-                    live = free & ~dead[serials[i]]
-                    if not live:
-                        i += 1  # its reject branch
-                        continue
-                    frames.append([live, None, i, tp, lam, []])
-            # move to the next branch of the deepest node with untried
-            # placements: its next committable one, else its reject branch
-            if not frames:
-                return best, False  # every branch explored
-            frame = frames[-1]
-            untried, token, i, tp, lam, buried = frame
+    while True:
+        # enter the node at depth i
+        nodes -= 1
+        # the clock is read every 256 nodes
+        if nodes <= 0 or not nodes & 255 and time.monotonic() > deadline:
+            return best, True
+        if i == n:
+            feasible = leaf_limit is None or all(not r[0] or r[0] <= leaf_limit
+                                                 for _, _, r in entries)
+            if feasible and (best is None or _lex_better(tp, lam, best_tp, best_lam)):
+                best = [p.assignment(requests[frame[2]].id)
+                        for frame, p in zip(frames, placed)]
+                best_tp, best_lam = tp, lam
+            if first_leaf:
+                return best, False
+        else:
+            reachable = tp + suffix[i]
+            # the bound prunes only against an incumbent; a completion can
+            # only tie its throughput by accepting every remaining request
+            # that has candidates, each costing at least its cheapest placement
+            if best is None or reachable > best_tp + _EPS or \
+                    reachable >= best_tp - _EPS and lam + min_lam_suffix[i] < best_lam:
+                key = state.occupied & footprints[i]
+                free = free_masks[i].get(key)
+                if free is None:
+                    free = free_masks[i][key] = groups[i].free(key)
+                live = free & ~dead[serials[i]]
+                if not live:
+                    i += 1  # its reject branch
+                    continue
+                frames.append([live, None, i, tp, lam, []])
+        # move to the next branch of the deepest node with untried
+        # placements: its next committable one, else its reject branch
+        if not frames:
+            return best, False  # every branch explored
+        frame = frames[-1]
+        untried, token, i, tp, lam, buried = frame
+        if token is not None:
+            undo(token)
+            for s, bit in buried:
+                dead[s] &= ~bit
+            buried.clear()
+        group, s = candidates[i], serials[i]
+        live = untried & ~dead[s]
+        while live:
+            bit = live & -live
+            live ^= bit
+            cand = group[bit.bit_length() - 1]
+            token = commit(cand)
             if token is not None:
-                undo(token)
-                for s, bit in buried:
-                    dead[s] &= ~bit
-                buried.clear()
-            group, s = candidates[i], serials[i]
-            live = untried & ~dead[s]
-            while live:
-                bit = live & -live
-                live ^= bit
-                cand = group[bit.bit_length() - 1]
-                # skipped while its last blocker still rejects it (see module doc)
-                record, inc = cand.blocker
-                if record[0] + inc <= limit:
-                    token = commit(cand)
-                    if token is not None:
-                        frame[0], frame[1] = live, token
-                        tp += gains[i]
-                        lam += cand.lambda_count
-                        break
-                    record, inc = cand.blocker
-                    if record[0] + inc <= limit:
-                        continue  # not rejected by a victim
-                if monotone:
-                    dead[s] |= bit
-                    frames[record[1]][5].append((s, bit))
-            else:
-                frames.pop()
-            i += 1
-    finally:
-        # blockers outlive the solve on the shared tables
-        for _, _, record in entries:
-            record[0] = -math.inf
+                frame[0], frame[1] = live, token
+                tp += gains[i]
+                lam += cand.lambda_count
+                break
+            record = state.rejected_by
+            if monotone and record is not None:
+                dead[s] |= bit
+                frames[record[1]][5].append((s, bit))
+        else:
+            frames.pop()
+        i += 1
 
 
 def solve_exact(instance: Instance, limits: Optional[SolveLimits] = None,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .model import Instance, Link, mode_label
+from .model import Instance, Link, ValidationError, mode_label
 from .solve import Schedule
 
 
@@ -25,8 +25,11 @@ def request_aliases(schedule: Schedule) -> dict[str, str]:
 def render_timeline(instance: Instance, schedule: Schedule,
                     link: Optional[Link] = None) -> str:
     """Render the slot grid of one link (default: the first occupied link,
-    or the first topology link if nothing is scheduled)."""
+    or the first topology link if nothing is scheduled). A topology with
+    no link raises ValidationError at $.topology.links."""
     if link is None:
+        if not instance.topology.link_keys():
+            raise ValidationError([("$.topology.links", "no link to draw a timeline of")])
         link = next((l for a in schedule.assignments for l in a.path),
                     instance.topology.link_keys()[0])
     aliases = request_aliases(schedule)

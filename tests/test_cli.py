@@ -479,6 +479,20 @@ class TestTimeline:
         assert capsys.readouterr().err.strip() == (
             f"structural error: request {request!r} {message}")
 
+    def test_instance_without_links(self, tmp_path, capsys):
+        """A network with no link plans and validates, and timeline names
+        the missing links instead of failing internally."""
+        doc = serialize_instance(two_request_200m_instance())
+        doc["topology"]["links"] = []
+        inst, sched = tmp_path / "i.json", tmp_path / "s.json"
+        inst.write_text(json.dumps(doc))
+        assert cli.run(["plan", "-i", str(inst), "-o", str(sched)]) == 0
+        assert cli.run(["validate", "-i", str(inst), "-s", str(sched)]) == 0
+        capsys.readouterr()
+        assert cli.run(["timeline", "-i", str(inst), "-s", str(sched)]) == 1
+        assert capsys.readouterr().err.strip() == (
+            "error: $.topology.links: no link to draw a timeline of")
+
     def test_cli_command(self, tmp_path, fig2_file, capsys):
         inst_doc = json.loads(fig2_file.read_text())
         from otssplan.model import load_instance

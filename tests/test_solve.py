@@ -1,8 +1,9 @@
+import copy
+import dataclasses
 import functools
 import hashlib
 import itertools
 import json
-import math
 import operator
 import random
 import threading
@@ -472,18 +473,39 @@ def test_each_thread_keeps_its_own_network():
     assert solve_mod._cache.network is entry
 
 
-def _commit_log(inst: Instance, limits: SolveLimits, keep_blockers: bool):
+def test_no_solve_writes_to_a_cached_placement():
+    """Every solver, under every accumulation model, leaves each cached
+    placement of the sliced and the collapsed frame as it was built: the
+    tables a solve leaves behind hold nothing that solve learnt."""
+    limits = SolveLimits(node_budget=2000, time_budget_s=3600.0)
+    cases = [_with_model(_heavy_fig2(0), model) for model in sorted(MODELS)]
+    frames = [on for inst in cases for on in (inst, collapse_frame(inst))]
+
+    def snapshot():
+        return [tuple(getattr(p, f.name) for f in dataclasses.fields(p))
+                for on in frames for r in on.requests
+                for p in solve_mod._Tables.of(on, limits).group(r, on).placements]
+
+    before = copy.deepcopy(snapshot())
+    for inst in cases:
+        for solver in solve_mod.SOLVERS:
+            solve(inst, solver, limits)
+    assert snapshot() == before
+
+
+def _commit_log(inst: Instance, limits: SolveLimits, report_blockers: bool):
     """Every solver's schedule on `inst`, the placements committed in order
     with their depth, and the number of commit calls; without
-    `keep_blockers` each placement forgets its blocker after every commit,
-    so the search neither skips a candidate nor sets one dead."""
+    `report_blockers` the record of the placed victim that rejected a
+    candidate (its blocker) is cleared after every commit, so the search
+    sets no candidate dead."""
     commit = _SearchState.commit
     calls, accepted = [], []
 
     def logged(state, new):
         token = commit(state, new)
-        if not keep_blockers:
-            new.blocker = solve_mod._NO_BLOCKER
+        if not report_blockers:
+            state.rejected_by = None
         calls.append(new)
         if token is not None:
             accepted.append((new.path, new.modes, new.slot_start, len(state.placed)))
@@ -498,9 +520,8 @@ def _commit_log(inst: Instance, limits: SolveLimits, keep_blockers: bool):
 @pytest.mark.parametrize("case", ["seed-0", "seed-1", "paper-literal-db", "tanh-coupling"])
 def test_inline_blocker_skip_changes_no_decision(case):
     """Every solver commits the same placements in the same order whether
-    or not a rejected placement keeps its last blocker, so neither the
-    skip on a blocker that still rejects nor a dead mask ever drops a
-    candidate commit would accept."""
+    or not commit reports a rejected placement's blocker, so no dead mask
+    ever drops a candidate commit would accept."""
     limits = SolveLimits(node_budget=2000, time_budget_s=3600.0)
     kept = _commit_log(_pinned_case(case), limits, True)
     forgotten = _commit_log(_pinned_case(case), limits, False)
@@ -510,7 +531,7 @@ def test_inline_blocker_skip_changes_no_decision(case):
         # commits can be rejected, and it tries each request once
         assert kept[2] <= forgotten[2]
     else:
-        # the skip ran: most rejected commits never happened
+        # the dead masks ran: most rejected commits never happened
         assert kept[2] < forgotten[2] / 2
 
 
@@ -645,8 +666,7 @@ def _records(state):
 def test_every_pair_on_one_link_matches_reference(variant):
     """Every pair of placements of two requests on one 170 m link, over all
     mode subsets: the order of a pair's terms shows in the totals' last
-    bits. Undo restores the first placement's record and kills the
-    second's."""
+    bits. Undo restores the first placement's record."""
     topo = Topology((NodeSpec("n1", "edge"), NodeSpec("n2", "edge")),
                     (LinkSpec("n1", "n2", 170.0),))
     inst = Instance(topology=topo, requests=(Request("a", "n1", "n2", 5.0),
@@ -667,9 +687,7 @@ def test_every_pair_on_one_link_matches_reference(variant):
             assert (token is None) == (expected is None)
             if token is not None:
                 assert _records(state) == expected
-                record = state.entries[1][2]
                 state.undo(token)
-                assert record[0] == -math.inf
             assert _records(state) == [[0.0, 0]]
         state.undo(first)
 
@@ -678,6 +696,9 @@ def test_every_pair_on_one_link_matches_reference(variant):
        ops=st.lists(st.tuples(st.booleans(), st.integers(0, 10**6)), max_size=60),
        threshold_db=st.floats(-24.0, -6.0),
        variant=st.sampled_from(["linear-power", "paper-literal-db"]))
+# a victim rejection, then a slot conflict
+@example(picks=[0, 0, 2], ops=[(True, 0), (True, 14), (True, 0)], threshold_db=-15.0,
+         variant="linear-power")
 @settings(max_examples=150, deadline=None)
 def test_commit_and_undo_match_reference(picks, ops, threshold_db, variant):
     base = fig2_fixture()
@@ -687,26 +708,24 @@ def test_commit_and_undo_match_reference(picks, ops, threshold_db, variant):
     inst = replace(base, planner=planner, requests=(
         Request("a", "e1", "e2", 3.0), Request("b", "e1", "e3", 5.0),
         Request("c", "e4", "e2", 2.0), Request("d", "e3", "e2", 8.0)))
-    # private tables: without _branch, which kills every record a search
-    # leaves, a live record would outlive this example on shared tables
-    tables = solve_mod._Tables(inst, SolveLimits())
+    tables = solve_mod._Tables.of(inst, SolveLimits())
     state = _SearchState(tables)
     every = [(r.id, p) for r in inst.requests for p in tables.group(r, inst).placements]
-    # a few placements, so a rejected one is often tried again and its last
-    # blocker test runs on a changed state
+    # a few placements, so a rejected one is often tried again on a changed state
     pool = [every[i % len(every)] for i in picks]
     placed, records, history = [], [], []
     for is_commit, pick in ops:
         if is_commit:
             rid, new = pool[pick % len(pool)]
             expected = _reference_commit(inst, placed, records, new.assignment(rid))
-            # the branch routine's skip test, on new.blocker as it reads it
-            record, inc = new.blocker
-            blocked = not record[0] + inc <= state.limit
+            clash = new.occupancy & state.occupied
             token = state.commit(new)
             assert (token is None) == (expected is None)
-            # the search's skip holds only where commit rejects
-            assert not (blocked and expected is not None)
+            # a slot conflict names no record, a victim rejection a live one of this state
+            if token is None and clash:
+                assert state.rejected_by is None
+            elif token is None and state.rejected_by is not None:
+                assert any(state.rejected_by is record for record in _records(state))
             if token is not None:
                 history.append((token, records))
                 placed, records = placed + [new.assignment(rid)], expected
@@ -717,9 +736,6 @@ def test_commit_and_undo_match_reference(picks, ops, threshold_db, variant):
         assert _records(state) == records
         assert [p.assignment("x") for p in state.placed] == \
             [replace(a, request_id="x") for a in placed]
-        # a blocker's record is a live one of this state, or dead
-        live = {id(record) for record in _records(state)}
-        assert all(id(p.blocker[0]) in live or p.blocker[0][0] == -math.inf for _, p in pool)
 
 
 def test_free_lists_match_occupancy(monkeypatch):
