@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from . import solve as solve_mod
 from .model import (CrosstalkMatrix, FrameConfig, Instance, LinkSpec, NodeSpec,
                     PlannerConfig, Request, Topology, ValidationError,
-                    build_fat_tree, on_grid, serialize_instance)
+                    build_fat_tree, left_sum, on_grid, serialize_instance)
 from .solve import Schedule, SolveLimits
 
 # Pairwise coupling of the default 4-mode channel set, dB per 100 m;
@@ -190,7 +190,7 @@ def run_sweep(instance_template: Instance, loads: Sequence[float],
         for solver in solvers:
             vals = [r.throughput_gbps for r in rows
                     if r.load_gbps == float(load) and r.solver == solver]
-            averages.append((float(load), solver, sum(vals) / len(vals)))
+            averages.append((float(load), solver, left_sum(vals) / len(vals)))
     return SweepResult(rows=tuple(rows), seed=seed,
                        instance_digest=_instance_digest(instance_template),
                        bandwidth_law=(f"uniform multiples of {granularity} Gb/s "
@@ -281,8 +281,8 @@ def fig4_scenario() -> TestbedScenario:
     schedule = Schedule(
         assignments=assignments,
         rejected=("#E", "#F"),
-        throughput_gbps=sum(instance.request_by_id(a.request_id).bandwidth_gbps
-                            for a in assignments),
+        throughput_gbps=left_sum(instance.request_by_id(a.request_id).bandwidth_gbps
+                                 for a in assignments),
         lambda_count=sum(a.lambda_count for a in assignments),
         optimal=False,
     )

@@ -375,6 +375,18 @@ def on_grid(value: float, step: float) -> bool:
     return (Fraction(str(value)) / Fraction(str(step))).denominator == 1
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """values added one at a time, left to right, from 0 (0 when there are
+    none). From Python 3.12 the builtin sum compensates the rounding of a
+    float sum, so a total it makes, and any tie that total decides, would
+    depend on the Python version; every float total of the planner is made
+    here instead."""
+    total = 0
+    for x in values:
+        total += x
+    return total
+
+
 def slot_capacity_gbps(frame: FrameConfig, config: PlannerConfig) -> Fraction:
     """Bandwidth one slot on one mode carries: C * S / T."""
     c = Fraction(str(config.link_capacity_gbps))

@@ -69,7 +69,7 @@ from typing import Iterable, Optional
 
 from . import xtalk
 from .model import (Instance, Link, ParseError, Request, Topology, collapse_frame,
-                    json_field, json_items, json_value)
+                    json_field, json_items, json_value, left_sum)
 
 
 @dataclass(frozen=True)
@@ -249,7 +249,7 @@ def k_shortest_paths(topology: Topology, src: str, dst: str, k: int) -> list[tup
         _, prev = found[-1]
         for i in range(len(prev) - 1):
             root = prev[:i + 1]
-            root_len = sum(topology.length((root[j], root[j + 1])) for j in range(len(root) - 1))
+            root_len = left_sum(map(topology.length, zip(root, root[1:])))
             banned_links = frozenset(
                 (p[i], p[i + 1]) for _, p in found if len(p) > i and p[:i + 1] == root)
             banned_nodes = frozenset(root[:-1])
@@ -452,7 +452,7 @@ class _Tables:
             paths = [tuple(zip(p, p[1:])) for p in
                      _routes(topology, request.source, request.destination, self.k_paths)]
             routes = []
-            for _, path in sorted((sum(map(topology.length, path)), path) for path in paths):
+            for _, path in sorted((left_sum(map(topology.length, path)), path) for path in paths):
                 links = tuple(self.link_index[l] for l in path)
                 ids = {modes: self.geometries.setdefault((links, modes), len(self.geometries))
                        for modes in mode_sets}
@@ -488,9 +488,9 @@ class _Tables:
 
     def pair(self, new: _Placement, placed: _Placement) -> tuple[tuple[float, ...], float]:
         """Memoized per geometry pair: the terms `new` takes from `placed`,
-        and the sum from 0.0 of the terms `placed` takes from `new`. Equal
+        and the left_sum of the terms `placed` takes from `new`. Equal
         entries share one tuple: on links of one length they repeat."""
-        entry = (self._terms(new, placed), reduce(float.__add__, self._terms(placed, new), 0.0))
+        entry = (self._terms(new, placed), left_sum(self._terms(placed, new)))
         entry = self.pairs[new.geometry][placed.geometry] = self.interned.setdefault(entry, entry)
         return entry
 
@@ -593,7 +593,7 @@ def _finish(instance: Instance, assignments: list[Assignment], optimal: bool) ->
     order = {r.id: i for i, r in enumerate(instance.requests)}
     assignments = sorted(assignments, key=lambda a: order[a.request_id])
     rejected = tuple(r.id for r in instance.requests if r.id not in accepted_ids)
-    tp = sum(r.bandwidth_gbps for r in instance.requests if r.id in accepted_ids)
+    tp = left_sum(r.bandwidth_gbps for r in instance.requests if r.id in accepted_ids)
     lam = sum(a.lambda_count for a in assignments)
     return Schedule(assignments=tuple(assignments), rejected=rejected,
                     throughput_gbps=tp, lambda_count=lam, optimal=optimal)

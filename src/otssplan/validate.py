@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import xtalk
-from .model import Instance
+from .model import Instance, left_sum
 from .solve import Schedule
 
 
@@ -160,7 +160,7 @@ def check_schedule(instance: Instance, schedule: Schedule) -> ViolationReport:
 def throughput_gbps(instance: Instance, schedule: Schedule) -> float:
     """Sum of accepted requests' bandwidth."""
     accepted = set(schedule.accepted_ids)
-    return sum(r.bandwidth_gbps for r in instance.requests if r.id in accepted)
+    return left_sum(r.bandwidth_gbps for r in instance.requests if r.id in accepted)
 
 
 def resource_usage(schedule: Schedule) -> int:

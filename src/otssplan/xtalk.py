@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import AccumulationModel, CrosstalkMatrix, Instance, Link
+from .model import AccumulationModel, CrosstalkMatrix, Instance, Link, left_sum
 
 NO_CROSSTALK_DB = float("-inf")
 
@@ -95,7 +95,7 @@ def combine_contributions(contributions: list[float], model: AccumulationModel) 
     """Total in dB from additive-domain contributions; -inf when empty."""
     if not contributions:
         return NO_CROSSTALK_DB
-    total = sum(contributions)
+    total = left_sum(contributions)
     if model.variant == "paper-literal-db":
         return total
     if total <= 0:
@@ -169,7 +169,7 @@ def accumulate_for_request(victim_request: str, schedule, instance: Instance) ->
             terms.append(CrosstalkTerm(link=link, aggressor_request=other.request_id,
                                        aggressor_mode=m_a, victim_mode=m_v,
                                        contribution_db=contribution_db(c, model)))
-    total_additive = sum(contributions) if contributions else None
+    total_additive = left_sum(contributions) if contributions else None
     total_db = combine_contributions(contributions, model)
     limit = feasibility_limit(instance.planner.xt_threshold_db, model)
     feasible = total_additive is None or total_additive <= limit

@@ -64,6 +64,45 @@ def _long_id_instance():
     return replace(two_request_200m_instance(), topology=topo, requests=requests)
 
 
+# milp's name table before it built names from shared prefixes, verbatim
+# but for the milp. qualifiers: the name table's oracle.
+def _oracle_name_table(instance):
+    """The names of instance's model; raises ValidationError when two
+    request ids or two node ids sanitize to one tag."""
+    rids = [r.id for r in instance.requests]
+    links = instance.topology.link_keys()
+    modes = range(instance.mode_count)
+    T = instance.slot_count
+    rt = milp._tag_table(rids, "$.requests", "r")
+    nt = milp._tag_table(instance.topology.node_ids(), "$.topology.nodes", "n")
+    et = {link: milp._link_tag(link) for link in links}
+    lam = {(rid, link): [[f"l_{rt[rid]}_{et[link]}_m{m}_t{t}" for t in range(T)]
+                         for m in modes]
+           for rid in rids for link in links}
+    rho = {rid: f"rho_{rt[rid]}" for rid in rids}
+    overlaps = []
+    for r1 in rids:
+        for r2 in rids:
+            if r1 == r2:
+                continue
+            for link in links:
+                pre = f"_{rt[r1]}_{rt[r2]}_{et[link]}_m"
+                for m1 in modes:
+                    for m2 in modes:
+                        if m1 != m2:
+                            overlaps.append((r1, r2, link, m1, m2, f"th{pre}{m1}_{m2}",
+                                             [f"b{pre}{m1}_{m2}_t{t}" for t in range(T)]))
+    cm, ca, u, w, v = {}, {}, {}, {}, {}
+    for key in lam:
+        tag = f"{rt[key[0]]}_{et[key[1]]}"
+        cm[key] = [[f"cm_{tag}_m{m}_t{tb}" for tb in range(T + 1)] for m in modes]
+        ca[key] = [f"ca_{tag}_t{tb}" for tb in range(T + 1)]
+        u[key] = [f"u_{tag}_t{t}" for t in range(T)]
+        w[key] = [f"w_{tag}_m{m}" for m in modes]
+        v[key] = f"v_{tag}"
+    return milp._Names(rt, nt, et, lam, rho, overlaps, cm, ca, u, w, v)
+
+
 class _Row(NamedTuple):
     """A constraint row with (coef, name) terms, as the renderer's oracle reads it."""
 
@@ -207,6 +246,10 @@ def _as_row(row):
 
 
 _EDGE = _Row("c", ((-0.0, "a"), (1e15, "b"), (-0.25, "c")), "<=", -0.0, "eq13")
+# a row whose names end at column 250 of its first line and of its second
+_AT_LIMIT = _Row("c", ((1.0, "x" * 244), (1.0, "z" * 243), (-2.0, "a")), "<=", 1.0, "eq9")
+# a name longer than an LP line
+_LONG = "y" * 300
 
 
 class TestCountFormulas:
@@ -305,6 +348,22 @@ class TestBuildModel:
             "$.topology.nodes[1].id", "$.topology.nodes[2].id"]
 
 
+def _in_order(names):
+    """names as plain lists: its dicts as lists of items, so that equal
+    results also declare their names in one order."""
+    return [list(x.items()) if isinstance(x, dict) else x for x in names]
+
+
+def test_name_table_matches_oracle():
+    """The name table is the oracle's, names and order, on the LP corpus,
+    fig2 and the long-id instance."""
+    instances = [*_lp_corpus(), ("fig2", fixture_instance("fig2")),
+                 ("long-ids", _long_id_instance())]
+    for label, inst in instances:
+        assert (_in_order(milp._name_table(inst))
+                == _in_order(_oracle_name_table(inst))), label
+
+
 class TestEmitLp:
     def test_golden_byte_for_byte(self, tmp_path, tiny):
         model = milp.build_model(tiny)
@@ -355,6 +414,21 @@ class TestEmitLp:
         b = milp.emit_lp(model, tmp_path / "b.lp")
         for pa, pb in zip(a, b):
             assert pa.read_text() == pb.read_text()
+
+    def test_rewrite_over_previous_files(self, tmp_path, tiny, two_request_200m):
+        """Emitting over existing files, longer or shorter than the new
+        text, leaves exactly the bytes a fresh emit writes."""
+        small, large = milp.build_model(tiny), milp.build_model(two_request_200m)
+        fresh = [p.read_bytes() for p in milp.emit_lp(small, tmp_path / "fresh.lp",
+                                                      phase1_value=5.0)]
+        for before in (large, small):
+            milp.emit_lp(before, tmp_path / "m.lp", phase1_value=5.0)
+            paths = milp.emit_lp(small, tmp_path / "m.lp", phase1_value=5.0)
+            assert [p.read_bytes() for p in paths] == fresh
+        (tmp_path / "m.phase1.lp").write_bytes(b"x" * 3 * len(fresh[0]))
+        (tmp_path / "m.phase2.lp").write_bytes(b"")
+        paths = milp.emit_lp(small, tmp_path / "m.lp", phase1_value=5.0)
+        assert [p.read_bytes() for p in paths] == fresh
 
     def test_phase2_pins_throughput(self, tmp_path, tiny):
         model = milp.build_model(tiny)
@@ -471,6 +545,15 @@ class TestRowRenderer:
                      [[_EDGE._replace(family="eq10")] * 2
                       + [_padded(_EDGE._replace(name="cap", family="eq10"), 260)]] * 3],
              objective=())
+    # a label, and a name first, in the middle and last, longer than a line
+    @example(blocks=[[[_EDGE._replace(name="L" * 260)]],
+                     [[_EDGE._replace(terms=((1.0, _LONG), *_EDGE.terms))]],
+                     [[_EDGE._replace(terms=(_EDGE.terms[0], (1.0, _LONG), *_EDGE.terms[1:]))]],
+                     [[_EDGE._replace(terms=(*_EDGE.terms, (1.0, _LONG)))]]],
+             objective=((-0.5, "o"), (1.0, _LONG)))
+    # names that end exactly at the line limit, in rows that go on past it
+    @example(blocks=[[[_AT_LIMIT]], [[_AT_LIMIT._replace(name="d"), _EDGE]] * 2],
+             objective=_AT_LIMIT.terms)
     def test_matches_previous_pipeline(self, blocks, objective):
         templates = milp._Templates()
         rows = [c for iterations in blocks for rows in iterations for c in rows]
@@ -486,6 +569,10 @@ class TestRowRenderer:
         assert all(len(r) == 2 for r in rows[4:])
         wrapped = _oracle_wrap(_oracle_row_body(_EDGE._replace(terms=((1.5, "x" * 30),) * 40)))
         assert len(wrapped) > 3
+        assert [len(line) for line in _oracle_wrap(_oracle_row_body(_AT_LIMIT))] == [250, 250, 13]
+        label = _oracle_wrap(_oracle_row_body(_EDGE._replace(name="L" * 260)))[0]
+        assert label == " " + "L" * 260 + ":"
+        assert _oracle_wrap(f"obj: 1 {_LONG}") == [" obj: 1", "   " + _LONG]
 
 
 class TestRecordsImmutable:

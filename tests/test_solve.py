@@ -1,9 +1,11 @@
+import builtins
 import copy
 import dataclasses
 import functools
 import hashlib
 import itertools
 import json
+import math
 import operator
 import random
 import threading
@@ -813,3 +815,53 @@ def test_thousand_request_instance_solves_without_recursion():
         checked = collapse_frame(inst) if solver == "baseline" else inst
         assert validate.check_schedule(checked, schedule).passed, solver
         assert schedule.assignments, solver
+
+
+def _two_route_instance() -> Instance:
+    """fig2's planner, modes, crosstalk and frame, with one 5 Gb/s request
+    from s to t over two routes: s-a-b-t on links of 0.1, 0.2 and 0.3 m,
+    and s-c-t on two of 0.3 m. Added left to right, the first route is
+    0.6000000000000001 m long; with compensated rounding it is 0.6 m, a
+    tie with the second."""
+    topo = Topology(tuple(NodeSpec(n, "edge") for n in "sabct"),
+                    (LinkSpec("s", "a", 0.1), LinkSpec("a", "b", 0.2), LinkSpec("b", "t", 0.3),
+                     LinkSpec("s", "c", 0.3), LinkSpec("c", "t", 0.3)))
+    return replace(fig2_fixture(), topology=topo, requests=(Request("r", "s", "t", 5.0),))
+
+
+def _plans(inst: Instance) -> list:
+    """inst's candidates and, per solver on a cold network cache, its
+    schedule, its check_schedule report and each accepted request's
+    crosstalk report."""
+    solve_mod._cache.network = None
+    out: list = [enumerate_candidates(inst.requests[0], inst, 4)]
+    for solver in solve_mod.SOLVERS:
+        solve_mod._cache.network = None
+        schedule = solve(inst, solver)
+        checked = collapse_frame(inst) if solver == "baseline" else inst
+        out += [schedule.to_json(), validate.check_schedule(checked, schedule),
+                [xtalk.accumulate_for_request(rid, schedule, checked)
+                 for rid in schedule.accepted_ids]]
+    return out
+
+
+@pytest.mark.parametrize("case", ["two-route", "fig2"])
+def test_plans_do_not_depend_on_how_sum_rounds(case, monkeypatch):
+    """From Python 3.12 the builtin sum of floats compensates its rounding.
+    With sum made to do so on any version, every solver's schedule, its
+    check and its crosstalk totals stay as they are."""
+    inst = _two_route_instance() if case == "two-route" else fig2_fixture()
+    plain = _plans(inst)
+    if case == "two-route":  # s-c-t is the shorter route
+        shorter = (("s", "c"), ("c", "t"))
+        assert plain[0][0].path == solve_greedy(inst).assignments[0].path == shorter
+    builtin_sum = sum
+
+    def compensated(values, start=0):
+        values = list(values)
+        if start == 0 and values and all(type(x) is float for x in values):
+            return math.fsum(values)
+        return builtin_sum(values, start)
+
+    monkeypatch.setattr(builtins, "sum", compensated)
+    assert _plans(inst) == plain
