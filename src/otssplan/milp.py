@@ -11,25 +11,35 @@ One name table (_name_table) owns the naming scheme; build_model and
 assignment_from_schedule both read it. Each request id, node id and link
 is sanitized to its LP tag a single time, and two ids that sanitize to
 the same tag raise ValidationError instead of silently merging in the
-LP. build_model keeps only the name table and the objectives. The
-constraints are a stream of stanza blocks (MilpModel.blocks): each hot
-loop of _blocks yields the same row shapes every time round, so one
-block is a stanza, the tuple of (family, coefs, sense, rhs) shapes one
-iteration yields, and args, one flat tuple per iteration of each row's
-label followed by its variable names. Every row of one shape shares one
-coefs tuple per pass (fig2's 62,900 rows have 22). MilpModel.rows
-flattens the blocks into columnar (name, coefs, names, sense, rhs,
-family) rows; an objective is (sense, name, coefs, names); the variables
-are a stream of names (MilpModel.variable_names). Each stream is audited
-against count_formulas when a pass over it ends. One routine,
-_render_blocks, renders every LP row (constraints, objectives, and the
-phase-2 fix_throughput row over the throughput objective's columns): each
-iteration of a block fills one %-template, family headers included, and
-a block with a row that might reach the line limit then wraps each line
-past it. emit_lp renders and encodes the block stream in one pass and
-writes those bytes into both phase files, over any previous files in
-place (_overwrite). paper-literal-db has no MILP
-until its eq11 row is derived.
+LP. A name of one link's variable is kept as a stem holding a
+placeholder (_AT) where the link's tag goes, once per request or request
+pair, not once per link. build_model keeps only the name table and the
+objectives. The constraints are a stream of stamped stanza blocks
+(MilpModel.blocks): each loop of _blocks yields the same row shapes
+every time round, so a block is a stanza, the tuple of (family, coefs,
+sense, rhs) shapes one iteration yields, args, one flat tuple per
+iteration of each row's label followed by its variable names, and tags.
+Rows that differ between links only in the link's tag are yielded once,
+in stems, and the block stands for one copy per link tag, in link
+order; eq3-eq6 are stamped the same way per slot or per mode and slot.
+Only eq2's flow rows and eq11 are written once (tags ("",)). Every row
+of one shape shares one coefs tuple per pass (fig2's 62,900 rows have
+22). MilpModel.rows expands the blocks into columnar (name, coefs,
+names, sense, rhs, family) rows, making each name once per tag; an
+objective is (sense, name, coefs, names); the variables are a stream of
+names (MilpModel.variable_names), stamped from the same stems. Each
+stream is audited against count_formulas when a pass over it ends, a
+block counting its rows once per tag. One routine, _render_blocks,
+renders every LP row (constraints, objectives, and the phase-2
+fix_throughput row over the throughput objective's columns): it fills a
+block's %-templates once, family headers included, then writes one copy
+of that text per tag with the tag joined in at each placeholder
+(_stamp). A line that might pass the line limit once stamped with the
+block's longest tag is wrapped after stamping, copy by copy. emit_lp
+renders and encodes the block stream in one pass, one chunk per block,
+and writes those chunks into both phase files, over any previous files
+in place (_overwrite). paper-literal-db has no MILP until its eq11 row
+is derived.
 """
 
 from __future__ import annotations
@@ -39,7 +49,7 @@ import re
 import stat
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import chain, groupby, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, NamedTuple, Optional
@@ -68,8 +78,9 @@ class Objective(NamedTuple):
 Row = tuple[str, tuple[float, ...], tuple[str, ...], str, float, str]
 # the row shapes one loop iteration yields, each (family, coefs, sense, rhs)
 Stanza = tuple[tuple[str, tuple[float, ...], str, float], ...]
-# a stanza and, per iteration, its fields: each row's label, then its names
-Block = tuple[Stanza, list[tuple[str, ...]]]
+# a stanza, per iteration its fields (each row's label, then its names),
+# and the tags the iterations are stamped with, one copy per tag
+Block = tuple[Stanza, list[tuple[str, ...]], tuple[str, ...]]
 
 _NON_ALNUM = re.compile(r"[^A-Za-z0-9]")
 
@@ -102,19 +113,19 @@ def _tag_table(ids, where: str, prefix: str) -> dict[str, str]:
 
 class _Names(NamedTuple):
     """Every name of one instance's model, each id sanitized once: the tags
-    rt (request id), nt (node id) and et (link), and the variable names
-    lam[rid, link][m][t], rho[rid], cm[rid, link][m][tb], ca[rid, link][tb],
-    u[rid, link][t], w[rid, link][m] and v[rid, link]. overlaps lists
-    (r1, r2, link, m1, m2, theta, betas) per ordered request pair, link and
-    ordered mode pair. Iterating lam, rho, overlaps and then lam's keys for
-    cm..v gives the declaration order."""
+    rt (request id), nt (node id) and et (link), rho[rid], and the stems
+    of the per-link names, each holding _AT where its link's tag goes:
+    lam[rid][m][t], cm[rid][m][tb], ca[rid][tb], u[rid][t], w[rid][m] and
+    v[rid]. overlaps[r1, r2] lists (m1, m2, theta, betas) per ordered mode
+    pair of each ordered request pair. The declaration order is lam, rho,
+    overlaps, then cm..v per request, each per-link stem once per link."""
 
     rt: dict
     nt: dict
     et: dict
     lam: dict
     rho: dict
-    overlaps: list
+    overlaps: dict
     cm: dict
     ca: dict
     u: dict
@@ -122,44 +133,49 @@ class _Names(NamedTuple):
     v: dict
 
 
+# where a stamped name or label holds its tag (a link's, a slot's, or a
+# mode and slot's): no tag can hold it, and no name or label holds it twice
+_AT = "\0"
+# the tags of a block written once, with nothing stamped
+_UNSTAMPED = ("",)
+
+
+def _grow(tags) -> int:
+    """How many characters stamping one placeholder with tags adds at most."""
+    return max(max(map(len, tags)) - 1, 0)
+
+
 def _name_table(instance: Instance) -> _Names:
     """The names of instance's model; raises ValidationError when two
     request ids or two node ids sanitize to one tag."""
     rids = [r.id for r in instance.requests]
-    links = instance.topology.link_keys()
     modes = range(instance.mode_count)
     T = instance.slot_count
     rt = _tag_table(rids, "$.requests", "r")
     nt = _tag_table(instance.topology.node_ids(), "$.topology.nodes", "n")
-    et = {link: _link_tag(link) for link in links}
+    et = {link: _link_tag(link) for link in instance.topology.link_keys()}
     # each name is a shared prefix plus a suffix made once per table
     ms = [f"_m{m}" for m in modes]
     tbs = [f"_t{tb}" for tb in range(T + 1)]
     ts = tbs[:T]
     lam, cm, ca, u, w, v = {}, {}, {}, {}, {}, {}
     for rid in rids:
-        for link in links:
-            key, tag = (rid, link), f"_{rt[rid]}_{et[link]}"
-            lam[key] = [list(map(f"l{tag}{m}".__add__, ts)) for m in ms]
-            cm[key] = [list(map(f"cm{tag}{m}".__add__, tbs)) for m in ms]
-            ca[key] = list(map(f"ca{tag}".__add__, tbs))
-            u[key] = list(map(f"u{tag}".__add__, ts))
-            w[key] = list(map(f"w{tag}".__add__, ms))
-            v[key] = "v" + tag
+        tag = f"_{rt[rid]}_{_AT}"
+        lam[rid] = [list(map(f"l{tag}{m}".__add__, ts)) for m in ms]
+        cm[rid] = [list(map(f"cm{tag}{m}".__add__, tbs)) for m in ms]
+        ca[rid] = list(map(f"ca{tag}".__add__, tbs))
+        u[rid] = list(map(f"u{tag}".__add__, ts))
+        w[rid] = list(map(f"w{tag}".__add__, ms))
+        v[rid] = "v" + tag
     rho = {rid: f"rho_{rt[rid]}" for rid in rids}
-    overlaps = []
+    overlaps = {}
     for r1 in rids:
         for r2 in rids:
-            if r1 == r2:
-                continue
-            for link in links:
-                pre = f"_{rt[r1]}_{rt[r2]}_{et[link]}_m"
-                for m1 in modes:
-                    for m2 in modes:
-                        if m1 != m2:
-                            pair = pre + f"{m1}_{m2}"
-                            overlaps.append((r1, r2, link, m1, m2, "th" + pair,
-                                             list(map(f"b{pair}".__add__, ts))))
+            if r1 != r2:
+                pre = f"_{rt[r1]}_{rt[r2]}_{_AT}_m"
+                overlaps[r1, r2] = [(m1, m2, f"th{pre}{m1}_{m2}",
+                                     list(map(f"b{pre}{m1}_{m2}".__add__, ts)))
+                                    for m1 in modes for m2 in modes if m1 != m2]
     return _Names(rt, nt, et, lam, rho, overlaps, cm, ca, u, w, v)
 
 
@@ -234,13 +250,29 @@ def count_formulas(instance: Instance) -> dict:
 
 
 # the names of a model without requests: it declares nothing
-_NO_NAMES = _Names({}, {}, {}, {}, {}, [], {}, {}, {}, {}, {})
+_NO_NAMES = _Names({}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {})
 
 
 def _audit(what: str, seen, expected) -> None:
     """Raise AssertionError unless a finished pass saw what count_formulas expects."""
     if seen != expected:
         raise AssertionError(f"model {what} {seen} differ from count_formulas {expected}")
+
+
+def _stamped(stems, tag: str) -> list[str]:
+    return [stem.replace(_AT, tag) for stem in stems]
+
+
+class _TagMemo(dict):
+    """stem -> the name it stands for under one tag, each made once."""
+
+    def __init__(self, tag: str):
+        super().__init__()
+        self.tag = tag
+
+    def __missing__(self, stem: str) -> str:
+        name = self[stem] = stem.replace(_AT, self.tag)
+        return name
 
 
 @dataclass(frozen=True)
@@ -265,35 +297,52 @@ class MilpModel:
 
     def blocks(self) -> Iterator[Block]:
         seen = dict.fromkeys(FAMILY_NOTES, 0)
-        for stanza, args in _blocks(self.instance, self.names):
+        for stanza, args, tags in _blocks(self.instance, self.names):
             for family, *_ in stanza:
-                seen[family] += len(args)
-            yield stanza, args
+                seen[family] += len(args) * len(tags)
+            yield stanza, args, tags
         _audit("constraints per family", seen, count_formulas(self.instance)["constraints"])
 
     def rows(self) -> Iterator[Row]:
-        """The blocks, flattened to one row per stanza row and iteration."""
-        for stanza, args in self.blocks():
+        """The blocks, expanded to one row per copy, iteration and stanza
+        row. A variable name is made once per tag and shared by its rows."""
+        made: dict[str, _TagMemo] = {}
+        for stanza, args, tags in self.blocks():
             spans, i = [], 0
             for family, coefs, sense, rhs in stanza:
                 spans.append((i, i + 1, i + 1 + len(coefs), coefs, sense, rhs, family))
                 i += 1 + len(coefs)
-            for fields in args:
-                for i, j, k, coefs, sense, rhs, family in spans:
-                    yield fields[i], coefs, fields[j:k], sense, rhs, family
+            for tag in tags:
+                if tag not in made:
+                    made[tag] = _TagMemo(tag)
+                stamp = made[tag].__getitem__
+                for fields in args:
+                    for i, j, k, coefs, sense, rhs, family in spans:
+                        yield (fields[i].replace(_AT, tag), coefs, tuple(map(stamp, fields[j:k])),
+                               sense, rhs, family)
+
+    def _declared(self) -> Iterator[tuple[list[str], tuple[str, ...]]]:
+        """(stems, tags) per run of the binary variables in declaration
+        order, each stem declared once per tag; audited."""
+        t = self.names
+        tags = tuple(t.et.values())
+        runs = chain(
+            (([n for row in rows for n in row], tags) for rows in t.lam.values()),
+            [(list(t.rho.values()), _UNSTAMPED)],
+            (([n for *_, th, betas in pairs for n in (*betas, th)], tags)
+             for pairs in t.overlaps.values()),
+            (([*chain.from_iterable(t.cm[rid]), *t.ca[rid], *t.u[rid], *t.w[rid], t.v[rid]],
+              tags) for rid in t.lam))
+        seen = 0
+        for stems, run_tags in runs:
+            seen += len(stems) * len(run_tags)
+            yield stems, run_tags
+        _audit("variables", seen, count_formulas(self.instance)["total_variables"])
 
     def variable_names(self) -> Iterator[str]:
-        t = self.names
-        declared = chain(
-            (n for rows in t.lam.values() for row in rows for n in row),
-            t.rho.values(),
-            (n for *_, th, betas in t.overlaps for n in (*betas, th)),
-            (n for key in t.lam for n in (*(x for row in t.cm[key] for x in row),
-                                          *t.ca[key], *t.u[key], *t.w[key], t.v[key])))
-        seen = 0
-        for seen, name in enumerate(declared, 1):
-            yield name
-        _audit("variables", seen, count_formulas(self.instance)["total_variables"])
+        for stems, tags in self._declared():
+            for tag in tags:
+                yield from _stamped(stems, tag)
 
     @property
     def constraints(self) -> list[Row]:
@@ -323,7 +372,8 @@ def build_model(instance: Instance, max_variables: int = 2_000_000) -> MilpModel
     names = _name_table(instance) if instance.requests else _NO_NAMES
     bandwidths = tuple(r.bandwidth_gbps for r in instance.requests)
     rhos = tuple(names.rho.values())
-    lams = tuple(n for rows in names.lam.values() for row in rows for n in row)
+    lams = tuple(stem.replace(_AT, tag) for rows in names.lam.values()
+                 for tag in names.et.values() for row in rows for stem in row)
     obj_mode = instance.planner.objective_mode
     if obj_mode.kind == "lexicographic":
         objectives = (Objective("maximize", "throughput", bandwidths, rhos),
@@ -344,13 +394,17 @@ def build_model(instance: Instance, max_variables: int = 2_000_000) -> MilpModel
 
 def _blocks(instance: Instance, names: _Names) -> Iterator[Block]:
     """Every constraint row of instance's model, in declaration order, as
-    (stanza, args) blocks: a loop body that yields the same row shapes each
-    time round is one stanza, with one fields tuple per iteration. Rows of
-    one coefficient vector share one tuple, made once per pass."""
+    (stanza, args, tags) blocks: a loop body that yields the same row shapes
+    each time round is one stanza, with one fields tuple per iteration.
+    Rows that differ between links only in the link's tag are yielded once,
+    with _AT in that tag's place, and stand for one copy per link tag; so
+    are eq3/eq4 per slot and eq5/eq6 per mode and slot, whose rows differ
+    only in that suffix. eq2's flow rows and eq11 span links and slots, so
+    their blocks hold whole names and are written once. Rows of one
+    coefficient vector share one tuple, made once per pass."""
     if not instance.requests:
         return
     topo = instance.topology
-    links = topo.link_keys()
     modes = range(instance.mode_count)
     T = instance.slot_count
     slots = range(T)
@@ -361,6 +415,10 @@ def _blocks(instance: Instance, names: _Names) -> Iterator[Block]:
     # eq10's big-M must dominate the largest slot-unit demand
     big_m_cap = max(big_m, max(q.values()))
     rt, nt, et, lam, rho, overlaps, cm, ca, u, w, v = names
+    tags = tuple(et.values())
+    cell_tags = tuple(f"m{m}_t{t}" for m in modes for t in slots)
+    slot_tags = tuple(f"t{t}" for t in slots)
+    at_modes = [f"m{m}_{_AT}" for m in modes]
     shapes: dict[tuple[float, ...], tuple[float, ...]] = {}
 
     def shape(*coefs: float) -> tuple[float, ...]:  # the pass's one tuple equal to coefs
@@ -368,20 +426,22 @@ def _blocks(instance: Instance, names: _Names) -> Iterator[Block]:
 
     pair, triple = shape(1.0, -1.0), shape(1.0, -1.0, -1.0)
 
-    def flow(rid, out_node, in_node, ms, ts, *tail):
-        """(coefs, names): out_node's out-link lambdas at +1, in_node's in-link ones
-        at -1, then the (coef, name) tail."""
-        out = [lam[rid, l.key][m][t] for l in topo.out_links(out_node) for m in ms for t in ts]
-        inn = [lam[rid, l.key][m][t] for l in topo.in_links(in_node) for m in ms for t in ts]
+    def lams(rid, links, cells) -> list[str]:
+        """rid's lambda names on links, each link's named by cells."""
+        return [p + c for p in [f"l_{rt[rid]}_{et[l.key]}_" for l in links] for c in cells]
+
+    def flow(rid, out_node, in_node, cells, *tail):
+        """(coefs, names): rid's lambdas named by cells on out_node's out-links at +1,
+        then on in_node's in-links at -1, then the (coef, name) tail."""
+        out = lams(rid, topo.out_links(out_node), cells)
+        inn = lams(rid, topo.in_links(in_node), cells)
         return (shape(*[1.0] * len(out), *[-1.0] * len(inn), *[c for c, _ in tail]),
                 (*out, *inn, *[n for _, n in tail]))
 
-    def block(iterations: list[list[Row]]) -> Block:
-        """The block of iterations that each yield rows of the same shapes."""
-        stanza = tuple((family, coefs, sense, rhs)
-                       for _, coefs, _, sense, rhs, family in iterations[0])
-        return stanza, [tuple(chain.from_iterable((row[0], *row[2]) for row in rows))
-                        for rows in iterations]
+    def block(rows: list[Row], copies=_UNSTAMPED) -> Block:
+        """The block of one iteration yielding rows, stamped with copies."""
+        return (tuple((family, coefs, sense, rhs) for _, coefs, _, sense, rhs, family in rows),
+                [tuple(chain.from_iterable((row[0], *row[2]) for row in rows))], copies)
 
     def transitions(family: str) -> Stanza:
         """ind[tb] >= |seq[tb] - seq[tb-1]| for tb in 0..T, up then down,
@@ -406,42 +466,44 @@ def _blocks(instance: Instance, names: _Names) -> Iterator[Block]:
                            else ("<=", [(float(q[r.id]), rho[r.id])]) if node == r.destination
                            else ("=", []))
             rows.append((f"eq2_{rt[r.id]}_{nt[node]}",
-                         *flow(r.id, node, node, modes, slots, *tail), sense, 0.0, "eq2"))
-        yield block([rows])
-    yield ((("eq2", pair, "<=", 0.0),),
-           [(f"eq2_acc_{rt[rid]}_{et[link]}_m{m}_t{t}", lam[rid, link][m][t], rho[rid])
-            for rid in rids for link in links for m in modes for t in slots])
+                         *flow(r.id, node, node, cell_tags, *tail), sense, 0.0, "eq2"))
+        yield block(rows)
+    for rid in rids:
+        yield ((("eq2", pair, "<=", 0.0),),
+               [(f"eq2_acc_{rt[rid]}_{_AT}_m{m}_t{t}", lam[rid][m][t], rho[rid])
+                for m in modes for t in slots], tags)
 
-    # eq3/eq4: per-slot aggregate continuity; eq5/eq6: per-mode continuity
+    # eq3/eq4: per-slot aggregate continuity, one copy per slot; eq5/eq6:
+    # per-mode continuity, one copy per mode and slot
     for r in instance.requests:
         transit = [n for n in nodes if n not in (r.source, r.destination)]
-        yield block([[(f"eq3_{rt[r.id]}_t{t}",
-                       *flow(r.id, r.source, r.destination, modes, (t,)), "=", 0.0, "eq3")]
-                     for t in slots])
+        yield block([(f"eq3_{rt[r.id]}_{_AT}",
+                      *flow(r.id, r.source, r.destination, at_modes), "=", 0.0, "eq3")],
+                    slot_tags)
         if transit:
-            yield block([[(f"eq4_{rt[r.id]}_t{t}_{nt[node]}",
-                           *flow(r.id, node, node, modes, (t,)), "=", 0.0, "eq4")
-                          for node in transit] for t in slots])
-        yield block([[(f"eq5_{rt[r.id]}_m{m}_t{t}",
-                       *flow(r.id, r.source, r.destination, (m,), (t,)), "=", 0.0, "eq5")]
-                     for m in modes for t in slots])
+            yield block([(f"eq4_{rt[r.id]}_{_AT}_{nt[node]}",
+                          *flow(r.id, node, node, at_modes), "=", 0.0, "eq4")
+                         for node in transit], slot_tags)
+        yield block([(f"eq5_{rt[r.id]}_{_AT}",
+                      *flow(r.id, r.source, r.destination, (_AT,)), "=", 0.0, "eq5")],
+                    cell_tags)
         if transit:
-            yield block([[(f"eq6_{rt[r.id]}_m{m}_t{t}_{nt[node]}",
-                           *flow(r.id, node, node, (m,), (t,)), "=", 0.0, "eq6")
-                          for node in transit] for m in modes for t in slots])
+            yield block([(f"eq6_{rt[r.id]}_{_AT}_{nt[node]}",
+                          *flow(r.id, node, node, (_AT,)), "=", 0.0, "eq6")
+                         for node in transit], cell_tags)
 
     # eq7: each (link, mode, slot) cell used at most once
     yield ((("eq7", shape(*[1.0] * len(rids)), "<=", 1.0),),
-           [(f"eq7_{et[link]}_m{m}_t{t}", *[lam[rid, link][m][t] for rid in rids])
-            for link in links for m in modes for t in slots])
+           [(f"eq7_{_AT}_m{m}_t{t}", *[lam[rid][m][t] for rid in rids])
+            for m in modes for t in slots], tags)
 
     # eq8: contiguity via transition indicators with virtual zero slots at
     # both frame boundaries; at most 2 transitions = one contiguous block
     sum_tb = shape(*[1.0] * (T + 1))
-    yield ((*transitions("eq8"), ("eq8", sum_tb, "<=", 2.0)),
-           [(*transition_fields("eq8", cm[rid, link][m], lam[rid, link][m]),
-             f"eq8_sum_{rt[rid]}_{et[link]}_m{m}", *cm[rid, link][m])
-            for rid in rids for link in links for m in modes])
+    eq8 = (*transitions("eq8"), ("eq8", sum_tb, "<=", 2.0))
+    for rid in rids:
+        yield eq8, [(*transition_fields("eq8", cm[rid][m], lam[rid][m]),
+                     f"eq8_sum_{rt[rid]}_{_AT}_m{m}", *cm[rid][m]) for m in modes], tags
 
     # eq9: aggregate occupancy indicator u, its contiguity, and mode-pattern
     # equality for modes the request uses; lambda >= u - (1 - w): a used mode
@@ -451,23 +513,20 @@ def _blocks(instance: Instance, names: _Names) -> Iterator[Block]:
            * T,
            *transitions("eq9"), ("eq9", sum_tb, "<=", 2.0),
            *(("eq9", pair, "<=", 0.0), ("eq9", triple, ">=", -1.0)) * (len(modes) * T))
-    args = []
     for rid in rids:
-        for link in links:
-            ls, us, ws = lam[rid, link], u[rid, link], w[rid, link]
-            fields = []
-            for t in slots:
-                for m in modes:
-                    fields += (f"eq9_uup_{us[t]}_m{m}", ls[m][t], us[t])
-                fields += (f"eq9_udn_{us[t]}", us[t], *[ls[m][t] for m in modes])
-            fields += transition_fields("eq9", ca[rid, link], us)
-            fields += (f"eq9_sum_{rt[rid]}_{et[link]}", *ca[rid, link])
+        ls, us, ws = lam[rid], u[rid], w[rid]
+        fields = []
+        for t in slots:
             for m in modes:
-                for t in slots:
-                    fields += (f"eq9_wub_{ws[m]}_t{t}", ls[m][t], ws[m],
-                               f"eq9_wlb_{ws[m]}_t{t}", ls[m][t], us[t], ws[m])
-            args.append(tuple(fields))
-    yield eq9, args
+                fields += (f"eq9_uup_{us[t]}_m{m}", ls[m][t], us[t])
+            fields += (f"eq9_udn_{us[t]}", us[t], *[ls[m][t] for m in modes])
+        fields += transition_fields("eq9", ca[rid], us)
+        fields += (f"eq9_sum_{rt[rid]}_{_AT}", *ca[rid])
+        for m in modes:
+            for t in slots:
+                fields += (f"eq9_wub_{ws[m]}_t{t}", ls[m][t], ws[m],
+                           f"eq9_wlb_{ws[m]}_t{t}", ls[m][t], us[t], ws[m])
+        yield eq9, [tuple(fields)], tags
 
     # eq10: if a request uses a link, the supplied cells cover its demand
     one_less_cells = shape(1.0, *[-1.0] * (len(modes) * T))
@@ -476,45 +535,45 @@ def _blocks(instance: Instance, names: _Names) -> Iterator[Block]:
         eq10 = (*(("eq10", pair, "<=", 0.0),) * (len(modes) * T),
                 ("eq10", one_less_cells, "<=", 0.0),
                 ("eq10", cells_less_cap, ">=", float(q[r.id]) - big_m_cap))
-        args = []
-        for link in links:
-            vn = v[r.id, link]
-            cells = [n for row in lam[r.id, link] for n in row]
-            fields = []
-            for m in modes:
-                for t in slots:
-                    fields += (f"eq10_vup_{vn}_m{m}_t{t}", lam[r.id, link][m][t], vn)
-            args.append((*fields, f"eq10_vdn_{vn}", vn, *cells, f"eq10_cap_{vn}", *cells, vn))
-        yield eq10, args
+        vn = v[r.id]
+        cells = [n for row in lam[r.id] for n in row]
+        fields = []
+        for m in modes:
+            for t in slots:
+                fields += (f"eq10_vup_{vn}_m{m}_t{t}", lam[r.id][m][t], vn)
+        yield eq10, [(*fields, f"eq10_vdn_{vn}", vn, *cells, f"eq10_cap_{vn}", *cells, vn)], tags
 
     # eq11: accumulated crosstalk budget per protected request, with
     # coefficients and threshold in the configured accumulation model's
     # additive domain
     acc = instance.planner.accumulation_model
     threshold = xtalk.threshold_in_domain(instance.planner.xt_threshold_db, acc)
-    coef = {(l.key, m1, m2): xtalk.pairwise_contribution(
-                instance.crosstalk, m2, m1, l.length_m, acc)
-            for l in topo.links for m1 in modes for m2 in modes if m1 != m2}
-    budget = {rid: ([], []) for rid in rids}  # (coefs, theta names) per victim
-    for r1, _, link, m1, m2, th, _ in overlaps:
-        budget[r1][0].append(coef[link, m1, m2])
-        budget[r1][1].append(th)
+    mode_pairs = [(m1, m2) for m1 in modes for m2 in modes if m1 != m2]  # the name table's order
+    coef = {l.key: [xtalk.pairwise_contribution(instance.crosstalk, m2, m1, l.length_m, acc)
+                    for m1, m2 in mode_pairs] for l in topo.links}
     for rid in rids:
-        coefs, ths = budget[rid]
-        yield block([[(f"eq11_{rt[rid]}", shape(*coefs), tuple(ths), "<=", threshold, "eq11")]])
+        coefs, ths = [], []  # per aggressor, link and mode pair: the victim rid's thetas
+        for (r1, _), pairs in overlaps.items():
+            if r1 == rid:
+                for link, tag in et.items():
+                    coefs += coef[link]
+                    ths += [th.replace(_AT, tag) for _, _, th, _ in pairs]
+        yield block([(f"eq11_{rt[rid]}", shape(*coefs), tuple(ths), "<=", threshold, "eq11")])
 
     # eq12-eq15: beta = AND of the two occupancies; theta = OR over slots
     lo, hi = shape(*[1.0 / big_m] * T, -1.0), shape(1.0, *[-1.0] * T)
     both = shape(1.0, 1.0, -1.0)
-    args = []
-    for r1, r2, link, m1, m2, th, betas in overlaps:
-        fields = [f"eq12_lo_{th}", *betas, th, f"eq12_hi_{th}", th, *betas]
-        for b, l1, l2 in zip(betas, lam[r1, link][m1], lam[r2, link][m2]):
-            fields += (f"eq13_{b}", l1, l2, b, f"eq14_{b}", b, l1, f"eq15_{b}", b, l2)
-        args.append(tuple(fields))
-    yield ((("eq12", lo, "<=", 0.0), ("eq12", hi, "<=", 0.0),
+    eq12 = (("eq12", lo, "<=", 0.0), ("eq12", hi, "<=", 0.0),
             *(("eq13", both, "<=", 1.0), ("eq14", pair, "<=", 0.0), ("eq15", pair, "<=", 0.0))
-            * T), args)
+            * T)
+    for (r1, r2), pairs in overlaps.items():
+        args = []
+        for m1, m2, th, betas in pairs:
+            fields = [f"eq12_lo_{th}", *betas, th, f"eq12_hi_{th}", th, *betas]
+            for b, l1, l2 in zip(betas, lam[r1][m1], lam[r2][m2]):
+                fields += (f"eq13_{b}", l1, l2, b, f"eq14_{b}", b, l1, f"eq15_{b}", b, l2)
+            args.append(tuple(fields))
+        yield eq12, args, tags
 
 
 # --- LP text emission -----------------------------------------------------
@@ -559,10 +618,9 @@ def _wrap(body: str) -> str:
     return " " + "\n   ".join(lines) + "\n"
 
 
-def _fit(text: str) -> str:
-    """text, whole lines, with each line past 250 characters wrapped."""
-    return "".join(line + "\n" if len(line) <= 250 else _wrap(line[1:])
-                   for line in text[:-1].split("\n"))
+def _header(family) -> str:
+    note = FAMILY_NOTES.get(family, "")
+    return f"\\ {family}: {note}\n" if note else f"\\ {family}\n"
 
 
 def _stanza_template(templates: _Templates, stanza: Stanza, family,
@@ -573,8 +631,7 @@ def _stanza_template(templates: _Templates, stanza: Stanza, family,
     parts, long = [], False
     for fam, coefs, sense, rhs in stanza:
         if fam != family:
-            note = FAMILY_NOTES.get(fam, "")
-            parts.append((f"\\ {fam}: {note}\n" if note else f"\\ {fam}\n").replace("%", "%%"))
+            parts.append(_header(fam).replace("%", "%%"))
             family = fam
         template = templates[coefs, sense, rhs]
         parts.append(template)
@@ -592,26 +649,55 @@ def _longest_label(stanza: Stanza, args) -> int:
     return max(map(len, labels if len(offsets) == 1 else chain.from_iterable(labels)))
 
 
-def _render_blocks(templates: _Templates, blocks, longest_name: int) -> tuple[bytes, bool]:
-    """The encoded LP text of blocks, whose names are at most longest_name
-    characters, and whether any row has no terms (so reads `0 dummy_zero`).
-    Each family run is under its header (a row of family None has none). A
-    block fills one template for its first iteration and one for the rest,
-    then wraps the lines past the limit if a row might reach it with the
-    block's longest label and names of longest_name characters."""
+def _stamp(text: str, tags, lead: str = "", again: str = "",
+           grow: Optional[int] = None) -> bytes:
+    """text once per tag, with the tag in place of each placeholder,
+    encoded: lead before the first copy and again before each later one.
+    With grow, a line that might pass the line limit once each placeholder
+    in it grows by grow characters is wrapped after stamping; the other
+    lines are cut at their placeholders once and joined with each tag."""
+    if grow is None:
+        runs = [text.encode().split(b"\0")]
+    else:  # the byte pieces of each run of short lines, or a long line's body
+        runs = []
+        for long, lines in groupby(text[:-1].split("\n"),
+                                   lambda line: len(line) + line.count(_AT) * grow > 250):
+            runs += ([line[1:] for line in lines] if long
+                     else ["".join(line + "\n" for line in lines).encode().split(b"\0")])
+    out = []
+    for tag, before in zip(tags, chain((lead,), repeat(again))):
+        btag = tag.encode()
+        out.append(before.encode())
+        out += [btag.join(run) if isinstance(run, list) else _wrap(run.replace(_AT, tag)).encode()
+                for run in runs]
+    return b"".join(out)
+
+
+def _render_blocks(templates: _Templates, blocks,
+                   longest_name: int) -> tuple[list[bytes], bool]:
+    """The encoded LP text of blocks, as chunks, whose names are at most
+    longest_name characters once stamped, and whether any row has no terms
+    (so reads `0 dummy_zero`). Each family run is under its header (a row
+    of family None has none). A block is filled once, one template per
+    iteration, and then stamped once per tag; if a row might reach the line
+    limit with the block's longest label and names of longest_name
+    characters, the lines that might are wrapped once stamped."""
     out, family, empty = [], None, False
-    for stanza, args in blocks:
-        if not args or not stanza:
+    for stanza, args, tags in blocks:
+        if not (args and stanza and tags):
             continue
-        longest = max(longest_name, _longest_label(stanza, args))
-        first, long = _stanza_template(templates, stanza, family, longest)
-        family = stanza[-1][0]
-        rest, _ = _stanza_template(templates, stanza, family, longest)
-        texts = chain((first % args[0],), map(rest.__mod__, islice(args, 1, None)))
-        out.extend(map(str.encode, map(_fit, texts) if long else texts))
+        grow = _grow(tags)
+        longest = max(longest_name, _longest_label(stanza, args) + grow)
+        start, end = stanza[0][0], stanza[-1][0]
+        body, long = _stanza_template(templates, stanza, start, longest)
+        rest, _ = _stanza_template(templates, stanza, end, longest)
+        text = "".join(chain((body % args[0],), map(rest.__mod__, islice(args, 1, None))))
+        lead, again = (_header(start) if fam != start else "" for fam in (family, end))
+        out.append(_stamp(text, tags, lead, again, grow if long else None))
+        family = end
         empty = empty or not all(coefs for _, coefs, _, _ in stanza)
     args = None  # the last block's fields need not outlive its text
-    return b"".join(out), empty
+    return out, empty
 
 
 def _overwrite(path: Path, parts: list[bytes]) -> None:
@@ -638,21 +724,23 @@ def emit_lp(model: MilpModel, destination: str | Path,
     """
     destination = Path(destination)
     templates = _Templates()
-    variables = list(model.variable_names())
-    longest = max(map(len, variables), default=0)
+    binaries, longest = [], 0
+    for stems, tags in model._declared():
+        if stems and tags:
+            longest = max(longest, max(map(len, stems)) + _grow(tags))
+            binaries.append(_stamp(" " + "\n ".join(stems) + "\n", tags))
     block, block_empty = _render_blocks(templates, model.blocks(), longest)
-    binaries = (" " + "\n ".join(variables) + "\n").encode() if variables else b""
 
     def write(path: Path, objective: Objective, lead: list[Block]) -> Path:
         sense = "Maximize" if objective.sense == "maximize" else "Minimize"
         obj, obj_empty = _render_blocks(
-            templates, [(((None, objective.coefs, None, None),), [("obj", *objective.names)])],
-            longest)
+            templates, [(((None, objective.coefs, None, None),), [("obj", *objective.names)],
+                         _UNSTAMPED)], longest)
         lead_text, lead_empty = _render_blocks(templates, lead, longest)
         bounds = " dummy_zero = 0\n" if obj_empty or block_empty or lead_empty else ""
         head = f"\\ LP model written by otssplan\n{sense}\n".encode()
-        _overwrite(path, [head, obj, b"Subject To\n", lead_text, block,
-                          f"Bounds\n{bounds}Binary\n".encode(), binaries, b"End\n"])
+        _overwrite(path, [head, *obj, b"Subject To\n", *lead_text, *block,
+                          f"Bounds\n{bounds}Binary\n".encode(), *binaries, b"End\n"])
         return path
 
     if not model.two_phase:
@@ -660,7 +748,8 @@ def emit_lp(model: MilpModel, destination: str | Path,
     stem = destination.with_suffix("") if destination.suffix == ".lp" else destination
     throughput = model.objectives[0]
     pin = 0.0 if phase1_value is None else float(phase1_value)
-    fix = ((("fix", throughput.coefs, ">=", pin),), [("fix_throughput", *throughput.names)])
+    fix = ((("fix", throughput.coefs, ">=", pin),), [("fix_throughput", *throughput.names)],
+           _UNSTAMPED)
     return [write(stem.with_name(stem.name + ".phase1.lp"), model.objectives[0], []),
             write(stem.with_name(stem.name + ".phase2.lp"), model.objectives[1], [fix])]
 
@@ -690,22 +779,24 @@ def assignment_from_schedule(instance: Instance, schedule) -> dict[str, float]:
     for rid, name in names.rho.items():
         values[name] = 1.0 if schedule.assignment(rid) is not None else 0.0
     grid = {}  # (rid, link) -> lambda values [m][t]
-    for key, lam in names.lam.items():
-        rid, link = key
-        grid[key] = rows = [[1.0 if (link, m, t) in cells[rid] else 0.0 for t in slots]
-                            for m in modes]
-        used = [max(col) for col in zip(*rows)]
-        for name_row, row, cm_row in zip(lam, rows, names.cm[key]):
-            values.update(zip(name_row, row))
-            values.update(zip(cm_row, _changes(row)))
-        values.update(zip(names.u[key], used))
-        values.update(zip(names.w[key], map(max, rows)))
-        values.update(zip(names.ca[key], _changes(used)))
-        values[names.v[key]] = max(used)
-    for r1, r2, link, m1, m2, th, betas in names.overlaps:
-        both = [a * b for a, b in zip(grid[r1, link][m1], grid[r2, link][m2])]
-        values.update(zip(betas, both))
-        values[th] = max(both)
+    for rid, lam in names.lam.items():
+        for link, tag in names.et.items():
+            grid[rid, link] = rows = [[1.0 if (link, m, t) in cells[rid] else 0.0 for t in slots]
+                                      for m in modes]
+            used = [max(col) for col in zip(*rows)]
+            for name_row, row, cm_row in zip(lam, rows, names.cm[rid]):
+                values.update(zip(_stamped(name_row, tag), row))
+                values.update(zip(_stamped(cm_row, tag), _changes(row)))
+            values.update(zip(_stamped(names.u[rid], tag), used))
+            values.update(zip(_stamped(names.w[rid], tag), map(max, rows)))
+            values.update(zip(_stamped(names.ca[rid], tag), _changes(used)))
+            values[names.v[rid].replace(_AT, tag)] = max(used)
+    for (r1, r2), pairs in names.overlaps.items():
+        for link, tag in names.et.items():
+            for m1, m2, th, betas in pairs:
+                both = [a * b for a, b in zip(grid[r1, link][m1], grid[r2, link][m2])]
+                values.update(zip(_stamped(betas, tag), both))
+                values[th.replace(_AT, tag)] = max(both)
     return values
 
 

@@ -91,18 +91,6 @@ def pairwise_contribution(matrix: CrosstalkMatrix, aggressor_mode: int, victim_m
     return coupled_power_ratio(model.h, length_m) * rel
 
 
-def combine_contributions(contributions: list[float], model: AccumulationModel) -> float:
-    """Total in dB from additive-domain contributions; -inf when empty."""
-    if not contributions:
-        return NO_CROSSTALK_DB
-    total = left_sum(contributions)
-    if model.variant == "paper-literal-db":
-        return total
-    if total <= 0:
-        return NO_CROSSTALK_DB
-    return 10.0 * math.log10(total)
-
-
 def threshold_in_domain(threshold_db: float, model: AccumulationModel) -> float:
     """The crosstalk threshold expressed in the model's additive domain."""
     if model.variant == "paper-literal-db":
@@ -169,9 +157,11 @@ def accumulate_for_request(victim_request: str, schedule, instance: Instance) ->
             terms.append(CrosstalkTerm(link=link, aggressor_request=other.request_id,
                                        aggressor_mode=m_a, victim_mode=m_v,
                                        contribution_db=contribution_db(c, model)))
-    total_additive = left_sum(contributions) if contributions else None
-    total_db = combine_contributions(contributions, model)
+    if not contributions:
+        return CrosstalkReport(request_id=victim_request, total_db=NO_CROSSTALK_DB,
+                               feasible=True, terms=())
+    # the total of additive contributions is in dB the way one contribution is
+    total = left_sum(contributions)
     limit = feasibility_limit(instance.planner.xt_threshold_db, model)
-    feasible = total_additive is None or total_additive <= limit
-    return CrosstalkReport(request_id=victim_request, total_db=total_db,
-                           feasible=feasible, terms=tuple(terms))
+    return CrosstalkReport(request_id=victim_request, total_db=contribution_db(total, model),
+                           feasible=total <= limit, terms=tuple(terms))

@@ -213,30 +213,59 @@ def _iterations(draw):
     return iterations
 
 
-def _block(iterations):
-    """iterations (each a list of _Rows of one stanza) as a (stanza, args) block."""
+_STEMS = st.tuples(_NAMES, st.text("abcxyz019_", max_size=6)).map(
+    lambda parts: milp._AT.join(parts))
+_TAGS = st.lists(st.text("abcxyz019", min_size=1, max_size=60), min_size=1, max_size=3)
+
+
+@st.composite
+def _stamped_iterations(draw):
+    """One stamped block as its iterations, each drawn like _iterations'
+    but with a label and names that may hold the placeholder once."""
+    def stem():
+        return draw(st.one_of(_NAMES, _STEMS))
+
+    iterations = draw(_iterations())
+    return [[c._replace(name=stem(), terms=tuple((coef, stem()) for coef, _ in c.terms))
+             for c in rows] for rows in iterations]
+
+
+def _block(iterations, tags=milp._UNSTAMPED):
+    """iterations (each a list of _Rows of one stanza) as a (stanza, args,
+    tags) block."""
     stanza = tuple((c.family, _split(c.terms)[0], c.sense, c.rhs) for c in iterations[0])
     return stanza, [tuple(x for c in rows for x in (c.name, *_split(c.terms)[1]))
-                    for rows in iterations]
+                    for rows in iterations], tuple(tags)
 
 
-def _render(templates, blocks) -> tuple[str, bool]:
-    """milp._render_blocks of blocks given as iterations, decoded, with the
-    longest of their names as its name bound."""
-    names = [name for rows in chain.from_iterable(blocks) for c in rows for _, name in c.terms]
-    text, empty = milp._render_blocks(templates, [_block(b) for b in blocks],
-                                      max(map(len, names), default=0))
-    return text.decode(), empty
+def _render(templates, blocks, tags=None) -> tuple[str, bool]:
+    """milp._render_blocks of blocks given as iterations, each stamped with
+    its tags (none when tags is None), joined and decoded, with the longest
+    of their stamped names as its name bound."""
+    tags = tags or [milp._UNSTAMPED] * len(blocks)
+    names = [_stamped(name, tag) for b, ts in zip(blocks, tags) for tag in ts
+             for rows in b for c in rows for _, name in c.terms]
+    chunks, empty = milp._render_blocks(templates, list(map(_block, blocks, tags)),
+                                        max(map(len, names), default=0))
+    return b"".join(chunks).decode(), empty
 
 
-def _block_rows(stanza, args):
-    """The _Rows of a (stanza, args) block, iteration by iteration."""
-    for fields in args:
-        i = 0
-        for family, coefs, sense, rhs in stanza:
-            yield _Row(fields[i], tuple(zip(coefs, fields[i + 1:i + 1 + len(coefs)])),
-                       sense, rhs, family)
-            i += 1 + len(coefs)
+def _stamped_row(c, tag: str):
+    """_Row c with tag in place of the placeholder in its label and names."""
+    return c._replace(name=_stamped(c.name, tag),
+                      terms=tuple((coef, _stamped(name, tag)) for coef, name in c.terms))
+
+
+def _block_rows(stanza, args, tags):
+    """The _Rows of a (stanza, args, tags) block, copy by copy and iteration
+    by iteration."""
+    for tag in tags:
+        for fields in args:
+            i = 0
+            for family, coefs, sense, rhs in stanza:
+                terms = tuple(zip(coefs, fields[i + 1:i + 1 + len(coefs)]))
+                yield _stamped_row(_Row(fields[i], terms, sense, rhs, family), tag)
+                i += 1 + len(coefs)
 
 
 def _as_row(row):
@@ -354,14 +383,71 @@ def _in_order(names):
     return [list(x.items()) if isinstance(x, dict) else x for x in names]
 
 
+def _stamped(x, tag: str):
+    """x, a stem or a list of them, with tag in place of the placeholder."""
+    return x.replace(milp._AT, tag) if isinstance(x, str) else [_stamped(y, tag) for y in x]
+
+
+def _expanded(names):
+    """A name table of stems stamped into the oracle's layout: per-link names
+    keyed by (request id, link), overlaps one (r1, r2, link, m1, m2, theta,
+    betas) list, in declaration order."""
+    rt, nt, et, lam, rho, overlaps, cm, ca, u, w, v = names
+    per_link = [{(rid, link): _stamped(table[rid], tag) for rid in lam
+                 for link, tag in et.items()} for table in (lam, cm, ca, u, w, v)]
+    flat = [(r1, r2, link, m1, m2, _stamped(th, tag), _stamped(betas, tag))
+            for (r1, r2), pairs in overlaps.items() for link, tag in et.items()
+            for m1, m2, th, betas in pairs]
+    return milp._Names(rt, nt, et, per_link[0], rho, flat, *per_link[1:])
+
+
+def _stems(names):
+    """Every stem of a name table: the per-link names and the overlaps."""
+    _, _, _, lam, _, overlaps, cm, ca, u, w, v = names
+    for table in (lam, cm, ca, u, w, v):
+        for x in table.values():
+            yield from [x] if isinstance(x, str) else chain.from_iterable(
+                y if isinstance(y, list) else [y] for y in x)
+    for pairs in overlaps.values():
+        for *_, th, betas in pairs:
+            yield th
+            yield from betas
+
+
 def test_name_table_matches_oracle():
-    """The name table is the oracle's, names and order, on the LP corpus,
-    fig2 and the long-id instance."""
+    """The name table, its stems stamped with every link's tag, is the
+    oracle's, names and order, on the LP corpus, fig2 and the long-id
+    instance; every stem holds the placeholder once and rho none."""
     instances = [*_lp_corpus(), ("fig2", fixture_instance("fig2")),
                  ("long-ids", _long_id_instance())]
     for label, inst in instances:
-        assert (_in_order(milp._name_table(inst))
-                == _in_order(_oracle_name_table(inst))), label
+        names = milp._name_table(inst)
+        assert _in_order(_expanded(names)) == _in_order(_oracle_name_table(inst)), label
+        assert {stem.count(milp._AT) for stem in _stems(names)} == {1}, label
+        assert not any(milp._AT in name for name in names.rho.values()), label
+
+
+def test_each_field_holds_at_most_one_placeholder():
+    """The renderer's line bound adds one tag length per field, so no label
+    or name of a block holds the placeholder twice, and a field of an
+    unstamped block holds none."""
+    for label, inst in [*_lp_corpus(), ("fig2", fixture_instance("fig2"))]:
+        for stanza, args, tags in milp.build_model(inst).blocks():
+            counts = {field.count(milp._AT) for fields in args for field in fields}
+            assert counts <= ({0, 1} if tags != milp._UNSTAMPED else {0}), label
+
+
+def test_fig2_fills_each_stamped_row_once():
+    """On fig2 the blocks hold one row per 24 links of the 62,304 rows of
+    eq2's coupling, eq7-eq10 and eq12-eq15, plus at most the 596 rows of
+    eq2's flow rows, eq3-eq6 and eq11, which span links: the renderer fills
+    a per-link row once, not once per link."""
+    inst = fixture_instance("fig2")
+    assert len(inst.topology.links) == 24
+    blocks = list(milp.build_model(inst).blocks())
+    filled = sum(len(args) * len(stanza) for stanza, args, _ in blocks)
+    assert sum(len(args) for _, args, _ in blocks) <= filled <= -(-62_304 // 24) + 596
+    assert sum(len(args) * len(stanza) * len(tags) for stanza, args, tags in blocks) == 62_900
 
 
 class TestEmitLp:
@@ -445,12 +531,30 @@ class TestEmitLp:
 
     def test_line_width_cap_with_long_ids(self, tmp_path):
         model = milp.build_model(_long_id_instance())
-        multi = [row for stanza, args in model.blocks() if len(stanza) > 1
-                 for row in _block_rows(stanza, args)]
+        multi = [row for stanza, args, tags in model.blocks() if len(stanza) > 1
+                 for row in _block_rows(stanza, args, tags)]
         assert {row.family for row in multi} == {f"eq{k}" for k in (2, 8, 9, 10, 12, 13, 14, 15)}
         assert all(len(_oracle_row_body(row)) >= 250 for row in multi)
         for path in milp.emit_lp(model, tmp_path / "w.lp"):
             assert all(len(line) <= 250 for line in path.read_text().splitlines())
+
+    def test_link_tags_of_different_lengths(self, tmp_path):
+        """With a short and a long link tag, one link's copy of eq10's cap
+        row passes an LP line and the other's does not; the constraint block
+        is still the row oracle's and no line passes 250 characters."""
+        far = "far edge switch " + "f" * 60
+        topo = Topology((NodeSpec("a", "edge"), NodeSpec("b", "core"), NodeSpec(far, "edge")),
+                        (LinkSpec("a", "b", 100.0), LinkSpec("b", far, 100.0)))
+        inst = replace(two_request_200m_instance(), topology=topo,
+                       requests=tuple(Request(r, "a", far, 5.0) for r in ("ra", "rb")))
+        model = milp.build_model(inst)
+        caps = {row.name: len(_oracle_row_body(row)) for row in map(_as_row, model.rows())
+                if row.name.startswith("eq10_cap_v_rra_")}
+        assert sorted(caps.values())[0] < 250 < sorted(caps.values())[1]
+        text = milp.emit_lp(model, tmp_path / "m.lp")[0].read_text()
+        block = text[text.index("\nSubject To\n") + 12:text.rindex("\nBounds\n") + 1]
+        assert block == _oracle_render_constraints(map(_as_row, model.rows()))
+        assert all(len(line) <= 250 for line in text.splitlines())
 
     def test_constraint_block_matches_row_oracle(self, tmp_path):
         """The constraint block emit_lp writes is the row-at-a-time oracle's
@@ -467,9 +571,19 @@ class TestEmitLp:
 def _drop_an_iteration(blocks):
     """blocks without the second iteration of the first block whose stanza
     has more than one row."""
-    k = next(k for k, (stanza, args) in enumerate(blocks) if len(stanza) > 1 and len(args) > 1)
-    stanza, args = blocks[k]
-    return [*blocks[:k], (stanza, args[:1] + args[2:]), *blocks[k + 1:]]
+    k = next(k for k, (stanza, args, _) in enumerate(blocks)
+             if len(stanza) > 1 and len(args) > 1)
+    stanza, args, tags = blocks[k]
+    return [*blocks[:k], (stanza, args[:1] + args[2:], tags), *blocks[k + 1:]]
+
+
+def _change_copies(blocks, family: str, change):
+    """blocks with change applied to the tags of the first block of family,
+    which has more than one."""
+    k = next(k for k, (stanza, _, _) in enumerate(blocks) if stanza[0][0] == family)
+    stanza, args, tags = blocks[k]
+    assert len(tags) > 1
+    return [*blocks[:k], (stanza, args, change(tags)), *blocks[k + 1:]]
 
 
 class TestStreams:
@@ -493,8 +607,8 @@ class TestStreams:
         assert len(rows) == real(two_request_200m)["total_constraints"]
 
     @pytest.mark.parametrize("mutate", [
-        lambda blocks: blocks[:5] + blocks[6:],
-        lambda blocks: blocks[:6] + blocks[5:],
+        lambda blocks: blocks[:6] + blocks[7:],
+        lambda blocks: blocks[:7] + blocks[6:],
         lambda blocks: blocks[:-1],
         lambda blocks: blocks + blocks[-1:],
         lambda blocks: _drop_an_iteration(blocks),
@@ -503,10 +617,27 @@ class TestStreams:
                                                      monkeypatch, mutate):
         real = milp._blocks
         blocks = list(real(two_request_200m, milp.build_model(two_request_200m).names))
-        # the dropped and the repeated block are not empty
-        assert [len(args) for _, args in blocks[5:7]] == [4, 8]
+        # the dropped and the repeated block are the second request's eq3
+        # rows, and the next block its eq5 rows: neither is empty
+        assert [(stanza[0][0], len(args) * len(tags))
+                for stanza, args, tags in blocks[6:8]] == [("eq3", 4), ("eq5", 8)]
         monkeypatch.setattr(milp, "_blocks", lambda *args: iter(mutate(list(real(*args)))))
-        model = milp.build_model(two_request_200m)
+        self._assert_audit_raises(tmp_path, milp.build_model(two_request_200m))
+
+    @pytest.mark.parametrize("family", ["eq3", "eq7", "eq12"])
+    @pytest.mark.parametrize("change", [lambda tags: tags[1:], lambda tags: tags[:1] + tags],
+                             ids=["drop-copy", "repeat-copy"])
+    def test_audit_catches_a_dropped_or_repeated_copy(self, tmp_path, monkeypatch,
+                                                      family, change):
+        """Dropping or repeating one slot's or one link's copy of a stamped
+        block fails the audit (the long-id instance has two links)."""
+        real = milp._blocks
+        monkeypatch.setattr(milp, "_blocks", lambda *args: iter(
+            _change_copies(list(real(*args)), family, change)))
+        self._assert_audit_raises(tmp_path, milp.build_model(_long_id_instance()))
+
+    @staticmethod
+    def _assert_audit_raises(tmp_path, model):
         with pytest.raises(AssertionError, match="count_formulas"):
             milp.emit_lp(model, tmp_path / "m.lp")
         with pytest.raises(AssertionError, match="count_formulas"):
@@ -562,6 +693,25 @@ class TestRowRenderer:
         obj = _Row("obj", objective, None, None, None)
         assert (_render(templates, [[[obj]]])
                 == (_oracle_render_objective(objective), not objective))
+
+    @settings(max_examples=200, deadline=None)
+    @given(blocks=st.lists(st.tuples(st.one_of(_iterations(), _stamped_iterations()),
+                                     st.one_of(st.just(list(milp._UNSTAMPED)), _TAGS)),
+                           max_size=5))
+    # a row past the line limit with one tag and within it with another
+    @example(blocks=[([[_EDGE._replace(name="c" + milp._AT,
+                                       terms=tuple((k, n + milp._AT) for k, n in _EDGE.terms))]],
+                      ["x" * 60, "y", "z" * 80])])
+    # a row without terms whose label reaches the line limit only stamped
+    @example(blocks=[([[_Row("L" * 200 + milp._AT, (), "<=", 1.0, "eq2")]], ["x" * 60, "y"])])
+    def test_stamped_blocks_match_previous_pipeline(self, blocks):
+        """A block stamped with its tags writes the bytes of its rows, one
+        copy per tag, through the previous pipeline; rows without the
+        placeholder are copied as they are."""
+        rows = [_stamped_row(c, tag) for b, tags in blocks for tag in tags
+                for iteration in b for c in iteration]
+        assert _render(milp._Templates(), [b for b, _ in blocks], [ts for _, ts in blocks]) == (
+            _oracle_render_constraints(rows), any(not c.terms for c in rows))
 
     def test_examples_reach_the_line_limit(self):
         rows = [_oracle_wrap(_oracle_row_body(_padded(_EDGE, n))) for n in range(246, 255)]
