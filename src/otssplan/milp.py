@@ -34,12 +34,13 @@ renders every LP row (constraints, objectives, and the phase-2
 fix_throughput row over the throughput objective's columns): it fills a
 block's %-templates once, family headers included, then writes one copy
 of that text per tag with the tag joined in at each placeholder
-(_stamp). A line that might pass the line limit once stamped with the
-block's longest tag is wrapped after stamping, copy by copy. emit_lp
-renders and encodes the block stream in one pass, one chunk per block,
-and writes those chunks into both phase files, over any previous files
-in place (_overwrite). paper-literal-db has no MILP until its eq11 row
-is derived.
+(_stamp). A line that passes the line limit once stamped is wrapped
+once per tag width, before stamping, with each placeholder standing in
+as that many characters; no tag holds a space, so every tag of one width
+breaks it at the same places. emit_lp renders and encodes the block
+stream in one pass, one chunk per block, and writes those chunks into
+both phase files, over any previous files in place (_overwrite).
+paper-literal-db has no MILP until its eq11 row is derived.
 """
 
 from __future__ import annotations
@@ -49,8 +50,7 @@ import re
 import stat
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, groupby, islice, repeat
-from operator import itemgetter
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Iterator, NamedTuple, Optional
 
@@ -138,11 +138,6 @@ class _Names(NamedTuple):
 _AT = "\0"
 # the tags of a block written once, with nothing stamped
 _UNSTAMPED = ("",)
-
-
-def _grow(tags) -> int:
-    """How many characters stamping one placeholder with tags adds at most."""
-    return max(max(map(len, tags)) - 1, 0)
 
 
 def _name_table(instance: Instance) -> _Names:
@@ -623,77 +618,65 @@ def _header(family) -> str:
     return f"\\ {family}: {note}\n" if note else f"\\ {family}\n"
 
 
-def _stanza_template(templates: _Templates, stanza: Stanza, family,
-                     longest: int) -> tuple[str, bool]:
+def _stanza_template(templates: _Templates, stanza: Stanza, family) -> str:
     """The %-template of one iteration of stanza after a row of `family`,
-    family headers included, and whether a row of it might reach the line
-    limit when its fields are `longest` characters long."""
-    parts, long = [], False
+    family headers included."""
+    parts = []
     for fam, coefs, sense, rhs in stanza:
         if fam != family:
             parts.append(_header(fam).replace("%", "%%"))
             family = fam
-        template = templates[coefs, sense, rhs]
-        parts.append(template)
-        long = long or len(template) + (1 + len(coefs)) * (longest - 2) > 251
-    return "".join(parts), long
+        parts.append(templates[coefs, sense, rhs])
+    return "".join(parts)
 
 
-def _longest_label(stanza: Stanza, args) -> int:
-    """The length of the longest row label in args, each stanza row's first field."""
-    offsets, i = [], 0
-    for _, coefs, _, _ in stanza:
-        offsets.append(i)
-        i += 1 + len(coefs)
-    labels = map(itemgetter(*offsets), args)
-    return max(map(len, labels if len(offsets) == 1 else chain.from_iterable(labels)))
+def _wrapped(text: str, width: int) -> str:
+    """text with each line that passes the line limit once its placeholders
+    hold tags of `width` characters wrapped, the placeholders kept. While
+    a line is wrapped each placeholder stands in as `width` non-space
+    characters; tags hold no space, so every tag of one width breaks the
+    line at the same places. Width 0 is the empty tag: a wrapped line drops
+    its placeholders."""
+    lines = text.split("\n")
+    fill = _AT * width
+    for k, line in enumerate(lines):
+        if len(line) + line.count(_AT) * (width - 1) > 250:
+            line = _wrap(line[1:].replace(_AT, fill))[:-1]
+            lines[k] = line.replace(fill, _AT) if width else line
+    return "\n".join(lines)
 
 
-def _stamp(text: str, tags, lead: str = "", again: str = "",
-           grow: Optional[int] = None) -> bytes:
+def _stamp(text: str, tags, lead: str = "", again: str = "") -> bytes:
     """text once per tag, with the tag in place of each placeholder,
     encoded: lead before the first copy and again before each later one.
-    With grow, a line that might pass the line limit once each placeholder
-    in it grows by grow characters is wrapped after stamping; the other
-    lines are cut at their placeholders once and joined with each tag."""
-    if grow is None:
-        runs = [text.encode().split(b"\0")]
-    else:  # the byte pieces of each run of short lines, or a long line's body
-        runs = []
-        for long, lines in groupby(text[:-1].split("\n"),
-                                   lambda line: len(line) + line.count(_AT) * grow > 250):
-            runs += ([line[1:] for line in lines] if long
-                     else ["".join(line + "\n" for line in lines).encode().split(b"\0")])
+    The text is wrapped once per tag width (_wrapped) and cut at its
+    placeholders, and each tag of that width joins the pieces."""
+    pieces: dict[int, list[bytes]] = {}
     out = []
     for tag, before in zip(tags, chain((lead,), repeat(again))):
-        btag = tag.encode()
-        out.append(before.encode())
-        out += [btag.join(run) if isinstance(run, list) else _wrap(run.replace(_AT, tag)).encode()
-                for run in runs]
+        width = len(tag)
+        if width not in pieces:
+            pieces[width] = _wrapped(text, width).encode().split(b"\0")
+        out += (before.encode(), tag.encode().join(pieces[width]))
     return b"".join(out)
 
 
-def _render_blocks(templates: _Templates, blocks,
-                   longest_name: int) -> tuple[list[bytes], bool]:
-    """The encoded LP text of blocks, as chunks, whose names are at most
-    longest_name characters once stamped, and whether any row has no terms
-    (so reads `0 dummy_zero`). Each family run is under its header (a row
-    of family None has none). A block is filled once, one template per
-    iteration, and then stamped once per tag; if a row might reach the line
-    limit with the block's longest label and names of longest_name
-    characters, the lines that might are wrapped once stamped."""
+def _render_blocks(templates: _Templates, blocks) -> tuple[list[bytes], bool]:
+    """The encoded LP text of blocks, as chunks, and whether any row has no
+    terms (so reads `0 dummy_zero`). Each family run is under its header (a
+    row of family None has none). A block is filled once, one template per
+    iteration, and then stamped once per tag (_stamp), its long lines
+    wrapped once per tag width."""
     out, family, empty = [], None, False
     for stanza, args, tags in blocks:
         if not (args and stanza and tags):
             continue
-        grow = _grow(tags)
-        longest = max(longest_name, _longest_label(stanza, args) + grow)
         start, end = stanza[0][0], stanza[-1][0]
-        body, long = _stanza_template(templates, stanza, start, longest)
-        rest, _ = _stanza_template(templates, stanza, end, longest)
+        body = _stanza_template(templates, stanza, start)
+        rest = _stanza_template(templates, stanza, end)
         text = "".join(chain((body % args[0],), map(rest.__mod__, islice(args, 1, None))))
         lead, again = (_header(start) if fam != start else "" for fam in (family, end))
-        out.append(_stamp(text, tags, lead, again, grow if long else None))
+        out.append(_stamp(text, tags, lead, again))
         family = end
         empty = empty or not all(coefs for _, coefs, _, _ in stanza)
     args = None  # the last block's fields need not outlive its text
@@ -724,19 +707,16 @@ def emit_lp(model: MilpModel, destination: str | Path,
     """
     destination = Path(destination)
     templates = _Templates()
-    binaries, longest = [], 0
-    for stems, tags in model._declared():
-        if stems and tags:
-            longest = max(longest, max(map(len, stems)) + _grow(tags))
-            binaries.append(_stamp(" " + "\n ".join(stems) + "\n", tags))
-    block, block_empty = _render_blocks(templates, model.blocks(), longest)
+    binaries = [_stamp(" " + "\n ".join(stems) + "\n", tags)
+                for stems, tags in model._declared() if stems and tags]
+    block, block_empty = _render_blocks(templates, model.blocks())
 
     def write(path: Path, objective: Objective, lead: list[Block]) -> Path:
         sense = "Maximize" if objective.sense == "maximize" else "Minimize"
         obj, obj_empty = _render_blocks(
             templates, [(((None, objective.coefs, None, None),), [("obj", *objective.names)],
-                         _UNSTAMPED)], longest)
-        lead_text, lead_empty = _render_blocks(templates, lead, longest)
+                         _UNSTAMPED)])
+        lead_text, lead_empty = _render_blocks(templates, lead)
         bounds = " dummy_zero = 0\n" if obj_empty or block_empty or lead_empty else ""
         head = f"\\ LP model written by otssplan\n{sense}\n".encode()
         _overwrite(path, [head, *obj, b"Subject To\n", *lead_text, *block,

@@ -3,30 +3,23 @@ conventional one-slot baseline.
 
 The search is over per-request atomic candidates (path, mode set,
 contiguous slot interval), so path continuity, contiguity, and cross-mode
-slot equality hold by construction. Everything a search reads but never
-changes (link index, crosstalk coefficient table, threshold limit,
-geometries, pair-term memo, and each (source, destination, slot units)
-group's placements) lives in one `_Tables` per slot grid and solve
-options. Routes and tables depend on the network, not on the traffic, so
-each thread keeps them for the network its last solve ran on, keyed by
-the `Topology` value (nodes and links: an equal topology, whatever object
-it is or wherever it was read from, finds them), and a solve on another
-network replaces them. Yen runs once per (network, source, destination,
-k), the collapsed-frame baseline shares the routes, and every solve of an
-instance, of its `with_requests` copies and of every instance loaded on
-an equal network shares the tables. A group is built once, eagerly, from
-routes x shapes straight into placements, with its footprint, the OR of
-their occupancy masks; a solve's own `_SearchState` holds only what it
-has committed. Slot exclusivity is one int bitmask over (link, mode,
-slot) cells. Crosstalk terms come from the per-link coefficient table in
-`xtalk.overlap_terms` order, memoized per pair of (path, modes)
-geometries, so totals and prune decisions are bit-identical to summing
-`xtalk.pairwise_contribution`. The network bounds the groups and
-geometries; the memos that grow with the traffic planned, each route's
-free placements per occupancy and the pair terms, are emptied when a
-solve starts with more than _MEMO_ENTRIES_KEPT of them. No solve writes
-anything else to the tables, and a solve in another thread uses that
-thread's own cache.
+slot equality hold by construction. What a search reads and the network
+bounds (link index, crosstalk coefficients, threshold limit, geometries,
+per-link terms per pair of mode sets, and each (source, destination,
+slot units) group's placements) lives in one `_Tables` per slot grid and
+solve options. Each thread keeps the routes and tables of the network
+its last solve ran on, keyed by the `Topology` value (an equal topology,
+whatever object it is, finds them); a solve on another network replaces
+them. So Yen runs once per (network, source, destination, k), and every
+solve on an equal network shares the tables. A group is built once,
+eagerly, from routes x shapes straight into placements, with its
+footprint, the OR of their occupancy masks. Slot exclusivity is one int
+bitmask over (link, mode, slot) cells. What depends on the traffic lives
+in the solve's own `_SearchState` and ends with it: its commits and its
+memos of free placements and of pair terms. A pair of (path, modes)
+geometries takes its terms from the per-link table in
+`xtalk.overlap_terms` order, so totals and prune decisions are
+bit-identical to summing `xtalk.pairwise_contribution`.
 
 One routine, `_branch`, searches for every solver: a depth-first
 branch-and-bound whose path is a stack of frames, one per committed
@@ -38,7 +31,7 @@ budget applies; baseline is exact on the collapsed frame. At a node the
 search takes the mask of the group's conflict-free placements (bit j for
 placement j, so lowest bit first is enumeration order) from a per-solve
 memo keyed by the occupancy the footprint can see; a miss builds it route
-by route from the (mode, slot) cells occupied on the route's links. It
+by route from the (mode, slot) cells placed on the route's links. It
 tries only the live bits, the free ones outside the group's dead mask; a
 node with none takes its reject branch at once.
 
@@ -197,11 +190,6 @@ class SolveLimits:
 # its search tables {_Tables.of key: _Tables}, as `network`.
 _cache = threading.local()
 
-# The most entries the traffic-grown memos of one _Tables (each route's
-# free placements per occupancy, the pair terms) keep from one solve to
-# the next; past it they are emptied when the next solve starts.
-_MEMO_ENTRIES_KEPT = 1 << 14
-
 
 def _network(topology: Topology) -> tuple[Topology, dict, dict]:
     """The network `topology` describes, with its route memo and search
@@ -333,7 +321,8 @@ def enumerate_candidates(request: Request, instance: Instance, k: int,
 @dataclass(eq=False, slots=True)
 class _Placement:
     """A candidate's geometry, shared by its (source, destination, slot units) group: an id
-    for (path, modes), and (link, slot) and (link, mode, slot) bitmasks."""
+    for (path, modes), (link, slot) and (link, mode, slot) bitmasks, and the
+    (mode, slot) mask it takes on each of its links."""
 
     path: tuple[Link, ...]
     links: tuple[int, ...]
@@ -344,6 +333,7 @@ class _Placement:
     geometry: int
     cells: int
     occupancy: int
+    mode_slots: int
 
     def assignment(self, request_id: str) -> Assignment:
         return Assignment(request_id, self.path, self.modes, self.slot_start, self.slot_end)
@@ -351,44 +341,24 @@ class _Placement:
 
 @dataclass(eq=False, slots=True)
 class _Group:
-    """One (source, destination, slot units) group: its serial number in
-    its tables, its placements in enumeration order, their footprint (the
-    OR of their occupancy masks) and their least lambda count (0 if none)."""
+    """One (source, destination, slot units) group: its serial number in its
+    tables, its placements in enumeration order, their footprint (the OR of
+    their occupancy masks), their least lambda count (0 if none), and per
+    route its link indices and its placements' (mode, slot) masks and indices."""
 
     serial: int
     placements: list[_Placement]
     footprint: int
     least_lambda: int
-    cell_mask: int  # the (mode, slot) cells of one link
-    # per route: the offsets of its links' (mode, slot) cells, the (mode,
-    # slot) mask and the index of each of its placements, and a memo {the
-    # cells occupied on any of its links: mask of its free placements}
-    routes: list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], dict[int, int]]]
-
-    def free(self, occupied: int) -> int:
-        """The mask of the placements meeting no cell of `occupied`, bit j
-        for placement j, built route by route: a placement is free iff its
-        (mode, slot) mask meets no cell occupied on a link of its route."""
-        free = 0
-        for shifts, shapes, indices, memo in self.routes:
-            cells = 0
-            for shift in shifts:
-                cells |= occupied >> shift
-            cells &= self.cell_mask
-            mask = memo.get(cells)
-            if mask is None:
-                mask = memo[cells] = sum([1 << j for shape, j in zip(shapes, indices)
-                                          if not shape & cells])
-            free |= mask
-        return free
+    routes: list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]
 
 
 class _Tables:
-    """What every solve on one network and slot grid shares: the link
-    index, the `coef[link][m_a][m_v]` crosstalk table, the threshold limit,
-    the (path, modes) geometry ids, the per-geometry-pair term memo, and
-    each (source, destination, slot units) group. Nothing here depends on
-    what a solve has committed."""
+    """What every solve on one network and slot grid shares, all of it
+    bounded by the network: the link index, the `coef[link][m_a][m_v]`
+    crosstalk table, the threshold limit, the (path, modes) geometry ids,
+    per link the terms of each (victim modes, aggressor modes) pair, and
+    each (source, destination, slot units) group. No traffic keys it."""
 
     def __init__(self, instance: Instance, limits: SolveLimits):
         links = instance.topology.links
@@ -404,8 +374,8 @@ class _Tables:
         # with no negative term a total over the limit stays over it
         self.monotone = all(c >= 0.0 for per_link in self.coef for row in per_link for c in row)
         self.geometries: dict[tuple, int] = {}  # (link indices, modes) -> id
-        self.pairs: defaultdict[int, dict] = defaultdict(dict)  # id -> {placed id: pair() entry}
-        self.interned: dict[tuple, tuple] = {}  # each distinct pair() entry, to share
+        # per link: {(victim modes, aggressor modes): terms()}
+        self.link_terms: list[dict[tuple, tuple[float, ...]]] = [{} for _ in links]
         self.groups: dict[tuple, _Group] = {}
 
     @staticmethod
@@ -414,27 +384,14 @@ class _Tables:
         the network cache under everything they depend on besides the network,
         so every solve on an equal topology (the instance, its `with_requests`
         copies, and every instance loaded with the same nodes and links)
-        builds each group once; trimmed before they are returned."""
+        builds each group once."""
         key = (instance.frame, instance.mode_count, instance.crosstalk, instance.planner,
                limits.k_paths, limits.all_mode_subsets)
         memo = _network(instance.topology)[2]
         tables = memo.get(key)
         if tables is None:
             tables = memo[key] = _Tables(instance, limits)
-        tables.trim()
         return tables
-
-    def trim(self) -> None:
-        """Empty the memos that grow with the traffic planned, each route's
-        free placements per occupancy and the pair terms, once they hold
-        more than _MEMO_ENTRIES_KEPT entries. The groups and geometries stay:
-        the network bounds them."""
-        memos = [route[3] for group in self.groups.values() for route in group.routes]
-        if sum(map(len, memos)) + sum(map(len, self.pairs.values())) > _MEMO_ENTRIES_KEPT:
-            for memo in memos:
-                memo.clear()
-            self.pairs.clear()
-            self.interned.clear()
 
     def group(self, request: Request, instance: Instance) -> _Group:
         """The request's (source, destination, slot units) group, built on
@@ -468,37 +425,34 @@ class _Tables:
                         own.append(len(placements))
                         placements.append(_Placement(
                             path, links, modes, start, end, len(links) * supply, ids[modes],
-                            link_base * run, cell_base * mode_slots))
+                            link_base * run, cell_base * mode_slots, mode_slots))
             # every route takes the shapes in the same order
             shapes = tuple(shape[-1] for _, same in blocks for shape in same)
-            cell_bits = self.mode_count * slots
             group = self.groups[key] = _Group(
                 len(self.groups), placements,
                 reduce(int.__or__, (route[3] * cells_used for route in routes), 0),
                 min(len(route[1]) for route in routes) * blocks[0][0] if placements else 0,
-                (1 << cell_bits) - 1,
-                [(tuple(li * cell_bits for li in route[1]), shapes, tuple(own), {})
-                 for route, own in zip(routes, route_indices)])
+                [(route[1], shapes, tuple(own)) for route, own in zip(routes, route_indices)])
         return group
 
-    def _terms(self, victim: _Placement, aggressor: _Placement) -> tuple[float, ...]:
-        """The victim's terms from an aggressor, in xtalk.overlap_terms order."""
-        return tuple(self.coef[li][m_a][m_v] for li in victim.links if li in aggressor.links
-                     for m_v in victim.modes for m_a in aggressor.modes if m_a != m_v)
-
-    def pair(self, new: _Placement, placed: _Placement) -> tuple[tuple[float, ...], float]:
-        """Memoized per geometry pair: the terms `new` takes from `placed`,
-        and the left_sum of the terms `placed` takes from `new`. Equal
-        entries share one tuple: on links of one length they repeat."""
-        entry = (self._terms(new, placed), left_sum(self._terms(placed, new)))
-        entry = self.pairs[new.geometry][placed.geometry] = self.interned.setdefault(entry, entry)
-        return entry
+    def terms(self, li: int, victim: tuple, aggressor: tuple) -> tuple[float, ...]:
+        """The terms a victim on modes `victim` takes on link li from an
+        aggressor on modes `aggressor`, in xtalk.overlap_terms order; made
+        once per (link, victim modes, aggressor modes)."""
+        table = self.link_terms[li]
+        terms = table.get((victim, aggressor))
+        if terms is None:
+            coef = self.coef[li]
+            terms = table[victim, aggressor] = tuple(
+                coef[m_a][m_v] for m_v in victim for m_a in aggressor if m_a != m_v)
+        return terms
 
 
 class _SearchState:
     """One solve's committed placements, their (link, slot) cell masks, slot
-    occupancy and one crosstalk record per commit, indexed by link, with
-    O(1) undo, over the network's shared _Tables. A record is [the
+    occupancy, the (mode, slot) cells placed on each link and one crosstalk
+    record per commit, indexed by link, with O(1) undo, over the network's
+    shared _Tables, and the memos this solve fills. A record is [the
     placement's additive crosstalk total, the index of the last commit that
     added to it]. `rejected_by` is the record of the placed victim that
     rejected the last rejected commit, or None if a slot or its own
@@ -513,7 +467,48 @@ class _SearchState:
         self.entries: list[tuple[int, _Placement, list]] = []
         # per link: the mask of the placed indices k whose path uses it
         self.by_link = [0] * len(tables.link_index)
+        # per link: the (mode, slot) cells placed on it, bit m * slots + t
+        self.link_cells = [0] * len(tables.link_index)
         self.rejected_by: Optional[list] = None
+        # per group serial, per route: {the cells placed on its links: free() mask}
+        self.route_memos: dict[int, list[dict[int, int]]] = {}
+        # geometry id -> {placed geometry id: pair() entry}
+        self.pairs: defaultdict[int, dict] = defaultdict(dict)
+
+    def free(self, group: _Group) -> int:
+        """The mask of the group's placements meeting no occupied cell, bit
+        j for placement j, built route by route: a placement is free iff
+        its (mode, slot) mask meets no cell placed on a link of its route."""
+        memos = self.route_memos.get(group.serial)
+        if memos is None:
+            memos = self.route_memos[group.serial] = [{} for _ in group.routes]
+        link_cells = self.link_cells
+        free = 0
+        for (links, shapes, indices), memo in zip(group.routes, memos):
+            cells = 0
+            for li in links:
+                cells |= link_cells[li]
+            mask = memo.get(cells)
+            if mask is None:
+                mask = memo[cells] = sum([1 << j for shape, j in zip(shapes, indices)
+                                          if not shape & cells])
+            free |= mask
+        return free
+
+    def pair(self, new: _Placement, placed: _Placement) -> tuple[tuple[float, ...], float]:
+        """Memoized per geometry pair: the terms `new` takes from `placed`,
+        and the left_sum of the terms `placed` takes from `new`, each its
+        shared links' terms in its own link order (xtalk.overlap_terms
+        order)."""
+        terms, takes, gives = self.tables.terms, [], []
+        for li in new.links:
+            if li in placed.links:
+                takes += terms(li, new.modes, placed.modes)
+        for li in placed.links:
+            if li in new.links:
+                gives += terms(li, placed.modes, new.modes)
+        entry = self.pairs[new.geometry][placed.geometry] = (tuple(takes), left_sum(gives))
+        return entry
 
     def commit(self, new: _Placement) -> Optional[tuple]:
         """Commit if feasible; returns an undo token, or None if infeasible,
@@ -525,7 +520,7 @@ class _SearchState:
             self.rejected_by = None
             return None
         limit, placed = self.limit, self.placed
-        row = self.tables.pairs[new.geometry]
+        row = self.pairs[new.geometry]
         own = 0.0
         updates = []
         entries, by_link = self.entries, self.by_link
@@ -538,7 +533,7 @@ class _SearchState:
             other_cells, other, record = entries[bit.bit_length() - 1]
             if not other_cells & cells:
                 continue
-            terms, inc = row.get(other.geometry) or self.tables.pair(new, other)
+            terms, inc = row.get(other.geometry) or self.pair(new, other)
             for term in terms:
                 own += term
             if inc:
@@ -558,16 +553,20 @@ class _SearchState:
         placed.append(new)
         entries.append((cells, new, [own, m]))
         bit = 1 << m
+        link_cells, mode_slots = self.link_cells, new.mode_slots
         for li in new.links:
             by_link[li] |= bit
+            link_cells[li] |= mode_slots
         return occupancy, updates
 
     def undo(self, token: tuple) -> None:
         occupancy, updates = token
         self.occupied &= ~occupancy
         bit = 1 << len(self.entries) - 1
-        for li in self.placed.pop().links:
+        gone = self.placed.pop()
+        for li in gone.links:
             self.by_link[li] ^= bit
+            self.link_cells[li] ^= gone.mode_slots
         self.entries.pop()
         for record, _, total, last in updates:
             record[0] = total
@@ -686,7 +685,7 @@ def _branch(instance: Instance, limits: SolveLimits, requests: list[Request],
                 key = state.occupied & footprints[i]
                 free = free_masks[i].get(key)
                 if free is None:
-                    free = free_masks[i][key] = groups[i].free(key)
+                    free = free_masks[i][key] = state.free(groups[i])
                 live = free & ~dead[serials[i]]
                 if not live:
                     i += 1  # its reject branch

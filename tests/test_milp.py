@@ -240,13 +240,9 @@ def _block(iterations, tags=milp._UNSTAMPED):
 
 def _render(templates, blocks, tags=None) -> tuple[str, bool]:
     """milp._render_blocks of blocks given as iterations, each stamped with
-    its tags (none when tags is None), joined and decoded, with the longest
-    of their stamped names as its name bound."""
+    its tags (none when tags is None), joined and decoded."""
     tags = tags or [milp._UNSTAMPED] * len(blocks)
-    names = [_stamped(name, tag) for b, ts in zip(blocks, tags) for tag in ts
-             for rows in b for c in rows for _, name in c.terms]
-    chunks, empty = milp._render_blocks(templates, list(map(_block, blocks, tags)),
-                                        max(map(len, names), default=0))
+    chunks, empty = milp._render_blocks(templates, list(map(_block, blocks, tags)))
     return b"".join(chunks).decode(), empty
 
 
@@ -704,6 +700,9 @@ class TestRowRenderer:
                       ["x" * 60, "y", "z" * 80])])
     # a row without terms whose label reaches the line limit only stamped
     @example(blocks=[([[_Row("L" * 200 + milp._AT, (), "<=", 1.0, "eq2")]], ["x" * 60, "y"])])
+    # an unstamped row at the line limit once its placeholder is dropped
+    @example(blocks=[([[_Row("L" * 229 + milp._AT + "L", (), "<=", 1.0, "eq2")]],
+                      list(milp._UNSTAMPED))])
     def test_stamped_blocks_match_previous_pipeline(self, blocks):
         """A block stamped with its tags writes the bytes of its rows, one
         copy per tag, through the previous pipeline; rows without the

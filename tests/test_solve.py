@@ -434,11 +434,11 @@ def test_network_cache_keeps_the_last_network(monkeypatch):
     assert solve_mod._cache.network[0] == _on_fibers(base, 100.0).topology
 
 
-def test_network_cache_memos_stay_bounded(monkeypatch):
-    """Distinct traffic on one network grows the occupancy- and pair-keyed
-    memos; every solve starts with at most _MEMO_ENTRIES_KEPT of them, and
-    emptying them changes no schedule."""
-    monkeypatch.setattr(solve_mod, "_MEMO_ENTRIES_KEPT", 1000)
+def test_network_cache_holds_only_what_the_network_bounds():
+    """Distinct traffic on one network plans as it does on a cold cache,
+    and the tables it leaves cached hold nothing keyed by traffic: no pair
+    or route memo, and per link at most one term tuple per (victim modes,
+    aggressor modes)."""
     limits = SolveLimits(node_budget=500, time_budget_s=3600.0)
     cells = [_heavy_fig2(seed) for seed in range(100, 108)]
     cold = []
@@ -446,16 +446,14 @@ def test_network_cache_memos_stay_bounded(monkeypatch):
         solve_mod._cache.network = None
         cold.append(solve(inst, "exact", limits).to_json())
     solve_mod._cache.network = None
-    sizes = []
-    for inst, expected in zip(cells, cold):
-        tables = solve_mod._Tables.of(inst, limits)
-        sizes.append(sum(len(route[3]) for group in tables.groups.values()
-                         for route in group.routes)
-                     + sum(map(len, tables.pairs.values())))
-        assert solve(inst, "exact", limits).to_json() == expected
-    assert max(sizes) <= 1000
-    # the memos grew past the bound and were emptied at least once
-    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
+    assert [solve(inst, "exact", limits).to_json() for inst in cells] == cold
+    mode_sets = len(solve_mod._mode_subsets(cells[0].mode_count, limits.all_mode_subsets))
+    for tables in solve_mod._cache.network[2].values():
+        assert not hasattr(tables, "pairs") and not hasattr(tables, "interned")
+        assert not any(isinstance(part, dict) for group in tables.groups.values()
+                       for route in group.routes for part in route)
+        assert any(tables.link_terms)
+        assert all(len(table) <= mode_sets ** 2 for table in tables.link_terms)
 
 
 def test_each_thread_keeps_its_own_network():
