@@ -7,40 +7,42 @@ contiguity via transition indicators (eq8), cross-mode slot equality
 overlap-indicator linearizations (eq12-eq15). The model is solver
 agnostic; emit_lp writes standard LP text for any external MILP solver.
 
-One name table (_name_table) owns the naming scheme; build_model and
-assignment_from_schedule both read it. Each request id, node id and link
-is sanitized to its LP tag a single time, and two ids that sanitize to
-the same tag raise ValidationError instead of silently merging in the
-LP. A name of one link's variable is kept as a stem holding a
-placeholder (_AT) where the link's tag goes, once per request or request
-pair, not once per link. build_model keeps only the name table and the
-objectives. The constraints are a stream of stamped stanza blocks
-(MilpModel.blocks): each loop of _blocks yields the same row shapes
-every time round, so a block is a stanza, the tuple of (family, coefs,
-sense, rhs) shapes one iteration yields, args, one flat tuple per
+One name table (_name_table) owns the naming scheme. Each request id,
+node id and link is sanitized to its LP tag a single time, and two ids
+that sanitize to the same tag raise ValidationError instead of silently
+merging in the LP. A name of one link's variable is kept as a stem
+holding a placeholder (_AT) where the link's tag goes, once per request
+or request pair, not once per link. build_model keeps only the name
+table and the objectives. The constraints are a stream of stamped stanza
+blocks (MilpModel.blocks): each loop of _blocks yields the same row
+shapes every time round, so a block is a stanza, the tuple of (family,
+coefs, sense, rhs) shapes one iteration yields, args, one flat tuple per
 iteration of each row's label followed by its variable names, and tags.
 Rows that differ between links only in the link's tag are yielded once,
-in stems, and the block stands for one copy per link tag, in link
-order; eq3-eq6 are stamped the same way per slot or per mode and slot.
-Only eq2's flow rows and eq11 are written once (tags ("",)). Every row
-of one shape shares one coefs tuple per pass (fig2's 62,900 rows have
-22). MilpModel.rows expands the blocks into columnar (name, coefs,
-names, sense, rhs, family) rows, making each name once per tag; an
-objective is (sense, name, coefs, names); the variables are a stream of
-names (MilpModel.variable_names), stamped from the same stems. Each
-stream is audited against count_formulas when a pass over it ends, a
-block counting its rows once per tag. One routine, _render_blocks,
-renders every LP row (constraints, objectives, and the phase-2
-fix_throughput row over the throughput objective's columns): it fills a
-block's %-templates once, family headers included, then writes one copy
-of that text per tag with the tag joined in at each placeholder
-(_stamp). A line that passes the line limit once stamped is wrapped
-once per tag width, before stamping, with each placeholder standing in
-as that many characters; no tag holds a space, so every tag of one width
-breaks it at the same places. emit_lp renders and encodes the block
-stream in one pass, one chunk per block, and writes those chunks into
-both phase files, over any previous files in place (_overwrite).
-paper-literal-db has no MILP until its eq11 row is derived.
+in stems, and the block stands for one copy per link tag, in link order;
+eq3-eq6 are stamped the same way per slot or per mode and slot. Only
+eq2's flow rows and eq11 are written once (tags ("",)). Every row of one
+shape shares one coefs tuple per pass (fig2's 62,900 rows have 22).
+MilpModel.rows expands the blocks into columnar (name, coefs, names,
+sense, rhs, family) rows, making each name once per tag; an objective is
+(sense, name, coefs, names); the variables are a stream of names
+(MilpModel.variable_names), stamped from the same stems. Each stream is
+audited against count_formulas when a pass over it ends, a block
+counting its rows once per tag; MilpModel.constraints and .variables are
+sized views of the two streams, counted by one pass that keeps nothing.
+One generator, _render_blocks, renders every LP row (constraints,
+objectives, and the phase-2 fix_throughput row over the throughput
+objective's columns): it fills a block's %-templates once, family
+headers included, then writes one copy of that text per tag with the tag
+joined in at each placeholder (_stamp). A line that passes the line
+limit once stamped is wrapped once per tag width, before stamping, with
+each placeholder standing in as that many characters; no tag holds a
+space, so every tag of one width breaks it at the same places. emit_lp
+streams every file it writes at once: each block is rendered and encoded
+once and its bytes written to both phase files before the next block is
+rendered, so memory holds one block, never a file. A failed emit leaves
+its regular files empty. paper-literal-db has no MILP until its eq11 row
+is derived.
 """
 
 from __future__ import annotations
@@ -48,14 +50,15 @@ from __future__ import annotations
 import os
 import re
 import stat
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import xtalk
-from .model import Instance, Link, ValidationError, left_sum
+from .model import Instance, Link, ValidationError
 
 class SizeLimitError(Exception):
     """Instance would exceed the configured variable cap."""
@@ -270,6 +273,24 @@ class _TagMemo(dict):
         return name
 
 
+class _Counted:
+    """A sized, re-iterable view of a stream: made by one full pass over
+    stream() that counts every item and keeps none, so len is that count;
+    each iteration is a fresh pass."""
+
+    __slots__ = ("_stream", "_len")
+
+    def __init__(self, stream: Callable[[], Iterator]):
+        self._stream = stream
+        self._len = sum(1 for _ in stream())
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator:
+        return self._stream()
+
+
 @dataclass(frozen=True)
 class MilpModel:
     """The MIP of one instance: its name table and objectives.
@@ -278,8 +299,11 @@ class MilpModel:
     constraint as a (name, coefs, names, sense, rhs, family) tuple and
     variable_names() each binary variable's name, both in declaration
     order, and a pass over either that runs to its end is audited against
-    count_formulas. A two-phase model's first objective is the throughput
-    expression that phase 2 pins.
+    count_formulas. The constraints and variables properties are sized
+    views of those streams: each access counts one full audited pass and
+    keeps no row or name, and iterating a view starts a fresh pass. A
+    two-phase model's first objective is the throughput expression that
+    phase 2 pins.
     """
 
     instance: Instance
@@ -340,14 +364,15 @@ class MilpModel:
                 yield from _stamped(stems, tag)
 
     @property
-    def constraints(self) -> list[Row]:
-        """list(self.rows()), audited; kept only because perfbench takes its len."""
-        return list(self.rows())
+    def constraints(self) -> _Counted:
+        """The rows, as a view sized by one audited pass over rows()."""
+        return _Counted(self.rows)
 
     @property
-    def variables(self) -> list[str]:
-        """list(self.variable_names()), audited; kept only because perfbench takes its len."""
-        return list(self.variable_names())
+    def variables(self) -> _Counted:
+        """The variable names, as a view sized by one audited pass over
+        variable_names()."""
+        return _Counted(self.variable_names)
 
 
 def build_model(instance: Instance, max_variables: int = 2_000_000) -> MilpModel:
@@ -661,13 +686,13 @@ def _stamp(text: str, tags, lead: str = "", again: str = "") -> bytes:
     return b"".join(out)
 
 
-def _render_blocks(templates: _Templates, blocks) -> tuple[list[bytes], bool]:
-    """The encoded LP text of blocks, as chunks, and whether any row has no
-    terms (so reads `0 dummy_zero`). Each family run is under its header (a
-    row of family None has none). A block is filled once, one template per
-    iteration, and then stamped once per tag (_stamp), its long lines
+def _render_blocks(templates: _Templates, blocks) -> Iterator[tuple[bytes, bool]]:
+    """Per block, its encoded LP text and whether any of its rows has no
+    terms (so reads `0 dummy_zero`). Each family run is under its header
+    (a row of family None has none). A block is filled once, one template
+    per iteration, and then stamped once per tag (_stamp), its long lines
     wrapped once per tag width."""
-    out, family, empty = [], None, False
+    family = None
     for stanza, args, tags in blocks:
         if not (args and stanza and tags):
             continue
@@ -676,23 +701,16 @@ def _render_blocks(templates: _Templates, blocks) -> tuple[list[bytes], bool]:
         rest = _stanza_template(templates, stanza, end)
         text = "".join(chain((body % args[0],), map(rest.__mod__, islice(args, 1, None))))
         lead, again = (_header(start) if fam != start else "" for fam in (family, end))
-        out.append(_stamp(text, tags, lead, again))
         family = end
-        empty = empty or not all(coefs for _, coefs, _, _ in stanza)
-    args = None  # the last block's fields need not outlive its text
-    return out, empty
+        yield _stamp(text, tags, lead, again), not all(coefs for _, coefs, _, _ in stanza)
 
 
-def _overwrite(path: Path, parts: list[bytes]) -> None:
-    """Write parts to path over what it held, then cut a regular file to
-    their length. An existing file keeps its disk blocks: opening it with
-    truncation would free them and, on ext4, force the new text to disk at
-    close, so re-emitting over the previous files wrote and discarded every
-    byte on the device each time (18 MB per fig2 emit)."""
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
-        f.writelines(parts)
-        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
-            f.truncate()
+def _write(fds: list[int], data: bytes) -> None:
+    """data written whole to each file descriptor of fds."""
+    for fd in fds:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
 
 
 def emit_lp(model: MilpModel, destination: str | Path,
@@ -702,91 +720,61 @@ def emit_lp(model: MilpModel, destination: str | Path,
     A single-objective model writes one file at `destination`. A two-phase
     model writes `<stem>.phase1.lp` and `<stem>.phase2.lp`; phase 2 pins
     the throughput to `phase1_value` (0 when not supplied) and minimizes
-    resource usage. Both files write the same bytes of the constraint
-    block, rendered and encoded once in a single pass over model.blocks().
+    resource usage. Every file is open at once and written as a stream:
+    its head, objective and lead rows, then each block of model.blocks()
+    rendered and encoded once and written to every file before the next
+    is rendered, then the bounds and the binaries, a run of stems at a
+    time; so memory holds one block, not a file. A file is written over
+    what it held (opening with truncation would free its disk blocks and,
+    on ext4, force the new text to disk at close) and a regular file is
+    cut to its length at the end, or to nothing when the emit raises, so
+    a failed emit leaves no partial LP.
     """
     destination = Path(destination)
-    templates = _Templates()
-    binaries = [_stamp(" " + "\n ".join(stems) + "\n", tags)
-                for stems, tags in model._declared() if stems and tags]
-    block, block_empty = _render_blocks(templates, model.blocks())
-
-    def write(path: Path, objective: Objective, lead: list[Block]) -> Path:
-        sense = "Maximize" if objective.sense == "maximize" else "Minimize"
-        obj, obj_empty = _render_blocks(
-            templates, [(((None, objective.coefs, None, None),), [("obj", *objective.names)],
-                         _UNSTAMPED)])
-        lead_text, lead_empty = _render_blocks(templates, lead)
-        bounds = " dummy_zero = 0\n" if obj_empty or block_empty or lead_empty else ""
-        head = f"\\ LP model written by otssplan\n{sense}\n".encode()
-        _overwrite(path, [head, *obj, b"Subject To\n", *lead_text, *block,
-                          f"Bounds\n{bounds}Binary\n".encode(), *binaries, b"End\n"])
-        return path
-
+    objective = model.objectives[0]
     if not model.two_phase:
-        return [write(destination, model.objectives[0], [])]
-    stem = destination.with_suffix("") if destination.suffix == ".lp" else destination
-    throughput = model.objectives[0]
-    pin = 0.0 if phase1_value is None else float(phase1_value)
-    fix = ((("fix", throughput.coefs, ">=", pin),), [("fix_throughput", *throughput.names)],
-           _UNSTAMPED)
-    return [write(stem.with_name(stem.name + ".phase1.lp"), model.objectives[0], []),
-            write(stem.with_name(stem.name + ".phase2.lp"), model.objectives[1], [fix])]
-
-
-# --- assignment translation and evaluation --------------------------------
-
-
-def _changes(seq: list[float]) -> list[float]:
-    """Transition indicators of seq, with a virtual 0 before and after it."""
-    padded = [0.0, *seq, 0.0]
-    return [1.0 if a != b else 0.0 for a, b in zip(padded, padded[1:])]
-
-
-def assignment_from_schedule(instance: Instance, schedule) -> dict[str, float]:
-    """Variable values induced by a schedule, including every auxiliary
-    indicator, for checking against the built model."""
-    names = _name_table(instance)
-    modes = range(instance.mode_count)
-    slots = range(instance.slot_count)
-    cells: dict[str, set[tuple[Link, int, int]]] = {r.id: set() for r in instance.requests}
-    for a in schedule.assignments:
-        # only in-frame slots have variables, so the walk stops at the frame
-        in_frame = range(max(a.slot_start, 0), min(a.slot_end, instance.slot_count))
-        cells[a.request_id] = {(link, m, t) for link in a.path for m in a.modes for t in in_frame}
-
-    values: dict[str, float] = {}
-    for rid, name in names.rho.items():
-        values[name] = 1.0 if schedule.assignment(rid) is not None else 0.0
-    grid = {}  # (rid, link) -> lambda values [m][t]
-    for rid, lam in names.lam.items():
-        for link, tag in names.et.items():
-            grid[rid, link] = rows = [[1.0 if (link, m, t) in cells[rid] else 0.0 for t in slots]
-                                      for m in modes]
-            used = [max(col) for col in zip(*rows)]
-            for name_row, row, cm_row in zip(lam, rows, names.cm[rid]):
-                values.update(zip(_stamped(name_row, tag), row))
-                values.update(zip(_stamped(cm_row, tag), _changes(row)))
-            values.update(zip(_stamped(names.u[rid], tag), used))
-            values.update(zip(_stamped(names.w[rid], tag), map(max, rows)))
-            values.update(zip(_stamped(names.ca[rid], tag), _changes(used)))
-            values[names.v[rid].replace(_AT, tag)] = max(used)
-    for (r1, r2), pairs in names.overlaps.items():
-        for link, tag in names.et.items():
-            for m1, m2, th, betas in pairs:
-                both = [a * b for a, b in zip(grid[r1, link][m1], grid[r2, link][m2])]
-                values.update(zip(_stamped(betas, tag), both))
-                values[th.replace(_AT, tag)] = max(both)
-    return values
-
-
-def evaluate_constraints(model: MilpModel, values: dict[str, float],
-                         tol: float = 1e-9) -> list[str]:
-    """Names of constraints the assignment violates (missing vars read 0)."""
-    violated = []
-    for name, coefs, names, sense, rhs, _ in model.rows():
-        lhs = left_sum(coef * values.get(var, 0.0) for coef, var in zip(coefs, names))
-        if not (lhs <= rhs + tol if sense == "<=" else lhs >= rhs - tol if sense == ">="
-                else abs(lhs - rhs) <= tol):
-            violated.append(name)
-    return violated
+        files = [(destination, objective, ())]
+    else:
+        stem = destination.with_suffix("") if destination.suffix == ".lp" else destination
+        pin = 0.0 if phase1_value is None else float(phase1_value)
+        fix = ((("fix", objective.coefs, ">=", pin),), [("fix_throughput", *objective.names)],
+               _UNSTAMPED)
+        files = [(stem.with_name(stem.name + ".phase1.lp"), objective, ()),
+                 (stem.with_name(stem.name + ".phase2.lp"), model.objectives[1], (fix,))]
+    templates = _Templates()
+    with ExitStack() as opened:
+        fds = []
+        for path, _, _ in files:
+            fds.append(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
+            opened.callback(os.close, fds[-1])
+        regular = [fd for fd in fds if stat.S_ISREG(os.fstat(fd).st_mode)]
+        try:
+            heads_empty = []  # per file: whether its objective or lead rows have no terms
+            for fd, (_, objective, lead) in zip(fds, files):
+                sense = "Maximize" if objective.sense == "maximize" else "Minimize"
+                obj = (((None, objective.coefs, None, None),), [("obj", *objective.names)],
+                       _UNSTAMPED)
+                head = [*_render_blocks(templates, [obj]), (b"Subject To\n", False),
+                        *_render_blocks(templates, lead)]
+                _write([fd], f"\\ LP model written by otssplan\n{sense}\n".encode()
+                       + b"".join(text for text, _ in head))
+                heads_empty.append(any(row_empty for _, row_empty in head))
+            block_empty = False
+            for text, row_empty in _render_blocks(templates, model.blocks()):
+                _write(fds, text)
+                block_empty = block_empty or row_empty
+                del text  # so the next block renders without this one's bytes
+            for fd, head_empty in zip(fds, heads_empty):
+                bounds = " dummy_zero = 0\n" if head_empty or block_empty else ""
+                _write([fd], f"Bounds\n{bounds}Binary\n".encode())
+            for stems, tags in model._declared():
+                if stems and tags:
+                    _write(fds, _stamp(" " + "\n ".join(stems) + "\n", tags))
+            _write(fds, b"End\n")
+            for fd in regular:
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+        except BaseException:
+            for fd in regular:
+                os.ftruncate(fd, 0)
+            raise
+    return [path for path, _, _ in files]

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from dataclasses import replace
 from functools import lru_cache
 from itertools import chain
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import (CountingMode, random_micro_instance, tiny_instance,
                       two_request_200m_instance)
+from milp_check import assignment_from_schedule, evaluate_constraints
 from otssplan import milp
 from otssplan.harness import fixture_instance
 from otssplan.model import (AccumulationModel, LinkSpec, NodeSpec, ObjectiveMode, Request,
@@ -242,8 +244,9 @@ def _render(templates, blocks, tags=None) -> tuple[str, bool]:
     """milp._render_blocks of blocks given as iterations, each stamped with
     its tags (none when tags is None), joined and decoded."""
     tags = tags or [milp._UNSTAMPED] * len(blocks)
-    chunks, empty = milp._render_blocks(templates, list(map(_block, blocks, tags)))
-    return b"".join(chunks).decode(), empty
+    rendered = list(milp._render_blocks(templates, list(map(_block, blocks, tags))))
+    return (b"".join(text for text, _ in rendered).decode(),
+            any(empty for _, empty in rendered))
 
 
 def _stamped_row(c, tag: str):
@@ -512,6 +515,29 @@ class TestEmitLp:
         paths = milp.emit_lp(small, tmp_path / "m.lp", phase1_value=5.0)
         assert [p.read_bytes() for p in paths] == fresh
 
+    def test_weighted_emit_to_a_device(self):
+        """A destination that is not a regular file is written and never
+        cut: the weighted fig2 model emits to /dev/null."""
+        model = milp.build_model(_with_objective(fixture_instance("fig2"), "weighted"))
+        assert milp.emit_lp(model, "/dev/null") == [Path("/dev/null")]
+
+    def test_memory_bounded_by_a_block(self, tmp_path):
+        """Traced, one fig2 emit peaks below a quarter of one phase file,
+        since it holds one block's text and not a file's, and sizing the
+        constraint view keeps none of the 62,900 rows it counts."""
+        model = milp.build_model(fixture_instance("fig2"))
+        tracemalloc.start()
+        try:
+            paths = milp.emit_lp(model, tmp_path / "model.lp", phase1_value=23.0)
+            emit_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            assert len(model.constraints) == 62_900
+            count_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert emit_peak < paths[0].stat().st_size / 4
+        assert count_peak < 8_000_000
+
     def test_phase2_pins_throughput(self, tmp_path, tiny):
         model = milp.build_model(tiny)
         _, p2 = milp.emit_lp(model, tmp_path / "t.lp", phase1_value=5.0)
@@ -598,8 +624,8 @@ class TestStreams:
             return {**counts, "total_constraints": counts["total_constraints"] + 1000}
 
         monkeypatch.setattr(milp, "count_formulas", off_totals)
-        assert model.constraints == rows
-        assert model.variables == names
+        assert list(model.constraints) == rows and len(model.constraints) == len(rows)
+        assert list(model.variables) == names and len(model.variables) == len(names)
         assert len(rows) == real(two_request_200m)["total_constraints"]
 
     @pytest.mark.parametrize("mutate", [
@@ -617,8 +643,8 @@ class TestStreams:
         # rows, and the next block its eq5 rows: neither is empty
         assert [(stanza[0][0], len(args) * len(tags))
                 for stanza, args, tags in blocks[6:8]] == [("eq3", 4), ("eq5", 8)]
-        monkeypatch.setattr(milp, "_blocks", lambda *args: iter(mutate(list(real(*args)))))
-        self._assert_audit_raises(tmp_path, milp.build_model(two_request_200m))
+        self._assert_audit_raises(tmp_path, monkeypatch, milp.build_model(two_request_200m),
+                                  lambda *args: iter(mutate(list(real(*args)))))
 
     @pytest.mark.parametrize("family", ["eq3", "eq7", "eq12"])
     @pytest.mark.parametrize("change", [lambda tags: tags[1:], lambda tags: tags[:1] + tags],
@@ -628,18 +654,25 @@ class TestStreams:
         """Dropping or repeating one slot's or one link's copy of a stamped
         block fails the audit (the long-id instance has two links)."""
         real = milp._blocks
-        monkeypatch.setattr(milp, "_blocks", lambda *args: iter(
-            _change_copies(list(real(*args)), family, change)))
-        self._assert_audit_raises(tmp_path, milp.build_model(_long_id_instance()))
+        self._assert_audit_raises(tmp_path, monkeypatch, milp.build_model(_long_id_instance()),
+                                  lambda *args: iter(
+                                      _change_copies(list(real(*args)), family, change)))
 
     @staticmethod
-    def _assert_audit_raises(tmp_path, model):
+    def _assert_audit_raises(tmp_path, monkeypatch, model, blocks):
+        """With milp._blocks replaced by blocks, every full pass over the
+        model's rows fails its audit, and the failed emit leaves the phase
+        files that a good emit wrote there before it empty."""
+        good = milp.emit_lp(model, tmp_path / "m.lp")
+        assert all(path.stat().st_size for path in good)
+        monkeypatch.setattr(milp, "_blocks", blocks)
         with pytest.raises(AssertionError, match="count_formulas"):
             milp.emit_lp(model, tmp_path / "m.lp")
+        assert [path.read_bytes() for path in good] == [b"", b""]
         with pytest.raises(AssertionError, match="count_formulas"):
             model.constraints
         with pytest.raises(AssertionError, match="count_formulas"):
-            milp.evaluate_constraints(model, {})
+            evaluate_constraints(model, {})
 
     def test_fig2_equal_coefficient_vectors_are_one_object(self):
         coefs = [row[1] for row in milp.build_model(fixture_instance("fig2")).rows()]
@@ -747,9 +780,9 @@ class TestRecordsImmutable:
 class TestScheduleSatisfiesModel:
     def test_tiny_exact(self, tiny):
         model = milp.build_model(tiny)
-        values = milp.assignment_from_schedule(tiny, solve_exact(tiny))
+        values = assignment_from_schedule(tiny, solve_exact(tiny))
         assert set(values) == set(model.variables)
-        assert milp.evaluate_constraints(model, values) == []
+        assert evaluate_constraints(model, values) == []
 
     def test_random_corpus(self):
         rng = random.Random("milp-invariant")
@@ -757,9 +790,9 @@ class TestScheduleSatisfiesModel:
             inst = random_micro_instance(rng)
             model = milp.build_model(inst)
             for schedule in (solve_exact(inst), solve_greedy(inst)):
-                values = milp.assignment_from_schedule(inst, schedule)
+                values = assignment_from_schedule(inst, schedule)
                 assert set(values) == set(model.variables)
-                assert milp.evaluate_constraints(model, values) == []
+                assert evaluate_constraints(model, values) == []
 
     def test_interval_past_the_frame_reads_only_frame_cells(self):
         """An interval reaching far past the frame gives the values of its
@@ -770,20 +803,20 @@ class TestScheduleSatisfiesModel:
         mode = CountingMode(first.modes[0], cap=1000)
         far = replace(first, modes=(mode,) + first.modes[1:], slot_end=10**9)
         clipped = replace(first, slot_end=inst.slot_count)
-        values = milp.assignment_from_schedule(inst, replace(schedule, assignments=(far,) + rest))
-        assert values == milp.assignment_from_schedule(
+        values = assignment_from_schedule(inst, replace(schedule, assignments=(far,) + rest))
+        assert values == assignment_from_schedule(
             inst, replace(schedule, assignments=(clipped,) + rest))
         assert mode.hashes < 100
 
     def test_detects_corrupted_assignment(self, tiny):
         model = milp.build_model(tiny)
-        values = milp.assignment_from_schedule(tiny, solve_exact(tiny))
+        values = assignment_from_schedule(tiny, solve_exact(tiny))
         # accept the request but erase its lambdas: eq2 must complain
         for name in list(values):
             if name.startswith("l_"):
                 values[name] = 0.0
         values["rho_rr1"] = 1.0
-        violated = milp.evaluate_constraints(model, values)
+        violated = evaluate_constraints(model, values)
         assert any(name.startswith("eq2") for name in violated)
 
 
@@ -795,7 +828,7 @@ class TestLexicographicObjective:
             inst = random_micro_instance(rng)
             model = milp.build_model(inst)
             schedule = solve_exact(inst, limits)
-            values = milp.assignment_from_schedule(inst, schedule)
+            values = assignment_from_schedule(inst, schedule)
             assert set(values) == set(model.variables)
             throughput, resource = (sum(c * values[n] for c, n in zip(o.coefs, o.names))
                                     for o in model.objectives)
