@@ -155,8 +155,14 @@ def cmd_emit_lp(args) -> int:
     model = milp.build_model(instance)
     phase1_value = args.phase1_value
     if model.two_phase and phase1_value is None and instance.requests:
-        # pin phase 2 to the actual optimum when it is cheap to compute
-        phase1_value = solve_mod.solve_exact(instance, _limits_from_args(args)).throughput_gbps
+        # pin phase 2 to exact's throughput: the optimum if the search
+        # completes within its budgets, else the best it found
+        pinned = solve_mod.solve_exact(instance, _limits_from_args(args))
+        phase1_value = pinned.throughput_gbps
+        if not pinned.optimal:
+            print(f"otssplan emit-lp: phase-2 pin fix_throughput >= {phase1_value:g} is the "
+                  f"best throughput found within the node/time budget, not a proven optimum",
+                  file=sys.stderr)
     paths = milp.emit_lp(model, args.output, phase1_value=phase1_value)
     for p in paths:
         print(p)
@@ -210,7 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="solve an instance and write the schedule")
     p.add_argument("-i", "--instance", required=True)
-    p.add_argument("--solver", choices=solve_mod.SOLVERS, default="exact")
+    p.add_argument("--solver", choices=solve_mod.SOLVERS, default="exact",
+                   help="default exact, at 1,000,000 nodes and 300 s; every solver "
+                        "takes requests in bandwidth-descending order, and exact's first "
+                        "descent is greedy's schedule unless the model is paper-literal-db")
     p.add_argument("-o", "--output")
     _add_limit_flags(p)
     p.set_defaults(func=cmd_plan)

@@ -23,17 +23,20 @@ bit-identical to summing `xtalk.pairwise_contribution`.
 
 One routine, `_branch`, searches for every solver: a depth-first
 branch-and-bound whose path is a stack of frames, one per committed
-placement, so a search one level per request deep never recurses. Exact
-runs it until the search completes or a budget runs out; greedy is its
-first root-to-leaf descent over requests in bandwidth-descending order,
-where with no incumbent no bound prunes, so it stops at that leaf and no
-budget applies; baseline is exact on the collapsed frame. At a node the
-search takes the mask of the group's conflict-free placements (bit j for
-placement j, so lowest bit first is enumeration order) from a per-solve
-memo keyed by the occupancy the footprint can see; a miss builds it route
-by route from the (mode, slot) cells placed on the route's links. It
-tries only the live bits, the free ones outside the group's dead mask; a
-node with none takes its reject branch at once.
+placement, so a search one level per request deep never recurses. Every
+solver takes requests in one order, bandwidth descending with ties by
+id. Greedy is the first root-to-leaf descent, where with no incumbent no
+bound prunes, so it stops at that leaf and no budget applies. Unseeded
+exact starts with that same descent and runs on until the search
+completes or a budget runs out, so under a monotone model (no negative
+term) with a node budget of at least the request count + 2, it never
+answers below greedy. Baseline is exact on the collapsed frame. At a
+node the search takes the mask of the group's conflict-free placements
+(bit j for placement j, so lowest bit first is enumeration order) from a
+per-solve memo keyed by the occupancy the footprint can see; a miss
+builds it route by route from the (mode, slot) cells placed on the
+route's links. It tries only the live bits, the free ones outside the
+group's dead mask; a node with none takes its reject branch at once.
 
 Each commit owns a crosstalk record: [its total, the index of the last
 commit that added to it]. A commit that a placed victim rejects reports
@@ -613,10 +616,13 @@ def _branch(instance: Instance, limits: SolveLimits, requests: list[Request],
     the limit, exact checks crosstalk at its leaves instead (greedy still
     rejects at commit, which keeps its leaf feasible). Each committed
     placement is a frame on an explicit stack, so the depth, one level per
-    request, meets no recursion limit. With `first_leaf` the search ends at
-    its first leaf and no budget applies: with no incumbent no bound prunes
-    before it, so that leaf gives each request in turn its first feasible
-    placement."""
+    request, meets no recursion limit. With no incumbent no bound prunes
+    before the first leaf, so that leaf gives each request in turn its
+    first feasible placement; reaching it takes len(requests) + 1 nodes,
+    so a budget of one more returns it. With `first_leaf` the search ends
+    there and no budget applies: greedy. Over monotone tables (no leaf
+    check) exact's first leaf in the same order is then greedy's, and
+    later leaves replace it only when lexicographically better."""
     state = _SearchState(_Tables.of(instance, limits))
     tables = state.tables
     monotone = tables.monotone
@@ -723,20 +729,33 @@ def _branch(instance: Instance, limits: SolveLimits, requests: list[Request],
         i += 1
 
 
+def _request_order(instance: Instance) -> list[Request]:
+    """The order every search takes requests in: bandwidth descending,
+    ties by request id."""
+    return sorted(instance.requests, key=lambda r: (-r.bandwidth_gbps, r.id))
+
+
 def solve_exact(instance: Instance, limits: Optional[SolveLimits] = None,
                 initial: Optional[Schedule] = None) -> Schedule:
     """Branch-and-bound over per-request candidate decisions (see _branch),
-    requests in instance order.
+    requests in bandwidth-descending order (ties by id), greedy's order.
 
     Deterministic: fixed candidate order, first-found incumbent kept on
     ties. When the node or time budget runs out, the best schedule found
     so far is returned with optimal=False.
 
+    Unseeded, its first root-to-leaf descent is greedy's schedule, so
+    under a monotone accumulation model (linear-power, tanh-coupling) and
+    a node budget of at least len(instance.requests) + 2 the result is
+    never lexicographically below greedy's; at exactly that budget it is
+    greedy's schedule. Under paper-literal-db exact checks crosstalk at
+    its leaves, so its first descent is not greedy's.
+
     `initial` seeds the incumbent with a known-feasible schedule (e.g. a
     baseline schedule re-expressed on the sliced grid), guaranteeing the
     result is never worse.
     """
-    best, exhausted = _branch(instance, limits or SolveLimits(), list(instance.requests),
+    best, exhausted = _branch(instance, limits or SolveLimits(), _request_order(instance),
                               initial)
     return _finish(instance, best or [], optimal=not exhausted)
 
@@ -746,8 +765,8 @@ def solve_greedy(instance: Instance, limits: Optional[SolveLimits] = None) -> Sc
     first feasible candidate; a request with no feasible candidate is
     rejected. This is the branch-and-bound's first descent (see _branch),
     which no budget cuts short. Deterministic."""
-    order = sorted(instance.requests, key=lambda r: (-r.bandwidth_gbps, r.id))
-    best, _ = _branch(instance, limits or SolveLimits(), order, first_leaf=True)
+    best, _ = _branch(instance, limits or SolveLimits(), _request_order(instance),
+                      first_leaf=True)
     return _finish(instance, best, optimal=False)
 
 

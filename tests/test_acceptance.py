@@ -187,7 +187,7 @@ def test_criterion_4_throughput_scaling():
         load = 6 * bisection_gbps
         trials = 20
         limits = SolveLimits(node_budget=20_000, time_budget_s=10.0)
-        result = run_sweep(template, [load], ["exact", "baseline"],
+        result = run_sweep(template, [load], ["exact", "baseline", "greedy"],
                            trials=trials, seed="acceptance-scaling", limits=limits)
         by_trial: dict[int, dict[str, float]] = {}
         for row in result.rows:
@@ -195,15 +195,19 @@ def test_criterion_4_throughput_scaling():
         assert len(by_trial) == trials
         for trial, cell in by_trial.items():
             assert cell["exact"] >= cell["baseline"], f"trial {trial}: {cell}"
+            assert cell["exact"] >= cell["greedy"], f"trial {trial}: {cell}"
         mean_exact = sum(v["exact"] for v in by_trial.values()) / trials
         mean_base = sum(v["baseline"] for v in by_trial.values()) / trials
+        mean_greedy = sum(v["greedy"] for v in by_trial.values()) / trials
         ratio = mean_exact / mean_base
         assert ratio >= 1.0
         elapsed = time.monotonic() - start
         assert elapsed < 1800
         met = "meets" if ratio >= 1.3 else "below"
-        c.detail = (f"containment strict on {trials}/{trials} trials; mean ratio "
-                    f"{ratio:.3f} {met} the directional 1.3 target; {elapsed:.0f} s")
+        c.detail = (f"containment strict on {trials}/{trials} trials; exact >= greedy on "
+                    f"{trials}/{trials}; mean ratio {ratio:.3f} {met} the directional 1.3 "
+                    f"target (exact {mean_exact:.2f}, baseline {mean_base:.2f}, greedy "
+                    f"{mean_greedy:.2f} Gb/s, {limits.node_budget:,} nodes); {elapsed:.0f} s")
 
 
 def test_criterion_5_tanh_log_linearity():

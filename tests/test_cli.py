@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -7,7 +8,8 @@ from conftest import CountingMode, two_request_200m_instance
 from otssplan import cli, milp, timeline
 from otssplan.harness import fig2_fixture
 from otssplan.model import load_instance, serialize_instance
-from otssplan.solve import Assignment, Schedule, solve_exact
+from otssplan.solve import Assignment, Schedule, SolveLimits, solve_exact
+from test_milp import FIG2_LP_SHA256
 
 INF, NAN = float("inf"), float("nan")
 
@@ -332,6 +334,30 @@ class TestEmitLpCommand:
         for suffix in (".phase1.lp", ".phase2.lp"):
             assert (tmp_path / ("a" + suffix)).read_text() == \
                 (tmp_path / ("b" + suffix)).read_text()
+
+    def test_budget_bound_pin_is_named(self, tmp_path, fig2_file, capsys):
+        """A phase-1 solve that stops on its budget says the pin it wrote is
+        not a proven optimum; the exit code and the LP files are unchanged."""
+        out = tmp_path / "p.lp"
+        assert cli.run(["emit-lp", "-i", str(fig2_file), "-o", str(out),
+                        "--node-budget", "2"]) == 0
+        err = capsys.readouterr().err
+        value = solve_exact(fig2_fixture(), SolveLimits(node_budget=2)).throughput_gbps
+        assert err.count("\n") == 1
+        assert f"fix_throughput >= {value:g} is the best throughput found within the " \
+            "node/time budget, not a proven optimum" in err
+        explicit = tmp_path / "explicit.lp"
+        assert cli.run(["emit-lp", "-i", str(fig2_file), "-o", str(explicit),
+                        "--phase1-value", str(value)]) == 0
+        for suffix in (".phase1.lp", ".phase2.lp"):
+            assert (tmp_path / ("p" + suffix)).read_bytes() == \
+                (tmp_path / ("explicit" + suffix)).read_bytes()
+
+    def test_proven_pin_prints_nothing(self, tmp_path, fig2_file, capsys):
+        assert cli.run(["emit-lp", "-i", str(fig2_file), "-o", str(tmp_path / "model.lp")]) == 0
+        assert capsys.readouterr().err == ""
+        assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in FIG2_LP_SHA256} == FIG2_LP_SHA256
 
     def test_explicit_phase1_value(self, tmp_path, fig2_file, capsys):
         assert cli.run(["emit-lp", "-i", str(fig2_file), "-o",

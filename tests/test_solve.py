@@ -203,22 +203,30 @@ class TestOracleEquivalence:
 
 
 # SHA-256 of Schedule.to_json() at a 2000-node budget on two seeded
-# 240 Gb/s fig2 instances. A speed-up or refactor of the search must keep
-# them; only a change meant to alter schedules may re-record them.
+# 240 Gb/s fig2 instances, each with its (throughput, lambda count). A
+# speed-up or refactor of the search must keep them; only a change meant
+# to alter schedules may re-record them, and the pairs show what moved.
 PINNED_SCHEDULES = {
     (0, "baseline"):
-        "a045f2bf4712a57c3ae25b4da01a26055dc82b1aee32002babe70b173d70e15a",
+        ("82993edab628156c235ec61a1d16da47346b72f4ec84f463cef18aec03e182d0", (151.0, 42)),
     (0, "exact"):
-        "6d07d08bbe18339dc3a372dfd6f476e84a467e6c34ae3be01c83ebb96cb4e260",
+        ("c27af73aed6d05d4be47e481708f363d1799fc209d64f950c1e70f8c40a19550", (152.0, 140)),
     (0, "greedy"):
-        "c27af73aed6d05d4be47e481708f363d1799fc209d64f950c1e70f8c40a19550",
+        ("c27af73aed6d05d4be47e481708f363d1799fc209d64f950c1e70f8c40a19550", (152.0, 140)),
     (1, "baseline"):
-        "34c6086cdad42967b30f70aee694291eff4c5a35313716281f8092c5bbbb028c",
+        ("0d7070f8868cd300800c767cd076640e7a65ef4a33dfab726c204d336c3aad98", (141.0, 38)),
     (1, "exact"):
-        "c44f08fde6c673a247ab34e36c0d98602fc558f51f33e34f46bdd6f04382b269",
+        ("f0dc3057c0bbe6ebee0d104df7ed24250e3f637418b858ae9135e389c84e320b", (150.0, 136)),
     (1, "greedy"):
-        "defedffc81fc5bc6a87a625d25c2a44d533c4be65bd8d175b391ca0ccd7fcea9",
+        ("defedffc81fc5bc6a87a625d25c2a44d533c4be65bd8d175b391ca0ccd7fcea9", (148.0, 134)),
 }
+
+
+def _assert_pinned(schedule, pin, label) -> None:
+    """`schedule` has the pinned (throughput, lambda count), then the pinned digest."""
+    digest, pair = pin
+    assert (schedule.throughput_gbps, schedule.lambda_count) == pair, label
+    assert hashlib.sha256(schedule.to_json().encode()).hexdigest() == digest, label
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -227,26 +235,25 @@ def test_pinned_heavy_schedules(seed):
     inst = template.with_requests(gen_uniform_traffic(template.topology, 240.0, seed=seed))
     limits = SolveLimits(node_budget=2000, time_budget_s=3600.0)
     for solver in ("baseline", "exact", "greedy"):
-        digest = hashlib.sha256(solve(inst, solver, limits).to_json().encode()).hexdigest()
-        assert digest == PINNED_SCHEDULES[seed, solver], solver
+        _assert_pinned(solve(inst, solver, limits), PINNED_SCHEDULES[seed, solver], solver)
 
 
-# The same digests for seed 1 under two other configurations, kept under
+# The same pins for seed 1 under two other configurations, kept under
 # the same rule: the paper-literal-db model, whose additive terms are
 # negative, and every mode subset over eight paths.
 PINNED_VARIANT_SCHEDULES = {
     ("paper-literal-db", "baseline"):
-        "232fa6f22fc0a8e6872694ab1c1ee00ba1f211dc1d9c172e45e6ab8474a6c1c3",
+        ("948d46bb3075a0c337451d0205939484727aa63d74c8d89e339d9a7169263e8f", (198.0, 62)),
     ("paper-literal-db", "exact"):
-        "e13e7fcb3b4a1acd427744c249a02fbe5b9f4c70ae69af25fa7a3dd3ec39cc0f",
+        ("1da26c8be604b7f068e659bd1470069346975cf73976565999196a4808407031", (223.0, 208)),
     ("paper-literal-db", "greedy"):
-        "1da26c8be604b7f068e659bd1470069346975cf73976565999196a4808407031",
+        ("1da26c8be604b7f068e659bd1470069346975cf73976565999196a4808407031", (223.0, 208)),
     ("all-mode-subsets", "baseline"):
-        "9f666a6c23b335aed43855bfbc4b1a399c6a0cb21a22f2a150b18c1e047f9511",
+        ("0d7070f8868cd300800c767cd076640e7a65ef4a33dfab726c204d336c3aad98", (141.0, 38)),
     ("all-mode-subsets", "exact"):
-        "3d071b38ed780c8510ee7827b1ac420964d1c2ffb702e31b63390dc2c3d2d50e",
+        ("defedffc81fc5bc6a87a625d25c2a44d533c4be65bd8d175b391ca0ccd7fcea9", (148.0, 134)),
     ("all-mode-subsets", "greedy"):
-        "49dfbf58ad21b65f99f5daa1e355ffd14889693f27441bb05a8736a15716cbb5",
+        ("49dfbf58ad21b65f99f5daa1e355ffd14889693f27441bb05a8736a15716cbb5", (144.0, 130)),
 }
 
 
@@ -265,20 +272,21 @@ def test_pinned_variant_schedules(variant):
     else:
         limits = replace(limits, all_mode_subsets=True, k_paths=8)
     for solver in ("baseline", "exact", "greedy"):
-        digest = hashlib.sha256(solve(inst, solver, limits).to_json().encode()).hexdigest()
-        assert digest == PINNED_VARIANT_SCHEDULES[variant, solver], solver
+        _assert_pinned(solve(inst, solver, limits), PINNED_VARIANT_SCHEDULES[variant, solver],
+                       solver)
 
 
-# The same digest for exact alone at a 20,000-node budget on seed 1, where
+# The same pin for exact alone at a 20,000-node budget on seed 1, where
 # most nodes find their group's free placements already listed.
-PINNED_HOT_EXACT = "ef14cf36ae098a6e8bf547f11652d9bc687f6bb6d54710870f93bb1effd21acb"
+PINNED_HOT_EXACT = ("f0dc3057c0bbe6ebee0d104df7ed24250e3f637418b858ae9135e389c84e320b",
+                    (150.0, 136))
 
 
 def test_pinned_exact_at_20k_nodes():
     limits = SolveLimits(node_budget=20_000, time_budget_s=3600.0)
     schedule = solve_exact(_heavy_fig2(1), limits)
     assert not schedule.optimal
-    assert hashlib.sha256(schedule.to_json().encode()).hexdigest() == PINNED_HOT_EXACT
+    _assert_pinned(schedule, PINNED_HOT_EXACT, "exact")
 
 
 def test_time_budget_stops_search_when_nodes_cannot():
@@ -323,6 +331,32 @@ def _pinned_case(case: str) -> Instance:
     if case in MODELS:
         return _with_model(_heavy_fig2(1), case)
     return _heavy_fig2(int(case.removeprefix("seed-")))
+
+
+@pytest.mark.parametrize("model", ["linear-power", "tanh-coupling"])
+def test_exact_first_descent_is_greedy(model):
+    """Exact takes requests in greedy's order, so under a monotone model
+    its first root-to-leaf descent, the only leaf a budget of the request
+    count + 2 reaches, is greedy's schedule byte for byte."""
+    for seed in range(8):
+        inst = _with_model(_heavy_fig2(seed), model)
+        limits = SolveLimits(node_budget=len(inst.requests) + 2)
+        assert solve_exact(inst, limits).to_json() == solve_greedy(inst).to_json(), seed
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_exact_never_below_greedy(model):
+    """Unseeded exact at 100 and 2,000 nodes is never lexicographically
+    below greedy in (throughput, -lambda), and both schedules are valid."""
+    for seed in range(8):
+        inst = _with_model(_heavy_fig2(seed), model)
+        greedy = solve_greedy(inst)
+        assert validate.check_schedule(inst, greedy).passed, seed
+        for budget in (100, 2000):
+            exact = solve_exact(inst, SolveLimits(node_budget=budget))
+            assert validate.check_schedule(inst, exact).passed, (seed, budget)
+            assert (exact.throughput_gbps, -exact.lambda_count) >= \
+                (greedy.throughput_gbps, -greedy.lambda_count), (seed, budget)
 
 
 @pytest.mark.parametrize("case", ["seed-0", "seed-1", "paper-literal-db"])
