@@ -76,24 +76,31 @@ def _finite(text: str) -> float:
     return value
 
 
+def _distinct(values: list, text: str) -> list:
+    """values, unless one repeats: its sweep rows would share a label."""
+    if len(set(values)) != len(values):
+        raise argparse.ArgumentTypeError(f"repeats a value: {text!r}")
+    return values
+
+
 def _loads(text: str) -> list[float]:
-    """argparse type: a comma-separated list of numbers, offered loads in Gb/s."""
+    """argparse type: comma-separated distinct numbers, offered loads in Gb/s."""
     try:
         loads = [float(x) for x in text.split(",") if x]
     except ValueError:
         loads = []
     if not loads:
         raise argparse.ArgumentTypeError(f"not a comma-separated list of numbers: {text!r}")
-    return loads
+    return _distinct(loads, text)
 
 
 def _solvers(text: str) -> list[str]:
-    """argparse type: a comma-separated list of names from solve.SOLVERS."""
+    """argparse type: comma-separated distinct names from solve.SOLVERS."""
     names = [s for s in text.split(",") if s]
     if not names or not set(names) <= set(solve_mod.SOLVERS):
         raise argparse.ArgumentTypeError(f"not a comma-separated list of solvers from "
                                          f"{', '.join(solve_mod.SOLVERS)}: {text!r}")
-    return names
+    return _distinct(names, text)
 
 
 def _add_limit_flags(parser: argparse.ArgumentParser) -> None:
@@ -147,11 +154,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_emit_lp(args) -> int:
     instance = _load_instance_file(args.instance)
-    if args.objective:
-        from dataclasses import replace
-        from .model import ObjectiveMode
-        planner = replace(instance.planner, objective_mode=ObjectiveMode(kind=args.objective))
-        instance = replace(instance, planner=planner)
     model = milp.build_model(instance)
     phase1_value = args.phase1_value
     if model.two_phase and phase1_value is None and instance.requests:
@@ -246,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("emit-lp", help="write the MIP as LP-format text")
     p.add_argument("-i", "--instance", required=True)
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--objective", choices=["lexicographic", "weighted"])
     p.add_argument("--phase1-value", type=_finite,
                    help="throughput to pin in the phase-2 model")
     _add_limit_flags(p)

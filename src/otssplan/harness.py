@@ -146,9 +146,14 @@ def run_sweep(instance_template: Instance, loads: Sequence[float],
     row per solver. Cells are independent; per-cell seeds depend only on
     (master seed, load index, trial index). Bandwidths are drawn at the
     template's granularity up to its link capacity. Before any cell runs, a
-    load it cannot draw raises TrafficError, and a template ValidationError."""
+    load it cannot draw raises TrafficError, a template ValidationError, and
+    a load or solver given twice ValueError, since its rows would share a
+    label."""
     if not loads or not solvers or trials < 1:
         raise ValueError("need at least one load, one solver, and one trial")
+    for what, values in (("load", loads), ("solver", solvers)):
+        if len(set(values)) != len(values):
+            raise ValueError(f"each {what} may be given once, got {list(values)}")
     limits = limits or SolveLimits()
     rows: list[SweepRow] = []
     cap = instance_template.planner.link_capacity_gbps

@@ -421,7 +421,11 @@ def _blocks(instance: Instance, names: _Names) -> Iterator[Block]:
     are eq3/eq4 per slot and eq5/eq6 per mode and slot, whose rows differ
     only in that suffix. eq2's flow rows and eq11 span links and slots, so
     their blocks hold whole names and are written once. Rows of one
-    coefficient vector share one tuple, made once per pass."""
+    coefficient vector share one tuple, made once per pass.
+
+    The big-M constants come from the instance alone: eq10's is the larger
+    of the slot count T and the largest slot-unit demand, and eq12's lower
+    row reads 1/T, so no schedule within the frame is cut off."""
     if not instance.requests:
         return
     topo = instance.topology
@@ -429,11 +433,9 @@ def _blocks(instance: Instance, names: _Names) -> Iterator[Block]:
     T = instance.slot_count
     slots = range(T)
     nodes = topo.node_ids()
-    big_m = instance.big_m
     rids = [r.id for r in instance.requests]
     q = {r.id: instance.slot_units(r) for r in instance.requests}
-    # eq10's big-M must dominate the largest slot-unit demand
-    big_m_cap = max(big_m, max(q.values()))
+    big_m_cap = max(T, max(q.values()))
     rt, nt, et, lam, rho, overlaps, cm, ca, u, w, v = names
     tags = tuple(et.values())
     cell_tags = tuple(f"m{m}_t{t}" for m in modes for t in slots)
@@ -581,7 +583,7 @@ def _blocks(instance: Instance, names: _Names) -> Iterator[Block]:
         yield block([(f"eq11_{rt[rid]}", shape(*coefs), tuple(ths), "<=", threshold, "eq11")])
 
     # eq12-eq15: beta = AND of the two occupancies; theta = OR over slots
-    lo, hi = shape(*[1.0 / big_m] * T, -1.0), shape(1.0, *[-1.0] * T)
+    lo, hi = shape(*[1.0 / T] * T, -1.0), shape(1.0, *[-1.0] * T)
     both = shape(1.0, 1.0, -1.0)
     eq12 = (("eq12", lo, "<=", 0.0), ("eq12", hi, "<=", 0.0),
             *(("eq13", both, "<=", 1.0), ("eq14", pair, "<=", 0.0), ("eq15", pair, "<=", 0.0))

@@ -277,7 +277,6 @@ class PlannerConfig:
     xt_threshold_db: float = -13.0
     link_capacity_gbps: float = 10.0
     granularity_gbps: float = 1.0  # traffic bandwidth increment
-    big_m: Optional[int] = None  # defaults to the slot count
     accumulation_model: AccumulationModel = field(default_factory=AccumulationModel)
     objective_mode: ObjectiveMode = field(default_factory=ObjectiveMode)
 
@@ -289,11 +288,6 @@ class PlannerConfig:
             failures.append(("$.planner.link_capacity_gbps", "must be > 0"))
         if not (self.granularity_gbps > 0):
             failures.append(("$.planner.granularity_gbps", "must be > 0"))
-        if self.big_m is not None and self.big_m < 1:
-            failures.append(("$.planner.big_m", "must be >= 1"))
-        if self.big_m is not None and self.big_m > 2**53:
-            # the MILP's rows read big_m as a float, exact for every int up to 2**53
-            failures.append(("$.planner.big_m", f"must be <= 2**53 = {2**53}"))
         if failures:
             raise ValidationError(failures)
 
@@ -339,10 +333,6 @@ class Instance:
     @property
     def slot_count(self) -> int:
         return self.frame.slot_count
-
-    @property
-    def big_m(self) -> int:
-        return self.planner.big_m if self.planner.big_m is not None else self.slot_count
 
     @cached_property
     def slot_capacity(self) -> Fraction:
@@ -567,7 +557,6 @@ def load_instance(document: dict | str) -> Instance:
         xt_threshold_db=number("xt_threshold_db", -13.0),
         link_capacity_gbps=number("link_capacity_gbps", 10.0),
         granularity_gbps=number("granularity_gbps", 1.0),
-        big_m=json_optional(planner_doc, "big_m", "integer", "$.planner"),
         accumulation_model=_accumulation_from_document(planner_doc),
         objective_mode=_objective_from_document(planner_doc),
     )
@@ -614,8 +603,6 @@ def serialize_instance(instance: Instance) -> dict:
     }
     if instance.frame.guard_us is not None:
         doc["frame"]["guard_us"] = instance.frame.guard_us
-    if instance.planner.big_m is not None:
-        doc["planner"]["big_m"] = instance.planner.big_m
     return doc
 
 

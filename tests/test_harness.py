@@ -164,6 +164,15 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             harness.run_sweep(self.template(), [], ["greedy"], trials=1, seed=0)
 
+    @pytest.mark.parametrize("loads, solvers", [([20.0, 20.0], ["greedy"]),
+                                                ([20.0], ["greedy", "greedy"])])
+    def test_repeated_value_rejected(self, monkeypatch, loads, solvers):
+        def solve(*args, **kwargs):
+            raise AssertionError("a cell was solved")
+        monkeypatch.setattr(harness.solve_mod, "solve", solve)
+        with pytest.raises(ValueError, match="may be given once"):
+            harness.run_sweep(self.template(), loads, solvers, trials=1, seed=0)
+
 
 class TestFixtures:
     def test_fig2_shape(self):

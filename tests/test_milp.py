@@ -16,8 +16,9 @@ from conftest import (CountingMode, random_micro_instance, tiny_instance,
 from milp_check import assignment_from_schedule, evaluate_constraints
 from otssplan import milp
 from otssplan.harness import fixture_instance
-from otssplan.model import (AccumulationModel, LinkSpec, NodeSpec, ObjectiveMode, Request,
-                            Topology, ValidationError)
+from otssplan.model import (AccumulationModel, CrosstalkMatrix, FrameConfig, Instance, LinkSpec,
+                            NodeSpec, ObjectiveMode, Request, Topology, ValidationError,
+                            load_instance, serialize_instance)
 from otssplan.solve import SolveLimits, solve_exact, solve_greedy
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -51,6 +52,26 @@ def _lp_corpus():
     instances += [(f"micro{i}", random_micro_instance(rng)) for i in range(40)]
     return [(f"{label}.{kind}", _with_objective(inst, kind))
             for label, inst in instances for kind in ("lexicographic", "weighted")]
+
+
+def _three_request_instance():
+    """Three 10 Gb/s requests on one 100 m link with 3 modes of -40 dB
+    coupling and 4 slots of 2.5 Gb/s: all three fit, each on a mode of its
+    own for the whole frame, so two co-propagate in 4 slots."""
+    topo = Topology((NodeSpec("n1", "edge"), NodeSpec("n2", "edge")),
+                    (LinkSpec("n1", "n2", 100.0),))
+    matrix = CrosstalkMatrix(tuple(tuple(None if a == v else -40.0 for v in range(3))
+                                   for a in range(3)))
+    return Instance(topology=topo,
+                    requests=tuple(Request(f"r{i}", "n1", "n2", 10.0) for i in (1, 2, 3)),
+                    frame=FrameConfig(20.0, 5.0), mode_count=3, crosstalk=matrix)
+
+
+def _with_big_m_key(inst, big_m: int = 1):
+    """inst read back from its document with a `big_m` key in the planner."""
+    doc = serialize_instance(inst)
+    doc["planner"]["big_m"] = big_m
+    return load_instance(doc)
 
 
 def _long_id_instance():
@@ -461,6 +482,13 @@ class TestEmitLp:
         paths = milp.emit_lp(model, tmp_path / "model.lp", phase1_value=23.0)
         assert {p.name: _sha256(p) for p in paths} == FIG2_LP_SHA256
 
+    def test_big_m_key_is_not_read(self, tmp_path):
+        """A document's `big_m` key changes no LP byte: the model's
+        constants come from the slot count and the demands alone."""
+        model = milp.build_model(_with_big_m_key(fixture_instance("fig2")))
+        paths = milp.emit_lp(model, tmp_path / "model.lp", phase1_value=23.0)
+        assert {p.name: _sha256(p) for p in paths} == FIG2_LP_SHA256
+
     def test_fig2_weighted_digest(self, tmp_path):
         inst = _with_objective(fixture_instance("fig2"), "weighted")
         [path] = milp.emit_lp(milp.build_model(inst), tmp_path / "model.lp")
@@ -794,6 +822,16 @@ class TestScheduleSatisfiesModel:
                 assert set(values) == set(model.variables)
                 assert evaluate_constraints(model, values) == []
 
+    def test_co_propagation_in_every_slot_satisfies_eq12(self):
+        """Exact's 30 Gb/s schedule of the three-request instance, where two
+        requests share a link in all 4 slots, violates no row, even when
+        its document holds `"big_m": 1`."""
+        inst = _with_big_m_key(_three_request_instance())
+        schedule = solve_exact(inst)
+        assert schedule.throughput_gbps == 30.0
+        values = assignment_from_schedule(inst, schedule)
+        assert evaluate_constraints(milp.build_model(inst), values) == []
+
     def test_interval_past_the_frame_reads_only_frame_cells(self):
         """An interval reaching far past the frame gives the values of its
         in-frame part, and no cell outside the frame is visited."""
@@ -834,3 +872,64 @@ class TestLexicographicObjective:
                                     for o in model.objectives)
             assert throughput == pytest.approx(schedule.throughput_gbps)
             assert resource == pytest.approx(schedule.lambda_count)
+
+
+def _highs_optimum(model) -> tuple[float, int]:
+    """(throughput, lambda count) of a lexicographic model's optimum, as
+    HiGHS solves it: phase 1 maximizes the throughput, phase 2 pins it and
+    minimizes the lambdas. Every variable is binary."""
+    optimize = pytest.importorskip("scipy.optimize")
+    import numpy as np
+    from scipy import sparse
+    column = {name: j for j, name in enumerate(model.variable_names())}
+    data, row_ids, col_ids, lo, hi = [], [], [], [], []
+    for i, (_, coefs, names, sense, rhs, _) in enumerate(model.rows()):
+        data += coefs
+        row_ids += [i] * len(coefs)
+        col_ids += [column[n] for n in names]
+        lo.append(-np.inf if sense == "<=" else rhs)
+        hi.append(np.inf if sense == ">=" else rhs)
+    # coo sums a name's repeated terms in one row, as the LP text does
+    matrix = sparse.coo_array((data, (row_ids, col_ids)), shape=(len(lo), len(column))).tocsr()
+    rows = optimize.LinearConstraint(matrix, lo, hi)
+
+    def vector(objective):
+        c = np.zeros(len(column))
+        for coef, name in zip(objective.coefs, objective.names):
+            c[column[name]] += coef
+        return c
+
+    def solve(c, *constraints):
+        result = optimize.milp(c, constraints=[rows, *constraints], integrality=np.ones_like(c),
+                               bounds=optimize.Bounds(0, 1), options={"mip_rel_gap": 0})
+        assert result.status == 0, result.message
+        return result.fun
+
+    throughput, resource = model.objectives
+    tp = vector(throughput)
+    phase1 = -solve(-tp)
+    lambdas = solve(vector(resource), optimize.LinearConstraint(tp, phase1 - 1e-6, np.inf))
+    return phase1, round(lambdas)
+
+
+class TestHighsOptimum:
+    """The MILP's optimum, as HiGHS finds it, is exact's: the model neither
+    cuts off a schedule exact can place nor admits one it cannot."""
+
+    def test_three_requests_carry_30(self):
+        model = milp.build_model(_with_big_m_key(_three_request_instance()))
+        assert _highs_optimum(model) == (pytest.approx(30.0), 12)
+
+    @pytest.mark.parametrize("acc", [AccumulationModel("linear-power"),
+                                     AccumulationModel("tanh-coupling", h=2e-3)],
+                             ids=["linear-power", "tanh-coupling"])
+    def test_random_corpus(self, acc):
+        rng = random.Random(f"milp-highs-{acc.variant}")
+        limits = SolveLimits(all_mode_subsets=True, k_paths=8)
+        for _ in range(20):
+            inst = random_micro_instance(rng)
+            inst = replace(inst, planner=replace(inst.planner, accumulation_model=acc))
+            schedule = solve_exact(inst, limits)
+            assert schedule.optimal
+            assert _highs_optimum(milp.build_model(inst)) == (
+                pytest.approx(schedule.throughput_gbps), schedule.lambda_count)

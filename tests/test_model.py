@@ -145,7 +145,7 @@ class TestLoadInstance:
         rng = random.Random("load-round-trip")
         fig2 = fig2_fixture()
         weighted_tanh = replace(fig2, planner=replace(
-            fig2.planner, big_m=6, objective_mode=ObjectiveMode("weighted"),
+            fig2.planner, objective_mode=ObjectiveMode("weighted"),
             accumulation_model=AccumulationModel("tanh-coupling", h=0.002)))
         corpus = [fig2, weighted_tanh, fixture_instance("fig4")]
         corpus += [random_micro_instance(rng) for _ in range(30)]
