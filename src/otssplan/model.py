@@ -160,7 +160,8 @@ class Request:
 @dataclass(frozen=True)
 class FrameConfig:
     """Time-slice frame: repeating period of length frame_ms divided into
-    equal slices of slice_ms. guard_us is display-only."""
+    equal slices of slice_ms. guard_us is display-only and must be >= 0;
+    0 or None means no guard."""
 
     frame_ms: float
     slice_ms: float
@@ -172,6 +173,8 @@ class FrameConfig:
             failures.append(("$.frame.frame_ms", "must be > 0"))
         if not (self.slice_ms > 0):
             failures.append(("$.frame.slice_ms", "must be > 0"))
+        if self.guard_us is not None and not self.guard_us >= 0:
+            failures.append(("$.frame.guard_us", "must be >= 0"))
         if not failures:
             ratio = Fraction(str(self.frame_ms)) / Fraction(str(self.slice_ms))
             if ratio.denominator != 1:

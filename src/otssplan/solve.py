@@ -13,10 +13,13 @@ whatever object it is, finds them); a solve on another network replaces
 them. So Yen runs once per (network, source, destination, k), and every
 solve on an equal network shares the tables. A group is built once,
 eagerly, from routes x shapes straight into placements, with its
-footprint, the OR of their occupancy masks. Slot exclusivity is one int
-bitmask over (link, mode, slot) cells. What depends on the traffic lives
-in the solve's own `_SearchState` and ends with it: its commits and its
-memos of free placements and of pair terms. A pair of (path, modes)
+footprint, the OR of their occupancy masks. A placement keeps only its
+shape's masks, no wider than the slot grid, and its route's base mask,
+one int shared by the route's placements; its occupancy, base times its
+(mode, slot) mask, is made when it is committed. Slot exclusivity is one
+int bitmask over (link, mode, slot) cells. What depends on the traffic
+lives in the solve's own `_SearchState` and ends with it: its commits and
+its memos of free placements and of pair terms. A pair of (path, modes)
 geometries takes its terms from the per-link table in
 `xtalk.overlap_terms` order, so totals and prune decisions are
 bit-identical to summing `xtalk.pairwise_contribution`.
@@ -323,9 +326,14 @@ def enumerate_candidates(request: Request, instance: Instance, k: int,
 
 @dataclass(eq=False, slots=True)
 class _Placement:
-    """A candidate's geometry, shared by its (source, destination, slot units) group: an id
-    for (path, modes), (link, slot) and (link, mode, slot) bitmasks, and the
-    (mode, slot) mask it takes on each of its links."""
+    """A candidate's geometry, shared by its (source, destination, slot
+    units) group: its path and link indices, modes and slots, an id for
+    (path, modes), its shape's slot run mask (bit t per slot t) and the
+    (mode, slot) mask it takes on each of its links (bit m * slots + t),
+    and `base`, its route's mask of one bit per link at link * mode_count
+    * slots. Every placement of a route holds the same `base` int, the
+    only field wider than the slot grid; its (link, mode, slot) occupancy
+    is base * mode_slots, made when it is committed."""
 
     path: tuple[Link, ...]
     links: tuple[int, ...]
@@ -334,8 +342,8 @@ class _Placement:
     slot_end: int
     lambda_count: int
     geometry: int
-    cells: int
-    occupancy: int
+    run: int
+    base: int
     mode_slots: int
 
     def assignment(self, request_id: str) -> Assignment:
@@ -399,9 +407,10 @@ class _Tables:
     def group(self, request: Request, instance: Instance) -> _Group:
         """The request's (source, destination, slot units) group, built on
         first use: a placement for every route × shape, ordered by (supply,
-        path length, path, slot start, modes). A placement's masks are its
-        route's base masks times its shape's run and (mode, slot) masks,
-        and its geometry id is looked up once per (route, mode set)."""
+        path length, path, slot start, modes). A placement keeps its
+        shape's run and (mode, slot) masks and its route's base mask, one
+        int per route, and its geometry id is looked up once per (route,
+        mode set)."""
         units = instance.slot_units(request)
         key = (request.source, request.destination, units)
         group = self.groups.get(key)
@@ -416,24 +425,24 @@ class _Tables:
                 links = tuple(self.link_index[l] for l in path)
                 ids = {modes: self.geometries.setdefault((links, modes), len(self.geometries))
                        for modes in mode_sets}
-                # one bit per (link, slot), and per (link, mode, slot) at
-                # link * mode_count * slots; a shape's masks fill the gaps
-                routes.append((path, links, sum(1 << li * slots for li in links),
-                               sum(1 << li * self.mode_count * slots for li in links), ids))
+                # one bit per link at link * mode_count * slots; a shape's
+                # (mode, slot) mask fills the gaps
+                routes.append((path, links, sum(1 << li * self.mode_count * slots
+                                                for li in links), ids))
             placements: list[_Placement] = []
             route_indices: list[list[int]] = [[] for _ in routes]
             for supply, same in blocks:
-                for (path, links, link_base, cell_base, ids), own in zip(routes, route_indices):
+                for (path, links, base, ids), own in zip(routes, route_indices):
                     for modes, start, end, run, mode_slots in same:
                         own.append(len(placements))
                         placements.append(_Placement(
                             path, links, modes, start, end, len(links) * supply, ids[modes],
-                            link_base * run, cell_base * mode_slots, mode_slots))
+                            run, base, mode_slots))
             # every route takes the shapes in the same order
             shapes = tuple(shape[-1] for _, same in blocks for shape in same)
             group = self.groups[key] = _Group(
                 len(self.groups), placements,
-                reduce(int.__or__, (route[3] * cells_used for route in routes), 0),
+                reduce(int.__or__, (route[2] * cells_used for route in routes), 0),
                 min(len(route[1]) for route in routes) * blocks[0][0] if placements else 0,
                 [(route[1], shapes, tuple(own)) for route, own in zip(routes, route_indices)])
         return group
@@ -452,23 +461,22 @@ class _Tables:
 
 
 class _SearchState:
-    """One solve's committed placements, their (link, slot) cell masks, slot
-    occupancy, the (mode, slot) cells placed on each link and one crosstalk
-    record per commit, indexed by link, with O(1) undo, over the network's
-    shared _Tables, and the memos this solve fills. A record is [the
-    placement's additive crosstalk total, the index of the last commit that
-    added to it]. `rejected_by` is the record of the placed victim that
-    rejected the last rejected commit, or None if a slot or its own
-    crosstalk did."""
+    """One solve's committed placements, each with its crosstalk record,
+    their (link, mode, slot) occupancy, and per link the commits using it
+    and the (mode, slot) cells placed on it, with O(1) undo, over the
+    network's shared _Tables, and the memos this solve fills. A record is
+    [the placement's additive crosstalk total, the index of the last
+    commit that added to it]. `rejected_by` is the record of the placed
+    victim that rejected the last rejected commit, or None if a slot or
+    its own crosstalk did."""
 
     def __init__(self, tables: _Tables):
         self.tables = tables
         self.limit = tables.limit
         self.occupied = 0
-        self.placed: list[_Placement] = []
-        # per placed[k]: (its cells, placed[k], its [total, last contributor])
-        self.entries: list[tuple[int, _Placement, list]] = []
-        # per link: the mask of the placed indices k whose path uses it
+        # per commit k: (its placement, its [total, last contributor])
+        self.entries: list[tuple[_Placement, list]] = []
+        # per link: the mask of the commit indices k whose path uses it
         self.by_link = [0] * len(tables.link_index)
         # per link: the (mode, slot) cells placed on it, bit m * slots + t
         self.link_cells = [0] * len(tables.link_index)
@@ -515,14 +523,15 @@ class _SearchState:
 
     def commit(self, new: _Placement) -> Optional[tuple]:
         """Commit if feasible; returns an undo token, or None if infeasible,
-        setting `rejected_by`. Only placed entries whose cells meet `new`'s
-        take or give crosstalk; the scan visits those that share a link with
-        it, in commit order."""
-        occupancy, cells = new.occupancy, new.cells
+        setting `rejected_by`. Only placed entries that share a link with
+        `new` and whose slot runs meet its own take or give crosstalk
+        (xtalk.overlap_terms' rule); the scan visits those that share a
+        link, in commit order."""
+        occupancy = new.base * new.mode_slots
         if occupancy & self.occupied:
             self.rejected_by = None
             return None
-        limit, placed = self.limit, self.placed
+        limit, run = self.limit, new.run
         row = self.pairs[new.geometry]
         own = 0.0
         updates = []
@@ -533,8 +542,8 @@ class _SearchState:
         while near:
             bit = near & -near
             near ^= bit
-            other_cells, other, record = entries[bit.bit_length() - 1]
-            if not other_cells & cells:
+            other, record = entries[bit.bit_length() - 1]
+            if not other.run & run:
                 continue
             terms, inc = row.get(other.geometry) or self.pair(new, other)
             for term in terms:
@@ -548,13 +557,12 @@ class _SearchState:
         if own and not own <= limit:
             self.rejected_by = None
             return None
-        m = len(placed)
+        m = len(entries)
         for record, total, _, _ in updates:
             record[0] = total
             record[1] = m
         self.occupied |= occupancy
-        placed.append(new)
-        entries.append((cells, new, [own, m]))
+        entries.append((new, [own, m]))
         bit = 1 << m
         link_cells, mode_slots = self.link_cells, new.mode_slots
         for li in new.links:
@@ -566,11 +574,10 @@ class _SearchState:
         occupancy, updates = token
         self.occupied &= ~occupancy
         bit = 1 << len(self.entries) - 1
-        gone = self.placed.pop()
+        gone = self.entries.pop()[0]
         for li in gone.links:
             self.by_link[li] ^= bit
             self.link_cells[li] ^= gone.mode_slots
-        self.entries.pop()
         for record, _, total, last in updates:
             record[0] = total
             record[1] = last
@@ -629,7 +636,7 @@ def _branch(instance: Instance, limits: SolveLimits, requests: list[Request],
     leaf_limit = None if monotone or first_leaf else state.limit
     if leaf_limit is not None:
         state.limit = math.inf
-    placed, entries, commit, undo = state.placed, state.entries, state.commit, state.undo
+    entries, commit, undo = state.entries, state.commit, state.undo
     groups = [tables.group(r, instance) for r in requests]
     footprints = [g.footprint for g in groups]
     candidates = [g.placements for g in groups]
@@ -674,10 +681,10 @@ def _branch(instance: Instance, limits: SolveLimits, requests: list[Request],
             return best, True
         if i == n:
             feasible = leaf_limit is None or all(not r[0] or r[0] <= leaf_limit
-                                                 for _, _, r in entries)
+                                                 for _, r in entries)
             if feasible and (best is None or _lex_better(tp, lam, best_tp, best_lam)):
                 best = [p.assignment(requests[frame[2]].id)
-                        for frame, p in zip(frames, placed)]
+                        for frame, (p, _) in zip(frames, entries)]
                 best_tp, best_lam = tp, lam
             if first_leaf:
                 return best, False

@@ -26,12 +26,15 @@ def render_timeline(instance: Instance, schedule: Schedule,
                     link: Optional[Link] = None) -> str:
     """Render the slot grid of one link (default: the first occupied link,
     or the first topology link if nothing is scheduled). A topology with
-    no link raises ValidationError at $.topology.links."""
+    no link, or a `link` not in it, raises ValidationError at
+    $.topology.links."""
     if link is None:
         if not instance.topology.link_keys():
             raise ValidationError([("$.topology.links", "no link to draw a timeline of")])
         link = next((l for a in schedule.assignments for l in a.path),
                     instance.topology.link_keys()[0])
+    elif link not in instance.topology.link_keys():
+        raise ValidationError([("$.topology.links", f"no link {link[0]} -> {link[1]}")])
     aliases = request_aliases(schedule)
     slots = instance.slot_count
     guard = instance.frame.guard_us

@@ -7,7 +7,7 @@ import pytest
 from conftest import CountingMode, two_request_200m_instance
 from otssplan import cli, milp, timeline
 from otssplan.harness import fig2_fixture
-from otssplan.model import load_instance, serialize_instance
+from otssplan.model import ValidationError, load_instance, serialize_instance
 from otssplan.solve import Assignment, Schedule, SolveLimits, solve_exact
 from test_milp import FIG2_LP_SHA256
 
@@ -247,6 +247,8 @@ class TestModelErrors:
                      "$.planner.objective_mode.weighted.eta1", id="eta1-zero"),
         pytest.param(lambda d: d["planner"].update(objective_mode={"weighted": {"eta2": -1}}),
                      "$.planner.objective_mode.weighted.eta2", id="eta2-negative"),
+        pytest.param(lambda d: d["frame"].update(guard_us=-50), "$.frame.guard_us",
+                     id="guard-negative"),
     ])
     def test_instance_wrong_type(self, tmp_path, fig2_file, capsys, edit, location):
         doc = json.loads(fig2_file.read_text())
@@ -469,6 +471,24 @@ class TestTimeline:
         text = timeline.render_timeline(inst, sched)
         assert "m1 A|A|.|." in text
         assert "guard interval: 50 us" in text
+
+    def test_zero_guard_is_no_guard(self, tmp_path, fig2_file, capsys):
+        doc = json.loads(fig2_file.read_text())
+        doc["frame"]["guard_us"] = 0
+        path, sched = tmp_path / "unguarded.json", tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert cli.run(["plan", "-i", str(path), "-o", str(sched)]) == 0
+        capsys.readouterr()
+        assert cli.run(["timeline", "-i", str(path), "-s", str(sched)]) == 0
+        text = capsys.readouterr().out
+        assert "|" not in text and "guard" not in text
+
+    def test_link_not_in_topology(self):
+        inst = two_request_200m_instance()
+        sched = Schedule((), ("ra", "rb"), 0.0, 0, True)
+        with pytest.raises(ValidationError) as err:
+            timeline.render_timeline(inst, sched, ("n1", "zz"))
+        assert err.value.failures == [("$.topology.links", "no link n1 -> zz")]
 
     def test_interval_past_the_frame_draws_only_frame_cells(self):
         inst = two_request_200m_instance()

@@ -2,6 +2,7 @@ import builtins
 import copy
 import dataclasses
 import functools
+import gc
 import hashlib
 import itertools
 import json
@@ -10,6 +11,7 @@ import operator
 import random
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -20,7 +22,8 @@ from conftest import brute_force_best, random_micro_instance, two_request_200m_i
 from otssplan import solve as solve_mod, validate, xtalk
 from otssplan.model import (AccumulationModel, CrosstalkMatrix, FrameConfig, Instance,
                             LinkSpec, NodeSpec, PlannerConfig, Request, Topology,
-                            collapse_frame, load_instance, serialize_instance)
+                            build_fat_tree, collapse_frame, load_instance,
+                            serialize_instance)
 from otssplan.solve import (SolveLimits, _SearchState, enumerate_candidates, k_shortest_paths,
                             solve, solve_baseline_conventional, solve_exact, solve_greedy)
 from otssplan.harness import fig2_fixture, gen_uniform_traffic
@@ -490,6 +493,59 @@ def test_network_cache_holds_only_what_the_network_bounds():
         assert all(len(table) <= mode_sets ** 2 for table in tables.link_terms)
 
 
+def _fat_tree_instance(edges: int, aggs: int, cores: int, load_gbps: float,
+                       seed: str) -> Instance:
+    """fig2's modes, crosstalk, frame and planner on a fat tree of 100 m
+    links, under uniform traffic drawn from `seed`."""
+    topology = build_fat_tree(edges, aggs, cores, 100.0)
+    return replace(fig2_fixture(), topology=topology,
+                   requests=gen_uniform_traffic(topology, load_gbps, seed=seed))
+
+
+def test_placements_hold_nothing_network_wide():
+    """On a fat tree, each placement's slot run and (mode, slot) mask fit
+    the slot grid, the placements of one route share one `base` int, and
+    base * mode_slots sets exactly the (link, mode, slot) cells its
+    assignment covers."""
+    inst = _fat_tree_instance(6, 3, 2, 60.0, "placements")
+    tables = solve_mod._Tables.of(inst, SolveLimits())
+    slots, modes = inst.slot_count, inst.mode_count
+    checked = 0
+    for r in inst.requests:
+        bases = {}
+        for p in tables.group(r, inst).placements:
+            assert 0 < p.run < 1 << slots and 0 < p.mode_slots < 1 << modes * slots
+            assert bases.setdefault(p.links, p.base) is p.base
+            assert p.base * p.mode_slots == sum(
+                1 << (tables.link_index[link] * modes + m) * slots + t
+                for link, m, t in p.assignment(r.id).cells())
+            checked += 1
+        assert len({id(base) for base in bases.values()}) == len(bases)
+    assert checked > 500
+
+
+def test_cache_entry_memory_on_a_16_edge_fat_tree():
+    """Greedy on fat_tree(16, 8, 4) at 960 Gb/s leaves a network cache
+    entry of at most 4 MB traced (the memory freed when it is dropped): a
+    group's placements hold no mask wider than the slot grid but their
+    route's shared base."""
+    inst = _fat_tree_instance(16, 8, 4, 960.0, "scale:16:0")
+    solve_mod._cache.network = None
+    gc.collect()
+    tracemalloc.start()
+    try:
+        solve_greedy(inst, SolveLimits(node_budget=500))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        solve_mod._cache.network = None
+        gc.collect()
+        entry = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    print(f"cache entry: {entry / 1e6:.2f} MB")
+    assert entry <= 4_000_000
+
+
 def test_each_thread_keeps_its_own_network():
     """A solve in another thread neither reads nor replaces this thread's
     cached network, and gives the schedule it gives here."""
@@ -542,7 +598,7 @@ def _commit_log(inst: Instance, limits: SolveLimits, report_blockers: bool):
             state.rejected_by = None
         calls.append(new)
         if token is not None:
-            accepted.append((new.path, new.modes, new.slot_start, len(state.placed)))
+            accepted.append((new.path, new.modes, new.slot_start, len(state.entries)))
         return token
 
     with pytest.MonkeyPatch.context() as monkeypatch:
@@ -693,7 +749,7 @@ def _reference_commit(instance, placed, records, new):
 
 
 def _records(state):
-    return [record for _, _, record in state.entries]
+    return [record for _, record in state.entries]
 
 
 @pytest.mark.parametrize("variant", ["linear-power", "paper-literal-db"])
@@ -752,7 +808,7 @@ def test_commit_and_undo_match_reference(picks, ops, threshold_db, variant):
         if is_commit:
             rid, new = pool[pick % len(pool)]
             expected = _reference_commit(inst, placed, records, new.assignment(rid))
-            clash = new.occupancy & state.occupied
+            clash = new.base * new.mode_slots & state.occupied
             token = state.commit(new)
             assert (token is None) == (expected is None)
             # a slot conflict names no record, a victim rejection a live one of this state
@@ -768,7 +824,7 @@ def test_commit_and_undo_match_reference(picks, ops, threshold_db, variant):
             placed = placed[:-1]
             state.undo(token)
         assert _records(state) == records
-        assert [p.assignment("x") for p in state.placed] == \
+        assert [p.assignment("x") for p, _ in state.entries] == \
             [replace(a, request_id="x") for a in placed]
 
 
@@ -785,14 +841,14 @@ def test_free_lists_match_occupancy(monkeypatch):
     tables = solve_mod._Tables.of(inst, SolveLimits())
     groups = [tables.group(r, inst) for r in inst.requests]
     assert groups[0] is groups[4]
-    assert all(g.footprint == functools.reduce(operator.or_, (p.occupancy for p in g.placements))
+    assert all(g.footprint == functools.reduce(operator.or_, (p.base * p.mode_slots for p in g.placements))
                for g in groups)
 
     commit = _SearchState.commit
     offered = []
 
     def checked(state, new):
-        assert not new.occupancy & state.occupied
+        assert not new.base * new.mode_slots & state.occupied
         offered.append(new)
         return commit(state, new)
 
