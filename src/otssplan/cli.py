@@ -219,9 +219,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="solve an instance and write the schedule")
     p.add_argument("-i", "--instance", required=True)
     p.add_argument("--solver", choices=solve_mod.SOLVERS, default="exact",
-                   help="default exact, at 1,000,000 nodes and 300 s; every solver "
-                        "takes requests in bandwidth-descending order, and exact's first "
-                        "descent is greedy's schedule unless the model is paper-literal-db")
+                   help="default exact, at 1,000,000 nodes and 300 s; greedy takes "
+                        "requests in bandwidth-descending order, and exact searches in that "
+                        "order after one first-fit probe in Gb/s-per-slot-unit order, so it "
+                        "never answers below greedy unless the model is paper-literal-db")
     p.add_argument("-o", "--output")
     _add_limit_flags(p)
     p.set_defaults(func=cmd_plan)

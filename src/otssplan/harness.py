@@ -107,6 +107,7 @@ class SweepResult:
     instance_digest: str
     bandwidth_law: str
     averages: tuple[tuple[float, str, float], ...]  # (load, solver, mean throughput)
+    limits: SolveLimits  # what every row was solved under
 
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as fh:
@@ -123,6 +124,10 @@ class SweepResult:
             "seed": self.seed,
             "instance_digest": self.instance_digest,
             "bandwidth_law": self.bandwidth_law,
+            "node_budget": self.limits.node_budget,
+            "time_budget_s": self.limits.time_budget_s,
+            "k_paths": self.limits.k_paths,
+            "all_mode_subsets": self.limits.all_mode_subsets,
             "averages": [{"load_gbps": l, "solver": s, "mean_throughput_gbps": m}
                          for l, s, m in self.averages],
         }
@@ -200,7 +205,7 @@ def run_sweep(instance_template: Instance, loads: Sequence[float],
                        instance_digest=_instance_digest(instance_template),
                        bandwidth_law=(f"uniform multiples of {granularity} Gb/s "
                                       f"on (0, {cap}]"),
-                       averages=tuple(averages))
+                       averages=tuple(averages), limits=limits)
 
 
 # --- bundled fixtures -----------------------------------------------------

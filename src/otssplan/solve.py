@@ -19,7 +19,9 @@ one int shared by the route's placements; its occupancy, base times its
 (mode, slot) mask, is made when it is committed. Slot exclusivity is one
 int bitmask over (link, mode, slot) cells. What depends on the traffic
 lives in the solve's own `_SearchState` and ends with it: its commits and
-its memos of free placements and of pair terms. A pair of (path, modes)
+its memos of free placements (per group and per route) and of pair terms.
+Every search of a solve runs on that one state and leaves it with no
+commit, so later searches reuse its memos. A pair of (path, modes)
 geometries takes its terms from the per-link table in
 `xtalk.overlap_terms` order, so totals and prune decisions are
 bit-identical to summing `xtalk.pairwise_contribution`.
@@ -27,13 +29,19 @@ bit-identical to summing `xtalk.pairwise_contribution`.
 One routine, `_branch`, searches for every solver: a depth-first
 branch-and-bound whose path is a stack of frames, one per committed
 placement, so a search one level per request deep never recurses. Every
-solver takes requests in one order, bandwidth descending with ties by
-id. Greedy is the first root-to-leaf descent, where with no incumbent no
-bound prunes, so it stops at that leaf and no budget applies. Unseeded
-exact starts with that same descent and runs on until the search
-completes or a budget runs out, so under a monotone model (no negative
-term) with a node budget of at least the request count + 2, it never
-answers below greedy. Baseline is exact on the collapsed frame. At a
+search takes requests in bandwidth order, descending with ties by id,
+except exact's probe. Greedy is the first root-to-leaf descent, where
+with no incumbent no bound prunes, so it stops at that leaf and no
+budget applies. Exact may first probe: one such first-fit descent in
+density order, Gb/s per slot unit descending (a 9 Gb/s request strands
+part of a 2.5 Gb/s unit, a 10 Gb/s one none), when that order differs
+and the node budget is at least 2n + 3 for n requests. The probe costs
+n + 1 of the budget's nodes, and its leaf seeds the incumbent when it
+beats `initial`. Then the bandwidth-order search starts with greedy's
+descent and runs on until it completes or a budget runs out, so under a
+monotone model (no negative term) with a node budget of at least n + 2,
+exact never answers below greedy. Baseline is exact on the collapsed
+frame, where every request is one unit and the two orders coincide. At a
 node the search takes the mask of the group's conflict-free placements
 (bit j for placement j, so lowest bit first is enumeration order) from a
 per-solve memo keyed by the occupancy the footprint can see; a miss
@@ -63,6 +71,7 @@ import threading
 import time
 from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from typing import Iterable, Optional
 
@@ -184,9 +193,13 @@ class SolveLimits:
     all_mode_subsets: bool = False
 
     def __post_init__(self):
+        for name in ("node_budget", "k_paths"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+                raise ValueError(f"{name} must be a positive int, got {value!r}")
         # written as `not x > 0`, so a NaN budget is rejected too
-        if not self.node_budget > 0 or not self.time_budget_s > 0 or not self.k_paths > 0:
-            raise ValueError("solve limits must be positive")
+        if not self.time_budget_s > 0:
+            raise ValueError(f"time_budget_s must be positive, got {self.time_budget_s!r}")
 
 
 # --- network cache --------------------------------------------------------
@@ -464,7 +477,8 @@ class _SearchState:
     """One solve's committed placements, each with its crosstalk record,
     their (link, mode, slot) occupancy, and per link the commits using it
     and the (mode, slot) cells placed on it, with O(1) undo, over the
-    network's shared _Tables, and the memos this solve fills. A record is
+    network's shared _Tables, and the memos this solve's searches fill
+    and share: free masks per group and per route, and pair entries. A record is
     [the placement's additive crosstalk total, the index of the last
     commit that added to it]. `rejected_by` is the record of the placed
     victim that rejected the last rejected commit, or None if a slot or
@@ -483,6 +497,8 @@ class _SearchState:
         self.rejected_by: Optional[list] = None
         # per group serial, per route: {the cells placed on its links: free() mask}
         self.route_memos: dict[int, list[dict[int, int]]] = {}
+        # per group serial: {occupied & footprint: free() mask}
+        self.free_masks: dict[int, dict[int, int]] = {}
         # geometry id -> {placed geometry id: pair() entry}
         self.pairs: defaultdict[int, dict] = defaultdict(dict)
 
@@ -608,14 +624,18 @@ def _finish(instance: Instance, assignments: list[Assignment], optimal: bool) ->
                     throughput_gbps=tp, lambda_count=lam, optimal=optimal)
 
 
-def _branch(instance: Instance, limits: SolveLimits, requests: list[Request],
-            initial: Optional[Schedule] = None,
-            first_leaf: bool = False) -> tuple[Optional[list[Assignment]], bool]:
+def _branch(instance: Instance, state: _SearchState, requests: list[Request],
+            initial: Optional[Schedule] = None, first_leaf: bool = False,
+            node_budget: int = 0,
+            deadline: float = math.inf) -> tuple[Optional[list[Assignment]], bool]:
     """Depth-first branch-and-bound over `requests` in order: each request
     tries its group's conflict-free placements in enumeration order, then
     rejection. Returns the best leaf's assignments (the first found on
     ties; `initial`'s if no leaf beats it, None if neither exists) and
-    whether a budget stopped the search.
+    whether a budget stopped the search. It enters at most `node_budget`
+    nodes and gives up after `deadline` (time.monotonic). Every return
+    leaves `state` as it was found: each commit undone and its limit
+    restored; the memos it filled stay for the next search of the solve.
 
     Prunes on slot conflicts, incremental crosstalk infeasibility, and an
     optimistic throughput bound against the incumbent. Over tables with a
@@ -630,21 +650,16 @@ def _branch(instance: Instance, limits: SolveLimits, requests: list[Request],
     there and no budget applies: greedy. Over monotone tables (no leaf
     check) exact's first leaf in the same order is then greedy's, and
     later leaves replace it only when lexicographically better."""
-    state = _SearchState(_Tables.of(instance, limits))
     tables = state.tables
     monotone = tables.monotone
-    leaf_limit = None if monotone or first_leaf else state.limit
-    if leaf_limit is not None:
-        state.limit = math.inf
+    limit = state.limit
+    leaf_limit = None if monotone or first_leaf else limit
     entries, commit, undo = state.entries, state.commit, state.undo
     groups = [tables.group(r, instance) for r in requests]
     footprints = [g.footprint for g in groups]
     candidates = [g.placements for g in groups]
     serials = [g.serial for g in groups]
-    # per group: {occupied & footprint: mask of the placements meeting no
-    # occupied cell}, bit j for placement j
-    memo: dict[int, dict[int, int]] = {}
-    free_masks = [memo.setdefault(g.serial, {}) for g in groups]
+    free_masks = [state.free_masks.setdefault(s, {}) for s in serials]
     # per group: the placements known to be rejected (see module doc)
     dead = [0] * len(tables.groups)
     gains = [r.bandwidth_gbps for r in requests]
@@ -662,10 +677,7 @@ def _branch(instance: Instance, limits: SolveLimits, requests: list[Request],
     if initial is not None:
         best = list(initial.assignments)
         best_tp, best_lam = initial.throughput_gbps, initial.lambda_count
-    if first_leaf:
-        nodes, deadline = n + 2, math.inf
-    else:
-        nodes, deadline = limits.node_budget, time.monotonic() + limits.time_budget_s
+    nodes = n + 2 if first_leaf else node_budget
     # one frame per placement committed on the path to the current node,
     # root first: [the mask of its node's untried placements, the undo
     # token, the node's depth, tp and lam, and the (group, bit)s set dead
@@ -673,73 +685,92 @@ def _branch(instance: Instance, limits: SolveLimits, requests: list[Request],
     # takes its reject branch and leaves the stack
     frames: list[list] = []
     i, tp, lam = 0, 0.0, 0
-    while True:
-        # enter the node at depth i
-        nodes -= 1
-        # the clock is read every 256 nodes
-        if nodes <= 0 or not nodes & 255 and time.monotonic() > deadline:
-            return best, True
-        if i == n:
-            feasible = leaf_limit is None or all(not r[0] or r[0] <= leaf_limit
-                                                 for _, r in entries)
-            if feasible and (best is None or _lex_better(tp, lam, best_tp, best_lam)):
-                best = [p.assignment(requests[frame[2]].id)
-                        for frame, (p, _) in zip(frames, entries)]
-                best_tp, best_lam = tp, lam
-            if first_leaf:
-                return best, False
-        else:
-            reachable = tp + suffix[i]
-            # the bound prunes only against an incumbent; a completion can
-            # only tie its throughput by accepting every remaining request
-            # that has candidates, each costing at least its cheapest placement
-            if best is None or reachable > best_tp + _EPS or \
-                    reachable >= best_tp - _EPS and lam + min_lam_suffix[i] < best_lam:
-                key = state.occupied & footprints[i]
-                free = free_masks[i].get(key)
-                if free is None:
-                    free = free_masks[i][key] = state.free(groups[i])
-                live = free & ~dead[serials[i]]
-                if not live:
-                    i += 1  # its reject branch
-                    continue
-                frames.append([live, None, i, tp, lam, []])
-        # move to the next branch of the deepest node with untried
-        # placements: its next committable one, else its reject branch
-        if not frames:
-            return best, False  # every branch explored
-        frame = frames[-1]
-        untried, token, i, tp, lam, buried = frame
-        if token is not None:
-            undo(token)
-            for s, bit in buried:
-                dead[s] &= ~bit
-            buried.clear()
-        group, s = candidates[i], serials[i]
-        live = untried & ~dead[s]
-        while live:
-            bit = live & -live
-            live ^= bit
-            cand = group[bit.bit_length() - 1]
-            token = commit(cand)
+    if leaf_limit is not None:
+        state.limit = math.inf
+    try:
+        while True:
+            # enter the node at depth i
+            nodes -= 1
+            # the clock is read every 256 nodes
+            if nodes <= 0 or not nodes & 255 and time.monotonic() > deadline:
+                return best, True
+            if i == n:
+                feasible = leaf_limit is None or all(not r[0] or r[0] <= leaf_limit
+                                                     for _, r in entries)
+                if feasible and (best is None or _lex_better(tp, lam, best_tp, best_lam)):
+                    best = [p.assignment(requests[frame[2]].id)
+                            for frame, (p, _) in zip(frames, entries)]
+                    best_tp, best_lam = tp, lam
+                if first_leaf:
+                    return best, False
+            else:
+                reachable = tp + suffix[i]
+                # the bound prunes only against an incumbent; a completion can
+                # only tie its throughput by accepting every remaining request
+                # that has candidates, each costing at least its cheapest placement
+                if best is None or reachable > best_tp + _EPS or \
+                        reachable >= best_tp - _EPS and lam + min_lam_suffix[i] < best_lam:
+                    key = state.occupied & footprints[i]
+                    free = free_masks[i].get(key)
+                    if free is None:
+                        free = free_masks[i][key] = state.free(groups[i])
+                    live = free & ~dead[serials[i]]
+                    if not live:
+                        i += 1  # its reject branch
+                        continue
+                    frames.append([live, None, i, tp, lam, []])
+            # move to the next branch of the deepest node with untried
+            # placements: its next committable one, else its reject branch
+            if not frames:
+                return best, False  # every branch explored
+            frame = frames[-1]
+            untried, token, i, tp, lam, buried = frame
             if token is not None:
-                frame[0], frame[1] = live, token
-                tp += gains[i]
-                lam += cand.lambda_count
-                break
-            record = state.rejected_by
-            if monotone and record is not None:
-                dead[s] |= bit
-                frames[record[1]][5].append((s, bit))
-        else:
-            frames.pop()
-        i += 1
+                undo(token)
+                frame[1] = None
+                for s, bit in buried:
+                    dead[s] &= ~bit
+                buried.clear()
+            group, s = candidates[i], serials[i]
+            live = untried & ~dead[s]
+            while live:
+                bit = live & -live
+                live ^= bit
+                cand = group[bit.bit_length() - 1]
+                token = commit(cand)
+                if token is not None:
+                    frame[0], frame[1] = live, token
+                    tp += gains[i]
+                    lam += cand.lambda_count
+                    break
+                record = state.rejected_by
+                if monotone and record is not None:
+                    dead[s] |= bit
+                    frames[record[1]][5].append((s, bit))
+            else:
+                frames.pop()
+            i += 1
+    finally:
+        for frame in reversed(frames):
+            if frame[1] is not None:
+                undo(frame[1])
+        state.limit = limit
 
 
 def _request_order(instance: Instance) -> list[Request]:
     """The order every search takes requests in: bandwidth descending,
     ties by request id."""
     return sorted(instance.requests, key=lambda r: (-r.bandwidth_gbps, r.id))
+
+
+def _density_order(instance: Instance) -> list[Request]:
+    """The order of exact's probe: Gb/s per slot unit descending, compared
+    exactly, ties by bandwidth descending and then id."""
+    units = {r.bandwidth_gbps: instance.slot_units(r) for r in instance.requests}
+    # one rank per distinct bandwidth, so only those few are compared as Fractions
+    rank = {bw: k for k, bw in enumerate(sorted(
+        units, key=lambda bw: (-Fraction(str(bw)) / units[bw], -bw)))}
+    return sorted(instance.requests, key=lambda r: (rank[r.bandwidth_gbps], r.id))
 
 
 def solve_exact(instance: Instance, limits: Optional[SolveLimits] = None,
@@ -749,21 +780,45 @@ def solve_exact(instance: Instance, limits: Optional[SolveLimits] = None,
 
     Deterministic: fixed candidate order, first-found incumbent kept on
     ties. When the node or time budget runs out, the best schedule found
-    so far is returned with optimal=False.
+    so far is returned with optimal=False; a budget-bound solve enters
+    exactly `node_budget` nodes, the probe's included.
 
-    Unseeded, its first root-to-leaf descent is greedy's schedule, so
-    under a monotone accumulation model (linear-power, tanh-coupling) and
-    a node budget of at least len(instance.requests) + 2 the result is
-    never lexicographically below greedy's; at exactly that budget it is
-    greedy's schedule. Under paper-literal-db exact checks crosstalk at
-    its leaves, so its first descent is not greedy's.
+    The probe: when the density order (Gb/s per slot unit descending, see
+    _density_order) differs from the bandwidth order and the node budget
+    is at least 2 * len(instance.requests) + 3, one first-fit descent in
+    density order runs first, on the same search state, for
+    len(instance.requests) + 1 of the nodes. Its leaf replaces `initial`
+    as the incumbent only when lexicographically better. The
+    bandwidth-order search then runs on the rest of the budget; optimal
+    means that search completed.
+
+    Under a monotone accumulation model (linear-power, tanh-coupling) that
+    search's first root-to-leaf descent is greedy's schedule, and it gets
+    at least len(instance.requests) + 2 nodes whenever the budget is that
+    large, so the result is never lexicographically below greedy's; at
+    exactly that budget the probe does not run and the result is greedy's
+    schedule.
+    Under paper-literal-db exact checks crosstalk at its leaves, so its
+    first descent is not greedy's.
 
     `initial` seeds the incumbent with a known-feasible schedule (e.g. a
     baseline schedule re-expressed on the sliced grid), guaranteeing the
     result is never worse.
     """
-    best, exhausted = _branch(instance, limits or SolveLimits(), _request_order(instance),
-                              initial)
+    limits = limits or SolveLimits()
+    deadline = time.monotonic() + limits.time_budget_s
+    state = _SearchState(_Tables.of(instance, limits))
+    order, budget = _request_order(instance), limits.node_budget
+    density, n = _density_order(instance), len(order)
+    if budget >= 2 * n + 3 and density != order:
+        leaf, _ = _branch(instance, state, density, first_leaf=True)
+        budget -= n + 1
+        probe = _finish(instance, leaf, optimal=False)
+        if initial is None or _lex_better(probe.throughput_gbps, probe.lambda_count,
+                                          initial.throughput_gbps, initial.lambda_count):
+            initial = probe
+    best, exhausted = _branch(instance, state, order, initial, node_budget=budget,
+                              deadline=deadline)
     return _finish(instance, best or [], optimal=not exhausted)
 
 
@@ -772,8 +827,8 @@ def solve_greedy(instance: Instance, limits: Optional[SolveLimits] = None) -> Sc
     first feasible candidate; a request with no feasible candidate is
     rejected. This is the branch-and-bound's first descent (see _branch),
     which no budget cuts short. Deterministic."""
-    best, _ = _branch(instance, limits or SolveLimits(), _request_order(instance),
-                      first_leaf=True)
+    state = _SearchState(_Tables.of(instance, limits or SolveLimits()))
+    best, _ = _branch(instance, state, _request_order(instance), first_leaf=True)
     return _finish(instance, best, optimal=False)
 
 

@@ -378,6 +378,15 @@ class TestSweepCommand:
         meta = json.loads(out.with_suffix(".meta.json").read_text())
         assert meta["bandwidth_law"] == "uniform multiples of 2.0 Gb/s on (0, 10.0]"
 
+    def test_meta_records_the_limits(self, tmp_path, fig2_file, capsys):
+        out = tmp_path / "sweep.csv"
+        assert cli.run(["sweep", "-i", str(fig2_file), "--loads", "20", "--trials", "1",
+                        "--node-budget", "700", "--time-budget", "30", "--k-paths", "3",
+                        "-o", str(out)]) == 0
+        meta = json.loads(out.with_suffix(".meta.json").read_text())
+        assert (meta["node_budget"], meta["time_budget_s"], meta["k_paths"],
+                meta["all_mode_subsets"]) == (700, 30.0, 3, False)
+
     def test_rows_do_not_depend_on_solver_order(self, tmp_path, fig2_file, capsys):
         by_order = {}
         for solvers in ("exact,greedy", "greedy,exact"):

@@ -7,6 +7,7 @@ import pytest
 from otssplan import harness, validate, xtalk
 from otssplan.model import (PlannerConfig, ValidationError, build_fat_tree, load_instance,
                             on_grid, serialize_instance)
+from otssplan.solve import SolveLimits
 
 
 class TestGenUniformTraffic:
@@ -117,6 +118,18 @@ class TestRunSweep:
                                    trials=2, seed=0)
         assert len(result.rows) == 2 * 2 * 2
         assert len(result.averages) == 4
+
+    def test_metadata_records_the_limits(self):
+        limits = SolveLimits(node_budget=300, time_budget_s=60.0, k_paths=2,
+                             all_mode_subsets=True)
+        meta = harness.run_sweep(self.template(), [10.0], ["greedy"], trials=1, seed=0,
+                                 limits=limits).metadata()
+        assert {key: meta[key] for key in ("node_budget", "time_budget_s", "k_paths",
+                                           "all_mode_subsets")} == \
+            {"node_budget": 300, "time_budget_s": 60.0, "k_paths": 2, "all_mode_subsets": True}
+        default = harness.run_sweep(self.template(), [10.0], ["greedy"], trials=1,
+                                    seed=0).metadata()
+        assert default["node_budget"] == SolveLimits().node_budget
 
     def test_csv_round_trip(self, tmp_path):
         import csv

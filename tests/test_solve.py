@@ -219,7 +219,7 @@ PINNED_SCHEDULES = {
     (1, "baseline"):
         ("0d7070f8868cd300800c767cd076640e7a65ef4a33dfab726c204d336c3aad98", (141.0, 38)),
     (1, "exact"):
-        ("f0dc3057c0bbe6ebee0d104df7ed24250e3f637418b858ae9135e389c84e320b", (150.0, 136)),
+        ("2208d41b759a732a1a414016a2080735bf14bccb94a7c0138cb6ae70af319255", (163.0, 144)),
     (1, "greedy"):
         ("defedffc81fc5bc6a87a625d25c2a44d533c4be65bd8d175b391ca0ccd7fcea9", (148.0, 134)),
 }
@@ -254,7 +254,7 @@ PINNED_VARIANT_SCHEDULES = {
     ("all-mode-subsets", "baseline"):
         ("0d7070f8868cd300800c767cd076640e7a65ef4a33dfab726c204d336c3aad98", (141.0, 38)),
     ("all-mode-subsets", "exact"):
-        ("defedffc81fc5bc6a87a625d25c2a44d533c4be65bd8d175b391ca0ccd7fcea9", (148.0, 134)),
+        ("74f95432c4317e9249dbc38812dd2c56a6e974e1d5d1932b04dcb4996e5568c3", (163.0, 144)),
     ("all-mode-subsets", "greedy"):
         ("49dfbf58ad21b65f99f5daa1e355ffd14889693f27441bb05a8736a15716cbb5", (144.0, 130)),
 }
@@ -281,8 +281,8 @@ def test_pinned_variant_schedules(variant):
 
 # The same pin for exact alone at a 20,000-node budget on seed 1, where
 # most nodes find their group's free placements already listed.
-PINNED_HOT_EXACT = ("f0dc3057c0bbe6ebee0d104df7ed24250e3f637418b858ae9135e389c84e320b",
-                    (150.0, 136))
+PINNED_HOT_EXACT = ("2208d41b759a732a1a414016a2080735bf14bccb94a7c0138cb6ae70af319255",
+                    (163.0, 144))
 
 
 def test_pinned_exact_at_20k_nodes():
@@ -312,7 +312,16 @@ def test_time_budget_stops_search_when_nodes_cannot():
 @pytest.mark.parametrize("field", ["node_budget", "time_budget_s", "k_paths"])
 @pytest.mark.parametrize("value", [0, -1, float("nan")])
 def test_solve_limits_reject_non_positive_and_nan(field, value):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=field):
+        SolveLimits(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["node_budget", "k_paths"])
+@pytest.mark.parametrize("value", [1e6, 1.5, 2.0, True, "4"])
+def test_solve_limits_reject_counts_that_are_not_ints(field, value):
+    """A float budget would reach the search's bit tests, and a fractional
+    k_paths would plan as the next int up: both are refused by name."""
+    with pytest.raises(ValueError, match=field):
         SolveLimits(**{field: value})
 
 
@@ -349,17 +358,97 @@ def test_exact_first_descent_is_greedy(model):
 
 @pytest.mark.parametrize("model", sorted(MODELS))
 def test_exact_never_below_greedy(model):
-    """Unseeded exact at 100 and 2,000 nodes is never lexicographically
+    """Unseeded exact at 2n + 3 nodes (n requests; the least budget the
+    density probe runs at), 100 and 2,000 nodes is never lexicographically
     below greedy in (throughput, -lambda), and both schedules are valid."""
     for seed in range(8):
         inst = _with_model(_heavy_fig2(seed), model)
+        assert solve_mod._density_order(inst) != solve_mod._request_order(inst), seed
         greedy = solve_greedy(inst)
         assert validate.check_schedule(inst, greedy).passed, seed
-        for budget in (100, 2000):
+        for budget in (2 * len(inst.requests) + 3, 100, 2000):
             exact = solve_exact(inst, SolveLimits(node_budget=budget))
             assert validate.check_schedule(inst, exact).passed, (seed, budget)
             assert (exact.throughput_gbps, -exact.lambda_count) >= \
                 (greedy.throughput_gbps, -greedy.lambda_count), (seed, budget)
+
+
+@pytest.mark.parametrize("model", ["linear-power", "tanh-coupling"])
+def test_probe_charges_its_nodes(model, monkeypatch):
+    """At 2n + 3 nodes the density probe enters n + 1 and leaves the search
+    n + 2, just enough to reach greedy's leaf, so exact answers the
+    lexicographically better of the probe's leaf and greedy's schedule,
+    the probe's on ties; a seed the probe only ties stays the incumbent."""
+    budgets = []
+    branch = solve_mod._branch
+
+    def logged(*args, **kwargs):
+        budgets.append(kwargs.get("node_budget"))
+        return branch(*args, **kwargs)
+
+    for seed in range(8):
+        inst = _with_model(_heavy_fig2(seed), model)
+        n = len(inst.requests)
+        state = _SearchState(solve_mod._Tables.of(inst, SolveLimits()))
+        leaf, _ = branch(inst, state, solve_mod._density_order(inst), first_leaf=True)
+        probe = solve_mod._finish(inst, leaf, optimal=False)
+        greedy = solve_greedy(inst)
+        greedy_wins = solve_mod._lex_better(greedy.throughput_gbps, greedy.lambda_count,
+                                            probe.throughput_gbps, probe.lambda_count)
+        monkeypatch.setattr(solve_mod, "_branch", logged)
+        budgets.clear()
+        exact = solve_exact(inst, SolveLimits(node_budget=2 * n + 3))
+        assert budgets == [None, n + 2], seed
+        assert exact.to_json() == (greedy if greedy_wins else probe).to_json(), seed
+        # a seed with the probe's totals and no assignments, to tell them apart
+        tied = solve_exact(inst, SolveLimits(node_budget=2 * n + 3),
+                           initial=replace(probe, assignments=()))
+        assert tied.assignments == (greedy.assignments if greedy_wins else ()), seed
+        monkeypatch.undo()
+
+
+def test_density_order_ties_exactly():
+    """On fig2's 2.5 Gb/s slots, 7.5 and 5 Gb/s (3 and 2 units) tie at 2.5
+    Gb/s per unit, as 6.6 and 2.2 Gb/s (3 units and 1) tie at 2.2, which
+    float division splits; ties fall back to bandwidth, then id."""
+    base = fig2_fixture()
+    inst = replace(base, planner=replace(base.planner, granularity_gbps=0.1), requests=tuple(
+        Request(rid, "e1", "e2", bw) for rid, bw in
+        (("a", 5.0), ("b", 7.5), ("c", 9.0), ("d", 2.2), ("e", 6.6), ("f", 5.0))))
+    assert [r.id for r in solve_mod._density_order(inst)] == ["b", "a", "f", "c", "e", "d"]
+    # the baseline's frame is one unit per request, so it never probes
+    collapsed = collapse_frame(inst)
+    assert solve_mod._density_order(collapsed) == solve_mod._request_order(collapsed)
+
+
+def _assert_clean(state: _SearchState, limit: float) -> None:
+    assert not state.entries and state.occupied == 0
+    assert not any(state.by_link) and not any(state.link_cells)
+    assert state.limit == limit
+
+
+@pytest.mark.parametrize("model", ["linear-power", "paper-literal-db"])
+def test_branch_leaves_the_shared_state_clean(model):
+    """After a first-leaf return, a budget stop and a completed search,
+    `_branch` leaves the solve's state with nothing committed and its
+    limit restored (paper-literal-db's exact search lifts it to inf), so
+    a second search on the same state finds what the first did."""
+    heavy = _with_model(_heavy_fig2(1), model)
+    small = _with_model(fig2_fixture(), model)
+    limits = SolveLimits(time_budget_s=3600.0)
+    for inst, options, stopped in ((heavy, {"first_leaf": True}, False),
+                                   (heavy, {"node_budget": 300}, True),
+                                   (small, {"node_budget": 10**6}, False)):
+        state = _SearchState(solve_mod._Tables.of(inst, limits))
+        limit = state.limit
+        runs = []
+        for order in (solve_mod._request_order(inst), solve_mod._density_order(inst)) * 2:
+            best, exhausted = solve_mod._branch(inst, state, order, **options)
+            assert exhausted == stopped, options
+            assert best, options
+            _assert_clean(state, limit)
+            runs.append(best)
+        assert runs[:2] == runs[2:], options
 
 
 @pytest.mark.parametrize("case", ["seed-0", "seed-1", "paper-literal-db"])
