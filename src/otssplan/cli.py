@@ -221,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", choices=solve_mod.SOLVERS, default="exact",
                    help="default exact, at 1,000,000 nodes and 300 s; greedy takes "
                         "requests in bandwidth-descending order, and exact searches in that "
-                        "order after one first-fit probe in Gb/s-per-slot-unit order, so it "
+                        "order after one best-fit descent in Gb/s-per-slot-unit order, so it "
                         "never answers below greedy unless the model is paper-literal-db")
     p.add_argument("-o", "--output")
     _add_limit_flags(p)

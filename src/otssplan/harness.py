@@ -15,10 +15,10 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import solve as solve_mod
+from . import solve as solve_mod, validate
 from .model import (CrosstalkMatrix, FrameConfig, Instance, LinkSpec, NodeSpec,
                     PlannerConfig, Request, Topology, ValidationError,
-                    build_fat_tree, left_sum, on_grid, serialize_instance)
+                    build_fat_tree, collapse_frame, left_sum, on_grid, serialize_instance)
 from .solve import Schedule, SolveLimits
 
 # Pairwise coupling of the default 4-mode channel set, dB per 100 m;
@@ -93,11 +93,12 @@ class SweepRow:
     lambda_count: int
     solve_ms: float
     optimal: bool
+    valid: bool  # the schedule passes validate.check_schedule on its frame
 
     def key_fields(self) -> tuple:
         """Everything except wall-clock time, for determinism comparisons."""
         return (self.load_gbps, self.trial, self.solver, self.throughput_gbps,
-                self.acceptance_ratio, self.lambda_count, self.optimal)
+                self.acceptance_ratio, self.lambda_count, self.optimal, self.valid)
 
 
 @dataclass(frozen=True)
@@ -112,12 +113,12 @@ class SweepResult:
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["load_gbps", "trial", "solver", "throughput_gbps",
-                             "acceptance_ratio", "lambda_count", "solve_ms", "optimal"])
+            writer.writerow(["load_gbps", "trial", "solver", "throughput_gbps", "acceptance_ratio",
+                             "lambda_count", "solve_ms", "optimal", "valid"])
             for r in self.rows:
                 writer.writerow([r.load_gbps, r.trial, r.solver, r.throughput_gbps,
                                  f"{r.acceptance_ratio:.6f}", r.lambda_count,
-                                 f"{r.solve_ms:.3f}", int(r.optimal)])
+                                 f"{r.solve_ms:.3f}", int(r.optimal), int(r.valid)])
 
     def metadata(self) -> dict:
         return {
@@ -148,7 +149,9 @@ def run_sweep(instance_template: Instance, loads: Sequence[float],
               limits: Optional[SolveLimits] = None) -> SweepResult:
     """For each (load, trial) cell, generate traffic with a derived seed,
     solve with every requested solver on identical requests, and record a
-    row per solver. Cells are independent; per-cell seeds depend only on
+    row per solver, with whether its schedule passes
+    validate.check_schedule (baseline's on the collapsed frame it plans;
+    outside solve_ms). Cells are independent; per-cell seeds depend only on
     (master seed, load index, trial index). Bandwidths are drawn at the
     template's granularity up to its link capacity. Before any cell runs, a
     load it cannot draw raises TrafficError, a template ValidationError, and
@@ -188,13 +191,15 @@ def run_sweep(instance_template: Instance, loads: Sequence[float],
                 cell[solver] = (schedule, (time.perf_counter() - start) * 1e3)
             for solver in solvers:
                 schedule, elapsed_ms = cell[solver]
+                frame = collapse_frame(instance) if solver == "baseline" else instance
                 n = len(instance.requests)
                 rows.append(SweepRow(
                     load_gbps=float(load), trial=trial, solver=solver,
                     throughput_gbps=schedule.throughput_gbps,
                     acceptance_ratio=(len(schedule.accepted_ids) / n) if n else 1.0,
                     lambda_count=schedule.lambda_count,
-                    solve_ms=elapsed_ms, optimal=schedule.optimal))
+                    solve_ms=elapsed_ms, optimal=schedule.optimal,
+                    valid=validate.check_schedule(frame, schedule).passed))
     averages = []
     for load in loads:
         for solver in solvers:

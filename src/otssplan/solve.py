@@ -28,26 +28,28 @@ bit-identical to summing `xtalk.pairwise_contribution`.
 
 One routine, `_branch`, searches for every solver: a depth-first
 branch-and-bound whose path is a stack of frames, one per committed
-placement, so a search one level per request deep never recurses. Every
-search takes requests in bandwidth order, descending with ties by id,
-except exact's probe. Greedy is the first root-to-leaf descent, where
-with no incumbent no bound prunes, so it stops at that leaf and no
-budget applies. Exact may first probe: one such first-fit descent in
-density order, Gb/s per slot unit descending (a 9 Gb/s request strands
-part of a 2.5 Gb/s unit, a 10 Gb/s one none), when that order differs
-and the node budget is at least 2n + 3 for n requests. The probe costs
-n + 1 of the budget's nodes, and its leaf seeds the incumbent when it
-beats `initial`. Then the bandwidth-order search starts with greedy's
-descent and runs on until it completes or a budget runs out, so under a
-monotone model (no negative term) with a node budget of at least n + 2,
-exact never answers below greedy. Baseline is exact on the collapsed
-frame, where every request is one unit and the two orders coincide. At a
-node the search takes the mask of the group's conflict-free placements
-(bit j for placement j, so lowest bit first is enumeration order) from a
-per-solve memo keyed by the occupancy the footprint can see; a miss
-builds it route by route from the (mode, slot) cells placed on the
-route's links. It tries only the live bits, the free ones outside the
-group's dead mask; a node with none takes its reject branch at once.
+placement, so a search one level per request deep never recurses. It
+takes requests in bandwidth order, descending with ties by id. Greedy is
+the first root-to-leaf descent, where with no incumbent no bound prunes,
+so it stops at that leaf and no budget applies. Exact first seeds itself
+with one best-fit descent (`_best_fit`) in density order, Gb/s per slot
+unit descending (a 9 Gb/s request strands part of a 2.5 Gb/s unit, a 10
+Gb/s one none), when the node budget is at least 2n + 3 for n requests:
+each request takes, of its free placements no costlier in lambdas than
+its first committable one, the one adding the least crosstalk. The
+descent costs n + 1 of the budget's nodes, and its leaf seeds the
+incumbent when it beats `initial`. Then the bandwidth-order search starts
+with greedy's descent and runs on until it completes or a budget runs
+out, so under a monotone model (no negative term) with a node budget of
+at least n + 2, exact never answers below greedy. Baseline is exact on
+the collapsed frame, descent included, where every request is one unit
+and the two orders coincide. At a node the search takes the mask of the
+group's conflict-free placements (bit j for placement j, so lowest bit
+first is enumeration order) from a per-solve memo keyed by the occupancy
+the footprint can see; a miss builds it route by route from the (mode,
+slot) cells placed on the route's links. It tries only the live bits,
+the free ones outside the group's dead mask; a node with none takes its
+reject branch at once.
 
 Each commit owns a crosstalk record: [its total, the index of the last
 commit that added to it]. A commit that a placed victim rejects reports
@@ -764,13 +766,46 @@ def _request_order(instance: Instance) -> list[Request]:
 
 
 def _density_order(instance: Instance) -> list[Request]:
-    """The order of exact's probe: Gb/s per slot unit descending, compared
-    exactly, ties by bandwidth descending and then id."""
+    """The order of exact's best-fit descent: Gb/s per slot unit
+    descending, compared exactly, ties by bandwidth descending and then
+    id."""
     units = {r.bandwidth_gbps: instance.slot_units(r) for r in instance.requests}
     # one rank per distinct bandwidth, so only those few are compared as Fractions
     rank = {bw: k for k, bw in enumerate(sorted(
         units, key=lambda bw: (-Fraction(str(bw)) / units[bw], -bw)))}
     return sorted(instance.requests, key=lambda r: (rank[r.bandwidth_gbps], r.id))
+
+
+def _best_fit(instance: Instance, state: _SearchState,
+              requests: list[Request]) -> list[Assignment]:
+    """One best-fit descent over `requests` in order. The first free
+    placement of a request that commits caps its lambda count; of the free
+    placements at or under that cap that commit, the request takes the one
+    adding the least crosstalk (its own total plus its victims'
+    increments), the lowest index on ties (scores within _EPS, so that
+    rounding decides none), and is rejected if none commits. Returns the
+    leaf's assignments and leaves `state` with no commit."""
+    leaf, tokens = [], []
+    for r in requests:
+        group = state.tables.group(r, instance)
+        free, cap, best = state.free(group), math.inf, None
+        while free:
+            bit = free & -free
+            free ^= bit
+            cand = group.placements[bit.bit_length() - 1]
+            token = state.commit(cand) if cand.lambda_count <= cap else None
+            if token is not None:
+                score = left_sum([state.entries[-1][1][0]] + [t - o for _, t, o, _ in token[1]])
+                state.undo(token)
+                cap = cand.lambda_count if best is None else cap
+                if best is None or score < best[0] - _EPS:
+                    best = score, cand
+        if best is not None:
+            tokens.append(state.commit(best[1]))
+            leaf.append(best[1].assignment(r.id))
+    for token in reversed(tokens):
+        state.undo(token)
+    return leaf
 
 
 def solve_exact(instance: Instance, limits: Optional[SolveLimits] = None,
@@ -781,23 +816,22 @@ def solve_exact(instance: Instance, limits: Optional[SolveLimits] = None,
     Deterministic: fixed candidate order, first-found incumbent kept on
     ties. When the node or time budget runs out, the best schedule found
     so far is returned with optimal=False; a budget-bound solve enters
-    exactly `node_budget` nodes, the probe's included.
+    exactly `node_budget` nodes, the descent's included.
 
-    The probe: when the density order (Gb/s per slot unit descending, see
-    _density_order) differs from the bandwidth order and the node budget
-    is at least 2 * len(instance.requests) + 3, one first-fit descent in
-    density order runs first, on the same search state, for
-    len(instance.requests) + 1 of the nodes. Its leaf replaces `initial`
-    as the incumbent only when lexicographically better. The
-    bandwidth-order search then runs on the rest of the budget; optimal
-    means that search completed.
+    The descent: when the node budget is at least 2 *
+    len(instance.requests) + 3, one best-fit descent in density order
+    (Gb/s per slot unit descending, see _density_order and _best_fit)
+    runs first, on the same search state, for len(instance.requests) + 1
+    of the nodes. Its leaf replaces `initial` as the incumbent only when
+    lexicographically better. The bandwidth-order search then runs on the
+    rest of the budget; optimal means that search completed.
 
     Under a monotone accumulation model (linear-power, tanh-coupling) that
     search's first root-to-leaf descent is greedy's schedule, and it gets
     at least len(instance.requests) + 2 nodes whenever the budget is that
     large, so the result is never lexicographically below greedy's; at
-    exactly that budget the probe does not run and the result is greedy's
-    schedule.
+    exactly that budget the descent does not run and the result is
+    greedy's schedule.
     Under paper-literal-db exact checks crosstalk at its leaves, so its
     first descent is not greedy's.
 
@@ -810,13 +844,12 @@ def solve_exact(instance: Instance, limits: Optional[SolveLimits] = None,
     state = _SearchState(_Tables.of(instance, limits))
     order, budget = _request_order(instance), limits.node_budget
     density, n = _density_order(instance), len(order)
-    if budget >= 2 * n + 3 and density != order:
-        leaf, _ = _branch(instance, state, density, first_leaf=True)
+    if budget >= 2 * n + 3:
         budget -= n + 1
-        probe = _finish(instance, leaf, optimal=False)
-        if initial is None or _lex_better(probe.throughput_gbps, probe.lambda_count,
+        descent = _finish(instance, _best_fit(instance, state, density), optimal=False)
+        if initial is None or _lex_better(descent.throughput_gbps, descent.lambda_count,
                                           initial.throughput_gbps, initial.lambda_count):
-            initial = probe
+            initial = descent
     best, exhausted = _branch(instance, state, order, initial, node_budget=budget,
                               deadline=deadline)
     return _finish(instance, best or [], optimal=not exhausted)

@@ -191,6 +191,7 @@ def test_criterion_4_throughput_scaling():
                            trials=trials, seed="acceptance-scaling", limits=limits)
         by_trial: dict[int, dict[str, float]] = {}
         for row in result.rows:
+            assert row.valid, f"trial {row.trial} {row.solver}: fails check_schedule"
             by_trial.setdefault(row.trial, {})[row.solver] = row.throughput_gbps
         assert len(by_trial) == trials
         for trial, cell in by_trial.items():
@@ -204,8 +205,9 @@ def test_criterion_4_throughput_scaling():
         elapsed = time.monotonic() - start
         assert elapsed < 1800
         met = "meets" if ratio >= 1.3 else "below"
-        c.detail = (f"containment strict on {trials}/{trials} trials; exact >= greedy on "
-                    f"{trials}/{trials}; mean ratio {ratio:.3f} {met} the directional 1.3 "
+        c.detail = (f"every row valid; containment strict on {trials}/{trials} trials; "
+                    f"exact >= greedy on {trials}/{trials}; mean ratio {ratio:.3f} {met} "
+                    f"the directional 1.3 "
                     f"target (exact {mean_exact:.2f}, baseline {mean_base:.2f}, greedy "
                     f"{mean_greedy:.2f} Gb/s, {limits.node_budget:,} nodes); {elapsed:.0f} s")
 

@@ -141,6 +141,29 @@ class TestRunSweep:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2
         assert float(rows[0]["throughput_gbps"]) == result.rows[0].throughput_gbps
+        assert [row["valid"] for row in rows] == ["1", "1"]
+
+    def test_heavy_sweep_rows_are_validated(self):
+        """Every row of a heavy fig2 sweep (240 Gb/s, three trials, 2,000
+        nodes) records that its schedule passes check_schedule: baseline's
+        on the collapsed frame it plans, the others' on the sliced one."""
+        result = harness.run_sweep(self.template(), [240.0], ["exact", "baseline", "greedy"],
+                                   trials=3, seed="heavy-valid",
+                                   limits=SolveLimits(node_budget=2000, time_budget_s=60.0))
+        assert len(result.rows) == 9
+        assert all(row.valid for row in result.rows)
+
+    def test_invalid_schedule_reads_invalid(self, monkeypatch):
+        """A schedule that breaks a constraint is recorded as not valid."""
+        def solve(instance, solver, limits, initial=None):
+            good = harness.solve_mod.solve_greedy(instance, limits)
+            first = good.assignments[0]
+            # the first assignment twice: every cell it takes is used twice
+            twice = replace(first, request_id=good.assignments[1].request_id)
+            return replace(good, assignments=(first, twice) + good.assignments[2:])
+        monkeypatch.setattr(harness.solve_mod, "solve", solve)
+        (row,) = harness.run_sweep(self.template(), [40.0], ["greedy"], trials=1, seed=0).rows
+        assert not row.valid
 
     def test_traffic_drawn_at_the_instance_granularity(self):
         tpl = replace(self.template(), planner=PlannerConfig(granularity_gbps=2.5))
