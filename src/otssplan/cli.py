@@ -103,11 +103,15 @@ def _solvers(text: str) -> list[str]:
     return _distinct(names, text)
 
 
+# the limits of a solve that no flag sets
+_DEFAULTS = SolveLimits()
+
+
 def _add_limit_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--node-budget", type=_positive(int), default=1_000_000)
-    parser.add_argument("--time-budget", type=_positive(float), default=300.0,
+    parser.add_argument("--node-budget", type=_positive(int), default=_DEFAULTS.node_budget)
+    parser.add_argument("--time-budget", type=_positive(float), default=_DEFAULTS.time_budget_s,
                         help="solver wall-clock budget in seconds")
-    parser.add_argument("--k-paths", type=_positive(int), default=4,
+    parser.add_argument("--k-paths", type=_positive(int), default=_DEFAULTS.k_paths,
                         help="shortest-path candidates per request")
 
 
@@ -219,10 +223,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="solve an instance and write the schedule")
     p.add_argument("-i", "--instance", required=True)
     p.add_argument("--solver", choices=solve_mod.SOLVERS, default="exact",
-                   help="default exact, at 1,000,000 nodes and 300 s; greedy takes "
-                        "requests in bandwidth-descending order, and exact searches in that "
-                        "order after one best-fit descent in Gb/s-per-slot-unit order, so it "
-                        "never answers below greedy unless the model is paper-literal-db")
+                   help=f"default exact, at {_DEFAULTS.node_budget:,} nodes and "
+                        f"{_DEFAULTS.time_budget_s:g} s; greedy takes requests in "
+                        "bandwidth-descending order, and exact searches in that order after "
+                        "one best-fit descent in Gb/s-per-slot-unit order, so it never "
+                        "answers below greedy unless the model is paper-literal-db")
     p.add_argument("-o", "--output")
     _add_limit_flags(p)
     p.set_defaults(func=cmd_plan)

@@ -29,7 +29,8 @@ sense, rhs, family) rows, making each name once per tag; an objective is
 (MilpModel.variable_names), stamped from the same stems. Each stream is
 audited against count_formulas when a pass over it ends, a block
 counting its rows once per tag; MilpModel.constraints and .variables are
-sized views of the two streams, counted by one pass that keeps nothing.
+sized views of the two streams, counted from the blocks and stems
+without expanding a row or stamping a name.
 One generator, _render_blocks, renders every LP row (constraints,
 objectives, and the phase-2 fix_throughput row over the throughput
 objective's columns): it fills a block's %-templates once, family
@@ -274,15 +275,15 @@ class _TagMemo(dict):
 
 
 class _Counted:
-    """A sized, re-iterable view of a stream: made by one full pass over
-    stream() that counts every item and keeps none, so len is that count;
-    each iteration is a fresh pass."""
+    """A sized, re-iterable view of a stream: len is the item count its
+    maker counted without expanding the stream; each iteration is a fresh
+    pass over stream()."""
 
     __slots__ = ("_stream", "_len")
 
-    def __init__(self, stream: Callable[[], Iterator]):
+    def __init__(self, stream: Callable[[], Iterator], size: int):
         self._stream = stream
-        self._len = sum(1 for _ in stream())
+        self._len = size
 
     def __len__(self) -> int:
         return self._len
@@ -300,8 +301,10 @@ class MilpModel:
     variable_names() each binary variable's name, both in declaration
     order, and a pass over either that runs to its end is audited against
     count_formulas. The constraints and variables properties are sized
-    views of those streams: each access counts one full audited pass and
-    keeps no row or name, and iterating a view starts a fresh pass. A
+    views of those streams: each access counts its stream in one audited
+    pass over the blocks or the declared stems, a block or run counting
+    once per row or stem and tag, without expanding a row or stamping a
+    name; iterating a view starts a fresh pass over the stream. A
     two-phase model's first objective is the throughput expression that
     phase 2 pins.
     """
@@ -365,14 +368,16 @@ class MilpModel:
 
     @property
     def constraints(self) -> _Counted:
-        """The rows, as a view sized by one audited pass over rows()."""
-        return _Counted(self.rows)
+        """The rows, as a view sized by one audited pass over blocks()."""
+        return _Counted(self.rows, sum(len(stanza) * len(args) * len(tags)
+                                       for stanza, args, tags in self.blocks()))
 
     @property
     def variables(self) -> _Counted:
         """The variable names, as a view sized by one audited pass over
-        variable_names()."""
-        return _Counted(self.variable_names)
+        the declared stems."""
+        return _Counted(self.variable_names,
+                        sum(len(stems) * len(tags) for stems, tags in self._declared()))
 
 
 def build_model(instance: Instance, max_variables: int = 2_000_000) -> MilpModel:

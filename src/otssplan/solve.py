@@ -5,13 +5,13 @@ The search is over per-request atomic candidates (path, mode set,
 contiguous slot interval), so path continuity, contiguity, and cross-mode
 slot equality hold by construction. What a search reads and the network
 bounds (link index, crosstalk coefficients, threshold limit, geometries,
-per-link terms per pair of mode sets, and each (source, destination,
-slot units) group's placements) lives in one `_Tables` per slot grid and
-solve options. Each thread keeps the routes and tables of the network
-its last solve ran on, keyed by the `Topology` value (an equal topology,
-whatever object it is, finds them); a solve on another network replaces
-them. So Yen runs once per (network, source, destination, k), and every
-solve on an equal network shares the tables. A group is built once,
+and each (source, destination, slot units) group's placements) lives in
+one `_Tables` per slot grid and solve options. Each thread keeps the
+routes and tables of the network its last solve ran on, keyed by the
+`Topology` value (an equal topology, whatever object it is, finds them);
+a solve on another network replaces them. So Yen runs once per
+(network, source, destination, k), and every solve on an equal network
+shares the tables. A group is built once,
 eagerly, from routes x shapes straight into placements, with its
 footprint, the OR of their occupancy masks. A placement keeps only its
 shape's masks, no wider than the slot grid, and its route's base mask,
@@ -22,34 +22,33 @@ lives in the solve's own `_SearchState` and ends with it: its commits and
 its memos of free placements (per group and per route) and of pair terms.
 Every search of a solve runs on that one state and leaves it with no
 commit, so later searches reuse its memos. A pair of (path, modes)
-geometries takes its terms from the per-link table in
+geometries reads its terms from the coefficient table in
 `xtalk.overlap_terms` order, so totals and prune decisions are
 bit-identical to summing `xtalk.pairwise_contribution`.
 
-One routine, `_branch`, searches for every solver: a depth-first
-branch-and-bound whose path is a stack of frames, one per committed
-placement, so a search one level per request deep never recurses. It
-takes requests in bandwidth order, descending with ties by id. Greedy is
-the first root-to-leaf descent, where with no incumbent no bound prunes,
-so it stops at that leaf and no budget applies. Exact first seeds itself
-with one best-fit descent (`_best_fit`) in density order, Gb/s per slot
-unit descending (a 9 Gb/s request strands part of a 2.5 Gb/s unit, a 10
-Gb/s one none), when the node budget is at least 2n + 3 for n requests:
-each request takes, of its free placements no costlier in lambdas than
-its first committable one, the one adding the least crosstalk. The
-descent costs n + 1 of the budget's nodes, and its leaf seeds the
-incumbent when it beats `initial`. Then the bandwidth-order search starts
-with greedy's descent and runs on until it completes or a budget runs
-out, so under a monotone model (no negative term) with a node budget of
-at least n + 2, exact never answers below greedy. Baseline is exact on
-the collapsed frame, descent included, where every request is one unit
-and the two orders coincide. At a node the search takes the mask of the
-group's conflict-free placements (bit j for placement j, so lowest bit
-first is enumeration order) from a per-solve memo keyed by the occupancy
-the footprint can see; a miss builds it route by route from the (mode,
-slot) cells placed on the route's links. It tries only the live bits,
-the free ones outside the group's dead mask; a node with none takes its
-reject branch at once.
+Two routines search. `_descent` makes one root-to-leaf pass, each request
+taking one free placement that commits: first fit takes the first, best
+fit the one adding the least crosstalk among those no costlier in lambdas
+than the first. Greedy is the first-fit descent in bandwidth order,
+descending with ties by id, and no budget applies. `_branch`, exact's
+search, is a depth-first branch-and-bound in that order whose path is a
+stack of frames, one per committed placement, so a search one level per
+request deep never recurses. Exact first seeds itself with one best-fit
+descent in density order, Gb/s per slot unit descending (a 9 Gb/s
+request strands part of a 2.5 Gb/s unit, a 10 Gb/s one none), when the
+node budget is at least 2n + 3 for n requests. The descent costs n + 1
+of the budget's nodes, and its leaf seeds the incumbent when it beats
+`initial`. With no incumbent no bound prunes, so under a monotone model
+(no negative term) the search's first leaf is greedy's, and with a node
+budget of at least n + 2 exact never answers below greedy. Baseline is
+exact on the collapsed frame, descent included, where every request is
+one unit and the two orders coincide. At a node the search takes the
+mask of the group's conflict-free placements (bit j for placement j, so
+lowest bit first is enumeration order) from a per-solve memo keyed by
+the occupancy the footprint can see; a miss builds it route by route
+from the (mode, slot) cells placed on the route's links. It tries only
+the live bits, the free ones outside the group's dead mask; a node with
+none takes its reject branch at once.
 
 Each commit owns a crosstalk record: [its total, the index of the last
 commit that added to it]. A commit that a placed victim rejects reports
@@ -383,8 +382,7 @@ class _Tables:
     """What every solve on one network and slot grid shares, all of it
     bounded by the network: the link index, the `coef[link][m_a][m_v]`
     crosstalk table, the threshold limit, the (path, modes) geometry ids,
-    per link the terms of each (victim modes, aggressor modes) pair, and
-    each (source, destination, slot units) group. No traffic keys it."""
+    and each (source, destination, slot units) group. No traffic keys it."""
 
     def __init__(self, instance: Instance, limits: SolveLimits):
         links = instance.topology.links
@@ -400,8 +398,6 @@ class _Tables:
         # with no negative term a total over the limit stays over it
         self.monotone = all(c >= 0.0 for per_link in self.coef for row in per_link for c in row)
         self.geometries: dict[tuple, int] = {}  # (link indices, modes) -> id
-        # per link: {(victim modes, aggressor modes): terms()}
-        self.link_terms: list[dict[tuple, tuple[float, ...]]] = [{} for _ in links]
         self.groups: dict[tuple, _Group] = {}
 
     @staticmethod
@@ -462,18 +458,6 @@ class _Tables:
                 [(route[1], shapes, tuple(own)) for route, own in zip(routes, route_indices)])
         return group
 
-    def terms(self, li: int, victim: tuple, aggressor: tuple) -> tuple[float, ...]:
-        """The terms a victim on modes `victim` takes on link li from an
-        aggressor on modes `aggressor`, in xtalk.overlap_terms order; made
-        once per (link, victim modes, aggressor modes)."""
-        table = self.link_terms[li]
-        terms = table.get((victim, aggressor))
-        if terms is None:
-            coef = self.coef[li]
-            terms = table[victim, aggressor] = tuple(
-                coef[m_a][m_v] for m_v in victim for m_a in aggressor if m_a != m_v)
-        return terms
-
 
 class _SearchState:
     """One solve's committed placements, each with its crosstalk record,
@@ -526,17 +510,15 @@ class _SearchState:
 
     def pair(self, new: _Placement, placed: _Placement) -> tuple[tuple[float, ...], float]:
         """Memoized per geometry pair: the terms `new` takes from `placed`,
-        and the left_sum of the terms `placed` takes from `new`, each its
-        shared links' terms in its own link order (xtalk.overlap_terms
-        order)."""
-        terms, takes, gives = self.tables.terms, [], []
-        for li in new.links:
-            if li in placed.links:
-                takes += terms(li, new.modes, placed.modes)
-        for li in placed.links:
-            if li in new.links:
-                gives += terms(li, placed.modes, new.modes)
-        entry = self.pairs[new.geometry][placed.geometry] = (tuple(takes), left_sum(gives))
+        and the left_sum of the terms `placed` takes from `new`, each read
+        from the coefficient table over its shared links in its own link
+        order (xtalk.overlap_terms order)."""
+        coef = self.tables.coef
+        takes = tuple(coef[li][m_a][m_v] for li in new.links if li in placed.links
+                      for m_v in new.modes for m_a in placed.modes if m_a != m_v)
+        gives = [coef[li][m_a][m_v] for li in placed.links if li in new.links
+                 for m_v in placed.modes for m_a in new.modes if m_a != m_v]
+        entry = self.pairs[new.geometry][placed.geometry] = (takes, left_sum(gives))
         return entry
 
     def commit(self, new: _Placement) -> Optional[tuple]:
@@ -627,8 +609,7 @@ def _finish(instance: Instance, assignments: list[Assignment], optimal: bool) ->
 
 
 def _branch(instance: Instance, state: _SearchState, requests: list[Request],
-            initial: Optional[Schedule] = None, first_leaf: bool = False,
-            node_budget: int = 0,
+            initial: Optional[Schedule] = None, node_budget: int = 0,
             deadline: float = math.inf) -> tuple[Optional[list[Assignment]], bool]:
     """Depth-first branch-and-bound over `requests` in order: each request
     tries its group's conflict-free placements in enumeration order, then
@@ -642,20 +623,18 @@ def _branch(instance: Instance, state: _SearchState, requests: list[Request],
     Prunes on slot conflicts, incremental crosstalk infeasibility, and an
     optimistic throughput bound against the incumbent. Over tables with a
     negative term (paper-literal-db), where a total can fall back under
-    the limit, exact checks crosstalk at its leaves instead (greedy still
-    rejects at commit, which keeps its leaf feasible). Each committed
+    the limit, it checks crosstalk at its leaves instead. Each committed
     placement is a frame on an explicit stack, so the depth, one level per
     request, meets no recursion limit. With no incumbent no bound prunes
     before the first leaf, so that leaf gives each request in turn its
     first feasible placement; reaching it takes len(requests) + 1 nodes,
-    so a budget of one more returns it. With `first_leaf` the search ends
-    there and no budget applies: greedy. Over monotone tables (no leaf
-    check) exact's first leaf in the same order is then greedy's, and
-    later leaves replace it only when lexicographically better."""
+    so a budget of one more returns it. Over monotone tables (no leaf
+    check) that leaf is the first-fit descent's in the same order
+    (`_descent`, greedy's schedule in greedy's order), and later leaves
+    replace it only when lexicographically better."""
     tables = state.tables
     monotone = tables.monotone
     limit = state.limit
-    leaf_limit = None if monotone or first_leaf else limit
     entries, commit, undo = state.entries, state.commit, state.undo
     groups = [tables.group(r, instance) for r in requests]
     footprints = [g.footprint for g in groups]
@@ -679,7 +658,7 @@ def _branch(instance: Instance, state: _SearchState, requests: list[Request],
     if initial is not None:
         best = list(initial.assignments)
         best_tp, best_lam = initial.throughput_gbps, initial.lambda_count
-    nodes = n + 2 if first_leaf else node_budget
+    nodes = node_budget
     # one frame per placement committed on the path to the current node,
     # root first: [the mask of its node's untried placements, the undo
     # token, the node's depth, tp and lam, and the (group, bit)s set dead
@@ -687,8 +666,8 @@ def _branch(instance: Instance, state: _SearchState, requests: list[Request],
     # takes its reject branch and leaves the stack
     frames: list[list] = []
     i, tp, lam = 0, 0.0, 0
-    if leaf_limit is not None:
-        state.limit = math.inf
+    if not monotone:
+        state.limit = math.inf  # checked at the leaves
     try:
         while True:
             # enter the node at depth i
@@ -697,14 +676,11 @@ def _branch(instance: Instance, state: _SearchState, requests: list[Request],
             if nodes <= 0 or not nodes & 255 and time.monotonic() > deadline:
                 return best, True
             if i == n:
-                feasible = leaf_limit is None or all(not r[0] or r[0] <= leaf_limit
-                                                     for _, r in entries)
+                feasible = monotone or all(not r[0] or r[0] <= limit for _, r in entries)
                 if feasible and (best is None or _lex_better(tp, lam, best_tp, best_lam)):
                     best = [p.assignment(requests[frame[2]].id)
                             for frame, (p, _) in zip(frames, entries)]
                     best_tp, best_lam = tp, lam
-                if first_leaf:
-                    return best, False
             else:
                 reachable = tp + suffix[i]
                 # the bound prunes only against an incumbent; a completion can
@@ -776,33 +752,39 @@ def _density_order(instance: Instance) -> list[Request]:
     return sorted(instance.requests, key=lambda r: (rank[r.bandwidth_gbps], r.id))
 
 
-def _best_fit(instance: Instance, state: _SearchState,
-              requests: list[Request]) -> list[Assignment]:
-    """One best-fit descent over `requests` in order. The first free
-    placement of a request that commits caps its lambda count; of the free
-    placements at or under that cap that commit, the request takes the one
-    adding the least crosstalk (its own total plus its victims'
+def _descent(instance: Instance, state: _SearchState, requests: list[Request],
+             best_fit: bool = False) -> list[Assignment]:
+    """One descent over `requests` in order, each request taking one of its
+    free placements that commit, or rejected if none does. First fit takes
+    the first that commits. Best fit lets that first one cap the lambda
+    count, and of the placements at or under the cap that commit takes the
+    one adding the least crosstalk (its own total plus its victims'
     increments), the lowest index on ties (scores within _EPS, so that
-    rounding decides none), and is rejected if none commits. Returns the
-    leaf's assignments and leaves `state` with no commit."""
+    rounding decides none). Returns the leaf's assignments and leaves
+    `state` with no commit."""
     leaf, tokens = [], []
     for r in requests:
         group = state.tables.group(r, instance)
-        free, cap, best = state.free(group), math.inf, None
+        free, cap, pick = state.free(group), math.inf, None
         while free:
             bit = free & -free
             free ^= bit
             cand = group.placements[bit.bit_length() - 1]
             token = state.commit(cand) if cand.lambda_count <= cap else None
-            if token is not None:
-                score = left_sum([state.entries[-1][1][0]] + [t - o for _, t, o, _ in token[1]])
-                state.undo(token)
-                cap = cand.lambda_count if best is None else cap
-                if best is None or score < best[0] - _EPS:
-                    best = score, cand
-        if best is not None:
-            tokens.append(state.commit(best[1]))
-            leaf.append(best[1].assignment(r.id))
+            if token is None:
+                continue
+            if not best_fit:
+                pick = cand
+                break  # first fit keeps this commit
+            score = left_sum([state.entries[-1][1][0]] + [t - o for _, t, o, _ in token[1]])
+            state.undo(token)
+            if pick is None:
+                cap = cand.lambda_count
+            if pick is None or score < least - _EPS:
+                pick, least = cand, score
+        if pick is not None:
+            tokens.append(state.commit(pick) if best_fit else token)
+            leaf.append(pick.assignment(r.id))
     for token in reversed(tokens):
         state.undo(token)
     return leaf
@@ -820,7 +802,7 @@ def solve_exact(instance: Instance, limits: Optional[SolveLimits] = None,
 
     The descent: when the node budget is at least 2 *
     len(instance.requests) + 3, one best-fit descent in density order
-    (Gb/s per slot unit descending, see _density_order and _best_fit)
+    (Gb/s per slot unit descending, see _density_order and _descent)
     runs first, on the same search state, for len(instance.requests) + 1
     of the nodes. Its leaf replaces `initial` as the incumbent only when
     lexicographically better. The bandwidth-order search then runs on the
@@ -846,7 +828,8 @@ def solve_exact(instance: Instance, limits: Optional[SolveLimits] = None,
     density, n = _density_order(instance), len(order)
     if budget >= 2 * n + 3:
         budget -= n + 1
-        descent = _finish(instance, _best_fit(instance, state, density), optimal=False)
+        descent = _finish(instance, _descent(instance, state, density, best_fit=True),
+                          optimal=False)
         if initial is None or _lex_better(descent.throughput_gbps, descent.lambda_count,
                                           initial.throughput_gbps, initial.lambda_count):
             initial = descent
@@ -858,11 +841,12 @@ def solve_exact(instance: Instance, limits: Optional[SolveLimits] = None,
 def solve_greedy(instance: Instance, limits: Optional[SolveLimits] = None) -> Schedule:
     """Requests in bandwidth-descending order (ties by id) each take their
     first feasible candidate; a request with no feasible candidate is
-    rejected. This is the branch-and-bound's first descent (see _branch),
-    which no budget cuts short. Deterministic."""
+    rejected. This is the first-fit descent (see _descent), which no budget
+    cuts short; under a monotone model it is exact's first leaf (see
+    _branch). Deterministic."""
     state = _SearchState(_Tables.of(instance, limits or SolveLimits()))
-    best, _ = _branch(instance, state, _request_order(instance), first_leaf=True)
-    return _finish(instance, best, optimal=False)
+    return _finish(instance, _descent(instance, state, _request_order(instance)),
+                   optimal=False)
 
 
 def solve_baseline_conventional(instance: Instance,
@@ -879,11 +863,8 @@ def lift_to_sliced(schedule: Schedule, instance: Instance) -> Schedule:
     """Re-express a one-slot baseline schedule on the sliced grid: each
     accepted request keeps its path and modes and spans the whole frame.
     Any baseline schedule is a valid sliced schedule."""
-    lifted = [Assignment(a.request_id, a.path, a.modes, 0, instance.slot_count)
-              for a in schedule.assignments]
-    return Schedule(assignments=tuple(lifted), rejected=schedule.rejected,
-                    throughput_gbps=schedule.throughput_gbps,
-                    lambda_count=sum(a.lambda_count for a in lifted), optimal=False)
+    return _finish(instance, [Assignment(a.request_id, a.path, a.modes, 0, instance.slot_count)
+                              for a in schedule.assignments], optimal=False)
 
 
 SOLVERS = ("exact", "greedy", "baseline")

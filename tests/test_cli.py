@@ -100,6 +100,17 @@ class TestExitCodes:
         assert cli.run(["validate", "-i", str(big), "-s", str(out)]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["plan", "-i", "x.json"],
+    ["sweep", "-i", "x.json", "--loads", "5", "-o", "x.csv"],
+    ["emit-lp", "-i", "x.json", "-o", "x.lp"],
+])
+def test_limit_flags_default_to_solve_limits(argv):
+    """With no limit flag, plan, sweep and emit-lp solve under SolveLimits()'s
+    defaults, the only place they are written."""
+    assert cli._limits_from_args(cli.build_parser().parse_args(argv)) == SolveLimits()
+
+
 class TestArgumentErrors:
     """A flag value that does not parse or is out of range is a usage error
     naming the flag, not an internal error."""

@@ -329,13 +329,19 @@ class TestCountFormulas:
         assert set(counts["constraints"].values()) == {0}
 
     def test_matches_built_model_over_corpus(self):
+        """On 50 micro instances, fig2 and the long-id instance, the model's
+        sizes and rows per family match count_formulas, and each size,
+        counted from the blocks or the declared stems, is the number of
+        rows or names its expanded stream yields."""
         rng = random.Random("milp-counts")
-        for _ in range(50):
-            inst = random_micro_instance(rng)
+        instances = [random_micro_instance(rng) for _ in range(50)]
+        for inst in instances + [fixture_instance("fig2"), _long_id_instance()]:
             counts = milp.count_formulas(inst)
             model = milp.build_model(inst)
             assert len(model.variables) == counts["total_variables"]
             assert len(model.constraints) == counts["total_constraints"]
+            assert len(model.constraints) == sum(1 for _ in model.rows())
+            assert len(model.variables) == sum(1 for _ in model.variable_names())
             by_family: dict[str, int] = {}
             for *_, family in model.constraints:
                 by_family[family] = by_family.get(family, 0) + 1

@@ -387,32 +387,33 @@ def test_descent_charges_its_nodes(model, monkeypatch):
     search n + 2, just enough to reach greedy's leaf, so exact answers the
     lexicographically better of the descent's leaf and greedy's schedule,
     the descent's on ties; a seed the descent only ties stays the
-    incumbent. One node fewer and the descent does not run."""
+    incumbent. One node fewer and the descent does not run. Greedy is one
+    first-fit descent and no branch-and-bound."""
     calls = []
-    branch, best_fit = solve_mod._branch, solve_mod._best_fit
+    branch, descent_of = solve_mod._branch, solve_mod._descent
 
     def logged_branch(*args, **kwargs):
         calls.append(("branch", kwargs.get("node_budget")))
         return branch(*args, **kwargs)
 
-    def logged_best_fit(*args):
-        calls.append(("best_fit", None))
-        return best_fit(*args)
+    def logged_descent(instance, state, requests, best_fit=False):
+        calls.append(("descent", best_fit))
+        return descent_of(instance, state, requests, best_fit=best_fit)
 
     for seed in range(8):
         inst = _with_model(_heavy_fig2(seed), model)
         n = len(inst.requests)
         state = _SearchState(solve_mod._Tables.of(inst, SolveLimits()))
-        leaf = best_fit(inst, state, solve_mod._density_order(inst))
+        leaf = descent_of(inst, state, solve_mod._density_order(inst), best_fit=True)
         descent = solve_mod._finish(inst, leaf, optimal=False)
         greedy = solve_greedy(inst)
         greedy_wins = solve_mod._lex_better(greedy.throughput_gbps, greedy.lambda_count,
                                             descent.throughput_gbps, descent.lambda_count)
         monkeypatch.setattr(solve_mod, "_branch", logged_branch)
-        monkeypatch.setattr(solve_mod, "_best_fit", logged_best_fit)
+        monkeypatch.setattr(solve_mod, "_descent", logged_descent)
         calls.clear()
         exact = solve_exact(inst, SolveLimits(node_budget=2 * n + 3))
-        assert calls == [("best_fit", None), ("branch", n + 2)], seed
+        assert calls == [("descent", True), ("branch", n + 2)], seed
         assert exact.to_json() == (greedy if greedy_wins else descent).to_json(), seed
         # a seed with the descent's totals and no assignments, to tell them apart
         tied = solve_exact(inst, SolveLimits(node_budget=2 * n + 3),
@@ -421,6 +422,9 @@ def test_descent_charges_its_nodes(model, monkeypatch):
         calls.clear()
         solve_exact(inst, SolveLimits(node_budget=2 * n + 2))
         assert calls == [("branch", 2 * n + 2)], seed
+        calls.clear()
+        assert solve_greedy(inst).to_json() == greedy.to_json(), seed
+        assert calls == [("descent", False)], seed
         monkeypatch.undo()
 
 
@@ -438,7 +442,7 @@ def test_best_fit_takes_the_least_added_crosstalk_under_its_cap(model):
         tables = solve_mod._Tables.of(inst, limits)
         state = _SearchState(tables)
         order = solve_mod._density_order(inst)
-        leaf = solve_mod._best_fit(inst, state, order)
+        leaf = solve_mod._descent(inst, state, order, best_fit=True)
         _assert_clean(state, tables.limit)
         report = validate.check_schedule(inst, solve_mod._finish(inst, leaf, optimal=False))
         assert report.passed, (seed, report.violations)
@@ -497,21 +501,25 @@ def _assert_clean(state: _SearchState, limit: float) -> None:
 
 @pytest.mark.parametrize("model", ["linear-power", "paper-literal-db"])
 def test_branch_leaves_the_shared_state_clean(model):
-    """After a first-leaf return, a budget stop and a completed search,
-    `_branch` leaves the solve's state with nothing committed and its
+    """After a first-fit descent, and after `_branch`'s budget stop and
+    completed search, the solve's state has nothing committed and its
     limit restored (paper-literal-db's exact search lifts it to inf), so
     a second search on the same state finds what the first did."""
     heavy = _with_model(_heavy_fig2(1), model)
     small = _with_model(fig2_fixture(), model)
     limits = SolveLimits(time_budget_s=3600.0)
-    for inst, options, stopped in ((heavy, {"first_leaf": True}, False),
+    # options None: the first-fit descent, greedy's pass
+    for inst, options, stopped in ((heavy, None, False),
                                    (heavy, {"node_budget": 300}, True),
                                    (small, {"node_budget": 10**6}, False)):
         state = _SearchState(solve_mod._Tables.of(inst, limits))
         limit = state.limit
         runs = []
         for order in (solve_mod._request_order(inst), solve_mod._density_order(inst)) * 2:
-            best, exhausted = solve_mod._branch(inst, state, order, **options)
+            if options is None:
+                best, exhausted = solve_mod._descent(inst, state, order), False
+            else:
+                best, exhausted = solve_mod._branch(inst, state, order, **options)
             assert exhausted == stopped, options
             assert best, options
             _assert_clean(state, limit)
@@ -631,8 +639,7 @@ def test_network_cache_keeps_the_last_network(monkeypatch):
 def test_network_cache_holds_only_what_the_network_bounds():
     """Distinct traffic on one network plans as it does on a cold cache,
     and the tables it leaves cached hold nothing keyed by traffic: no pair
-    or route memo, and per link at most one term tuple per (victim modes,
-    aggressor modes)."""
+    or route memo."""
     limits = SolveLimits(node_budget=500, time_budget_s=3600.0)
     cells = [_heavy_fig2(seed) for seed in range(100, 108)]
     cold = []
@@ -641,13 +648,10 @@ def test_network_cache_holds_only_what_the_network_bounds():
         cold.append(solve(inst, "exact", limits).to_json())
     solve_mod._cache.network = None
     assert [solve(inst, "exact", limits).to_json() for inst in cells] == cold
-    mode_sets = len(solve_mod._mode_subsets(cells[0].mode_count, limits.all_mode_subsets))
     for tables in solve_mod._cache.network[2].values():
         assert not hasattr(tables, "pairs") and not hasattr(tables, "interned")
         assert not any(isinstance(part, dict) for group in tables.groups.values()
                        for route in group.routes for part in route)
-        assert any(tables.link_terms)
-        assert all(len(table) <= mode_sets ** 2 for table in tables.link_terms)
 
 
 def _fat_tree_instance(edges: int, aggs: int, cores: int, load_gbps: float,
