@@ -13,10 +13,14 @@ a solve on another network replaces them. So Yen runs once per
 (network, source, destination, k), and every solve on an equal network
 shares the tables. A group is built once,
 eagerly, from routes x shapes straight into placements, with its
-footprint, the OR of their occupancy masks. A placement keeps only its
-shape's masks, no wider than the slot grid, and its route's base mask,
-one int shared by the route's placements; its occupancy, base times its
-(mode, slot) mask, is made when it is committed. Slot exclusivity is one
+footprint, the OR of their occupancy masks. Its shapes take the slots
+in an order rotated per (source, destination) pair, so pairs that share
+an end switch first try different time slices and every search keeps
+co-routed requests apart in time (see `_Tables.group`). A placement
+keeps only its shape's masks, no wider than the slot grid, and its
+route's base mask, one int shared by the route's placements; its
+occupancy, base times its (mode, slot) mask, is made when it is
+committed. Slot exclusivity is one
 int bitmask over (link, mode, slot) cells. What depends on the traffic
 lives in the solve's own `_SearchState` and ends with it: its commits and
 its memos of free placements (per group and per route) and of pair terms.
@@ -42,9 +46,11 @@ of the budget's nodes, and its leaf seeds the incumbent when it beats
 (no negative term) the search's first leaf is greedy's, and with a node
 budget of at least n + 2 exact never answers below greedy. Baseline is
 exact on the collapsed frame, descent included, where every request is
-one unit and the two orders coincide. At a node the search takes the
-mask of the group's conflict-free placements (bit j for placement j, so
-lowest bit first is enumeration order) from a per-solve memo keyed by
+one unit and the two orders coincide. Over monotone tables a descent
+skips the placements it saw rejected, and best fit stops at a zero
+score. At a node the search takes the mask of the group's
+conflict-free placements (bit j for placement j, so lowest bit first is
+enumeration order) from a per-solve memo keyed by
 the occupancy the footprint can see; a miss builds it route by route
 from the (mode, slot) cells placed on the route's links. It tries only
 the live bits, the free ones outside the group's dead mask; a node with
@@ -298,14 +304,16 @@ def _mode_subsets(mode_count: int, all_subsets: bool) -> list[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _shapes(units: int, mode_count: int, slots: int, all_subsets: bool) -> tuple[
+def _shapes(units: int, mode_count: int, slots: int, all_subsets: bool, offset: int) -> tuple[
         tuple[tuple[int, tuple[tuple[tuple[int, ...], int, int, int, int], ...]], ...],
         tuple[tuple[int, ...], ...], int]:
     """The (modes, slot start, slot end) triples that cover `units` without a
     whole spare mode or slot column, grouped by supply ascending, each group
-    ordered by (slot start, modes). Each triple comes with its slot run mask
-    (bit t per slot t) and its (mode, slot) mask (bit m * slots + t). Also
-    returns the mode sets they use and the OR of their (mode, slot) masks."""
+    ordered by ((slot start - offset) mod slots, modes, slot end): the slot
+    order rotated to start at slot `offset`. Each triple comes with its slot
+    run mask (bit t per slot t) and its (mode, slot) mask (bit m * slots +
+    t). Also returns the mode sets they use and the OR of their (mode,
+    slot) masks."""
     by_supply: defaultdict[int, list] = defaultdict(list)
     for modes in _mode_subsets(mode_count, all_subsets):
         for span in range(1, slots + 1):
@@ -318,7 +326,8 @@ def _shapes(units: int, mode_count: int, slots: int, all_subsets: bool) -> tuple
             for start in range(slots) for end in range(start + 1, slots + 1)}
     blocks = tuple((supply, tuple((modes, start, end, runs[start, end],
                                    sum(runs[start, end] << m * slots for m in modes))
-                                  for start, modes, end in sorted(group)))
+                                  for start, modes, end in sorted(
+                                      group, key=lambda s: ((s[0] - offset) % slots, s[1:]))))
                    for supply, group in sorted(by_supply.items()))
     shapes = [shape for _, same in blocks for shape in same]
     return (blocks, tuple(dict.fromkeys(modes for modes, *_ in shapes)),
@@ -330,7 +339,8 @@ def enumerate_candidates(request: Request, instance: Instance, k: int,
     """All (path, mode subset, contiguous slot interval) triples that cover
     the request's slot-unit demand without a whole spare mode or slot
     column, ordered deterministically by (supply, path length, path, slot
-    start, modes): the placements of the request's search-table group."""
+    start rotated by the pair's offset, modes, slot end): the placements
+    of the request's search-table group (see _Tables.group)."""
     tables = _Tables.of(instance, SolveLimits(k_paths=k, all_mode_subsets=all_mode_subsets))
     return [p.assignment(request.id) for p in tables.group(request, instance).placements]
 
@@ -418,7 +428,15 @@ class _Tables:
     def group(self, request: Request, instance: Instance) -> _Group:
         """The request's (source, destination, slot units) group, built on
         first use: a placement for every route × shape, ordered by (supply,
-        path length, path, slot start, modes). A placement keeps its
+        path length, path, then `_shapes`' rotated slot order). The slot
+        order starts at slot (i_src - i_dst) mod slots, i a node's position
+        in the topology's node ids: a Latin square on the endpoints, so two
+        pairs that share a source or a destination start in different
+        slots whenever their other endpoints differ mod slots, and requests
+        sharing a first or last link start apart in time. The offset is 0
+        over tables with a negative term (paper-literal-db), where a total
+        can fall as neighbours are added, so time apart need not mean less
+        crosstalk; it is 0 on a one-slot frame too. A placement keeps its
         shape's run and (mode, slot) masks and its route's base mask, one
         int per route, and its geometry id is looked up once per (route,
         mode set)."""
@@ -427,8 +445,11 @@ class _Tables:
         group = self.groups.get(key)
         if group is None:
             topology, slots = instance.topology, self.slot_count
+            nodes = topology.node_ids()
+            offset = (nodes.index(request.source) - nodes.index(request.destination)) % slots
             blocks, mode_sets, cells_used = _shapes(units, self.mode_count, slots,
-                                                    self.all_mode_subsets)
+                                                    self.all_mode_subsets,
+                                                    offset if self.monotone else 0)
             paths = [tuple(zip(p, p[1:])) for p in
                      _routes(topology, request.source, request.destination, self.k_paths)]
             routes = []
@@ -761,17 +782,29 @@ def _descent(instance: Instance, state: _SearchState, requests: list[Request],
     one adding the least crosstalk (its own total plus its victims'
     increments), the lowest index on ties (scores within _EPS, so that
     rounding decides none). Returns the leaf's assignments and leaves
-    `state` with no commit."""
+    `state` with no commit.
+
+    Over monotone tables a descent's commits only accumulate, so a
+    placement whose commit was rejected stays rejected for the rest of the
+    descent: it joins its group's dead mask and is not tried again. There
+    no score is negative, so best fit stops at a pick scoring within _EPS
+    of 0, which no later placement can replace."""
     leaf, tokens = [], []
+    monotone = state.tables.monotone
+    dead: defaultdict[int, int] = defaultdict(int)  # group serial -> rejected placements
     for r in requests:
         group = state.tables.group(r, instance)
-        free, cap, pick = state.free(group), math.inf, None
+        free, cap, pick = state.free(group) & ~dead[group.serial], math.inf, None
         while free:
             bit = free & -free
             free ^= bit
             cand = group.placements[bit.bit_length() - 1]
-            token = state.commit(cand) if cand.lambda_count <= cap else None
+            if cand.lambda_count > cap:
+                continue
+            token = state.commit(cand)
             if token is None:
+                if monotone:
+                    dead[group.serial] |= bit
                 continue
             if not best_fit:
                 pick = cand
@@ -782,6 +815,8 @@ def _descent(instance: Instance, state: _SearchState, requests: list[Request],
                 cap = cand.lambda_count
             if pick is None or score < least - _EPS:
                 pick, least = cand, score
+                if monotone and least <= _EPS:
+                    break
         if pick is not None:
             tokens.append(state.commit(pick) if best_fit else token)
             leaf.append(pick.assignment(r.id))

@@ -213,15 +213,15 @@ PINNED_SCHEDULES = {
     (0, "baseline"):
         ("82993edab628156c235ec61a1d16da47346b72f4ec84f463cef18aec03e182d0", (151.0, 42)),
     (0, "exact"):
-        ("c643d5c8fa3912de1f489dd0c554977ca4735b00af5ea90255d9fe9baee65e21", (152.0, 134)),
+        ("8598cdcc7c9dc0c3c0a97d9a5bca0d15a11e430fa755f5bb6d5960ce7907d34d", (184.0, 174)),
     (0, "greedy"):
-        ("c27af73aed6d05d4be47e481708f363d1799fc209d64f950c1e70f8c40a19550", (152.0, 140)),
+        ("86313f7f07341e8e20ab1eb1372f1c99c190c061494d53d9944561a41ad7cefa", (183.0, 176)),
     (1, "baseline"):
         ("c98836a8b04cc05afa78e52a1df08029fbc8624dbbfbad5927dda808de812a26", (162.0, 44)),
     (1, "exact"):
-        ("b50760d8cfe8b5968180ee0e14ce56362abb27474ca8888d263bd94d848a6bf3", (173.0, 158)),
+        ("9a0f1e8e4d81578a71414224153cbddea4994e37237af96caed155e6c74ed307", (185.0, 168)),
     (1, "greedy"):
-        ("defedffc81fc5bc6a87a625d25c2a44d533c4be65bd8d175b391ca0ccd7fcea9", (148.0, 134)),
+        ("fdfabfebe7fe1bfef1c835f39443e573bcb03e1cbd329b6aa11430c11842425e", (184.0, 166)),
 }
 
 
@@ -255,17 +255,15 @@ PINNED_VARIANT_SCHEDULES = {
     ("all-mode-subsets", "baseline"):
         ("c98836a8b04cc05afa78e52a1df08029fbc8624dbbfbad5927dda808de812a26", (162.0, 44)),
     ("all-mode-subsets", "exact"):
-        ("5ed148c6a61c78cad8f6adf92969907098fc110f92d4182174a836a94796ba84", (175.0, 164)),
+        ("467a252a4d7bc0eda2e4993c82fd14eecaf681df0f6ee8878de576e31b31f5fe", (191.0, 186)),
     ("all-mode-subsets", "greedy"):
-        ("49dfbf58ad21b65f99f5daa1e355ffd14889693f27441bb05a8736a15716cbb5", (144.0, 130)),
-    # exact read (112.0, 96) with the first-fit density probe this descent
-    # replaced: a known trade under tanh-coupling, where crosstalk binds hardest
+        ("467a252a4d7bc0eda2e4993c82fd14eecaf681df0f6ee8878de576e31b31f5fe", (191.0, 186)),
     ("tanh-coupling", "baseline"):
         ("e9c085f7aef6ccfb4738a11c194720ec2dfa0b6f0068a93ea5a5a45a7df2ebeb", (102.0, 24)),
     ("tanh-coupling", "exact"):
-        ("dbab1693ca63a27b453975d91ff224845e91bd565e8b0bf67eba7a3f2012167f", (109.0, 100)),
+        ("4630b76927b4f32fb551892fb4b6367ed116dd03b1186cc197c6094878c4a6ee", (171.0, 154)),
     ("tanh-coupling", "greedy"):
-        ("edbb165e0eec355699a886a3a2fb1e710c7b6f1d593450c77ba2b687ee786855", (102.0, 92)),
+        ("4630b76927b4f32fb551892fb4b6367ed116dd03b1186cc197c6094878c4a6ee", (171.0, 154)),
 }
 
 
@@ -289,8 +287,8 @@ def test_pinned_variant_schedules(variant):
 
 # The same pin for exact alone at a 20,000-node budget on seed 1, where
 # most nodes find their group's free placements already listed.
-PINNED_HOT_EXACT = ("b50760d8cfe8b5968180ee0e14ce56362abb27474ca8888d263bd94d848a6bf3",
-                    (173.0, 158))
+PINNED_HOT_EXACT = ("da9f10cab5a91a7dba5a51d4d931c6194a7b142675d88fea86dd585f28a98be1",
+                    (186.0, 170))
 
 
 def test_pinned_exact_at_20k_nodes():
@@ -1027,8 +1025,8 @@ def test_free_lists_match_occupancy(monkeypatch):
 # every request of _heavy_fig2(0) and _heavy_fig2(1): the candidate order
 # every schedule pin above rests on. Kept under the same rule.
 PINNED_CANDIDATES = {
-    "default": "8c7edcd7d1e8c8aff4a7b3ec3f366fa47a48ea26620f4ca8d460ddf4bbaa7b07",
-    "all-mode-subsets": "868c9877b0fc0ffe3d8e74d3e6f51a9661822e77ce308d2f2378e8448a6679c7",
+    "default": "cc59c8cec4389e65f65664b93819e93fcfbd1612f61fe88f8257b88f2e3bc9cf",
+    "all-mode-subsets": "3a57b22ab236728b575001fd50832c42283da124e968077e01becb47e652b890",
 }
 
 
@@ -1043,6 +1041,141 @@ def test_pinned_candidate_order(options):
             digest.update(json.dumps([[c.path, c.modes, c.slot_start, c.slot_end]
                                       for c in cands]).encode() + b"\n")
     assert digest.hexdigest() == PINNED_CANDIDATES[options]
+
+
+@pytest.mark.parametrize("all_subsets", [False, True])
+def test_shapes_at_offset_0_keep_slot_order(all_subsets):
+    """At offset 0 each supply block is ordered by (slot start, modes, slot
+    end), for every demand a 4-mode, 4-slot grid can hold; at any other
+    offset a block holds the same shapes, ordered from slot `offset` on."""
+    for units in range(1, 17):
+        blocks = solve_mod._shapes(units, 4, 4, all_subsets, 0)[0]
+        assert blocks, units
+        for _, same in blocks:
+            triples = [(start, modes, end) for modes, start, end, _, _ in same]
+            assert triples == sorted(triples), units
+        for offset in range(1, 4):
+            rotated = solve_mod._shapes(units, 4, 4, all_subsets, offset)[0]
+            assert [(supply, sorted(same)) for supply, same in rotated] == \
+                [(supply, sorted(same)) for supply, same in blocks], (units, offset)
+            for _, same in rotated:
+                keys = [((start - offset) % 4, modes, end) for modes, start, end, _, _ in same]
+                assert keys == sorted(keys), (units, offset)
+
+
+def test_pairs_sharing_an_endpoint_start_in_different_slots():
+    """On fig2 (4 slots) the first placement of a one-unit request starts at
+    slot (i_src - i_dst) mod 4, so two edge pairs that share a source or a
+    destination start in different slots."""
+    inst = fig2_fixture()
+    edges = [n for n in inst.topology.node_ids() if n.startswith("e")]
+    requests = [Request(f"{s}-{d}", s, d, 2.0) for s in edges for d in edges if s != d]
+    inst = inst.with_requests(requests)
+    assert {inst.slot_units(r) for r in requests} == {1}
+    first = {(r.source, r.destination): enumerate_candidates(r, inst, 4)[0].slot_start
+             for r in requests}
+    for (a, b), (c, d) in itertools.combinations(first, 2):
+        if a == c or b == d:
+            assert first[a, b] != first[c, d], ((a, b), (c, d))
+
+
+def test_one_slot_and_paper_literal_db_tables_keep_slot_order():
+    """Each group's shapes follow `_shapes` at offset 0 on the one-slot
+    collapsed frame and under paper-literal-db, where a total can fall as
+    neighbours are added; on the sliced linear-power frame some do not."""
+    limits = SolveLimits()
+    heavy = _heavy_fig2(1)
+    for inst, rotated in ((heavy, True), (collapse_frame(heavy), False),
+                          (_with_model(heavy, "paper-literal-db"), False)):
+        tables = solve_mod._Tables.of(inst, limits)
+        moved = False
+        for r in inst.requests:
+            group = tables.group(r, inst)
+            blocks = solve_mod._shapes(inst.slot_units(r), inst.mode_count, inst.slot_count,
+                                       False, 0)[0]
+            unrotated = tuple(shape[-1] for _, same in blocks for shape in same)
+            moved |= any(shapes != unrotated for _, shapes, _ in group.routes)
+        assert moved == rotated, rotated
+
+
+def _untrimmed_descent(instance, state, requests, best_fit):
+    """`_descent` without its dead mask or its stop at a zero score: every
+    free placement under the cap is tried."""
+    leaf, tokens = [], []
+    for r in requests:
+        group = state.tables.group(r, instance)
+        free, cap, pick = state.free(group), math.inf, None
+        while free:
+            bit = free & -free
+            free ^= bit
+            cand = group.placements[bit.bit_length() - 1]
+            token = state.commit(cand) if cand.lambda_count <= cap else None
+            if token is None:
+                continue
+            if not best_fit:
+                pick = cand
+                break
+            score = left_sum([state.entries[-1][1][0]] + [t - o for _, t, o, _ in token[1]])
+            state.undo(token)
+            if pick is None:
+                cap = cand.lambda_count
+            if pick is None or score < least - solve_mod._EPS:
+                pick, least = cand, score
+        if pick is not None:
+            tokens.append(state.commit(pick) if best_fit else token)
+            leaf.append(pick.assignment(r.id))
+    for token in reversed(tokens):
+        state.undo(token)
+    return leaf
+
+
+@pytest.mark.parametrize("model", ["linear-power", "tanh-coupling"])
+def test_descent_tries_no_rejected_placement_twice(model, monkeypatch):
+    """Under a monotone model neither descent attempts a commit of a
+    placement it saw rejected, and each returns the leaf the untrimmed rule
+    finds, with fewer commit attempts."""
+    attempts = []
+    commit = _SearchState.commit
+
+    def counted(self, placement):
+        token = commit(self, placement)
+        attempts.append((placement, token is not None))
+        return token
+
+    monkeypatch.setattr(_SearchState, "commit", counted)
+    for seed in range(4):
+        inst = _with_model(_heavy_fig2(seed), model)
+        tables = solve_mod._Tables.of(inst, SolveLimits())
+        for best_fit, order in ((False, solve_mod._request_order(inst)),
+                                (True, solve_mod._density_order(inst))):
+            attempts.clear()
+            state = _SearchState(tables)
+            leaf = solve_mod._descent(inst, state, order, best_fit=best_fit)
+            _assert_clean(state, tables.limit)
+            trimmed = list(attempts)
+            for k, (placement, committed) in enumerate(trimmed):
+                assert committed or all(p is not placement for p, _ in trimmed[k + 1:]), \
+                    (seed, best_fit, k)
+            attempts.clear()
+            assert _untrimmed_descent(inst, _SearchState(tables), order, best_fit) == leaf, \
+                (seed, best_fit)
+            assert len(attempts) > len(trimmed), (seed, best_fit)
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_descent_matches_the_untrimmed_rule_on_micro_instances(model):
+    """On crowded micro instances both descents find the untrimmed rule's
+    leaf under every model, paper-literal-db included, where a placement
+    rejected early can commit once more neighbours are placed."""
+    rng = random.Random(f"descent-{model}")
+    limits = SolveLimits(all_mode_subsets=True, k_paths=8)
+    for k in range(600):
+        inst = _with_model(random_micro_instance(rng, max_nodes=3, max_requests=6), model)
+        tables = solve_mod._Tables.of(inst, limits)
+        for best_fit, order in ((False, solve_mod._request_order(inst)),
+                                (True, solve_mod._density_order(inst))):
+            assert solve_mod._descent(inst, _SearchState(tables), order, best_fit) == \
+                _untrimmed_descent(inst, _SearchState(tables), order, best_fit), (k, best_fit)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
