@@ -206,6 +206,9 @@ class TestModelErrors:
     @pytest.mark.parametrize("edit, location", [
         (lambda d: d["accepted"][1]["slots"].update(start="0"), "$.accepted[1].slots.start"),
         (lambda d: d["accepted"][0]["modes"].__setitem__(0, 1.5), "$.accepted[0].modes[0]"),
+        # modes[1] becomes the bad entry however many modes accepted[0] holds
+        (lambda d: d["accepted"][0]["modes"].__setitem__(slice(1, None), [1.5]),
+         "$.accepted[0].modes[1]"),
         (lambda d: d["accepted"][0]["path"].append(["e1"]), "$.accepted[0].path"),
         (lambda d: d.update(lambda_count=None), "$.lambda_count"),
         (lambda d: d.update(accepted={}), "$.accepted"),
