@@ -20,8 +20,8 @@ import sys
 from pathlib import Path
 
 from . import harness, milp, solve as solve_mod, timeline, validate as validate_mod
-from .model import (Instance, ModelError, ValidationError, collapse_frame, decode_json,
-                    load_instance, serialize_instance, topology_from_document)
+from .model import (Instance, ModelError, PlannerConfig, ValidationError, collapse_frame,
+                    decode_json, load_instance, serialize_instance, topology_from_document)
 from .solve import SolveLimits, schedule_from_document
 
 EXIT_OK = 0
@@ -177,16 +177,23 @@ def cmd_emit_lp(args) -> int:
 
 def cmd_gen_traffic(args) -> int:
     doc = _read_json(args.instance)
-    bare = not (isinstance(doc, dict) and "topology" in doc)
-    location = "$" if bare else "$.topology"
-    topology = topology_from_document(doc if bare else doc["topology"], location)
+    if isinstance(doc, dict) and "topology" in doc:
+        instance = load_instance(doc)
+        topology, planner, location = instance.topology, instance.planner, "$.topology"
+    else:
+        topology, planner, location = topology_from_document(doc, "$"), PlannerConfig(), "$"
+    # a flag left out takes the instance's planner value, a bare topology's default
+    granularity = planner.granularity_gbps if args.granularity is None else args.granularity
+    capacity = planner.link_capacity_gbps if args.capacity is None else args.capacity
     try:
-        requests = harness.gen_uniform_traffic(topology, args.load,
-                                               granularity_gbps=args.granularity,
-                                               seed=args.seed, capacity_gbps=args.capacity)
+        requests = harness.gen_uniform_traffic(topology, args.load, granularity_gbps=granularity,
+                                               seed=args.seed, capacity_gbps=capacity)
     except harness.TrafficError as exc:
         if exc.field == "topology":
             raise ValidationError([(f"{location}.nodes", exc.message)]) from None
+        if exc.field != "load" and args.granularity is None and args.capacity is None:
+            # both are the instance's values: a bare topology's 1 and 10 always fit
+            raise ValidationError([(harness.TEMPLATE_FIELDS[exc.field], exc.message)]) from None
         return _usage("gen-traffic", f"--{exc.field}", exc.message)
     _write_json([{"id": r.id, "src": r.source, "dst": r.destination,
                   "bandwidth_gbps": r.bandwidth_gbps} for r in requests], args.output)
@@ -264,10 +271,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="instance or bare topology JSON")
     p.add_argument("--load", type=float, required=True,
                    help="offered load in Gb/s, a multiple of --granularity")
-    p.add_argument("--granularity", type=float, default=1.0,
-                   help="request bandwidths are multiples of this many Gb/s")
-    p.add_argument("--capacity", type=float, default=10.0,
-                   help="largest request bandwidth in Gb/s, at least --granularity")
+    p.add_argument("--granularity", type=float,
+                   help="request bandwidths are multiples of this many Gb/s (default: the "
+                        "instance's planner.granularity_gbps, 1 for a bare topology)")
+    p.add_argument("--capacity", type=float,
+                   help="largest request bandwidth in Gb/s, at least --granularity (default: "
+                        "the instance's planner.link_capacity_gbps, 10 for a bare topology)")
     p.add_argument("--seed", default="0")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_gen_traffic)

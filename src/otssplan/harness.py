@@ -95,11 +95,6 @@ class SweepRow:
     optimal: bool
     valid: bool  # the schedule passes validate.check_schedule on its frame
 
-    def key_fields(self) -> tuple:
-        """Everything except wall-clock time, for determinism comparisons."""
-        return (self.load_gbps, self.trial, self.solver, self.throughput_gbps,
-                self.acceptance_ratio, self.lambda_count, self.optimal, self.valid)
-
 
 @dataclass(frozen=True)
 class SweepResult:
@@ -139,9 +134,9 @@ def _instance_digest(instance: Instance) -> str:
     return hashlib.sha256(doc.encode()).hexdigest()[:16]
 
 
-# Where a sweep template holds each traffic input but the load.
-_TEMPLATE_FIELDS = {"topology": "$.topology.nodes", "granularity": "$.planner.granularity_gbps",
-                    "capacity": "$.planner.link_capacity_gbps"}
+# Where an instance holds each traffic input but the load.
+TEMPLATE_FIELDS = {"topology": "$.topology.nodes", "granularity": "$.planner.granularity_gbps",
+                   "capacity": "$.planner.link_capacity_gbps"}
 
 
 def run_sweep(instance_template: Instance, loads: Sequence[float],
@@ -172,7 +167,7 @@ def run_sweep(instance_template: Instance, loads: Sequence[float],
     except TrafficError as exc:
         if exc.field == "load":
             raise
-        raise ValidationError([(_TEMPLATE_FIELDS[exc.field], exc.message)]) from None
+        raise ValidationError([(TEMPLATE_FIELDS[exc.field], exc.message)]) from None
     for li, load in enumerate(loads):
         for trial in range(trials):
             requests = gen_uniform_traffic(

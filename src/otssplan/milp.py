@@ -22,15 +22,13 @@ Rows that differ between links only in the link's tag are yielded once,
 in stems, and the block stands for one copy per link tag, in link order;
 eq3-eq6 are stamped the same way per slot or per mode and slot. Only
 eq2's flow rows and eq11 are written once (tags ("",)). Every row of one
-shape shares one coefs tuple per pass (fig2's 62,900 rows have 22).
-MilpModel.rows expands the blocks into columnar (name, coefs, names,
-sense, rhs, family) rows, making each name once per tag; an objective is
-(sense, name, coefs, names); the variables are a stream of names
-(MilpModel.variable_names), stamped from the same stems. Each stream is
-audited against count_formulas when a pass over it ends, a block
-counting its rows once per tag; MilpModel.constraints and .variables are
-sized views of the two streams, counted from the blocks and stems
-without expanding a row or stamping a name.
+shape shares one coefs tuple per pass (fig2's 62,900 rows have 22). The
+variables are runs of stems with their tags (MilpModel._declared); an
+objective is (sense, name, coefs, names). A pass over either stream is
+audited against count_formulas when it ends, a block counting its rows
+once per tag. MilpModel.constraints and .variables are sized views that
+count the streams so, without expanding a row or stamping a name; only
+emit_lp reads rows and names, so the views cannot be iterated.
 One generator, _render_blocks, renders every LP row (constraints,
 objectives, and the phase-2 fix_throughput row over the throughput
 objective's columns): it fills a block's %-templates once, family
@@ -56,18 +54,21 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from . import xtalk
 from .model import Instance, Link, ValidationError
 
-class SizeLimitError(Exception):
-    """Instance would exceed the configured variable cap."""
+# the most binary variables build_model accepts
+VARIABLE_CAP = 2_000_000
 
-    def __init__(self, variable_count: int, cap: int):
-        super().__init__(f"model would have {variable_count} variables, cap is {cap}")
+
+class SizeLimitError(Exception):
+    """Instance would exceed VARIABLE_CAP."""
+
+    def __init__(self, variable_count: int):
+        super().__init__(f"model would have {variable_count} variables, cap is {VARIABLE_CAP}")
         self.variable_count = variable_count
-        self.cap = cap
 
 
 class Objective(NamedTuple):
@@ -77,8 +78,9 @@ class Objective(NamedTuple):
     names: tuple[str, ...]  # one variable name per coefficient
 
 
-# a constraint as rows() yields it: coefs is shared by the pass's rows with
-# equal coefficients, and names holds one variable name per coefficient
+# a constraint row as _blocks lays out one iteration's rows: coefs is
+# shared by the pass's rows with equal coefficients, and names holds one
+# variable name per coefficient
 Row = tuple[str, tuple[float, ...], tuple[str, ...], str, float, str]
 # the row shapes one loop iteration yields, each (family, coefs, sense, rhs)
 Stanza = tuple[tuple[str, tuple[float, ...], str, float], ...]
@@ -258,55 +260,31 @@ def _audit(what: str, seen, expected) -> None:
         raise AssertionError(f"model {what} {seen} differ from count_formulas {expected}")
 
 
-def _stamped(stems, tag: str) -> list[str]:
-    return [stem.replace(_AT, tag) for stem in stems]
+class _Sized:
+    """A sized view: len is the count its maker took without expanding a
+    row or stamping a name. It holds nothing to iterate."""
 
+    __slots__ = ("_len",)
 
-class _TagMemo(dict):
-    """stem -> the name it stands for under one tag, each made once."""
-
-    def __init__(self, tag: str):
-        super().__init__()
-        self.tag = tag
-
-    def __missing__(self, stem: str) -> str:
-        name = self[stem] = stem.replace(_AT, self.tag)
-        return name
-
-
-class _Counted:
-    """A sized, re-iterable view of a stream: len is the item count its
-    maker counted without expanding the stream; each iteration is a fresh
-    pass over stream()."""
-
-    __slots__ = ("_stream", "_len")
-
-    def __init__(self, stream: Callable[[], Iterator], size: int):
-        self._stream = stream
+    def __init__(self, size: int):
         self._len = size
 
     def __len__(self) -> int:
         return self._len
-
-    def __iter__(self) -> Iterator:
-        return self._stream()
 
 
 @dataclass(frozen=True)
 class MilpModel:
     """The MIP of one instance: its name table and objectives.
 
-    Constraints and variables are streams, not stored: rows() yields each
-    constraint as a (name, coefs, names, sense, rhs, family) tuple and
-    variable_names() each binary variable's name, both in declaration
-    order, and a pass over either that runs to its end is audited against
-    count_formulas. The constraints and variables properties are sized
-    views of those streams: each access counts its stream in one audited
-    pass over the blocks or the declared stems, a block or run counting
-    once per row or stem and tag, without expanding a row or stamping a
-    name; iterating a view starts a fresh pass over the stream. A
-    two-phase model's first objective is the throughput expression that
-    phase 2 pins.
+    Constraints and variables are not stored. blocks() yields the
+    constraints as stamped blocks and _declared() the binary variables as
+    runs of stems, each with its tags, both in declaration order; a pass
+    over either that runs to its end is audited against count_formulas.
+    The constraints and variables properties are sized views counted in
+    one such pass, a block or run counting once per row or stem and tag,
+    without expanding a row or stamping a name. A two-phase model's first
+    objective is the throughput expression that phase 2 pins.
     """
 
     instance: Instance
@@ -324,24 +302,6 @@ class MilpModel:
                 seen[family] += len(args) * len(tags)
             yield stanza, args, tags
         _audit("constraints per family", seen, count_formulas(self.instance)["constraints"])
-
-    def rows(self) -> Iterator[Row]:
-        """The blocks, expanded to one row per copy, iteration and stanza
-        row. A variable name is made once per tag and shared by its rows."""
-        made: dict[str, _TagMemo] = {}
-        for stanza, args, tags in self.blocks():
-            spans, i = [], 0
-            for family, coefs, sense, rhs in stanza:
-                spans.append((i, i + 1, i + 1 + len(coefs), coefs, sense, rhs, family))
-                i += 1 + len(coefs)
-            for tag in tags:
-                if tag not in made:
-                    made[tag] = _TagMemo(tag)
-                stamp = made[tag].__getitem__
-                for fields in args:
-                    for i, j, k, coefs, sense, rhs, family in spans:
-                        yield (fields[i].replace(_AT, tag), coefs, tuple(map(stamp, fields[j:k])),
-                               sense, rhs, family)
 
     def _declared(self) -> Iterator[tuple[list[str], tuple[str, ...]]]:
         """(stems, tags) per run of the binary variables in declaration
@@ -361,30 +321,24 @@ class MilpModel:
             yield stems, run_tags
         _audit("variables", seen, count_formulas(self.instance)["total_variables"])
 
-    def variable_names(self) -> Iterator[str]:
-        for stems, tags in self._declared():
-            for tag in tags:
-                yield from _stamped(stems, tag)
-
     @property
-    def constraints(self) -> _Counted:
+    def constraints(self) -> _Sized:
         """The rows, as a view sized by one audited pass over blocks()."""
-        return _Counted(self.rows, sum(len(stanza) * len(args) * len(tags)
-                                       for stanza, args, tags in self.blocks()))
+        return _Sized(sum(len(stanza) * len(args) * len(tags)
+                          for stanza, args, tags in self.blocks()))
 
     @property
-    def variables(self) -> _Counted:
-        """The variable names, as a view sized by one audited pass over
-        the declared stems."""
-        return _Counted(self.variable_names,
-                        sum(len(stems) * len(tags) for stems, tags in self._declared()))
+    def variables(self) -> _Sized:
+        """The variables, as a view sized by one audited pass over the
+        declared stems."""
+        return _Sized(sum(len(stems) * len(tags) for stems, tags in self._declared()))
 
 
-def build_model(instance: Instance, max_variables: int = 2_000_000) -> MilpModel:
+def build_model(instance: Instance) -> MilpModel:
     """The full MIP of an instance, as its name table and objectives.
 
     An instance with zero requests yields an empty (trivially optimal)
-    model; an instance whose variable count exceeds max_variables raises
+    model; an instance whose variable count exceeds VARIABLE_CAP raises
     SizeLimitError naming the count, and one under paper-literal-db or whose
     request or node ids collide once sanitized into LP names raises ValidationError.
     """
@@ -392,8 +346,8 @@ def build_model(instance: Instance, max_variables: int = 2_000_000) -> MilpModel
         raise ValidationError([("$.planner.accumulation_model", "no MILP under paper-literal-db: "
                                 "its eq11 row reads 0 <= a negative dB threshold at zero")])
     counts = count_formulas(instance)
-    if counts["total_variables"] > max_variables:
-        raise SizeLimitError(counts["total_variables"], max_variables)
+    if counts["total_variables"] > VARIABLE_CAP:
+        raise SizeLimitError(counts["total_variables"])
     names = _name_table(instance) if instance.requests else _NO_NAMES
     bandwidths = tuple(r.bandwidth_gbps for r in instance.requests)
     rhos = tuple(names.rho.values())

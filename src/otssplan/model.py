@@ -112,8 +112,8 @@ class Topology:
 
     # lookup tables built once; not fields, so equality and hashing ignore them
     @cached_property
-    def _tiers(self) -> dict[str, str]:
-        return {n.id: n.tier for n in self.nodes}
+    def _ids(self) -> frozenset[str]:
+        return frozenset(n.id for n in self.nodes)
 
     @cached_property
     def _lengths(self) -> dict[Link, float]:
@@ -128,10 +128,7 @@ class Topology:
         return {n.id: tuple(l for l in self.links if l.dst == n.id) for n in self.nodes}
 
     def has_node(self, node_id: str) -> bool:
-        return node_id in self._tiers
-
-    def tier_of(self, node_id: str) -> str:
-        return self._tiers[node_id]
+        return node_id in self._ids
 
     def edge_nodes(self) -> tuple[str, ...]:
         return tuple(n.id for n in self.nodes if n.tier == "edge")

@@ -107,12 +107,6 @@ class Assignment:
     def lambda_count(self) -> int:
         return len(self.path) * self.supply
 
-    def cells(self) -> Iterable[tuple[Link, int, int]]:
-        for link in self.path:
-            for m in self.modes:
-                for t in range(self.slot_start, self.slot_end):
-                    yield (link, m, t)
-
 
 @dataclass(frozen=True)
 class Schedule:

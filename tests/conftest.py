@@ -83,13 +83,21 @@ def random_micro_instance(rng: random.Random, max_nodes: int = 4,
                     planner=PlannerConfig())
 
 
+def cells(a):
+    """The (link, mode, slot) cells assignment a occupies."""
+    for link in a.path:
+        for m in a.modes:
+            for t in range(a.slot_start, a.slot_end):
+                yield (link, m, t)
+
+
 def _joint_feasible(instance: Instance, chosen: list) -> bool:
-    cells = set()
+    used = set()
     for a in chosen:
-        for cell in a.cells():
-            if cell in cells:
+        for cell in cells(a):
+            if cell in used:
                 return False
-            cells.add(cell)
+            used.add(cell)
     model = instance.planner.accumulation_model
     for victim in chosen:
         total = 0.0

@@ -1,12 +1,49 @@
-"""A schedule checked against the paper MILP: the variable values a
-schedule induces, auxiliary indicators included, and the rows of a built
-model those values violate. Only the tests read it; the planner never
-evaluates its own MILP."""
+"""A built MILP read row by row, and a schedule checked against it: the
+model's blocks expanded into rows and its stems stamped into variable
+names, the variable values a schedule induces, auxiliary indicators
+included, and the rows of a built model those values violate. Only the
+tests read it; the planner never evaluates its own MILP, and emit_lp
+writes rows and names from the blocks and stems without expanding them."""
 
 from __future__ import annotations
 
-from otssplan.milp import _AT, MilpModel, _name_table, _stamped
+from otssplan.milp import _AT, MilpModel, _name_table
 from otssplan.model import Instance, Link, left_sum
+
+
+def stamped(x, tag: str):
+    """x, a stem or a list of them (nested or not), with tag in place of
+    the placeholder."""
+    return x.replace(_AT, tag) if isinstance(x, str) else [stamped(y, tag) for y in x]
+
+
+def block_rows(stanza, args, tags):
+    """A (stanza, args, tags) block expanded to (name, coefs, names, sense,
+    rhs, family) rows, copy by copy, iteration by iteration and stanza row
+    by stanza row."""
+    for tag in tags:
+        for fields in args:
+            i = 0
+            for family, coefs, sense, rhs in stanza:
+                j = i + 1 + len(coefs)
+                yield (stamped(fields[i], tag), coefs, tuple(stamped(fields[i + 1:j], tag)),
+                       sense, rhs, family)
+                i = j
+
+
+def model_rows(model: MilpModel):
+    """The rows of model.blocks(), block by block; a full pass is audited
+    as the blocks are."""
+    for block in model.blocks():
+        yield from block_rows(*block)
+
+
+def variable_names(model: MilpModel):
+    """The name of each binary variable of model, in declaration order; a
+    full pass is audited as model._declared() is."""
+    for stems, tags in model._declared():
+        for tag in tags:
+            yield from stamped(stems, tag)
 
 
 def _changes(seq: list[float]) -> list[float]:
@@ -37,18 +74,18 @@ def assignment_from_schedule(instance: Instance, schedule) -> dict[str, float]:
                                       for m in modes]
             used = [max(col) for col in zip(*rows)]
             for name_row, row, cm_row in zip(lam, rows, names.cm[rid]):
-                values.update(zip(_stamped(name_row, tag), row))
-                values.update(zip(_stamped(cm_row, tag), _changes(row)))
-            values.update(zip(_stamped(names.u[rid], tag), used))
-            values.update(zip(_stamped(names.w[rid], tag), map(max, rows)))
-            values.update(zip(_stamped(names.ca[rid], tag), _changes(used)))
-            values[names.v[rid].replace(_AT, tag)] = max(used)
+                values.update(zip(stamped(name_row, tag), row))
+                values.update(zip(stamped(cm_row, tag), _changes(row)))
+            values.update(zip(stamped(names.u[rid], tag), used))
+            values.update(zip(stamped(names.w[rid], tag), map(max, rows)))
+            values.update(zip(stamped(names.ca[rid], tag), _changes(used)))
+            values[stamped(names.v[rid], tag)] = max(used)
     for (r1, r2), pairs in names.overlaps.items():
         for link, tag in names.et.items():
             for m1, m2, th, betas in pairs:
                 both = [a * b for a, b in zip(grid[r1, link][m1], grid[r2, link][m2])]
-                values.update(zip(_stamped(betas, tag), both))
-                values[th.replace(_AT, tag)] = max(both)
+                values.update(zip(stamped(betas, tag), both))
+                values[stamped(th, tag)] = max(both)
     return values
 
 
@@ -56,7 +93,7 @@ def evaluate_constraints(model: MilpModel, values: dict[str, float],
                          tol: float = 1e-9) -> list[str]:
     """Names of constraints the assignment violates (missing vars read 0)."""
     violated = []
-    for name, coefs, names, sense, rhs, _ in model.rows():
+    for name, coefs, names, sense, rhs, _ in model_rows(model):
         lhs = left_sum(coef * values.get(var, 0.0) for coef, var in zip(coefs, names))
         if not (lhs <= rhs + tol if sense == "<=" else lhs >= rhs - tol if sense == ">="
                 else abs(lhs - rhs) <= tol):

@@ -50,6 +50,18 @@ class TestPlanValidatePipeline:
         assert cli.run(["validate", "-i", str(fig2_file), "-s", str(out),
                         "--baseline"]) == 0
 
+    def test_baseline_flag_rejects_a_sliced_schedule(self, tmp_path, fig2_file, capsys):
+        """An exact schedule whose intervals end past slot 1 leaves the
+        collapsed one-slot frame, so `validate --baseline` exits 1 on eq8."""
+        out = tmp_path / "exact.json"
+        assert cli.run(["plan", "-i", str(fig2_file), "-o", str(out)]) == 0
+        assert any(a["slots"]["end"] > 1 for a in json.loads(out.read_text())["accepted"])
+        capsys.readouterr()
+        assert cli.run(["validate", "-i", str(fig2_file), "-s", str(out), "--baseline"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["pass"] is False
+        assert "eq8" in {v["family"] for v in report["violations"]}
+
 
 class TestExitCodes:
     def test_unknown_flag_is_usage(self, capsys):
@@ -134,7 +146,7 @@ class TestArgumentErrors:
         (["emit-lp", "--phase1-value=-inf"], "--phase1-value"),
         (["emit-lp", "--phase1-value", "x"], "--phase1-value"),
         (["sweep", "--loads=-5,0"], "--loads"),
-        # off the granularity grid: the instance's for sweep, --granularity's for gen-traffic
+        # off the granularity grid: the instance's for sweep, the flag's given to gen-traffic
         (["gen-traffic", "--load", "5", "--granularity", "2"], "--load"),
         (["sweep", "--loads", "2.5"], "--loads"),
         (["sweep", "--loads", "4,2.5"], "--loads"),
@@ -438,6 +450,48 @@ class TestGenTrafficCommand:
     def test_stdout_when_no_output(self, fig2_file, capsys):
         assert cli.run(["gen-traffic", "-i", str(fig2_file), "--load", "5"]) == 0
         assert json.loads(capsys.readouterr().out)
+
+    def test_full_instance_planner_sets_the_defaults(self, tmp_path, fig2_file, capsys):
+        """Without --granularity or --capacity, traffic for a full instance is
+        drawn on its planner's granularity up to its link capacity, so the
+        merged instance plans; a flag still wins, and a bare topology draws
+        at 1 Gb/s up to 10."""
+        doc = json.loads(fig2_file.read_text())
+        doc["planner"].update(granularity_gbps=2, link_capacity_gbps=6)
+        for r in doc["requests"]:
+            r["bandwidth_gbps"] = 4.0
+        path, out = tmp_path / "grid2.json", tmp_path / "reqs.json"
+        path.write_text(json.dumps(doc))
+        argv = ["gen-traffic", "--load", "40", "--seed", "7"]
+        assert cli.run([*argv, "-i", str(path), "-o", str(out)]) == 0
+        doc["requests"] = json.loads(out.read_text())
+        assert {r["bandwidth_gbps"] for r in doc["requests"]} == {2.0, 4.0, 6.0}
+        merged = tmp_path / "merged.json"
+        merged.write_text(json.dumps(doc))
+        assert cli.run(["plan", "-i", str(merged)]) == 0
+        capsys.readouterr()
+        assert cli.run([*argv, "-i", str(path), "--capacity", "2"]) == 0
+        assert {r["bandwidth_gbps"] for r in json.loads(capsys.readouterr().out)} == {2.0}
+        topology = tmp_path / "topology.json"
+        topology.write_text(json.dumps(doc["topology"]))
+        assert cli.run([*argv, "-i", str(topology)]) == 0
+        bare = {r["bandwidth_gbps"] for r in json.loads(capsys.readouterr().out)}
+        assert bare - {2.0, 4.0, 6.0} and max(bare) <= 10.0
+
+    def test_instance_capacity_below_granularity(self, tmp_path, fig2_file, capsys):
+        """With neither flag given, the instance's own capacity below its
+        granularity is a document error at its field, as for sweep; with
+        --capacity given, it is that flag's usage error."""
+        doc = json.loads(fig2_file.read_text())
+        doc["planner"].update(granularity_gbps=2, link_capacity_gbps=1)
+        for r in doc["requests"]:
+            r["bandwidth_gbps"] = 4.0
+        path = tmp_path / "grid2.json"
+        path.write_text(json.dumps(doc))
+        assert cli.run(["gen-traffic", "-i", str(path), "--load", "20"]) == 1
+        assert capsys.readouterr().err.startswith("error: $.planner.link_capacity_gbps: ")
+        assert cli.run(["gen-traffic", "-i", str(path), "--load", "20", "--capacity", "1"]) == 2
+        assert "argument --capacity: " in capsys.readouterr().err
 
     def test_capacity_equal_to_granularity(self, fig2_file, capsys):
         assert cli.run(["gen-traffic", "-i", str(fig2_file), "--load", "5",

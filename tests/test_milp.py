@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from conftest import (CountingMode, random_micro_instance, tiny_instance,
                       two_request_200m_instance)
-from milp_check import assignment_from_schedule, evaluate_constraints
+from milp_check import (assignment_from_schedule, block_rows, evaluate_constraints, model_rows,
+                        stamped, variable_names)
 from otssplan import milp
 from otssplan.harness import fixture_instance
 from otssplan.model import (AccumulationModel, CrosstalkMatrix, FrameConfig, Instance, LinkSpec,
@@ -272,24 +273,12 @@ def _render(templates, blocks, tags=None) -> tuple[str, bool]:
 
 def _stamped_row(c, tag: str):
     """_Row c with tag in place of the placeholder in its label and names."""
-    return c._replace(name=_stamped(c.name, tag),
-                      terms=tuple((coef, _stamped(name, tag)) for coef, name in c.terms))
-
-
-def _block_rows(stanza, args, tags):
-    """The _Rows of a (stanza, args, tags) block, copy by copy and iteration
-    by iteration."""
-    for tag in tags:
-        for fields in args:
-            i = 0
-            for family, coefs, sense, rhs in stanza:
-                terms = tuple(zip(coefs, fields[i + 1:i + 1 + len(coefs)]))
-                yield _stamped_row(_Row(fields[i], terms, sense, rhs, family), tag)
-                i += 1 + len(coefs)
+    return c._replace(name=stamped(c.name, tag),
+                      terms=tuple((coef, stamped(name, tag)) for coef, name in c.terms))
 
 
 def _as_row(row):
-    """A row of rows() as the oracle reads it."""
+    """A row of milp_check.model_rows as the oracle reads it."""
     name, coefs, names, sense, rhs, family = row
     return _Row(name, tuple(zip(coefs, names)), sense, rhs, family)
 
@@ -340,19 +329,28 @@ class TestCountFormulas:
             model = milp.build_model(inst)
             assert len(model.variables) == counts["total_variables"]
             assert len(model.constraints) == counts["total_constraints"]
-            assert len(model.constraints) == sum(1 for _ in model.rows())
-            assert len(model.variables) == sum(1 for _ in model.variable_names())
+            assert len(model.constraints) == sum(1 for _ in model_rows(model))
+            assert len(model.variables) == sum(1 for _ in variable_names(model))
             by_family: dict[str, int] = {}
-            for *_, family in model.constraints:
+            for *_, family in model_rows(model):
                 by_family[family] = by_family.get(family, 0) + 1
             for family, n in counts["constraints"].items():
                 assert by_family.get(family, 0) == n, family
 
 
 class TestBuildModel:
-    def test_size_limit(self, two_request_200m):
-        with pytest.raises(milp.SizeLimitError):
-            milp.build_model(two_request_200m, max_variables=10)
+    def test_size_limit(self, monkeypatch):
+        """fig2 with 43 requests passes the variable cap in count_formulas,
+        so build_model raises before it makes a name."""
+        fig2 = fixture_instance("fig2")
+        inst = fig2.with_requests(replace(fig2.requests[0], id=f"r{i}") for i in range(43))
+        count = milp.count_formulas(inst)["total_variables"]
+        assert count > milp.VARIABLE_CAP == 2_000_000
+        monkeypatch.setattr(milp, "_name_table", None)
+        with pytest.raises(milp.SizeLimitError) as err:
+            milp.build_model(inst)
+        assert err.value.variable_count == count
+        assert str(err.value) == f"model would have {count} variables, cap is 2000000"
 
     def test_zero_request_model_empty(self, tiny):
         model = milp.build_model(tiny.with_requests([]))
@@ -379,9 +377,9 @@ class TestBuildModel:
         rng = random.Random("milp-names")
         for _ in range(10):
             model = milp.build_model(random_micro_instance(rng))
-            names = model.variables
+            names = list(variable_names(model))
             assert len(names) == len(set(names))
-            cnames = [row[0] for row in model.constraints]
+            cnames = [row[0] for row in model_rows(model)]
             assert len(cnames) == len(set(cnames))
 
     def test_request_ids_sanitizing_alike_rejected(self, tiny):
@@ -409,19 +407,14 @@ def _in_order(names):
     return [list(x.items()) if isinstance(x, dict) else x for x in names]
 
 
-def _stamped(x, tag: str):
-    """x, a stem or a list of them, with tag in place of the placeholder."""
-    return x.replace(milp._AT, tag) if isinstance(x, str) else [_stamped(y, tag) for y in x]
-
-
 def _expanded(names):
     """A name table of stems stamped into the oracle's layout: per-link names
     keyed by (request id, link), overlaps one (r1, r2, link, m1, m2, theta,
     betas) list, in declaration order."""
     rt, nt, et, lam, rho, overlaps, cm, ca, u, w, v = names
-    per_link = [{(rid, link): _stamped(table[rid], tag) for rid in lam
+    per_link = [{(rid, link): stamped(table[rid], tag) for rid in lam
                  for link, tag in et.items()} for table in (lam, cm, ca, u, w, v)]
-    flat = [(r1, r2, link, m1, m2, _stamped(th, tag), _stamped(betas, tag))
+    flat = [(r1, r2, link, m1, m2, stamped(th, tag), stamped(betas, tag))
             for (r1, r2), pairs in overlaps.items() for link, tag in et.items()
             for m1, m2, th, betas in pairs]
     return milp._Names(rt, nt, et, per_link[0], rho, flat, *per_link[1:])
@@ -588,7 +581,7 @@ class TestEmitLp:
     def test_line_width_cap_with_long_ids(self, tmp_path):
         model = milp.build_model(_long_id_instance())
         multi = [row for stanza, args, tags in model.blocks() if len(stanza) > 1
-                 for row in _block_rows(stanza, args, tags)]
+                 for row in map(_as_row, block_rows(stanza, args, tags))]
         assert {row.family for row in multi} == {f"eq{k}" for k in (2, 8, 9, 10, 12, 13, 14, 15)}
         assert all(len(_oracle_row_body(row)) >= 250 for row in multi)
         for path in milp.emit_lp(model, tmp_path / "w.lp"):
@@ -604,24 +597,25 @@ class TestEmitLp:
         inst = replace(two_request_200m_instance(), topology=topo,
                        requests=tuple(Request(r, "a", far, 5.0) for r in ("ra", "rb")))
         model = milp.build_model(inst)
-        caps = {row.name: len(_oracle_row_body(row)) for row in map(_as_row, model.rows())
+        caps = {row.name: len(_oracle_row_body(row))
+                for row in map(_as_row, model_rows(model))
                 if row.name.startswith("eq10_cap_v_rra_")}
         assert sorted(caps.values())[0] < 250 < sorted(caps.values())[1]
         text = milp.emit_lp(model, tmp_path / "m.lp")[0].read_text()
         block = text[text.index("\nSubject To\n") + 12:text.rindex("\nBounds\n") + 1]
-        assert block == _oracle_render_constraints(map(_as_row, model.rows()))
+        assert block == _oracle_render_constraints(map(_as_row, model_rows(model)))
         assert all(len(line) <= 250 for line in text.splitlines())
 
     def test_constraint_block_matches_row_oracle(self, tmp_path):
         """The constraint block emit_lp writes is the row-at-a-time oracle's
-        rendering of rows(), on the corpus, fig2 and the long-id instance."""
+        rendering of the model's rows, on the corpus, fig2 and the long-id instance."""
         instances = [*_lp_corpus(), ("fig2", fixture_instance("fig2")),
                      ("long-ids", _long_id_instance())]
         for label, inst in instances:
             model = milp.build_model(inst)
             text = milp.emit_lp(model, tmp_path / f"{label}.lp")[0].read_text()
             block = text[text.index("\nSubject To\n") + 12:text.rindex("\nBounds\n") + 1]
-            assert block == _oracle_render_constraints(map(_as_row, model.rows())), label
+            assert block == _oracle_render_constraints(map(_as_row, model_rows(model))), label
 
 
 def _drop_an_iteration(blocks):
@@ -643,14 +637,14 @@ def _change_copies(blocks, family: str, change):
 
 
 class TestStreams:
-    """The model is a stream of rows and variable names: the constraint and
-    variable lists are those streams, and a pass that drops or repeats a
-    row fails the audit against count_formulas."""
+    """The model is a stream of blocks and of declared stems: the
+    constraint and variable views are sized by them, and a pass that drops
+    or repeats a row fails the audit against count_formulas."""
 
     def test_record_lists_count_the_streams(self, two_request_200m, monkeypatch):
         model = milp.build_model(two_request_200m)
-        rows = list(model.rows())
-        names = list(model.variable_names())
+        expanded = list(model_rows(model))
+        names = list(variable_names(model))
         real = milp.count_formulas
 
         def off_totals(instance):
@@ -658,9 +652,12 @@ class TestStreams:
             return {**counts, "total_constraints": counts["total_constraints"] + 1000}
 
         monkeypatch.setattr(milp, "count_formulas", off_totals)
-        assert list(model.constraints) == rows and len(model.constraints) == len(rows)
-        assert list(model.variables) == names and len(model.variables) == len(names)
-        assert len(rows) == real(two_request_200m)["total_constraints"]
+        assert len(model.constraints) == len(expanded)
+        assert len(model.variables) == len(names)
+        assert len(expanded) == real(two_request_200m)["total_constraints"]
+        for view in (model.constraints, model.variables):
+            with pytest.raises(TypeError):
+                iter(view)
 
     @pytest.mark.parametrize("mutate", [
         lambda blocks: blocks[:6] + blocks[7:],
@@ -695,7 +692,7 @@ class TestStreams:
     @staticmethod
     def _assert_audit_raises(tmp_path, monkeypatch, model, blocks):
         """With milp._blocks replaced by blocks, every full pass over the
-        model's rows fails its audit, and the failed emit leaves the phase
+        model's blocks fails its audit, and the failed emit leaves the phase
         files that a good emit wrote there before it empty."""
         good = milp.emit_lp(model, tmp_path / "m.lp")
         assert all(path.stat().st_size for path in good)
@@ -709,7 +706,7 @@ class TestStreams:
             evaluate_constraints(model, {})
 
     def test_fig2_equal_coefficient_vectors_are_one_object(self):
-        coefs = [row[1] for row in milp.build_model(fixture_instance("fig2")).rows()]
+        coefs = [row[1] for row in model_rows(milp.build_model(fixture_instance("fig2")))]
         assert len({id(c) for c in coefs}) == len(set(coefs)) == 22
 
     def test_audit_catches_an_extra_variable(self, two_request_200m):
@@ -815,7 +812,7 @@ class TestScheduleSatisfiesModel:
     def test_tiny_exact(self, tiny):
         model = milp.build_model(tiny)
         values = assignment_from_schedule(tiny, solve_exact(tiny))
-        assert set(values) == set(model.variables)
+        assert set(values) == set(variable_names(model))
         assert evaluate_constraints(model, values) == []
 
     def test_random_corpus(self):
@@ -825,7 +822,7 @@ class TestScheduleSatisfiesModel:
             model = milp.build_model(inst)
             for schedule in (solve_exact(inst), solve_greedy(inst)):
                 values = assignment_from_schedule(inst, schedule)
-                assert set(values) == set(model.variables)
+                assert set(values) == set(variable_names(model))
                 assert evaluate_constraints(model, values) == []
 
     def test_co_propagation_in_every_slot_satisfies_eq12(self):
@@ -873,7 +870,7 @@ class TestLexicographicObjective:
             model = milp.build_model(inst)
             schedule = solve_exact(inst, limits)
             values = assignment_from_schedule(inst, schedule)
-            assert set(values) == set(model.variables)
+            assert set(values) == set(variable_names(model))
             throughput, resource = (sum(c * values[n] for c, n in zip(o.coefs, o.names))
                                     for o in model.objectives)
             assert throughput == pytest.approx(schedule.throughput_gbps)
@@ -887,9 +884,9 @@ def _highs_optimum(model) -> tuple[float, int]:
     optimize = pytest.importorskip("scipy.optimize")
     import numpy as np
     from scipy import sparse
-    column = {name: j for j, name in enumerate(model.variable_names())}
+    column = {name: j for j, name in enumerate(variable_names(model))}
     data, row_ids, col_ids, lo, hi = [], [], [], [], []
-    for i, (_, coefs, names, sense, rhs, _) in enumerate(model.rows()):
+    for i, (_, coefs, names, sense, rhs, _) in enumerate(model_rows(model)):
         data += coefs
         row_ids += [i] * len(coefs)
         col_ids += [column[n] for n in names]

@@ -34,8 +34,9 @@ class TestBuildFatTree:
     def test_tier_tags(self):
         topo = build_fat_tree(2, 2, 1, 100.0)
         assert topo.edge_nodes() == ("e1", "e2")
-        assert topo.tier_of("a1") == "aggregation"
-        assert topo.tier_of("c1") == "core"
+        tiers = {n.id: n.tier for n in topo.nodes}
+        assert tiers["a1"] == "aggregation"
+        assert tiers["c1"] == "core"
 
     @pytest.mark.parametrize("args", [(0, 1, 1, 100.0), (1, -1, 1, 100.0),
                                       (1, 1, 0, 100.0), (1, 1, 1, 0.0),

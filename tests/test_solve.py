@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_best, random_micro_instance, two_request_200m_instance
+from conftest import brute_force_best, cells, random_micro_instance, two_request_200m_instance
 from otssplan import solve as solve_mod, validate, xtalk
 from otssplan.model import (AccumulationModel, CrosstalkMatrix, FrameConfig, Instance,
                             LinkSpec, NodeSpec, PlannerConfig, Request, Topology,
@@ -677,7 +677,7 @@ def test_placements_hold_nothing_network_wide():
             assert bases.setdefault(p.links, p.base) is p.base
             assert p.base * p.mode_slots == sum(
                 1 << (tables.link_index[link] * modes + m) * slots + t
-                for link, m, t in p.assignment(r.id).cells())
+                for link, m, t in cells(p.assignment(r.id)))
             checked += 1
         assert len({id(base) for base in bases.values()}) == len(bases)
     assert checked > 500
@@ -889,7 +889,7 @@ def _reference_commit(instance, placed, records, new):
                                             instance.topology.length(link), model)
                 for link, m_a, m_v in xtalk.overlap_terms(victim, aggressor)]
 
-    if set(new.cells()) & {cell for a in placed for cell in a.cells()}:
+    if set(cells(new)) & {cell for a in placed for cell in cells(a)}:
         return None
     own, after, m = 0.0, [list(r) for r in records], len(placed)
     for k, other in enumerate(placed):
